@@ -35,7 +35,7 @@ from .graph import (
     is_connected,
     neighbors,
 )
-from .lossy import DeliveryMask, LossModel, LossSchedule, sample_mask
+from .lossy import DeliveryMask, LossModel, LossSchedule, delivery_array, sample_mask
 from .problem import (
     IndefiniteHessianError,
     PartitionProblem,

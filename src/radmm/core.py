@@ -12,6 +12,13 @@ Every round has three barrier-separated phases, in this order:
 
 Loss realizations are pre-drawn by the schedule, never inside the round, so a
 sequential sweep over nodes is bitwise identical to any concurrent execution.
+
+The node-local functions (`local_x_update`, `compute_messages`,
+`apply_message`, `sync_round`) are the readable specification of a round.
+`run` does not iterate them: it runs a private stacked engine that performs
+the same arithmetic on whole-graph arrays, and the tests check that its
+traces, snapshots and final states are bitwise equal to a loop of
+`sample_mask`, `sync_round` and `relative_error`.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Graph
-from .lossy import DeliveryMask, LossSchedule, sample_mask
+from .graph import Graph, neighbors
+from .lossy import DeliveryMask, LossSchedule, delivery_array
 from .problem import PartitionProblem, QuadraticLocalCost, Solution
 
 DIVERGENCE_NORM = 1e8
@@ -253,22 +260,11 @@ def sync_round(
         for m in compute_messages(st, params, i):
             inbox[m.receiver].append(m)
 
-    # batched form of apply_message: same relaxation, one state per node
-    a = params.alpha
-    keep = 1.0 - a
     out = []
     for i, st in enumerate(mid):
-        delivered_msgs = [m for m in inbox[i] if delivery.delivered[(m.sender, i)]]
-        if not delivered_msgs:
-            out.append(st)
-            continue
-        z_self = dict(st.z_in_self)
-        z_neigh = dict(st.z_in_neigh)
-        for m in delivered_msgs:
-            j = m.sender
-            z_self[j] = keep * z_self[j] + a * m.q_about_receiver
-            z_neigh[j] = keep * z_neigh[j] + a * m.q_about_sender
-        out.append(replace(st, z_in_self=z_self, z_in_neigh=z_neigh))
+        for m in inbox[i]:
+            st = apply_message(st, m, params, delivery.delivered[(m.sender, i)])
+        out.append(st)
     return out
 
 
@@ -289,6 +285,28 @@ def initial_states(p: PartitionProblem) -> list[NodeState]:
     return states
 
 
+def _error_sum(x: np.ndarray, ref: np.ndarray, starts: np.ndarray, norms: np.ndarray) -> float:
+    """Sum over node blocks of ||x block - ref block|| / ||ref block||.
+
+    x and ref are flat in the `reference` x layout and block i starts at
+    starts[i]. Both `relative_error` and the stacked engine compute the error
+    here, so the two agree bitwise on equal iterates.
+    """
+    d = x - ref
+    d *= d
+    return float((np.sqrt(np.add.reduceat(d, starts)) / norms).sum())
+
+
+def _reference_blocks(
+    sol: Solution, orders: tuple[tuple[int, ...], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ref, starts, norms = sol.stacked_blocks(orders)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"optimum block of node {zero[0]} has zero norm")
+    return ref, starts, norms
+
+
 def relative_error(states: list[NodeState], sol: Solution) -> float:
     """Sum over nodes of ||local iterate - optimum block|| / ||optimum block||.
 
@@ -296,13 +314,9 @@ def relative_error(states: list[NodeState], sol: Solution) -> float:
     (ascending), matching the layout of the node's local iterate. Raises on a
     zero-norm reference block, for which the ratio is undefined.
     """
-    total = 0.0
-    for i, st in enumerate(states):
-        ref, nrm = sol.block_and_norm(i, tuple(sorted(st.x_neigh)))
-        if nrm == 0.0:
-            raise ValueError(f"optimum block of node {i} has zero norm")
-        total += float(np.linalg.norm(st.stacked_x() - ref)) / nrm
-    return total
+    orders = tuple(tuple(sorted(st.x_neigh)) for st in states)
+    x = np.concatenate([st.stacked_x() for st in states])
+    return _error_sum(x, *_reference_blocks(sol, orders))
 
 
 def consensus_residual(states: list[NodeState], g: Graph) -> float:
@@ -332,34 +346,226 @@ class RunTrace:
     snapshots: list[list[np.ndarray]] | None = None
 
 
-def _round_metrics(
-    states: list[NodeState], sol: Solution | None
-) -> tuple[float | None, float]:
-    """Relative error (same arithmetic as relative_error) and max |x| coordinate."""
-    err = 0.0 if sol is not None else None
-    mag = 0.0
-    for i, st in enumerate(states):
-        vec = st.stacked_x()
-        v = float(np.max(np.abs(vec)))
-        if not v <= mag:
-            mag = v
-        if sol is not None:
-            ref, nrm = sol.block_and_norm(i, tuple(sorted(st.x_neigh)))
-            if nrm == 0.0:
-                raise ValueError(f"optimum block of node {i} has zero norm")
-            err += float(np.linalg.norm(vec - ref)) / nrm
-    return err, mag
+class _StackedEngine:
+    """`sync_round` on whole-graph arrays, for quadratic costs; what `run` uses.
 
+    Built once per (problem, params) and reusable across runs. Directed edge
+    e = (j, i), in `Graph.directed_edges` order, owns row e of z, shape
+    (edges, 2, n): node i's z_in_self[j], then its z_in_neigh[j]. z sits at
+    the start of a flat buffer, followed by an n-wide zero pad and, per
+    node, the running sums of its z_in_self, whose last entry heads the
+    linear term of its x-update. x is flat in the `reference` x layout:
+    node blocks [x_self; x_neigh...].
 
-def _z_magnitude(states: list[NodeState]) -> float:
-    m = 0.0
-    for st in states:
-        for d in (st.z_in_self, st.z_in_neigh):
-            for arr in d.values():
-                v = float(np.max(np.abs(arr)))
-                if not v <= m:
-                    m = v
-    return m
+    Every arithmetic step is the one `sync_round` takes, in the same order:
+    the head sums add z_in_self in ascending neighbor order starting from
+    zero, each node's x is `inv @ (base + linear)` (batched over the nodes of
+    one degree; numpy hands each item of a stacked matmul to the same BLAS
+    gemv as a single `inv @ v`), messages are 2 rho x - z, and a delivered
+    edge relaxes to (1 - alpha) z + alpha q. Runs are therefore bitwise
+    equal to the node-local rounds, which the tests check. A closed form
+    x = c + K z would be faster to state but is not bitwise equal.
+    """
+
+    def __init__(self, p: PartitionProblem, params: AlgorithmParams):
+        for i, cost in enumerate(p.costs):
+            if not isinstance(cost, QuadraticLocalCost):
+                raise TypeError(
+                    f"the stacked engine needs QuadraticLocalCost, node {i} has "
+                    f"{type(cost).__name__}"
+                )
+        g, n = p.graph, p.dim
+        solvers = [QuadraticLocalSolver(c, params.rho) for c in p.costs]
+        self.params = params
+        self.n = n
+        self.edges = g.directed_edges()
+        edge_at = {e: t for t, e in enumerate(self.edges)}
+        self.orders = tuple(tuple(neighbors(g, i)) for i in range(g.node_count))
+        self.in_edges = [[edge_at[(j, i)] for j in order] for i, order in enumerate(self.orders)]
+        sizes = [n * (len(order) + 1) for order in self.orders]
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.bounds = [(int(a), int(a) + s) for a, s in zip(self.starts, sizes)]
+        self.x_size = sum(sizes)
+        e_count = len(self.edges)
+        self.z_shape = (e_count, 2, n)
+        self.pad_at = pad = e_count * 2 * n
+        self.head_at = head = pad + n
+        col = np.arange(n)
+
+        def self_slot(e):
+            return 2 * n * e + col
+
+        def neigh_slot(e):
+            return 2 * n * e + n + col
+
+        # head sums: a running sum along [0, z_in_self of each in-edge,
+        # zero pads up to the largest degree] gives the spec's 0 + z_1 + z_2 ...
+        width = max(len(order) for order in self.orders) + 1
+        self.head_terms = np.array(
+            [
+                [pad + col] + [self_slot(e) for e in ins] + [pad + col] * (width - 1 - len(ins))
+                for ins in self.in_edges
+            ],
+            dtype=np.intp,
+        ).reshape(g.node_count, width, n)
+        # The x-update runs in degree-class-major order: the nodes of each
+        # degree are contiguous, so one matmul solves a whole class.
+        by_class = sorted(range(g.node_count), key=lambda i: (len(self.orders[i]), i))
+        self.linear = np.concatenate(
+            [
+                np.concatenate(
+                    [head + n * (width * (i + 1) - 1) + col]
+                    + [neigh_slot(e) for e in self.in_edges[i]]
+                )
+                for i in by_class
+            ]
+        ).astype(np.intp)
+        self.base = np.concatenate([solvers[i]._base for i in by_class])
+        class_at = {}
+        off = 0
+        for i in by_class:
+            class_at[i] = off
+            off += sizes[i]
+        self.from_class = np.concatenate(
+            [class_at[i] + np.arange(sizes[i]) for i in range(g.node_count)]
+        ).astype(np.intp)
+        self.classes = []  # (inv stack, span in class-major order, batch shape)
+        for deg in sorted({len(order) for order in self.orders}):
+            nodes = [i for i in by_class if len(self.orders[i]) == deg]
+            m = n * (deg + 1)
+            at = class_at[nodes[0]]
+            self.classes.append(
+                (
+                    np.stack([solvers[i]._inv for i in nodes]),
+                    slice(at, at + len(nodes) * m),
+                    (len(nodes), m, 1),
+                )
+            )
+        # message on e = (j, i): [2 rho x_neigh[i] - z_in_neigh[i],
+        # 2 rho x_self - z_in_self[i]] of node j, whose z row is edge (i, j)
+        x_at, z_at = [], []
+        for j, i in self.edges:
+            base = int(self.starts[j])
+            t = self.orders[j].index(i)
+            x_at.append([base + n * (t + 1) + col, base + col])
+            back = edge_at[(i, j)]
+            z_at.append([neigh_slot(back), self_slot(back)])
+        self.message_x = np.array(x_at, dtype=np.intp).reshape(self.z_shape)
+        self.message_z = np.array(z_at, dtype=np.intp).reshape(self.z_shape)
+
+    def _delivery(self, schedule: LossSchedule | None):
+        """Round -> delivered flags in edge order; None when nothing is ever lost."""
+        if schedule is None:
+            return None
+        if schedule.edges == self.edges:
+            perm = None
+        else:
+            at = {e: t for t, e in enumerate(schedule.edges)}
+            for e in self.edges:
+                if e not in at:
+                    raise ValueError(f"delivery mask missing directed edge {e}")
+            perm = np.array([at[e] for e in self.edges], dtype=np.intp)
+        if schedule.loss_free:
+            return None
+        if perm is None:
+            return lambda k: delivery_array(schedule, k)
+        return lambda k: delivery_array(schedule, k)[perm]
+
+    def _states(self, x: np.ndarray, z: np.ndarray) -> list[NodeState]:
+        n = self.n
+        z_self, z_neigh = list(z[:, 0]), list(z[:, 1])
+        states = []
+        for order, ins, (a, b) in zip(self.orders, self.in_edges, self.bounds):
+            v = x[a:b]
+            states.append(
+                NodeState(
+                    x_self=v[:n],
+                    x_neigh=dict(zip(order, v[n:].reshape(-1, n))),
+                    z_in_self={j: z_self[e] for j, e in zip(order, ins)},
+                    z_in_neigh={j: z_neigh[e] for j, e in zip(order, ins)},
+                )
+            )
+        return states
+
+    def run(
+        self,
+        schedule: LossSchedule | None,
+        k_max: int,
+        init: list[NodeState] | None = None,
+        solution: Solution | None = None,
+        stop_tol: float | None = None,
+        record_states: bool = False,
+    ) -> RunTrace:
+        """`run` on this engine's problem and params."""
+        if k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {k_max}")
+        if stop_tol is not None and solution is None:
+            raise ValueError("stop_tol requires a reference solution")
+        if solution is not None:
+            ref, starts, norms = _reference_blocks(solution, self.orders)
+        deliver = self._delivery(schedule)
+        buf = np.zeros(self.head_at + self.head_terms.size)
+        z = buf[: self.pad_at].reshape(self.z_shape)
+        heads = buf[self.head_at :].reshape(self.head_terms.shape)
+        if init is not None:
+            if len(init) != len(self.orders):
+                raise ValueError(f"init must hold {len(self.orders)} node states, got {len(init)}")
+            for e, (j, i) in enumerate(self.edges):
+                z[e, 0] = init[i].z_in_self[j]
+                z[e, 1] = init[i].z_in_neigh[j]
+        v = np.empty(self.x_size)
+        xc = np.empty(self.x_size)
+        solves = [
+            (inv, v[at].reshape(shape), xc[at].reshape(shape)) for inv, at, shape in self.classes
+        ]
+        two_rho = 2.0 * self.params.rho
+        alpha = self.params.alpha
+        keep = 1.0 - alpha
+
+        errors: list[float] = []
+        snapshots: list[list[np.ndarray]] | None = [] if record_states else None
+        diverged = False
+        rounds = 0
+        for k in range(k_max):
+            np.add.accumulate(buf[self.head_terms], axis=1, out=heads)
+            buf.take(self.linear, out=v)
+            v += self.base
+            for inv, v_c, x_c in solves:
+                np.matmul(inv, v_c, out=x_c)
+            x = xc[self.from_class]
+            q = x[self.message_x]
+            q *= two_rho
+            q -= buf[self.message_z]
+            q *= alpha
+            if deliver is None:
+                z *= keep
+                z += q
+            else:
+                relaxed = z * keep
+                relaxed += q
+                np.copyto(z, relaxed, where=deliver(k)[:, None, None])
+            rounds = k + 1
+            if snapshots is not None:
+                snapshots.append([x[a:b] for a, b in self.bounds])
+            err = None
+            if solution is not None:
+                err = _error_sum(x, ref, starts, norms)
+                errors.append(err)
+            if not np.abs(x).max() < DIVERGENCE_NORM or (err is not None and not err < np.inf):
+                diverged = True
+                break
+            if rounds % _Z_CHECK_EVERY == 0 and z.size and not np.abs(z).max() < DIVERGENCE_NORM:
+                diverged = True
+                break
+            if stop_tol is not None and err < stop_tol:
+                break
+        return RunTrace(
+            errors=np.array(errors) if solution is not None else None,
+            diverged=diverged,
+            rounds_executed=rounds,
+            final_states=self._states(x, z),
+            snapshots=snapshots,
+        )
 
 
 def run(
@@ -377,44 +583,17 @@ def run(
     schedule=None means every packet is delivered. The trace is a pure
     function of the arguments. A non-finite coordinate or a state magnitude
     beyond DIVERGENCE_NORM stops the run with the diverged flag instead of
-    raising. When stop_tol is given (requires solution), the run ends at the
-    first round whose relative error falls below it.
-    """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if stop_tol is not None and solution is None:
-        raise ValueError("stop_tol requires a reference solution")
-    states = initial_states(p) if init is None else list(init)
-    solvers = [make_local_solver(c, params) for c in p.costs]
-    complete = DeliveryMask.complete(p.graph)
+    raising (|x| and the error are checked every round, |z| every
+    _Z_CHECK_EVERY rounds). When stop_tol is given (requires solution), the
+    run ends at the first round whose relative error falls below it.
 
-    errors: list[float] = []
-    snapshots: list[list[np.ndarray]] | None = [] if record_states else None
-    diverged = False
-    rounds = 0
-    for k in range(k_max):
-        mask = complete if schedule is None else sample_mask(schedule, k)
-        states = sync_round(states, p, params, mask, solvers)
-        rounds = k + 1
-        if snapshots is not None:
-            snapshots.append([st.stacked_x() for st in states])
-        err, mag = _round_metrics(states, solution)
-        if err is not None:
-            errors.append(err)
-        if not mag < DIVERGENCE_NORM or (err is not None and not err < np.inf):
-            diverged = True
-            break
-        if (k + 1) % _Z_CHECK_EVERY == 0 and not _z_magnitude(states) < DIVERGENCE_NORM:
-            diverged = True
-            break
-        if stop_tol is not None and err < stop_tol:
-            break
-    return RunTrace(
-        errors=np.array(errors) if solution is not None else None,
-        diverged=diverged,
-        rounds_executed=rounds,
-        final_states=states,
-        snapshots=snapshots,
+    The rounds run on the stacked engine, which needs QuadraticLocalCost
+    costs (TypeError otherwise) and is bitwise equal to iterating
+    `sync_round`; init contributes only its z variables, as there.
+    """
+    return _StackedEngine(p, params).run(
+        schedule, k_max, init=init, solution=solution, stop_tol=stop_tol,
+        record_states=record_states,
     )
 
 

@@ -9,12 +9,11 @@ and lets parallel and serial execution agree bitwise.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgorithmParams, RunTrace, relative_error, run
+from .core import AlgorithmParams, RunTrace, _StackedEngine, relative_error
 from .lossy import LossModel, LossSchedule
 from .problem import PartitionProblem, Solution, solve_centralized
 
@@ -71,11 +70,12 @@ def monte_carlo(
     if solution is None:
         solution = solve_centralized(p)
     model = loss_p if isinstance(loss_p, LossModel) else LossModel.uniform(p.graph, loss_p)
+    engine = _StackedEngine(p, params)
     traces = []
     diverged = False
     for r in range(runs):
         schedule = LossSchedule(model=model, seed=_sub_seed(seed, r))
-        tr = run(p, params, schedule, k_max, solution=solution, stop_tol=stop_tol)
+        tr = engine.run(schedule, k_max, solution=solution, stop_tol=stop_tol)
         diverged = diverged or tr.diverged
         traces.append(tr.errors)
     rounds = min(len(e) for e in traces)
@@ -127,13 +127,13 @@ class SweepResult:
 
 def _sweep_cell(args) -> tuple[tuple[float, float, float], str, float | None]:
     p, rho, alpha, loss_p, indices, runs, k_max, seed, tol, solution = args
-    params = AlgorithmParams(alpha=alpha, rho=rho)
+    engine = _StackedEngine(p, AlgorithmParams(alpha=alpha, rho=rho))
     model = LossModel.uniform(p.graph, loss_p)
     rounds = []
     outcome = "converged"
     for r in range(runs):
         schedule = LossSchedule(model=model, seed=_sub_seed(seed, *indices, r))
-        tr = run(p, params, schedule, k_max, solution=solution, stop_tol=tol)
+        tr = engine.run(schedule, k_max, solution=solution, stop_tol=tol)
         if tr.diverged:
             outcome = "diverged"
             break
@@ -179,6 +179,9 @@ def stability_sweep(
                     (p, rho, alpha, loss_p, (ir, ia, ip), runs, k_max, seed, tol, solution)
                 )
     if jobs > 1:
+        # imported here: it costs every CLI start ~15 ms and only sweeps use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_cell, tasks))
     else:

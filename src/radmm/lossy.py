@@ -72,24 +72,53 @@ class LossSchedule:
         object.__setattr__(
             self, "_probs", np.array([self.model.probs[e] for e in sorted(self.model.probs)])
         )
+        # one bit generator per schedule, rewound to each round's counter
+        # block; built on the first draw so a bad seed fails there, as before
+        object.__setattr__(self, "_philox", None)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The directed edges in draw order: sorted, as `Graph.directed_edges`."""
+        return self._edges
+
+    @property
+    def loss_free(self) -> bool:
+        """True when every loss probability is 0, so every mask is all-delivered."""
+        return not self._probs.any()
 
     @classmethod
     def lossless(cls, g: Graph, seed: int = 0) -> "LossSchedule":
         return cls(model=LossModel.uniform(g, 0.0), seed=seed)
 
 
-def sample_mask(schedule: LossSchedule, k: int) -> DeliveryMask:
-    """The delivery mask of round k; identical on every re-query.
+def delivery_array(schedule: LossSchedule, k: int) -> np.ndarray:
+    """Round k's delivery outcomes as a bool array in `schedule.edges` order.
 
     A packet on edge e is lost when its uniform draw falls below the edge's
-    loss probability, so p = 0 delivers everything and p = 1 nothing.
+    loss probability, so p = 0 delivers everything and p = 1 nothing. The
+    draws are those of a fresh Philox(key=seed, counter=k << 128); the
+    schedule's one generator is set to that state instead of building it,
+    so threads must not draw from one schedule concurrently.
     """
     if k < 0:
         raise ValueError(f"round index must be >= 0, got {k}")
+    if k >> 128:
+        raise ValueError(f"round index must be < 2**128, got {k}")
     edges = schedule._edges
     if not edges:
-        return DeliveryMask(delivered={})
-    gen = np.random.Generator(np.random.Philox(key=schedule.seed, counter=k << 128))
-    u = gen.random(len(edges))
-    ok = u >= schedule._probs
-    return DeliveryMask(delivered={e: bool(ok[t]) for t, e in enumerate(edges)})
+        return np.ones(0, dtype=bool)
+    if schedule._philox is None:
+        bits = np.random.Philox(key=schedule.seed, counter=0)
+        state = bits.state
+        gen = np.random.Generator(bits)
+        object.__setattr__(schedule, "_philox", (bits, gen, state, state["state"]["counter"]))
+    bits, gen, state, counter = schedule._philox
+    counter[2:] = (k & 0xFFFFFFFFFFFFFFFF, k >> 64)
+    bits.state = state
+    return gen.random(len(edges)) >= schedule._probs
+
+
+def sample_mask(schedule: LossSchedule, k: int) -> DeliveryMask:
+    """The delivery mask of round k (see `delivery_array`); identical on every re-query."""
+    ok = delivery_array(schedule, k)
+    return DeliveryMask(delivered=dict(zip(schedule._edges, ok.tolist())))

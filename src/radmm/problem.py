@@ -110,6 +110,23 @@ class Solution:
             self._blocks[key] = cached
         return cached
 
+    def stacked_blocks(
+        self, orders: tuple[tuple[int, ...], ...]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's block (node i with neighbor order orders[i]) concatenated,
+        the start offset of each block, and the block norms; cached."""
+        cached = self._blocks.get(orders)
+        if cached is None:
+            blocks = [self.block_and_norm(i, order) for i, order in enumerate(orders)]
+            sizes = [len(ref) for ref, _ in blocks]
+            cached = (
+                np.concatenate([ref for ref, _ in blocks]),
+                np.cumsum([0] + sizes[:-1]),
+                np.array([nrm for _, nrm in blocks]),
+            )
+            self._blocks[orders] = cached
+        return cached
+
     def stacked_block(self, g: Graph, i: int) -> np.ndarray:
         """[x_i*; x_j* for j in neighbors(i) ascending], the block the node-local
         iterate of node i converges to."""

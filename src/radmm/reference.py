@@ -34,7 +34,7 @@ from .core import (
     sync_round,
 )
 from .graph import Graph, neighbors
-from .lossy import DeliveryMask
+from .lossy import DeliveryMask, LossModel, LossSchedule, sample_mask
 from .problem import PartitionProblem
 
 
@@ -144,12 +144,16 @@ def reference_step(
     p: PartitionProblem,
     cm: ConstraintMatrices,
     params: AlgorithmParams,
+    delivery: DeliveryMask | None = None,
 ) -> ReferenceState:
     """One four-iterate round on stacked vectors.
 
     The x-argmin solves the assembled normal equations
     (2 H_f + rho A'A) x = 2 g_f - A'(Pz); A'A is diagonal with the node
-    degree on own-variable coordinates and one elsewhere.
+    degree on own-variable coordinates and one elsewhere. With a delivery
+    mask, a lost directed edge j -> i keeps the slot pair at
+    slot_base[(j, i)] (the auxiliaries node i holds for the edge from j)
+    at its old value; without one every slot is updated.
     """
     z = state.z
     pz = cm.p @ z
@@ -163,6 +167,12 @@ def reference_step(
     except np.linalg.LinAlgError as exc:
         raise ValueError("stacked x-update system is singular") from exc
     z_next = (1.0 - params.alpha) * z - params.alpha * pz - 2.0 * params.alpha * params.rho * (cm.a @ x)
+    if delivery is not None:
+        kept = np.zeros(cm.y_dim, dtype=bool)
+        for e, base in cm.slot_base.items():
+            if not delivery.delivered[e]:
+                kept[base : base + 2 * cm.n] = True
+        z_next = np.where(kept, z, z_next)
     return ReferenceState(x=x, y=y, w=w, z=z_next)
 
 
@@ -202,14 +212,20 @@ def stack_node_xs(states: list[NodeState], cm: ConstraintMatrices) -> np.ndarray
 
 
 def check_equivalence(
-    p: PartitionProblem, params: AlgorithmParams, k_max: int, seed: int
+    p: PartitionProblem,
+    params: AlgorithmParams,
+    k_max: int,
+    seed: int,
+    loss: float | LossModel | None = None,
 ) -> float:
     """Max coordinate deviation between the stacked and node-local trajectories.
 
     Both start from the same Gaussian z (the node-local side reads its slots
-    out of the stacked vector) and run loss-free in lockstep for k_max
-    rounds. Agreement to numerical-identity level certifies that the
-    node-local rearrangement reproduces the stacked scheme exactly.
+    out of the stacked vector) and run in lockstep for k_max rounds,
+    loss-free by default. With `loss` (a uniform probability or a LossModel)
+    both sides get the same delivery mask each round, drawn from a schedule
+    seeded with `seed`. Agreement to numerical-identity level certifies that
+    the node-local rearrangement reproduces the stacked scheme exactly.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -218,11 +234,16 @@ def check_equivalence(
     ref = reference_initial_state(cm, z0)
     states = node_states_from_stacked_z(p, cm, z0)
     solvers = [make_local_solver(c, params) for c in p.costs]
-    mask = DeliveryMask.complete(p.graph)
+    schedule = None
+    if loss is not None:
+        model = loss if isinstance(loss, LossModel) else LossModel.uniform(p.graph, loss)
+        schedule = LossSchedule(model=model, seed=seed)
+    complete = DeliveryMask.complete(p.graph)
     max_dev = 0.0
-    for _ in range(k_max):
-        ref = reference_step(ref, p, cm, params)
-        states = sync_round(states, p, params, mask, solvers)
+    for k in range(k_max):
+        mask = None if schedule is None else sample_mask(schedule, k)
+        ref = reference_step(ref, p, cm, params, mask)
+        states = sync_round(states, p, params, complete if mask is None else mask, solvers)
         dev = float(np.max(np.abs(ref.x - stack_node_xs(states, cm)))) if cm.x_dim else 0.0
         if dev > max_dev:
             max_dev = dev

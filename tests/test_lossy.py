@@ -135,3 +135,54 @@ def test_negative_round_rejected():
     sched = rm.LossSchedule(model=rm.LossModel.uniform(g, 0.5), seed=1)
     with pytest.raises(ValueError):
         rm.sample_mask(sched, -1)
+
+
+# --- delivery_array: one reused generator, same draws ---------------------------
+
+
+def fresh_draw(sched, k):
+    """The construction the (seed, round, edge) contract is written in."""
+    gen = np.random.Generator(np.random.Philox(key=sched.seed, counter=k << 128))
+    return gen.random(len(sched.edges)) >= np.array([sched.model.probs[e] for e in sched.edges])
+
+
+def mixed_graph():
+    return rm.generate_connected_rgg(9, 0.5, seed=12)
+
+
+@pytest.mark.parametrize("loss_p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 11])
+def test_delivery_array_equals_fresh_generator(loss_p, seed):
+    g = mixed_graph()
+    sched = rm.LossSchedule(model=rm.LossModel.uniform(g, loss_p), seed=seed)
+    for k in range(1000):
+        got = rm.delivery_array(sched, k)
+        assert got.dtype == bool
+        assert got.tobytes() == fresh_draw(sched, k).tobytes()
+
+
+def test_delivery_array_per_edge_table_and_requery_order():
+    g = mixed_graph()
+    rng = np.random.default_rng(3)
+    table = {e: float(rng.uniform(0.0, 1.0)) for e in g.directed_edges()}
+    sched = rm.LossSchedule(model=rm.LossModel.from_table(g, table), seed=41)
+    for k in range(1000):
+        assert rm.delivery_array(sched, k).tobytes() == fresh_draw(sched, k).tobytes()
+    for k in (999, 0, 500, 3, 3, 2**64 + 5, 10**9, 1):
+        assert rm.delivery_array(sched, k).tobytes() == fresh_draw(sched, k).tobytes()
+
+
+def test_delivery_array_edge_order_is_directed_edge_order():
+    g = mixed_graph()
+    sched = rm.LossSchedule(model=rm.LossModel.uniform(g, 0.5), seed=8)
+    assert sched.edges == g.directed_edges()
+    for k in (0, 9, 77):
+        mask = rm.sample_mask(sched, k)
+        assert list(mask.delivered) == list(g.directed_edges())
+        assert list(mask.delivered.values()) == rm.delivery_array(sched, k).tolist()
+
+
+def test_delivery_array_rejects_negative_round():
+    sched = rm.LossSchedule(model=rm.LossModel.uniform(small_graph(), 0.5), seed=1)
+    with pytest.raises(ValueError):
+        rm.delivery_array(sched, -1)

@@ -152,3 +152,73 @@ def test_reference_converges_to_centralized_optimum(ten_node_problem, ten_node_s
     for i in range(p.graph.node_count):
         base = cm.x_base[i]
         assert np.allclose(state.x[base : base + p.dim], sol.x_star[i], atol=1e-7)
+
+
+# --- lossy oracle --------------------------------------------------------------
+
+
+def test_reference_step_complete_mask_equals_unmasked(ten_node_problem):
+    p = ten_node_problem
+    cm = rm.build_constraint_matrices(p.graph, p.dim)
+    params = rm.AlgorithmParams(alpha=0.75, rho=3.0)
+    state = rm.reference_initial_state(cm, np.random.default_rng(3).standard_normal(cm.y_dim))
+    a = rm.reference_step(state, p, cm, params)
+    b = rm.reference_step(state, p, cm, params, rm.DeliveryMask.complete(p.graph))
+    assert a.z.tobytes() == b.z.tobytes()
+    assert a.x.tobytes() == b.x.tobytes()
+
+
+def test_reference_step_lost_edge_keeps_its_slot_pair(ten_node_problem):
+    p = ten_node_problem
+    cm = rm.build_constraint_matrices(p.graph, p.dim)
+    params = rm.AlgorithmParams(alpha=0.75, rho=3.0)
+    state = rm.reference_initial_state(cm, np.random.default_rng(4).standard_normal(cm.y_dim))
+    lost = p.graph.directed_edges()[3]
+    mask = rm.DeliveryMask(delivered={e: e != lost for e in p.graph.directed_edges()})
+    full = rm.reference_step(state, p, cm, params)
+    gated = rm.reference_step(state, p, cm, params, mask)
+    base = cm.slot_base[lost]
+    kept = np.zeros(cm.y_dim, dtype=bool)
+    kept[base : base + 2 * p.dim] = True
+    assert np.array_equal(gated.z[kept], state.z[kept])
+    assert np.array_equal(gated.z[~kept], full.z[~kept])
+    assert not np.array_equal(full.z[kept], state.z[kept])
+
+
+@pytest.mark.parametrize("loss_p", [0.2, 0.6])
+def test_check_equivalence_under_uniform_loss(loss_p):
+    rng = np.random.default_rng(654)
+    worst = 0.0
+    for t, p in enumerate(make_instances(5, seed0=4300)):
+        params = rm.AlgorithmParams(
+            alpha=float(rng.uniform(0.05, 0.95)), rho=float(rng.uniform(0.05, 10.0))
+        )
+        worst = max(worst, rm.check_equivalence(p, params, 30, seed=700 + t, loss=loss_p))
+    assert worst < 1e-9
+
+
+def test_check_equivalence_under_per_edge_table(ten_node_problem):
+    p = ten_node_problem
+    rng = np.random.default_rng(655)
+    model = rm.LossModel.from_table(
+        p.graph, {e: float(rng.uniform(0.0, 0.9)) for e in p.graph.directed_edges()}
+    )
+    dev = rm.check_equivalence(p, rm.AlgorithmParams(0.75, 3.0), 50, seed=99, loss=model)
+    assert dev < 1e-9
+
+
+def test_lossy_lockstep_needs_the_gate(ten_node_problem):
+    # without gating the stacked side drifts away: the lossy check has teeth
+    p = ten_node_problem
+    params = rm.AlgorithmParams(0.75, 3.0)
+    cm = rm.build_constraint_matrices(p.graph, p.dim)
+    z0 = np.random.default_rng(99).standard_normal(cm.y_dim)
+    ref = rm.reference_initial_state(cm, z0)
+    states = rm.node_states_from_stacked_z(p, cm, z0)
+    sched = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, 0.4), seed=99)
+    dev = 0.0
+    for k in range(10):
+        ref = rm.reference_step(ref, p, cm, params)
+        states = rm.sync_round(states, p, params, rm.sample_mask(sched, k))
+        dev = max(dev, float(np.max(np.abs(ref.x - np.concatenate([s.stacked_x() for s in states])))))
+    assert dev > 1e-3
