@@ -62,6 +62,7 @@ from .experiments import (
     SweepResult,
     detect_convergence,
     monte_carlo,
+    monte_carlo_settings,
     monte_carlo_to_csv,
     stability_sweep,
     sweep_to_csv,

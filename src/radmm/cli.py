@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, build_graph, build_problem, load_config, override_seeds, parse_config
 from .core import AlgorithmParams, run, trace_to_csv
-from .experiments import monte_carlo, monte_carlo_to_csv, stability_sweep, sweep_to_csv
+from .experiments import monte_carlo_settings, monte_carlo_to_csv, stability_sweep, sweep_to_csv
 from .lossy import LossModel, LossSchedule
 from .problem import PartitionProblem, problem_from_json, problem_to_json, solve_centralized
 from .reference import check_equivalence
@@ -79,43 +79,47 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
     problem = _resolve_instance(cfg, instance_path)
     solution = solve_centralized(problem)
     loss_values: list[float | None] = list(cfg.loss.p) if cfg.loss.p is not None else [None]
+    settings = []
+    for loss_p in loss_values:
+        if loss_p is None:
+            model = LossModel.from_table(problem.graph, cfg.loss.table)
+            tol = cfg.run.resolved_tol(max(cfg.loss.table.values()))
+        else:
+            model = LossModel.uniform(problem.graph, loss_p)
+            tol = cfg.run.resolved_tol(loss_p)
+        settings.append((model, tol))
     any_diverged = False
     for alpha in cfg.params.alpha:
         for rho in cfg.params.rho:
             params = AlgorithmParams(alpha=alpha, rho=rho)
-            for loss_p in loss_values:
-                if loss_p is None:
-                    model = LossModel.from_table(problem.graph, cfg.loss.table)
-                    tol = cfg.run.resolved_tol(max(cfg.loss.table.values()))
-                else:
-                    model = LossModel.uniform(problem.graph, loss_p)
-                    tol = cfg.run.resolved_tol(loss_p)
+            if cfg.run.runs == 1:
+                results = [
+                    run(
+                        problem,
+                        params,
+                        LossSchedule(model=model, seed=cfg.loss.seed),
+                        cfg.run.k_max,
+                        solution=solution,
+                        stop_tol=tol,
+                    )
+                    for model, tol in settings
+                ]
+                texts = [trace_to_csv(tr) for tr in results]
+            else:
+                # every loss value x run of this (alpha, rho) advances as one batch
+                results = monte_carlo_settings(
+                    problem,
+                    params,
+                    settings,
+                    cfg.run.runs,
+                    cfg.run.k_max,
+                    cfg.loss.seed,
+                    solution=solution,
+                )
+                texts = [monte_carlo_to_csv(mc) for mc in results]
+            any_diverged = any_diverged or any(res.diverged for res in results)
+            for loss_p, text in zip(loss_values, texts):
                 suffix = _combo_suffix(cfg, alpha, rho, loss_p)
-                if cfg.run.runs == 1:
-                    schedule = LossSchedule(model=model, seed=cfg.loss.seed)
-                    tr = run(
-                        problem,
-                        params,
-                        schedule,
-                        cfg.run.k_max,
-                        solution=solution,
-                        stop_tol=tol,
-                    )
-                    any_diverged = any_diverged or tr.diverged
-                    text = trace_to_csv(tr)
-                else:
-                    mc = monte_carlo(
-                        problem,
-                        params,
-                        model,
-                        cfg.run.runs,
-                        cfg.run.k_max,
-                        cfg.loss.seed,
-                        solution=solution,
-                        stop_tol=tol,
-                    )
-                    any_diverged = any_diverged or mc.diverged
-                    text = monte_carlo_to_csv(mc)
                 path = _write(out_dir, f"{cfg.output_prefix}_trace{suffix}.csv", text)
                 print(f"wrote {path}")
     return EXIT_DIVERGED if any_diverged else EXIT_OK

@@ -18,11 +18,16 @@ The node-local functions (`local_x_update`, `compute_messages`,
 `run` does not iterate them: it runs a private stacked engine that performs
 the same arithmetic on whole-graph arrays, and the tests check that its
 traces, snapshots and final states are bitwise equal to a loop of
-`sample_mask`, `sync_round` and `relative_error`.
+`sample_mask`, `sync_round` and `relative_error`. The engine advances a
+batch of runs together, one row each; `run` is a batch of one, and the Monte
+Carlo and sweep harness in `experiments` hands it all the runs of a setting
+or of a sweep cell at once. Every run of a batch is bitwise equal to the
+same run alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,6 +205,21 @@ def compute_messages(state: NodeState, params: AlgorithmParams, i: int) -> list[
     return msgs
 
 
+def _relax(z_self: dict, z_neigh: dict, m: Message, alpha: float, delivered: bool) -> None:
+    """The gated z-update of m's edge, in place on the receiver's own dict copies.
+
+    A delivered message moves the receiver's two auxiliary vectors for the
+    sender's edge toward the received q values; a lost one leaves them.
+    """
+    j = m.sender
+    if j not in z_self:
+        raise ValueError(f"message from {j} does not match receiver's neighbor set")
+    if delivered:
+        keep = 1.0 - alpha
+        z_self[j] = keep * z_self[j] + alpha * m.q_about_receiver
+        z_neigh[j] = keep * z_neigh[j] + alpha * m.q_about_sender
+
+
 def apply_message(
     state: NodeState, m: Message, params: AlgorithmParams, delivered: bool
 ) -> NodeState:
@@ -210,18 +230,9 @@ def apply_message(
     state untouched. The caller is responsible for routing m to the state of
     node m.receiver.
     """
-    j = m.sender
-    if j not in state.z_in_self:
-        raise ValueError(f"message from {j} does not match receiver's neighbor set")
-    if not delivered:
-        return state
-    a = params.alpha
-    keep = 1.0 - a
-    z_self = dict(state.z_in_self)
-    z_neigh = dict(state.z_in_neigh)
-    z_self[j] = keep * z_self[j] + a * m.q_about_receiver
-    z_neigh[j] = keep * z_neigh[j] + a * m.q_about_sender
-    return replace(state, z_in_self=z_self, z_in_neigh=z_neigh)
+    z_self, z_neigh = dict(state.z_in_self), dict(state.z_in_neigh)
+    _relax(z_self, z_neigh, m, params.alpha, delivered)
+    return replace(state, z_in_self=z_self, z_in_neigh=z_neigh) if delivered else state
 
 
 def sync_round(
@@ -262,9 +273,11 @@ def sync_round(
 
     out = []
     for i, st in enumerate(mid):
+        # one copy of the node's z dicts per round, relaxed message by message
+        z_self, z_neigh = dict(st.z_in_self), dict(st.z_in_neigh)
         for m in inbox[i]:
-            st = apply_message(st, m, params, delivery.delivered[(m.sender, i)])
-        out.append(st)
+            _relax(z_self, z_neigh, m, params.alpha, delivery.delivered[(m.sender, i)])
+        out.append(replace(st, z_in_self=z_self, z_in_neigh=z_neigh))
     return out
 
 
@@ -285,16 +298,17 @@ def initial_states(p: PartitionProblem) -> list[NodeState]:
     return states
 
 
-def _error_sum(x: np.ndarray, ref: np.ndarray, starts: np.ndarray, norms: np.ndarray) -> float:
+def _error_sum(x: np.ndarray, ref: np.ndarray, starts: np.ndarray, norms: np.ndarray):
     """Sum over node blocks of ||x block - ref block|| / ||ref block||.
 
     x and ref are flat in the `reference` x layout and block i starts at
-    starts[i]. Both `relative_error` and the stacked engine compute the error
-    here, so the two agree bitwise on equal iterates.
+    starts[i]; x may also hold one such flat iterate per row, which gives
+    one sum per row. Both `relative_error` and the stacked engine compute
+    the error here, so the two agree bitwise on equal iterates.
     """
     d = x - ref
     d *= d
-    return float((np.sqrt(np.add.reduceat(d, starts)) / norms).sum())
+    return (np.sqrt(np.add.reduceat(d, starts, axis=-1)) / norms).sum(axis=-1)
 
 
 def _reference_blocks(
@@ -316,7 +330,7 @@ def relative_error(states: list[NodeState], sol: Solution) -> float:
     """
     orders = tuple(tuple(sorted(st.x_neigh)) for st in states)
     x = np.concatenate([st.stacked_x() for st in states])
-    return _error_sum(x, *_reference_blocks(sol, orders))
+    return float(_error_sum(x, *_reference_blocks(sol, orders)))
 
 
 def consensus_residual(states: list[NodeState], g: Graph) -> float:
@@ -349,13 +363,13 @@ class RunTrace:
 class _StackedEngine:
     """`sync_round` on whole-graph arrays, for quadratic costs; what `run` uses.
 
-    Built once per (problem, params) and reusable across runs. Directed edge
-    e = (j, i), in `Graph.directed_edges` order, owns row e of z, shape
-    (edges, 2, n): node i's z_in_self[j], then its z_in_neigh[j]. z sits at
-    the start of a flat buffer, followed by an n-wide zero pad and, per
-    node, the running sums of its z_in_self, whose last entry heads the
-    linear term of its x-update. x is flat in the `reference` x layout:
-    node blocks [x_self; x_neigh...].
+    Built once per (problem, params) and reusable across runs and batches.
+    Directed edge e = (j, i), in `Graph.directed_edges` order, owns row e of
+    z, shape (edges, 2, n): node i's z_in_self[j], then its z_in_neigh[j].
+    z sits at the start of a run's flat buffer, followed by an n-wide zero
+    pad and, per node, the sum of its z_in_self, which heads the linear term
+    of its x-update. x is flat in the `reference` x layout: node blocks
+    [x_self; x_neigh...]. A batch of runs stacks these buffers as rows.
 
     Every arithmetic step is the one `sync_round` takes, in the same order:
     the head sums add z_in_self in ascending neighbor order starting from
@@ -398,8 +412,11 @@ class _StackedEngine:
         def neigh_slot(e):
             return 2 * n * e + n + col
 
-        # head sums: a running sum along [0, z_in_self of each in-edge,
-        # zero pads up to the largest degree] gives the spec's 0 + z_1 + z_2 ...
+        # head sums: the slabs of [0, z_in_self of each in-edge, zero pads up
+        # to the largest degree] added in turn give the spec's 0 + z_1 + ...
+        # (a pad adds +0.0, which leaves such a sum unchanged). numpy reduces
+        # a non-innermost axis slab by slab, in order; it sums pairwise only
+        # along the innermost axis, which here spans the nodes.
         width = max(len(order) for order in self.orders) + 1
         self.head_terms = np.array(
             [
@@ -407,14 +424,14 @@ class _StackedEngine:
                 for ins in self.in_edges
             ],
             dtype=np.intp,
-        ).reshape(g.node_count, width, n)
+        ).transpose(1, 0, 2).copy()
         # The x-update runs in degree-class-major order: the nodes of each
         # degree are contiguous, so one matmul solves a whole class.
         by_class = sorted(range(g.node_count), key=lambda i: (len(self.orders[i]), i))
         self.linear = np.concatenate(
             [
                 np.concatenate(
-                    [head + n * (width * (i + 1) - 1) + col]
+                    [head + n * i + col]
                     + [neigh_slot(e) for e in self.in_edges[i]]
                 )
                 for i in by_class
@@ -489,83 +506,159 @@ class _StackedEngine:
 
     def run(
         self,
-        schedule: LossSchedule | None,
+        schedules: Sequence[LossSchedule | None],
         k_max: int,
-        init: list[NodeState] | None = None,
         solution: Solution | None = None,
-        stop_tol: float | None = None,
+        stop_tols: Sequence[float | None] | None = None,
+        init: list[NodeState] | None = None,
         record_states: bool = False,
-    ) -> RunTrace:
-        """`run` on this engine's problem and params."""
+        final_states: bool = True,
+    ) -> list[RunTrace]:
+        """`run` for every schedule at once: one RunTrace per schedule.
+
+        Each run owns one row of a (runs, buffer) array, and a round does for
+        all rows what it does for one: the same gathers, and each item of the
+        broadcast matmul goes to the same gemv. Every trace is therefore
+        bitwise equal to that run's own `run`. A run that diverges, or whose
+        error falls below its stop_tols entry (None: no stop), is frozen on
+        that round and its row dropped. init, when given, starts every run.
+        With final_states=False the traces carry no final states, which
+        large batches that keep only the errors need not hold.
+        """
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
-        if stop_tol is not None and solution is None:
+        count = len(schedules)
+        stop_tols = [None] * count if stop_tols is None else list(stop_tols)
+        if len(stop_tols) != count:
+            raise ValueError(f"need one stop tolerance per schedule, got {len(stop_tols)}")
+        if solution is None and any(t is not None for t in stop_tols):
             raise ValueError("stop_tol requires a reference solution")
         if solution is not None:
             ref, starts, norms = _reference_blocks(solution, self.orders)
-        deliver = self._delivery(schedule)
-        buf = np.zeros(self.head_at + self.head_terms.size)
-        z = buf[: self.pad_at].reshape(self.z_shape)
-        heads = buf[self.head_at :].reshape(self.head_terms.shape)
-        if init is not None:
-            if len(init) != len(self.orders):
-                raise ValueError(f"init must hold {len(self.orders)} node states, got {len(init)}")
-            for e, (j, i) in enumerate(self.edges):
-                z[e, 0] = init[i].z_in_self[j]
-                z[e, 1] = init[i].z_in_neigh[j]
-        v = np.empty(self.x_size)
-        xc = np.empty(self.x_size)
-        solves = [
-            (inv, v[at].reshape(shape), xc[at].reshape(shape)) for inv, at, shape in self.classes
+        if init is not None and len(init) != len(self.orders):
+            raise ValueError(f"init must hold {len(self.orders)} node states, got {len(init)}")
+        delivers = [self._delivery(s) for s in schedules]
+        if not delivers:
+            return []
+        # Loss-free runs with one stop tolerance follow one trajectory: the
+        # first of them gets a row, and the others share its result.
+        first: dict = {}
+        source = [
+            first.setdefault((r,) if deliver else (None, tol), r)
+            for r, (deliver, tol) in enumerate(zip(delivers, stop_tols))
         ]
+        ids = np.array(sorted(set(source)))  # the run each row holds
+        tols = [-np.inf if stop_tols[r] is None else stop_tols[r] for r in ids]
+        buf = np.zeros((len(ids), self.head_at + self.head_terms[0].size))
+        if init is not None:
+            z = buf[:, : self.pad_at].reshape((len(ids),) + self.z_shape)
+            for e, (j, i) in enumerate(self.edges):
+                z[:, e, 0] = init[i].z_in_self[j]
+                z[:, e, 1] = init[i].z_in_neigh[j]
         two_rho = 2.0 * self.params.rho
         alpha = self.params.alpha
         keep = 1.0 - alpha
 
-        errors: list[float] = []
-        snapshots: list[list[np.ndarray]] | None = [] if record_states else None
-        diverged = False
-        rounds = 0
+        errors: list[list[np.ndarray]] = [[] for _ in range(count)]  # pieces per run
+        log: list[np.ndarray] = []  # the rows' errors, one entry a round
+        snapshots = [[] for _ in range(count)] if record_states else None
+        ends: list = [None] * count  # (rounds, diverged, final (x, z) or None) per run
+        rows = 0  # rows the views below were made for
         for k in range(k_max):
-            np.add.accumulate(buf[self.head_terms], axis=1, out=heads)
-            buf.take(self.linear, out=v)
+            if rows != len(ids):
+                # Views of the rows' state. A single row gets 1-D views, on
+                # which numpy calls cost least; the axis -1 and -3 arguments
+                # below address the same axes with or without the row axis.
+                rows = len(ids)
+                lead = (rows,) if rows > 1 else ()
+                state = buf if rows > 1 else buf[0]
+                z = state[..., : self.pad_at].reshape(lead + self.z_shape)
+                heads = state[..., self.head_at :].reshape(lead + self.head_terms.shape[1:])
+                v = np.empty(lead + (self.x_size,))
+                xc = np.empty(lead + (self.x_size,))
+                solves = [
+                    (inv, v[..., at].reshape(lead + shape), xc[..., at].reshape(lead + shape))
+                    for inv, at, shape in self.classes
+                ]
+                lossy = [(row, delivers[r]) for row, r in enumerate(ids) if delivers[r]]
+                delivered = np.ones((rows, len(self.edges)), dtype=bool)
+                gate = delivered.reshape(lead + (len(self.edges), 1, 1))
+                relaxed = np.empty_like(z)
+            np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
+            state.take(self.linear, axis=-1, out=v)
             v += self.base
             for inv, v_c, x_c in solves:
                 np.matmul(inv, v_c, out=x_c)
-            x = xc[self.from_class]
-            q = x[self.message_x]
+            x = xc.take(self.from_class, axis=-1)
+            q = x.take(self.message_x, axis=-1)
             q *= two_rho
-            q -= buf[self.message_z]
+            q -= state.take(self.message_z, axis=-1)
             q *= alpha
-            if deliver is None:
+            if lossy:
+                for row, deliver in lossy:
+                    delivered[row] = deliver(k)
+                np.multiply(z, keep, out=relaxed)
+                relaxed += q
+                np.copyto(z, relaxed, where=gate)
+            else:
                 z *= keep
                 z += q
-            else:
-                relaxed = z * keep
-                relaxed += q
-                np.copyto(z, relaxed, where=deliver(k)[:, None, None])
-            rounds = k + 1
+            x_rows = x.reshape(rows, -1)
             if snapshots is not None:
-                snapshots.append([x[a:b] for a, b in self.bounds])
-            err = None
+                for row, r in enumerate(ids):
+                    snapshots[r].append([x_rows[row, a:b] for a, b in self.bounds])
             if solution is not None:
-                err = _error_sum(x, ref, starts, norms)
-                errors.append(err)
-            if not np.abs(x).max() < DIVERGENCE_NORM or (err is not None and not err < np.inf):
-                diverged = True
+                err = _error_sum(x, ref, starts, norms).reshape(rows)
+                log.append(err)
+            # A cheap test first; the row-by-row checks run only on rounds on
+            # which some run may end. NaN fails every comparison.
+            check_z = (k + 1) % _Z_CHECK_EVERY == 0 and z.size
+            if (
+                k + 1 < k_max
+                and not check_z
+                and np.abs(x).max() < DIVERGENCE_NORM
+                and (solution is None or all(t <= e < np.inf for e, t in zip(err.tolist(), tols)))
+            ):
+                continue
+            ok = np.abs(x_rows).max(axis=1) < DIVERGENCE_NORM
+            if solution is not None:
+                ok &= err < np.inf
+            if check_z:
+                ok &= np.abs(z).reshape(rows, -1).max(axis=1) < DIVERGENCE_NORM
+            done = ~ok
+            if solution is not None:
+                done |= err < np.array(tols)
+            if k + 1 == k_max:
+                done[:] = True
+            if not done.any():
+                continue
+            if log:
+                block = np.array(log)
+                log = []
+                for row, r in enumerate(ids):
+                    errors[r].append(block[:, row])
+            z_rows = z.reshape((rows,) + self.z_shape)
+            for row in np.flatnonzero(done):
+                last = (x_rows[row], z_rows[row]) if final_states else None
+                ends[ids[row]] = (k + 1, not ok[row], last)
+            live = ~done
+            buf, ids = buf[live], ids[live]
+            tols = [t for t, alive in zip(tols, live) if alive]
+            if not ids.size:
                 break
-            if rounds % _Z_CHECK_EVERY == 0 and z.size and not np.abs(z).max() < DIVERGENCE_NORM:
-                diverged = True
-                break
-            if stop_tol is not None and err < stop_tol:
-                break
-        return RunTrace(
-            errors=np.array(errors) if solution is not None else None,
-            diverged=diverged,
-            rounds_executed=rounds,
-            final_states=self._states(x, z),
-            snapshots=snapshots,
-        )
+        traces = []
+        for r in source:
+            rounds, diverged, last = ends[r]
+            traces.append(
+                RunTrace(
+                    errors=None if solution is None else np.concatenate(errors[r]),
+                    diverged=diverged,
+                    rounds_executed=rounds,
+                    final_states=[] if last is None else self._states(*(a.copy() for a in last)),
+                    snapshots=None if snapshots is None else list(snapshots[r]),
+                )
+            )
+        return traces
 
 
 def run(
@@ -587,14 +680,15 @@ def run(
     _Z_CHECK_EVERY rounds). When stop_tol is given (requires solution), the
     run ends at the first round whose relative error falls below it.
 
-    The rounds run on the stacked engine, which needs QuadraticLocalCost
-    costs (TypeError otherwise) and is bitwise equal to iterating
-    `sync_round`; init contributes only its z variables, as there.
+    The rounds run on the stacked engine as a batch of one, which needs
+    QuadraticLocalCost costs (TypeError otherwise) and is bitwise equal to
+    iterating `sync_round`; init contributes only its z variables, as there.
     """
-    return _StackedEngine(p, params).run(
-        schedule, k_max, init=init, solution=solution, stop_tol=stop_tol,
+    (trace,) = _StackedEngine(p, params).run(
+        [schedule], k_max, solution=solution, stop_tols=[stop_tol], init=init,
         record_states=record_states,
     )
+    return trace
 
 
 def trace_to_csv(trace: RunTrace) -> str:

@@ -9,6 +9,7 @@ and lets parallel and serial execution agree bitwise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "MonteCarloTrace",
     "SweepResult",
     "monte_carlo",
+    "monte_carlo_settings",
     "detect_convergence",
     "stability_sweep",
     "monte_carlo_to_csv",
@@ -65,28 +67,53 @@ def monte_carlo(
     rounds all runs executed (they differ only when stop_tol or divergence
     ends a run early); any diverged run marks the whole aggregate diverged.
     """
+    (trace,) = monte_carlo_settings(
+        p, params, [(loss_p, stop_tol)], runs, k_max, seed, solution=solution
+    )
+    return trace
+
+
+def monte_carlo_settings(
+    p: PartitionProblem,
+    params: AlgorithmParams,
+    settings: Sequence[tuple[float | LossModel, float | None]],
+    runs: int,
+    k_max: int,
+    seed: int,
+    solution: Solution | None = None,
+) -> list[MonteCarloTrace]:
+    """`monte_carlo` for each (loss, stop_tol) setting, all runs in one batch.
+
+    Every run of every setting advances in one stacked-engine loop; the
+    result for each setting equals its own `monte_carlo` call bitwise.
+    """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if solution is None:
         solution = solve_centralized(p)
-    model = loss_p if isinstance(loss_p, LossModel) else LossModel.uniform(p.graph, loss_p)
-    engine = _StackedEngine(p, params)
-    traces = []
-    diverged = False
-    for r in range(runs):
-        schedule = LossSchedule(model=model, seed=_sub_seed(seed, r))
-        tr = engine.run(schedule, k_max, solution=solution, stop_tol=stop_tol)
-        diverged = diverged or tr.diverged
-        traces.append(tr.errors)
-    rounds = min(len(e) for e in traces)
-    stacked = np.stack([e[:rounds] for e in traces])
-    return MonteCarloTrace(
-        mean=stacked.mean(axis=0),
-        low=stacked.min(axis=0),
-        high=stacked.max(axis=0),
-        diverged=diverged,
-        runs=runs,
+    schedules, tols = [], []
+    for loss, tol in settings:
+        model = loss if isinstance(loss, LossModel) else LossModel.uniform(p.graph, loss)
+        schedules += [LossSchedule(model=model, seed=_sub_seed(seed, r)) for r in range(runs)]
+        tols += [tol] * runs
+    traces = _StackedEngine(p, params).run(
+        schedules, k_max, solution=solution, stop_tols=tols, final_states=False
     )
+    out = []
+    for at in range(0, len(traces), runs):
+        group = traces[at : at + runs]
+        rounds = min(len(tr.errors) for tr in group)
+        stacked = np.stack([tr.errors[:rounds] for tr in group])
+        out.append(
+            MonteCarloTrace(
+                mean=stacked.mean(axis=0),
+                low=stacked.min(axis=0),
+                high=stacked.max(axis=0),
+                diverged=any(tr.diverged for tr in group),
+                runs=runs,
+            )
+        )
+    return out
 
 
 def detect_convergence(trace: RunTrace, tol: float, window: int = 1) -> int | None:
@@ -126,24 +153,24 @@ class SweepResult:
 
 
 def _sweep_cell(args) -> tuple[tuple[float, float, float], str, float | None]:
+    """One cell's runs as one batch. The outcome is that of the first run, in
+    run order, that did not converge; 'converged' when every run did."""
     p, rho, alpha, loss_p, indices, runs, k_max, seed, tol, solution = args
-    engine = _StackedEngine(p, AlgorithmParams(alpha=alpha, rho=rho))
+    cell = (rho, alpha, loss_p)
     model = LossModel.uniform(p.graph, loss_p)
+    schedules = [LossSchedule(model=model, seed=_sub_seed(seed, *indices, r)) for r in range(runs)]
+    traces = _StackedEngine(p, AlgorithmParams(alpha=alpha, rho=rho)).run(
+        schedules, k_max, solution=solution, stop_tols=[tol] * runs, final_states=False
+    )
     rounds = []
-    outcome = "converged"
-    for r in range(runs):
-        schedule = LossSchedule(model=model, seed=_sub_seed(seed, *indices, r))
-        tr = engine.run(schedule, k_max, solution=solution, stop_tol=tol)
+    for tr in traces:
         if tr.diverged:
-            outcome = "diverged"
-            break
+            return cell, "diverged", None
         at = detect_convergence(tr, tol)
         if at is None:
-            outcome = "undecided"
-            break
+            return cell, "undecided", None
         rounds.append(at)
-    median = float(np.median(rounds)) if outcome == "converged" else None
-    return (rho, alpha, loss_p), outcome, median
+    return cell, "converged", float(np.median(rounds))
 
 
 def stability_sweep(

@@ -169,18 +169,14 @@ def assemble_normal_equations(p: PartitionProblem) -> tuple[np.ndarray, np.ndarr
     N = p.graph.node_count
     H = np.zeros((N * n, N * n))
     g = np.zeros(N * n)
+    col = np.arange(n)
     for i, cost in enumerate(p.costs):
-        idx = [i] + cost.neighbor_order()
+        # the node's blocks are distinct, so each entry gets one addition per node
+        idx = (n * np.array([i] + cost.neighbor_order())[:, None] + col).ravel()
         m = cost.stacked_map()
         mtq = m.T @ cost.q
-        h_loc = 2.0 * (mtq @ m)
-        g_loc = 2.0 * (mtq @ cost.b)
-        for a, ia in enumerate(idx):
-            g[ia * n : (ia + 1) * n] += g_loc[a * n : (a + 1) * n]
-            for c, ic in enumerate(idx):
-                H[ia * n : (ia + 1) * n, ic * n : (ic + 1) * n] += h_loc[
-                    a * n : (a + 1) * n, c * n : (c + 1) * n
-                ]
+        H[np.ix_(idx, idx)] += 2.0 * (mtq @ m)
+        g[idx] += 2.0 * (mtq @ cost.b)
     return H, g
 
 

@@ -1,0 +1,210 @@
+"""Batched runs: every run of a batch against the node-local spec, bit for bit,
+and the batched Monte Carlo, CLI and sweep against per-run loops."""
+
+import json
+
+import numpy as np
+import pytest
+
+import radmm as rm
+import radmm.cli as cli
+from radmm.config import build_graph, build_problem, load_config
+from radmm.core import _Z_CHECK_EVERY, _StackedEngine
+from radmm.experiments import _sub_seed
+from conftest import make_instances
+from test_engine import assert_states_bitwise, table_model
+
+
+def spec_trace(p, params, schedule, k_max, sol, stop_tol=None):
+    """The node-local loop `run` documents, with its stop rule: errors,
+    rounds, diverged and final states."""
+    states = rm.initial_states(p)
+    solvers = [rm.make_local_solver(c, params) for c in p.costs]
+    complete = rm.DeliveryMask.complete(p.graph)
+    errors = []
+    for k in range(k_max):
+        mask = complete if schedule is None else rm.sample_mask(schedule, k)
+        states = rm.sync_round(states, p, params, mask, solvers)
+        err = rm.relative_error(states, sol)
+        errors.append(err)
+        x_mag = np.max(np.abs(np.concatenate([st.stacked_x() for st in states])))
+        if not (x_mag < rm.DIVERGENCE_NORM and err < np.inf):
+            return np.array(errors), states, True
+        if (k + 1) % _Z_CHECK_EVERY == 0:
+            z_mag = max(
+                np.max(np.abs(v))
+                for st in states
+                for d in (st.z_in_self, st.z_in_neigh)
+                for v in d.values()
+            )
+            if not z_mag < rm.DIVERGENCE_NORM:
+                return np.array(errors), states, True
+        if stop_tol is not None and err < stop_tol:
+            break
+    return np.array(errors), states, False
+
+
+def assert_batch_matches_spec(p, params, schedules, tols, k_max):
+    sol = rm.solve_centralized(p)
+    traces = _StackedEngine(p, params).run(schedules, k_max, solution=sol, stop_tols=tols)
+    assert len(traces) == len(schedules)
+    for tr, schedule, tol in zip(traces, schedules, tols):
+        errors, states, diverged = spec_trace(p, params, schedule, k_max, sol, tol)
+        assert tr.diverged == diverged
+        assert tr.rounds_executed == len(errors)
+        assert tr.errors.tobytes() == errors.tobytes()
+        assert_states_bitwise(tr.final_states, states)
+    return traces
+
+
+def uniform(p, loss_p, seed):
+    return rm.LossSchedule(model=rm.LossModel.uniform(p.graph, loss_p), seed=seed)
+
+
+@pytest.mark.parametrize("which", ["fig1", "random"])
+def test_mixed_batch_equals_spec(ten_node_problem, which):
+    # p = 0 (twice: loss-free runs share a row), p in {0.2, 0.6}, a per-edge
+    # table and None, with stop tolerances that end the runs on different
+    # rounds, so rows are dropped while others go on
+    p = ten_node_problem if which == "fig1" else make_instances(3, seed0=4300)[2]
+    schedules = [
+        uniform(p, 0.0, 1),
+        uniform(p, 0.2, 2),
+        rm.LossSchedule(model=table_model(p.graph, 3), seed=4),
+        uniform(p, 0.6, 5),
+        None,
+        uniform(p, 0.0, 6),
+        uniform(p, 0.2, 7),
+        uniform(p, 0.6, 8),
+    ]
+    tols = [1e-6, 1e-4, 1e-5, 1e-3, 1e-3, 1e-6, None, 1e-6]
+    traces = assert_batch_matches_spec(p, rm.AlgorithmParams(0.75, 3.0), schedules, tols, 250)
+    rounds = [tr.rounds_executed for tr in traces]
+    assert len(set(rounds)) >= 5
+    assert max(rounds) == 250  # the run without a tolerance reaches k_max
+
+
+def test_batch_diverging_on_different_rounds(ten_node_problem):
+    p = ten_node_problem
+    schedules = [uniform(p, loss_p, 10 + r) for r, loss_p in enumerate([0.0, 0.2, 0.4, 0.6, 0.2])]
+    tols = [None, 1e-4, None, 1e-4, None]
+    traces = assert_batch_matches_spec(p, rm.AlgorithmParams(1.6, 3.0), schedules, tols, 4000)
+    assert all(tr.diverged for tr in traces)
+    assert len({tr.rounds_executed for tr in traces}) == len(traces)
+
+
+def test_batch_mixing_divergence_convergence_and_k_max(ten_node_problem):
+    # alpha = 1.3 at p = 0.6: some runs diverge within 240 rounds, others not
+    p = ten_node_problem
+    schedules = [uniform(p, loss_p, 20 + r) for r, loss_p in enumerate([0.6] * 4 + [0.0])]
+    traces = assert_batch_matches_spec(
+        p, rm.AlgorithmParams(1.3, 3.0), schedules, [1e-4] * 5, 240
+    )
+    assert any(tr.diverged for tr in traces)
+    assert any(not tr.diverged and tr.rounds_executed == 240 for tr in traces)
+
+
+def test_shared_loss_free_runs_get_their_own_states(ten_node_problem, ten_node_solution):
+    p = ten_node_problem
+    a, b = _StackedEngine(p, rm.AlgorithmParams(0.75, 3.0)).run(
+        [None, uniform(p, 0.0, 31)], 30, solution=ten_node_solution
+    )
+    assert a.errors.tobytes() == b.errors.tobytes()
+    assert_states_bitwise(a.final_states, b.final_states)
+    a.final_states[0].x_self[:] = 7.0
+    a.errors[:] = 7.0
+    assert b.final_states[0].x_self[0] != 7.0
+    assert b.errors[0] != 7.0
+
+
+def test_batch_argument_checks(ten_node_problem, ten_node_solution):
+    engine = _StackedEngine(ten_node_problem, rm.AlgorithmParams(0.75, 3.0))
+    assert engine.run([], 10) == []
+    with pytest.raises(ValueError):
+        engine.run([None, None], 10, solution=ten_node_solution, stop_tols=[1e-4])
+    with pytest.raises(ValueError):
+        engine.run([None], 10, stop_tols=[1e-4])
+    with pytest.raises(ValueError):
+        engine.run([None], 0)
+
+
+def test_monte_carlo_settings_equal_separate_calls(ten_node_problem, ten_node_solution):
+    p, sol = ten_node_problem, ten_node_solution
+    params = rm.AlgorithmParams(0.75, 3.0)
+    settings = [
+        (0.0, 1e-6),
+        (0.2, 1e-4),
+        (rm.LossModel.from_table(p.graph, {e: 0.3 for e in p.graph.directed_edges()}), 1e-5),
+        (0.6, None),
+    ]
+    batch = rm.monte_carlo_settings(p, params, settings, 5, 150, seed=40, solution=sol)
+    for got, (loss, tol) in zip(batch, settings):
+        want = rm.monte_carlo(p, params, loss, 5, 150, seed=40, solution=sol, stop_tol=tol)
+        for name in ("mean", "low", "high"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.diverged, got.runs) == (want.diverged, want.runs)
+
+
+@pytest.mark.parametrize("runs", [2, 5])
+def test_cli_run_batch_equals_per_loss_monte_carlo(tmp_path, runs):
+    doc = {
+        "schema": "radmm-config/1",
+        "graph": {"nodes": 8, "radius": 0.5, "seed": 3, "require_connected": True},
+        "instance": {"dim": 2, "rows": 3, "seed": 4},
+        "params": {"alpha": [0.75, 1.0], "rho": 3.0},
+        "loss": {"p": [0.0, 0.2, 0.4, 0.6], "seed": 5},
+        "run": {"k_max": 300, "runs": runs},
+        "output": {"prefix": "t"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    cfg = load_config(str(path))
+    p = build_problem(cfg, build_graph(cfg.graph))
+    sol = rm.solve_centralized(p)
+    for alpha in (0.75, 1.0):
+        for loss_p in doc["loss"]["p"]:
+            mc = rm.monte_carlo(
+                p, rm.AlgorithmParams(alpha, 3.0), loss_p, runs, 300, 5,
+                solution=sol, stop_tol=cfg.run.resolved_tol(loss_p),
+            )
+            text = (tmp_path / "o" / f"t_trace_a{alpha!r}_p{loss_p!r}.csv").read_text()
+            assert text == rm.monte_carlo_to_csv(mc)
+
+
+def reference_sweep(p, rho_grid, alpha_grid, loss_grid, runs, k_max, seed, tol):
+    """Run by run, stopping a cell at its first run that does not converge."""
+    sol = rm.solve_centralized(p)
+    outcomes, medians = {}, {}
+    for ir, rho in enumerate(rho_grid):
+        for ia, alpha in enumerate(alpha_grid):
+            for ip, loss_p in enumerate(loss_grid):
+                cell, outcome, rounds = (rho, alpha, loss_p), "converged", []
+                for r in range(runs):
+                    sched = uniform(p, loss_p, _sub_seed(seed, ir, ia, ip, r))
+                    tr = rm.run(p, rm.AlgorithmParams(alpha, rho), sched, k_max,
+                                solution=sol, stop_tol=tol)
+                    if tr.diverged:
+                        outcome = "diverged"
+                        break
+                    at = rm.detect_convergence(tr, tol)
+                    if at is None:
+                        outcome = "undecided"
+                        break
+                    rounds.append(at)
+                outcomes[cell] = outcome
+                medians[cell] = float(np.median(rounds)) if outcome == "converged" else None
+    return outcomes, medians
+
+
+def test_sweep_equals_per_run_reference(ten_node_problem):
+    grid = dict(rho_grid=[3.0], alpha_grid=[0.1, 0.75, 1.3], loss_grid=[0.0, 0.6])
+    args = dict(runs=4, k_max=240, seed=75, tol=1e-4)
+    result = rm.stability_sweep(ten_node_problem, **grid, **args)
+    outcomes, medians = reference_sweep(ten_node_problem, *grid.values(), *args.values())
+    assert result.outcomes == outcomes
+    assert result.converged_at == medians
+    assert set(outcomes.values()) == {"converged", "diverged", "undecided"}
+    # run 0 of this cell is still going at k_max while runs 1 and 2 diverge:
+    # the first run in run order decides
+    assert outcomes[(3.0, 1.3, 0.6)] == "undecided"

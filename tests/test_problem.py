@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radmm as rm
-from conftest import central_fd_gradient
+from radmm.problem import assemble_normal_equations
+from conftest import central_fd_gradient, make_instances
 
 
 def single_node_cost(b):
@@ -240,3 +241,30 @@ def test_json_round_trip_bit_exact(ten_node_problem):
 def test_json_rejects_unknown_schema():
     with pytest.raises(ValueError):
         rm.problem_from_json('{"schema": "other/9"}')
+
+
+def block_loop_normal_equations(p):
+    """H and g assembled block by block, node by node: the reference order."""
+    n, N = p.dim, p.graph.node_count
+    H, g = np.zeros((N * n, N * n)), np.zeros(N * n)
+    for i, cost in enumerate(p.costs):
+        idx = [i] + cost.neighbor_order()
+        m = cost.stacked_map()
+        mtq = m.T @ cost.q
+        h_loc, g_loc = 2.0 * (mtq @ m), 2.0 * (mtq @ cost.b)
+        for a, ia in enumerate(idx):
+            g[ia * n : (ia + 1) * n] += g_loc[a * n : (a + 1) * n]
+            for c, ic in enumerate(idx):
+                H[ia * n : (ia + 1) * n, ic * n : (ic + 1) * n] += h_loc[
+                    a * n : (a + 1) * n, c * n : (c + 1) * n
+                ]
+    return H, g
+
+
+def test_assemble_normal_equations_equals_block_loop_bitwise():
+    large = rm.generate_instance(rm.generate_connected_rgg(100, 0.2, seed=7), n=2, r_rows=3, seed=11)
+    for p in make_instances(7, dim=3) + [large]:
+        H, g = assemble_normal_equations(p)
+        H_ref, g_ref = block_loop_normal_equations(p)
+        assert H.tobytes() == H_ref.tobytes()
+        assert g.tobytes() == g_ref.tobytes()
