@@ -22,7 +22,10 @@ traces, snapshots and final states are bitwise equal to a loop of
 batch of runs together, one row each; `run` is a batch of one, and the Monte
 Carlo and sweep harness in `experiments` hands it all the runs of a setting
 or of a sweep cell at once. Every run of a batch is bitwise equal to the
-same run alone.
+same run alone. The engine is built per degree class: its index tables come
+from the directed-edge arrays, and the local systems of all nodes of one
+degree are factored in one stacked call, bitwise equal to one
+`QuadraticLocalSolver` per node.
 """
 
 from __future__ import annotations
@@ -370,6 +373,9 @@ class _StackedEngine:
     pad and, per node, the sum of its z_in_self, which heads the linear term
     of its x-update. x is flat in the `reference` x layout: node blocks
     [x_self; x_neigh...]. A batch of runs stacks these buffers as rows.
+    The gather tables are built from the directed-edge arrays (sender,
+    reverse edge, rank among the receiver's neighbors), and each degree
+    class is factored in one stacked cholesky and inv.
 
     Every arithmetic step is the one `sync_round` takes, in the same order:
     the head sums add z_in_self in ascending neighbor order starting from
@@ -389,86 +395,104 @@ class _StackedEngine:
                     f"{type(cost).__name__}"
                 )
         g, n = p.graph, p.dim
-        solvers = [QuadraticLocalSolver(c, params.rho) for c in p.costs]
         self.params = params
         self.n = n
         self.edges = g.directed_edges()
-        edge_at = {e: t for t, e in enumerate(self.edges)}
         self.orders = tuple(tuple(neighbors(g, i)) for i in range(g.node_count))
-        self.in_edges = [[edge_at[(j, i)] for j in order] for i, order in enumerate(self.orders)]
-        sizes = [n * (len(order) + 1) for order in self.orders]
-        self.starts = np.cumsum([0] + sizes[:-1])
-        self.bounds = [(int(a), int(a) + s) for a, s in zip(self.starts, sizes)]
-        self.x_size = sum(sizes)
-        e_count = len(self.edges)
+        e_count, nodes = len(self.edges), np.arange(g.node_count)
+        degs = [len(order) for order in self.orders]
+        deg = np.array(degs, dtype=np.intp)
+        # Edges are sender-major, so node j's out-edges are contiguous from
+        # out_at[j], in its neighbor order: e = (j, i) is j's rank[e]-th.
+        self.out_at = out_at = np.cumsum(deg) - deg
+        sender = np.repeat(nodes, deg)
+        rank = np.arange(e_count) - out_at[sender]
+        # rev[e] is the reverse edge of e = (j, i), i's out-edge to j. The
+        # senders into i come in ascending order, so the in-edges of i seen
+        # so far give j's rank among i's neighbors. rev over node i's
+        # out-edges therefore lists i's in-edges in its neighbor order.
+        seen = out_at.tolist()
+        rev = []
+        for _, i in self.edges:
+            rev.append(seen[i])
+            seen[i] += 1
+        self.rev = rev = np.array(rev, dtype=np.intp)
+        # x is a sequence of n-wide slots: node j's x_self in slot
+        # out_at[j] + j, and its x_neigh copy on out-edge e in slot e + j + 1.
+        self_slot = out_at + nodes
+        edge_slot = np.arange(e_count) + sender + 1
+        starts, sizes = n * self_slot, n * (deg + 1)
+        self.bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
+        self.x_size = n * (e_count + g.node_count)
         self.z_shape = (e_count, 2, n)
         self.pad_at = pad = e_count * 2 * n
         self.head_at = head = pad + n
         col = np.arange(n)
-
-        def self_slot(e):
-            return 2 * n * e + col
-
-        def neigh_slot(e):
-            return 2 * n * e + n + col
 
         # head sums: the slabs of [0, z_in_self of each in-edge, zero pads up
         # to the largest degree] added in turn give the spec's 0 + z_1 + ...
         # (a pad adds +0.0, which leaves such a sum unchanged). numpy reduces
         # a non-innermost axis slab by slab, in order; it sums pairwise only
         # along the innermost axis, which here spans the nodes.
-        width = max(len(order) for order in self.orders) + 1
-        self.head_terms = np.array(
-            [
-                [pad + col] + [self_slot(e) for e in ins] + [pad + col] * (width - 1 - len(ins))
-                for ins in self.in_edges
-            ],
-            dtype=np.intp,
-        ).transpose(1, 0, 2).copy()
+        terms = np.full((max(degs) + 1, g.node_count), pad, dtype=np.intp)
+        terms[rank + 1, sender] = 2 * n * rev
+        self.head_terms = terms[..., None] + col
+        # where each slot's linear term starts: the node's head sum for
+        # x_self, z_in_neigh of the in-edge for x_neigh
+        slot_linear = np.empty(e_count + g.node_count, dtype=np.intp)
+        slot_linear[self_slot] = head + n * nodes
+        slot_linear[edge_slot] = 2 * n * rev + n
         # The x-update runs in degree-class-major order: the nodes of each
-        # degree are contiguous, so one matmul solves a whole class.
-        by_class = sorted(range(g.node_count), key=lambda i: (len(self.orders[i]), i))
-        self.linear = np.concatenate(
-            [
-                np.concatenate(
-                    [head + n * i + col]
-                    + [neigh_slot(e) for e in self.in_edges[i]]
-                )
-                for i in by_class
-            ]
-        ).astype(np.intp)
-        self.base = np.concatenate([solvers[i]._base for i in by_class])
-        class_at = {}
-        off = 0
-        for i in by_class:
-            class_at[i] = off
-            off += sizes[i]
-        self.from_class = np.concatenate(
-            [class_at[i] + np.arange(sizes[i]) for i in range(g.node_count)]
-        ).astype(np.intp)
+        # degree are contiguous, so one matmul solves a whole class. Each
+        # class is also factored at once: numpy hands each item of a stacked
+        # matmul, cholesky or inv to the same BLAS/LAPACK call as a single
+        # matrix, so the inverses are bitwise those of QuadraticLocalSolver.
+        # (Plain Python picks the members: an integer compare and nonzero
+        # would touch numpy code that nothing else in a run does.)
         self.classes = []  # (inv stack, span in class-major order, batch shape)
-        for deg in sorted({len(order) for order in self.orders}):
-            nodes = [i for i in by_class if len(self.orders[i]) == deg]
-            m = n * (deg + 1)
-            at = class_at[nodes[0]]
-            self.classes.append(
-                (
-                    np.stack([solvers[i]._inv for i in nodes]),
-                    slice(at, at + len(nodes) * m),
-                    (len(nodes), m, 1),
-                )
-            )
+        class_slots, bases = [], []
+        at = 0
+        for d in sorted(set(degs)):
+            members = [i for i, di in enumerate(degs) if di == d]
+            costs = [p.costs[i] for i in members]
+            k, m = len(members), n * (d + 1)
+            scale = np.ones(m)
+            scale[:n] = d
+            system, base = np.empty((k, m, m)), np.empty((k, m, 1))
+            for r in sorted({c.rows for c in costs}):  # one stack per cost height
+                sub = [s for s, c in enumerate(costs) if c.rows == r]
+                blocks = [
+                    [costs[s].a_self] + [costs[s].a_neigh[j] for j in self.orders[members[s]]]
+                    for s in sub
+                ]
+                # each node's stacked_map, C-contiguous as np.hstack makes it
+                maps = np.array(blocks).reshape(len(sub), d + 1, r, n).transpose(0, 2, 1, 3)
+                maps = np.ascontiguousarray(maps).reshape(len(sub), r, m)
+                q = np.array([costs[s].q for s in sub]).reshape(len(sub), r, r)
+                b = np.array([costs[s].b for s in sub]).reshape(len(sub), r, 1)
+                maps_t = maps.transpose(0, 2, 1)
+                system[sub] = 2.0 * (maps_t @ q @ maps) + params.rho * np.diag(scale)
+                base[sub] = 2.0 * (maps_t @ (q @ b))
+            try:
+                np.linalg.cholesky(system)
+            except np.linalg.LinAlgError as exc:
+                raise SingularLocalSystemError(
+                    "local subproblem is singular (isolated node with rank-deficient cost?)"
+                ) from exc
+            self.classes.append((np.linalg.inv(system), slice(at, at + k * m), (k, m, 1)))
+            bases.append(base)
+            class_slots.append((self_slot[members][:, None] + np.arange(d + 1)).ravel())
+            at += k * m
+        self.base = np.concatenate(bases, axis=None)
+        class_slots = np.concatenate(class_slots)
+        self.linear = (slot_linear[class_slots, None] + col).ravel()
+        from_slot = np.empty_like(class_slots)
+        from_slot[class_slots] = np.arange(len(class_slots))
+        self.from_class = (n * from_slot[:, None] + col).ravel()
         # message on e = (j, i): [2 rho x_neigh[i] - z_in_neigh[i],
         # 2 rho x_self - z_in_self[i]] of node j, whose z row is edge (i, j)
-        x_at, z_at = [], []
-        for j, i in self.edges:
-            base = int(self.starts[j])
-            t = self.orders[j].index(i)
-            x_at.append([base + n * (t + 1) + col, base + col])
-            back = edge_at[(i, j)]
-            z_at.append([neigh_slot(back), self_slot(back)])
-        self.message_x = np.array(x_at, dtype=np.intp).reshape(self.z_shape)
-        self.message_z = np.array(z_at, dtype=np.intp).reshape(self.z_shape)
+        self.message_x = n * np.stack([edge_slot, self_slot[sender]], axis=1)[..., None] + col
+        self.message_z = 2 * n * rev[:, None, None] + np.array([[n], [0]]) + col
 
     def _delivery(self, schedule: LossSchedule | None):
         """Round -> delivered flags in edge order; None when nothing is ever lost."""
@@ -492,7 +516,8 @@ class _StackedEngine:
         n = self.n
         z_self, z_neigh = list(z[:, 0]), list(z[:, 1])
         states = []
-        for order, ins, (a, b) in zip(self.orders, self.in_edges, self.bounds):
+        for order, o, (a, b) in zip(self.orders, self.out_at.tolist(), self.bounds):
+            ins = self.rev[o : o + len(order)].tolist()  # the node's in-edges
             v = x[a:b]
             states.append(
                 NodeState(
@@ -582,7 +607,11 @@ class _StackedEngine:
                 ]
                 lossy = [(row, delivers[r]) for row, r in enumerate(ids) if delivers[r]]
                 delivered = np.ones((rows, len(self.edges)), dtype=bool)
-                gate = delivered.reshape(lead + (len(self.edges), 1, 1))
+                flags = delivered.reshape(lead + (len(self.edges), 1))
+                # copyto broadcasting an (edges, 1, 1) mask is about twice
+                # as slow as with a full-size one
+                gate = np.empty(z.shape, dtype=bool)
+                gate_rows = gate.reshape(lead + (len(self.edges), 2 * self.n))
                 relaxed = np.empty_like(z)
             np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
             state.take(self.linear, axis=-1, out=v)
@@ -599,6 +628,7 @@ class _StackedEngine:
                     delivered[row] = deliver(k)
                 np.multiply(z, keep, out=relaxed)
                 relaxed += q
+                gate_rows[...] = flags
                 np.copyto(z, relaxed, where=gate)
             else:
                 z *= keep
