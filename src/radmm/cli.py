@@ -1,7 +1,8 @@
 """Command-line entry point: generate instances, run, check, and sweep.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
-4 equivalence check failure.
+Exit codes: 0 success, 2 invalid input (a malformed config, an invalid
+value in the config or instance, or an unreadable config or instance file),
+3 numerical divergence, 4 equivalence check failure.
 """
 
 from __future__ import annotations
@@ -46,7 +47,11 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _resolve_instance(cfg: ExperimentConfig, instance_path: str | None) -> PartitionProblem:
     if instance_path is not None:
-        return problem_from_json(Path(instance_path).read_text())
+        try:
+            text = Path(instance_path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read instance {instance_path}: {exc}") from exc
+        return problem_from_json(text)
     return build_problem(cfg, build_graph(cfg.graph))
 
 
@@ -88,40 +93,40 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
             model = LossModel.uniform(problem.graph, loss_p)
             tol = cfg.run.resolved_tol(loss_p)
         settings.append((model, tol))
+    # every (alpha, rho) is checked before the first output is written
+    grid = [AlgorithmParams(alpha=a, rho=r) for a in cfg.params.alpha for r in cfg.params.rho]
     any_diverged = False
-    for alpha in cfg.params.alpha:
-        for rho in cfg.params.rho:
-            params = AlgorithmParams(alpha=alpha, rho=rho)
-            if cfg.run.runs == 1:
-                results = [
-                    run(
-                        problem,
-                        params,
-                        LossSchedule(model=model, seed=cfg.loss.seed),
-                        cfg.run.k_max,
-                        solution=solution,
-                        stop_tol=tol,
-                    )
-                    for model, tol in settings
-                ]
-                texts = [trace_to_csv(tr) for tr in results]
-            else:
-                # every loss value x run of this (alpha, rho) advances as one batch
-                results = monte_carlo_settings(
+    for params in grid:
+        if cfg.run.runs == 1:
+            results = [
+                run(
                     problem,
                     params,
-                    settings,
-                    cfg.run.runs,
+                    LossSchedule(model=model, seed=cfg.loss.seed),
                     cfg.run.k_max,
-                    cfg.loss.seed,
                     solution=solution,
+                    stop_tol=tol,
                 )
-                texts = [monte_carlo_to_csv(mc) for mc in results]
-            any_diverged = any_diverged or any(res.diverged for res in results)
-            for loss_p, text in zip(loss_values, texts):
-                suffix = _combo_suffix(cfg, alpha, rho, loss_p)
-                path = _write(out_dir, f"{cfg.output_prefix}_trace{suffix}.csv", text)
-                print(f"wrote {path}")
+                for model, tol in settings
+            ]
+            texts = [trace_to_csv(tr) for tr in results]
+        else:
+            # every loss value x run of this (alpha, rho) advances as one batch
+            results = monte_carlo_settings(
+                problem,
+                params,
+                settings,
+                cfg.run.runs,
+                cfg.run.k_max,
+                cfg.loss.seed,
+                solution=solution,
+            )
+            texts = [monte_carlo_to_csv(mc) for mc in results]
+        any_diverged = any_diverged or any(res.diverged for res in results)
+        for loss_p, text in zip(loss_values, texts):
+            suffix = _combo_suffix(cfg, params.alpha, params.rho, loss_p)
+            path = _write(out_dir, f"{cfg.output_prefix}_trace{suffix}.csv", text)
+            print(f"wrote {path}")
     return EXIT_DIVERGED if any_diverged else EXIT_OK
 
 
@@ -201,8 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.instance, out_dir, args.jobs)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # ConfigError, or an invalid config or instance value
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

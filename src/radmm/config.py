@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .experiments import DEFAULT_TOL_LOSSLESS, DEFAULT_TOL_LOSSY
 from .graph import Graph, generate_connected_rgg, generate_rgg
 from .problem import PartitionProblem, generate_instance
 
@@ -67,7 +68,7 @@ class RunSpec:
     def resolved_tol(self, loss_p: float) -> float:
         if self.tol is not None:
             return self.tol
-        return 1e-6 if loss_p == 0.0 else 1e-4
+        return DEFAULT_TOL_LOSSLESS if loss_p == 0.0 else DEFAULT_TOL_LOSSY
 
 
 @dataclass
@@ -77,7 +78,7 @@ class SweepSpec:
     p: list[float]
     runs: int = 3
     k_max: int = 2000
-    tol: float = 1e-4
+    tol: float = DEFAULT_TOL_LOSSY
 
 
 @dataclass
@@ -103,6 +104,12 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing required key '{key}' in section '{where}'")
     return section[key]
+
+
+def _present(section: dict, **casts) -> dict:
+    """The optional keys of a section that are set (not absent, not null), cast;
+    the dataclasses hold the defaults of the others."""
+    return {k: cast(section[k]) for k, cast in casts.items() if section.get(k) is not None}
 
 
 def _as_list(v) -> list[float]:
@@ -135,11 +142,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         nodes=int(_require(gdoc, "nodes", "graph")),
         radius=float(_require(gdoc, "radius", "graph")),
         seed=int(_require(gdoc, "seed", "graph")),
-        require_connected=bool(gdoc.get("require_connected", True)),
-        max_resamples=int(gdoc.get("max_resamples", 10000)),
-        radius_override=None
-        if gdoc.get("radius_override") is None
-        else float(gdoc["radius_override"]),
+        **_present(gdoc, require_connected=bool, max_resamples=int, radius_override=float),
     )
 
     idoc = doc["instance"]
@@ -147,7 +150,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         dim=int(_require(idoc, "dim", "instance")),
         rows=int(_require(idoc, "rows", "instance")),
         seed=int(_require(idoc, "seed", "instance")),
-        conditioning=float(idoc.get("conditioning", 10.0)),
+        **_present(idoc, conditioning=float),
     )
 
     pdoc = doc["params"]
@@ -159,9 +162,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     ldoc = doc["loss"]
     table = None
     p_list = None
-    if "table" in ldoc and ldoc["table"] is not None:
+    if ldoc.get("table") is not None:
         table = {_parse_edge_key(k): float(v) for k, v in ldoc["table"].items()}
-    if "p" in ldoc and ldoc["p"] is not None:
+    if ldoc.get("p") is not None:
         p_list = _as_list(ldoc["p"])
     if table is None and p_list is None:
         raise ConfigError("loss section needs 'p' or 'table'")
@@ -169,43 +172,34 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("loss section takes 'p' or 'table', not both")
     loss = LossSpec(seed=int(_require(ldoc, "seed", "loss")), p=p_list, table=table)
 
-    rdoc = doc["run"]
-    run_spec = RunSpec(
-        k_max=int(rdoc.get("k_max", 5000)),
-        runs=int(rdoc.get("runs", 1)),
-        tol=None if rdoc.get("tol") is None else float(rdoc["tol"]),
-    )
+    run_spec = RunSpec(**_present(doc["run"], k_max=int, runs=int, tol=float))
 
     sweep = None
-    if "sweep" in doc and doc["sweep"] is not None:
+    if doc.get("sweep") is not None:
         sdoc = doc["sweep"]
         sweep = SweepSpec(
             rho=_as_list(_require(sdoc, "rho", "sweep")),
             alpha=_as_list(_require(sdoc, "alpha", "sweep")),
             p=_as_list(_require(sdoc, "p", "sweep")),
-            runs=int(sdoc.get("runs", 3)),
-            k_max=int(sdoc.get("k_max", 2000)),
-            tol=float(sdoc.get("tol", 1e-4)),
+            **_present(sdoc, runs=int, k_max=int, tol=float),
         )
 
     check = None
-    if "check" in doc and doc["check"] is not None:
+    if doc.get("check") is not None:
         cdoc = doc["check"]
         check = CheckSpec(
             seed=int(_require(cdoc, "seed", "check")),
-            k_max=int(cdoc.get("k_max", 50)),
-            tol=float(cdoc.get("tol", 1e-9)),
+            **_present(cdoc, k_max=int, tol=float),
         )
 
-    output = doc.get("output", {})
-    prefix = output.get("prefix", "experiment")
+    prefix = (doc.get("output") or {}).get("prefix")
     return ExperimentConfig(
         graph=graph,
         instance=instance,
         params=params,
         loss=loss,
         run=run_spec,
-        output_prefix=prefix,
+        output_prefix="experiment" if prefix is None else str(prefix),
         sweep=sweep,
         check=check,
     )

@@ -12,6 +12,8 @@ Every round has three barrier-separated phases, in this order:
 
 Loss realizations are pre-drawn by the schedule, never inside the round, so a
 sequential sweep over nodes is bitwise identical to any concurrent execution.
+Local costs are `QuadraticLocalCost`s, so every x-update is a closed-form
+solve against a system factored once; any other cost is a TypeError.
 
 The node-local functions (`local_x_update`, `compute_messages`,
 `apply_message`, `sync_round`) are the readable specification of a round.
@@ -91,9 +93,6 @@ class NodeState:
         if not (self.x_neigh.keys() == self.z_in_self.keys() == self.z_in_neigh.keys()):
             raise ValueError("x_neigh, z_in_self and z_in_neigh must share one neighbor set")
 
-    def neighbor_order(self) -> list[int]:
-        return sorted(self.x_neigh)
-
     def stacked_x(self) -> np.ndarray:
         """[x_self; x_neigh[j] for j ascending], the node's full local iterate."""
         return np.concatenate([self.x_self] + [self.x_neigh[j] for j in sorted(self.x_neigh)])
@@ -121,9 +120,6 @@ class QuadraticLocalSolver:
     node degree and each neighbor block by one. The system matrix is constant
     across rounds, so it is factored once here and each round costs a single
     matrix-vector product.
-
-    Any object with the same `minimize`/`neighbor_order`/`dim` surface can
-    stand in for non-quadratic local costs.
     """
 
     def __init__(self, cost: QuadraticLocalCost, rho: float):
@@ -149,17 +145,11 @@ class QuadraticLocalSolver:
         return self._inv @ (self._base + linear)
 
 
-def make_local_solver(cost, params: AlgorithmParams):
-    """Solver for one node's per-round subproblem.
-
-    QuadraticLocalCost gets the closed form; other cost handles may supply
-    their own via a `make_solver(params)` method.
-    """
-    if isinstance(cost, QuadraticLocalCost):
-        return QuadraticLocalSolver(cost, params.rho)
-    if hasattr(cost, "make_solver"):
-        return cost.make_solver(params)
-    raise TypeError(f"no local solver for cost of type {type(cost).__name__}")
+def make_local_solver(cost: QuadraticLocalCost, params: AlgorithmParams) -> QuadraticLocalSolver:
+    """Solver for one node's per-round subproblem (TypeError unless quadratic)."""
+    if not isinstance(cost, QuadraticLocalCost):
+        raise TypeError(f"no local solver for cost of type {type(cost).__name__}")
+    return QuadraticLocalSolver(cost, params.rho)
 
 
 def _stacked_linear(state: NodeState, order: list[int], n: int) -> np.ndarray:
@@ -301,6 +291,11 @@ def initial_states(p: PartitionProblem) -> list[NodeState]:
     return states
 
 
+def stack_node_xs(states: list[NodeState]) -> np.ndarray:
+    """Every node's local iterate concatenated, in the `reference` x layout."""
+    return np.concatenate([st.stacked_x() for st in states])
+
+
 def _error_sum(x: np.ndarray, ref: np.ndarray, starts: np.ndarray, norms: np.ndarray):
     """Sum over node blocks of ||x block - ref block|| / ||ref block||.
 
@@ -332,8 +327,7 @@ def relative_error(states: list[NodeState], sol: Solution) -> float:
     zero-norm reference block, for which the ratio is undefined.
     """
     orders = tuple(tuple(sorted(st.x_neigh)) for st in states)
-    x = np.concatenate([st.stacked_x() for st in states])
-    return float(_error_sum(x, *_reference_blocks(sol, orders)))
+    return float(_error_sum(stack_node_xs(states), *_reference_blocks(sol, orders)))
 
 
 def consensus_residual(states: list[NodeState], g: Graph) -> float:

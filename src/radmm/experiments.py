@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgorithmParams, RunTrace, _StackedEngine, relative_error
+from .core import AlgorithmParams, RunTrace, _StackedEngine
 from .lossy import LossModel, LossSchedule
 from .problem import PartitionProblem, Solution, solve_centralized
 
 __all__ = [
     "RunTrace",
-    "relative_error",
     "MonteCarloTrace",
     "SweepResult",
     "monte_carlo",
@@ -31,6 +30,7 @@ __all__ = [
     "sweep_to_csv",
 ]
 
+# Default stop tolerances of a run, loss-free and lossy; `config` reads them.
 DEFAULT_TOL_LOSSLESS = 1e-6
 DEFAULT_TOL_LOSSY = 1e-4
 
@@ -116,21 +116,18 @@ def monte_carlo_settings(
     return out
 
 
-def detect_convergence(trace: RunTrace, tol: float, window: int = 1) -> int | None:
-    """First round index whose error is below tol (staying below for `window` rounds).
+def detect_convergence(trace: RunTrace, tol: float) -> int | None:
+    """First round index whose error is below tol.
 
     Returns None for diverged traces, and None when the trace ends without
     such a crossing (the undecided case).
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     if trace.diverged or trace.errors is None:
         return None
-    below = trace.errors < tol
-    for t in range(len(below) - window + 1):
-        if below[t : t + window].all():
+    for t, below in enumerate((trace.errors < tol).tolist()):
+        if below:
             return t
     return None
 
@@ -192,6 +189,8 @@ def stability_sweep(
     """
     if not (rho_grid and alpha_grid and loss_grid):
         raise ValueError("all sweep grids must be nonempty")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     for rho in rho_grid:
         if rho <= 0:
             raise ValueError(f"rho grid must be positive, got {rho}")

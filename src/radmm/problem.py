@@ -98,39 +98,26 @@ class Solution:
 
     x_star: list[np.ndarray]
     optimal_value: float
-    _blocks: dict = field(default_factory=dict, repr=False)
-
-    def block_and_norm(self, i: int, order: tuple[int, ...]) -> tuple[np.ndarray, float]:
-        """Stacked block [x_i*; x_j* for j in order] and its Euclidean norm, cached."""
-        key = (i, order)
-        cached = self._blocks.get(key)
-        if cached is None:
-            ref = np.concatenate([self.x_star[i]] + [self.x_star[j] for j in order])
-            cached = (ref, float(np.linalg.norm(ref)))
-            self._blocks[key] = cached
-        return cached
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stacked_blocks(
         self, orders: tuple[tuple[int, ...], ...]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every node's block (node i with neighbor order orders[i]) concatenated,
-        the start offset of each block, and the block norms; cached."""
+        """Every node's block [x_i*; x_j* for j in orders[i]] concatenated, the
+        start offset of each block, and the block norms; cached per orders."""
         cached = self._blocks.get(orders)
         if cached is None:
-            blocks = [self.block_and_norm(i, order) for i, order in enumerate(orders)]
-            sizes = [len(ref) for ref, _ in blocks]
+            refs = [
+                np.concatenate([self.x_star[i]] + [self.x_star[j] for j in order])
+                for i, order in enumerate(orders)
+            ]
             cached = (
-                np.concatenate([ref for ref, _ in blocks]),
-                np.cumsum([0] + sizes[:-1]),
-                np.array([nrm for _, nrm in blocks]),
+                np.concatenate(refs),
+                np.cumsum([0] + [len(ref) for ref in refs[:-1]]),
+                np.array([float(np.linalg.norm(ref)) for ref in refs]),
             )
             self._blocks[orders] = cached
         return cached
-
-    def stacked_block(self, g: Graph, i: int) -> np.ndarray:
-        """[x_i*; x_j* for j in neighbors(i) ascending], the block the node-local
-        iterate of node i converges to."""
-        return self.block_and_norm(i, tuple(neighbors(g, i)))[0]
 
 
 def evaluate_local(
@@ -299,22 +286,25 @@ def problem_from_json(text: str) -> PartitionProblem:
     doc = json.loads(text)
     if doc.get("schema") != SCHEMA_INSTANCE:
         raise ValueError(f"unsupported instance schema: {doc.get('schema')!r}")
-    gdoc = doc["graph"]
-    positions = None
-    if gdoc.get("positions") is not None:
-        positions = np.array(gdoc["positions"], dtype=float)
-    g = Graph(
-        node_count=gdoc["nodes"],
-        edges=frozenset((int(i), int(j)) for i, j in gdoc["edges"]),
-        positions=positions,
-    )
-    costs = [
-        QuadraticLocalCost(
-            a_self=_unmat(c["a_self"]),
-            a_neigh={int(j): _unmat(a) for j, a in c["a_neigh"].items()},
-            b=_unmat(c["b"]).reshape(-1),
-            q=_unmat(c["q"]),
+    try:
+        gdoc = doc["graph"]
+        positions = None
+        if gdoc.get("positions") is not None:
+            positions = np.array(gdoc["positions"], dtype=float)
+        g = Graph(
+            node_count=gdoc["nodes"],
+            edges=frozenset((int(i), int(j)) for i, j in gdoc["edges"]),
+            positions=positions,
         )
-        for c in doc["costs"]
-    ]
-    return PartitionProblem(graph=g, costs=costs, dim=doc["dim"])
+        costs = [
+            QuadraticLocalCost(
+                a_self=_unmat(c["a_self"]),
+                a_neigh={int(j): _unmat(a) for j, a in c["a_neigh"].items()},
+                b=_unmat(c["b"]).reshape(-1),
+                q=_unmat(c["q"]),
+            )
+            for c in doc["costs"]
+        ]
+        return PartitionProblem(graph=g, costs=costs, dim=doc["dim"])
+    except KeyError as exc:
+        raise ValueError(f"instance document lacks key {exc}") from exc

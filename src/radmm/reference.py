@@ -31,6 +31,7 @@ from .core import (
     AlgorithmParams,
     NodeState,
     make_local_solver,
+    stack_node_xs,
     sync_round,
 )
 from .graph import Graph, neighbors
@@ -206,11 +207,6 @@ def node_states_from_stacked_z(
     return states
 
 
-def stack_node_xs(states: list[NodeState], cm: ConstraintMatrices) -> np.ndarray:
-    """Concatenate every node's local iterate in the reference x layout."""
-    return np.concatenate([st.stacked_x() for st in states])
-
-
 def check_equivalence(
     p: PartitionProblem,
     params: AlgorithmParams,
@@ -244,7 +240,7 @@ def check_equivalence(
         mask = None if schedule is None else sample_mask(schedule, k)
         ref = reference_step(ref, p, cm, params, mask)
         states = sync_round(states, p, params, complete if mask is None else mask, solvers)
-        dev = float(np.max(np.abs(ref.x - stack_node_xs(states, cm)))) if cm.x_dim else 0.0
+        dev = float(np.max(np.abs(ref.x - stack_node_xs(states)))) if cm.x_dim else 0.0
         if dev > max_dev:
             max_dev = dev
     return max_dev

@@ -1,10 +1,24 @@
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
 import radmm.cli as cli
-from radmm.config import ConfigError, load_config, parse_config
+from radmm.config import (
+    CheckSpec,
+    ConfigError,
+    ExperimentConfig,
+    GraphSpec,
+    InstanceSpec,
+    LossSpec,
+    ParamsSpec,
+    RunSpec,
+    SweepSpec,
+    load_config,
+    parse_config,
+)
+from radmm.experiments import DEFAULT_TOL_LOSSLESS, DEFAULT_TOL_LOSSY, stability_sweep
 from radmm.problem import problem_from_json
 
 
@@ -203,3 +217,81 @@ def test_load_config_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_required_keys_only_parse_to_dataclass_defaults():
+    required = {
+        "schema": "radmm-config/1",
+        "graph": {"nodes": 6, "radius": 0.5, "seed": 3},
+        "instance": {"dim": 2, "rows": 3, "seed": 4},
+        "params": {"alpha": 0.75, "rho": 3.0},
+        "loss": {"p": 0.0, "seed": 5},
+        "run": {},
+        "sweep": {"rho": [3.0], "alpha": [0.5], "p": [0.0]},
+        "check": {"seed": 6},
+    }
+    nulls = json.loads(json.dumps(required))
+    for section, keys in {
+        "graph": ("require_connected", "max_resamples", "radius_override"),
+        "instance": ("conditioning",),
+        "run": ("k_max", "runs", "tol"),
+        "sweep": ("runs", "k_max", "tol"),
+        "check": ("k_max", "tol"),
+    }.items():
+        nulls[section].update(dict.fromkeys(keys))
+    nulls["output"] = {"prefix": None}
+    expected = ExperimentConfig(
+        graph=GraphSpec(nodes=6, radius=0.5, seed=3),
+        instance=InstanceSpec(dim=2, rows=3, seed=4),
+        params=ParamsSpec(alpha=[0.75], rho=[3.0]),
+        loss=LossSpec(seed=5, p=[0.0]),
+        run=RunSpec(),
+        output_prefix="experiment",
+        sweep=SweepSpec(rho=[3.0], alpha=[0.5], p=[0.0]),
+        check=CheckSpec(seed=6),
+    )
+    assert parse_config(required) == expected
+    assert parse_config(nulls) == expected
+
+
+def test_tolerance_defaults_are_the_experiment_constants():
+    assert RunSpec().resolved_tol(0.0) == DEFAULT_TOL_LOSSLESS
+    assert RunSpec().resolved_tol(0.2) == DEFAULT_TOL_LOSSY
+    assert SweepSpec(rho=[1.0], alpha=[0.5], p=[0.0]).tol == DEFAULT_TOL_LOSSY
+    tol = inspect.signature(stability_sweep).parameters["tol"].default
+    assert tol == DEFAULT_TOL_LOSSY
+
+
+def _nograph_instance(tmp_path):
+    path = tmp_path / "nograph.json"
+    path.write_text(json.dumps({"schema": "radmm-instance/1", "dim": 2, "costs": []}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, section, values, instance",
+    [
+        ("run", "run", {"runs": 0}, None),
+        ("run", "run", {"k_max": 0}, None),
+        ("run", "params", {"rho": -1}, None),
+        ("run", "loss", {"p": 1.5}, None),
+        ("run", "graph", {"nodes": 0}, None),
+        ("run", "instance", {"dim": 0}, None),
+        ("run", "loss", {"p": None, "table": {"0->99": 0.1}}, None),
+        ("run", "run", {}, lambda tmp_path: tmp_path / "missing.json"),
+        ("run", "run", {}, _nograph_instance),
+        ("sweep", "sweep", {"rho": [3.0], "alpha": [0.5], "p": [0.0], "runs": 0}, None),
+    ],
+    ids=["runs0", "k_max0", "rho-1", "p1.5", "nodes0", "dim0", "off-graph-table",
+         "missing-instance", "instance-without-graph", "sweep-runs0"],
+)
+def test_invalid_input_exits_2_without_output(tmp_path, capsys, command, section, values, instance):
+    doc = base_config()
+    doc.setdefault(section, {}).update(values)
+    argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+    if instance is not None:
+        argv += ["--instance", str(instance(tmp_path))]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()

@@ -102,6 +102,15 @@ def test_x_update_singular_isolated_system():
         rm.local_x_update(cost, state, rm.AlgorithmParams(0.5, 1.0))
 
 
+def test_make_local_solver_rejects_non_quadratic_cost():
+    class OtherCost:  # offers the hook make_local_solver no longer reads
+        def make_solver(self, params):
+            return object()
+
+    with pytest.raises(TypeError):
+        rm.make_local_solver(OtherCost(), rm.AlgorithmParams(0.5, 1.0))
+
+
 def test_messages_all_zero_state():
     state = rm.NodeState(
         x_self=np.zeros(2),

@@ -68,20 +68,16 @@ def test_detect_convergence_undecided():
     assert rm.detect_convergence(tr, tol=1e-6) is None
 
 
-def test_detect_convergence_first_crossing_and_window():
+def test_detect_convergence_first_crossing():
     errors = np.array([1.0, 1e-7, 1.0, 1e-7, 1e-7, 1e-7])
     tr = rm.RunTrace(errors=errors, diverged=False, rounds_executed=6, final_states=[])
     assert rm.detect_convergence(tr, tol=1e-6) == 1
-    assert rm.detect_convergence(tr, tol=1e-6, window=3) == 3
-    assert rm.detect_convergence(tr, tol=1e-6, window=5) is None
 
 
 def test_detect_convergence_rejects_bad_args():
     tr = rm.RunTrace(errors=np.array([1.0]), diverged=False, rounds_executed=1, final_states=[])
     with pytest.raises(ValueError):
         rm.detect_convergence(tr, tol=0.0)
-    with pytest.raises(ValueError):
-        rm.detect_convergence(tr, tol=1e-6, window=0)
 
 
 def test_monte_carlo_single_run_equals_run(ten_node_problem, ten_node_solution):

@@ -243,6 +243,20 @@ def test_json_rejects_unknown_schema():
         rm.problem_from_json('{"schema": "other/9"}')
 
 
+def test_json_missing_key_is_value_error():
+    with pytest.raises(ValueError, match="graph"):
+        rm.problem_from_json('{"schema": "radmm-instance/1", "dim": 2, "costs": []}')
+
+
+def test_solution_with_filled_cache_equals_fresh_copy(ten_node_problem, ten_node_solution):
+    sol = ten_node_solution
+    fresh = rm.Solution(x_star=sol.x_star, optimal_value=sol.optimal_value)
+    g = ten_node_problem.graph
+    orders = tuple(tuple(rm.neighbors(g, i)) for i in range(g.node_count))
+    sol.stacked_blocks(orders)
+    assert sol == fresh
+
+
 def block_loop_normal_equations(p):
     """H and g assembled block by block, node by node: the reference order."""
     n, N = p.dim, p.graph.node_count
