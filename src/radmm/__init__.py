@@ -30,8 +30,6 @@ from .graph import (
     Graph,
     generate_connected_rgg,
     generate_rgg,
-    graph_from_text,
-    graph_to_text,
     is_connected,
     neighbors,
 )

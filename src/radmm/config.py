@@ -100,24 +100,42 @@ class ExperimentConfig:
     check: CheckSpec | None = None
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key '{key}' in section '{where}'")
-    return section[key]
+def _integer(v, key: str) -> int:
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ConfigError(f"'{key}' must be an integer, got {v!r}")
 
 
-def _present(section: dict, **casts) -> dict:
-    """The optional keys of a section that are set (not absent, not null), cast;
-    the dataclasses hold the defaults of the others."""
-    return {k: cast(section[k]) for k, cast in casts.items() if section.get(k) is not None}
-
-
-def _as_list(v) -> list[float]:
+def _number(v, key: str) -> float:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return [float(v)]
-    if isinstance(v, list) and v and all(isinstance(x, (int, float)) for x in v):
-        return [float(x) for x in v]
-    raise ConfigError(f"expected a number or nonempty list of numbers, got {v!r}")
+        return float(v)
+    raise ConfigError(f"'{key}' must be a number, got {v!r}")
+
+
+def _boolean(v, key: str) -> bool:
+    if isinstance(v, bool):
+        return v
+    raise ConfigError(f"'{key}' must be true or false, got {v!r}")
+
+
+def _string(v, key: str) -> str:
+    if isinstance(v, str):
+        return v
+    raise ConfigError(f"'{key}' must be a string, got {v!r}")
+
+
+def _numbers(v, key: str) -> list[float]:
+    """A number or a nonempty list of numbers, as a list of floats."""
+    items = v if isinstance(v, list) else [v]
+    if not items:
+        raise ConfigError(f"'{key}' must be a number or a nonempty list of numbers")
+    return [_number(x, key) for x in items]
+
+
+def _table(v, key: str) -> dict[tuple[int, int], float]:
+    if not isinstance(v, dict):
+        raise ConfigError(f"'{key}' must be an object mapping 'i->j' to numbers")
+    return {_parse_edge_key(k): _number(p, f"{key}.{k}") for k, p in v.items()}
 
 
 def _parse_edge_key(key: str) -> tuple[int, int]:
@@ -128,80 +146,70 @@ def _parse_edge_key(key: str) -> tuple[int, int]:
         raise ConfigError(f"loss table key {key!r} must look like 'i->j'") from exc
 
 
+# Each section's required and optional keys, with the check of each value.
+_SECTIONS = {
+    "graph": (
+        {"nodes": _integer, "radius": _number, "seed": _integer},
+        {"require_connected": _boolean, "max_resamples": _integer, "radius_override": _number},
+    ),
+    "instance": ({"dim": _integer, "rows": _integer, "seed": _integer}, {"conditioning": _number}),
+    "params": ({"alpha": _numbers, "rho": _numbers}, {}),
+    "loss": ({"seed": _integer}, {"p": _numbers, "table": _table}),
+    "run": ({}, {"k_max": _integer, "runs": _integer, "tol": _number}),
+    "sweep": (
+        {"rho": _numbers, "alpha": _numbers, "p": _numbers},
+        {"runs": _integer, "k_max": _integer, "tol": _number},
+    ),
+    "check": ({"seed": _integer}, {"k_max": _integer, "tol": _number}),
+    "output": ({}, {"prefix": _string}),
+}
+
+
+def _section(doc: dict, name: str) -> dict:
+    """The section's checked values: every required key, and the optional
+    keys that are set (not null); the dataclasses hold the other defaults."""
+    section, (required, optional) = doc[name], _SECTIONS[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"section '{name}' must be an object")
+    unknown = sorted(set(section) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(unknown)} in section '{name}'")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"missing required key '{key}' in section '{name}'")
+    checks = {**required, **optional}
+    return {
+        k: checks[k](v, f"{name}.{k}") for k, v in section.items() if v is not None or k in required
+    }
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if doc.get("schema") != SCHEMA_CONFIG:
         raise ConfigError(
             f"unsupported config schema {doc.get('schema')!r}; expected {SCHEMA_CONFIG!r}"
         )
+    unknown = sorted(set(doc) - {"schema", *_SECTIONS})
+    if unknown:
+        raise ConfigError(f"unknown section(s) {', '.join(unknown)}")
     for section in ("graph", "instance", "params", "loss", "run"):
-        if section not in doc:
+        if doc.get(section) is None:
             raise ConfigError(f"missing section '{section}'")
-
-    gdoc = doc["graph"]
-    graph = GraphSpec(
-        nodes=int(_require(gdoc, "nodes", "graph")),
-        radius=float(_require(gdoc, "radius", "graph")),
-        seed=int(_require(gdoc, "seed", "graph")),
-        **_present(gdoc, require_connected=bool, max_resamples=int, radius_override=float),
-    )
-
-    idoc = doc["instance"]
-    instance = InstanceSpec(
-        dim=int(_require(idoc, "dim", "instance")),
-        rows=int(_require(idoc, "rows", "instance")),
-        seed=int(_require(idoc, "seed", "instance")),
-        **_present(idoc, conditioning=float),
-    )
-
-    pdoc = doc["params"]
-    params = ParamsSpec(
-        alpha=_as_list(_require(pdoc, "alpha", "params")),
-        rho=_as_list(_require(pdoc, "rho", "params")),
-    )
-
-    ldoc = doc["loss"]
-    table = None
-    p_list = None
-    if ldoc.get("table") is not None:
-        table = {_parse_edge_key(k): float(v) for k, v in ldoc["table"].items()}
-    if ldoc.get("p") is not None:
-        p_list = _as_list(ldoc["p"])
-    if table is None and p_list is None:
+    # a null optional section is absent, like a null optional key
+    values = {name: _section(doc, name) for name in _SECTIONS if doc.get(name) is not None}
+    loss = LossSpec(**values["loss"])
+    if loss.table is None and loss.p is None:
         raise ConfigError("loss section needs 'p' or 'table'")
-    if table is not None and p_list is not None:
+    if loss.table is not None and loss.p is not None:
         raise ConfigError("loss section takes 'p' or 'table', not both")
-    loss = LossSpec(seed=int(_require(ldoc, "seed", "loss")), p=p_list, table=table)
-
-    run_spec = RunSpec(**_present(doc["run"], k_max=int, runs=int, tol=float))
-
-    sweep = None
-    if doc.get("sweep") is not None:
-        sdoc = doc["sweep"]
-        sweep = SweepSpec(
-            rho=_as_list(_require(sdoc, "rho", "sweep")),
-            alpha=_as_list(_require(sdoc, "alpha", "sweep")),
-            p=_as_list(_require(sdoc, "p", "sweep")),
-            **_present(sdoc, runs=int, k_max=int, tol=float),
-        )
-
-    check = None
-    if doc.get("check") is not None:
-        cdoc = doc["check"]
-        check = CheckSpec(
-            seed=int(_require(cdoc, "seed", "check")),
-            **_present(cdoc, k_max=int, tol=float),
-        )
-
-    prefix = (doc.get("output") or {}).get("prefix")
     return ExperimentConfig(
-        graph=graph,
-        instance=instance,
-        params=params,
+        graph=GraphSpec(**values["graph"]),
+        instance=InstanceSpec(**values["instance"]),
+        params=ParamsSpec(**values["params"]),
         loss=loss,
-        run=run_spec,
-        output_prefix="experiment" if prefix is None else str(prefix),
-        sweep=sweep,
-        check=check,
+        run=RunSpec(**values["run"]),
+        output_prefix=values.get("output", {}).get("prefix", "experiment"),
+        sweep=SweepSpec(**values["sweep"]) if "sweep" in values else None,
+        check=CheckSpec(**values["check"]) if "check" in values else None,
     )
 
 

@@ -20,14 +20,14 @@ The node-local functions (`local_x_update`, `compute_messages`,
 `run` does not iterate them: it runs a private stacked engine that performs
 the same arithmetic on whole-graph arrays, and the tests check that its
 traces, snapshots and final states are bitwise equal to a loop of
-`sample_mask`, `sync_round` and `relative_error`. The engine advances a
-batch of runs together, one row each; `run` is a batch of one, and the Monte
-Carlo and sweep harness in `experiments` hands it all the runs of a setting
-or of a sweep cell at once. Every run of a batch is bitwise equal to the
-same run alone. The engine is built per degree class: its index tables come
-from the directed-edge arrays, and the local systems of all nodes of one
-degree are factored in one stacked call, bitwise equal to one
-`QuadraticLocalSolver` per node.
+`sample_mask`, `sync_round` and `relative_error`. The engine is built once
+per (problem, rho) and advances a batch of runs together, one row per
+(schedule, alpha, stop tolerance); `run` is a batch of one, a Monte Carlo
+in `experiments` hands it all its runs, and a sweep every run of one rho.
+Every run of a batch is bitwise equal to the same run alone. The engine is
+built per degree class: its index tables come from the directed-edge arrays,
+and the local systems of all nodes of one degree are factored in one stacked
+call, bitwise equal to one `QuadraticLocalSolver` per node.
 """
 
 from __future__ import annotations
@@ -360,7 +360,7 @@ class RunTrace:
 class _StackedEngine:
     """`sync_round` on whole-graph arrays, for quadratic costs; what `run` uses.
 
-    Built once per (problem, params) and reusable across runs and batches.
+    Built once per (problem, rho) and reusable across runs and batches.
     Directed edge e = (j, i), in `Graph.directed_edges` order, owns row e of
     z, shape (edges, 2, n): node i's z_in_self[j], then its z_in_neigh[j].
     z sits at the start of a run's flat buffer, followed by an n-wide zero
@@ -376,12 +376,13 @@ class _StackedEngine:
     zero, each node's x is `inv @ (base + linear)` (batched over the nodes of
     one degree; numpy hands each item of a stacked matmul to the same BLAS
     gemv as a single `inv @ v`), messages are 2 rho x - z, and a delivered
-    edge relaxes to (1 - alpha) z + alpha q. Runs are therefore bitwise
-    equal to the node-local rounds, which the tests check. A closed form
-    x = c + K z would be faster to state but is not bitwise equal.
+    edge relaxes to (1 - alpha) z + alpha q, with the row's own alpha (an
+    elementwise product). Runs are therefore bitwise equal to the node-local
+    rounds, which the tests check. A closed form x = c + K z would be faster
+    to state but is not bitwise equal.
     """
 
-    def __init__(self, p: PartitionProblem, params: AlgorithmParams):
+    def __init__(self, p: PartitionProblem, rho: float):
         for i, cost in enumerate(p.costs):
             if not isinstance(cost, QuadraticLocalCost):
                 raise TypeError(
@@ -389,7 +390,7 @@ class _StackedEngine:
                     f"{type(cost).__name__}"
                 )
         g, n = p.graph, p.dim
-        self.params = params
+        self.rho = rho
         self.n = n
         self.edges = g.directed_edges()
         self.orders = tuple(tuple(neighbors(g, i)) for i in range(g.node_count))
@@ -465,7 +466,7 @@ class _StackedEngine:
                 q = np.array([costs[s].q for s in sub]).reshape(len(sub), r, r)
                 b = np.array([costs[s].b for s in sub]).reshape(len(sub), r, 1)
                 maps_t = maps.transpose(0, 2, 1)
-                system[sub] = 2.0 * (maps_t @ q @ maps) + params.rho * np.diag(scale)
+                system[sub] = 2.0 * (maps_t @ q @ maps) + rho * np.diag(scale)
                 base[sub] = 2.0 * (maps_t @ (q @ b))
             try:
                 np.linalg.cholesky(system)
@@ -525,63 +526,58 @@ class _StackedEngine:
 
     def run(
         self,
-        schedules: Sequence[LossSchedule | None],
+        runs: Sequence[tuple[LossSchedule | None, float, float | None]],
         k_max: int,
         solution: Solution | None = None,
-        stop_tols: Sequence[float | None] | None = None,
         init: list[NodeState] | None = None,
         record_states: bool = False,
         final_states: bool = True,
     ) -> list[RunTrace]:
-        """`run` for every schedule at once: one RunTrace per schedule.
+        """`run` for every (schedule, alpha, stop_tol) at once: one RunTrace each.
 
         Each run owns one row of a (runs, buffer) array, and a round does for
-        all rows what it does for one: the same gathers, and each item of the
-        broadcast matmul goes to the same gemv. Every trace is therefore
-        bitwise equal to that run's own `run`. A run that diverges, or whose
-        error falls below its stop_tols entry (None: no stop), is frozen on
-        that round and its row dropped. init, when given, starts every run.
-        With final_states=False the traces carry no final states, which
-        large batches that keep only the errors need not hold.
+        all rows what it does for one: the same gathers, each item of the
+        broadcast matmul goes to the same gemv, and the row's alpha scales
+        only its own q and z. Every trace is therefore bitwise equal to that
+        run's own `run`. A run that diverges, or whose error falls below its
+        stop_tol (None: no stop), is frozen on that round and its row
+        dropped. init, when given, starts every run. With final_states=False
+        the traces carry no final states, which large batches that keep only
+        the errors need not hold.
         """
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
-        count = len(schedules)
-        stop_tols = [None] * count if stop_tols is None else list(stop_tols)
-        if len(stop_tols) != count:
-            raise ValueError(f"need one stop tolerance per schedule, got {len(stop_tols)}")
-        if solution is None and any(t is not None for t in stop_tols):
+        if solution is None and any(tol is not None for _, _, tol in runs):
             raise ValueError("stop_tol requires a reference solution")
         if solution is not None:
             ref, starts, norms = _reference_blocks(solution, self.orders)
         if init is not None and len(init) != len(self.orders):
             raise ValueError(f"init must hold {len(self.orders)} node states, got {len(init)}")
-        delivers = [self._delivery(s) for s in schedules]
+        delivers = [self._delivery(schedule) for schedule, _, _ in runs]
         if not delivers:
             return []
-        # Loss-free runs with one stop tolerance follow one trajectory: the
-        # first of them gets a row, and the others share its result.
+        # Loss-free runs with one alpha and stop tolerance follow one
+        # trajectory: the first of them gets a row, the others share its result.
         first: dict = {}
         source = [
-            first.setdefault((r,) if deliver else (None, tol), r)
-            for r, (deliver, tol) in enumerate(zip(delivers, stop_tols))
+            first.setdefault((r,) if deliver else (None, alpha, tol), r)
+            for r, (deliver, (_, alpha, tol)) in enumerate(zip(delivers, runs))
         ]
         ids = np.array(sorted(set(source)))  # the run each row holds
-        tols = [-np.inf if stop_tols[r] is None else stop_tols[r] for r in ids]
+        alphas = [float(alpha) for _, alpha, _ in runs]
+        tols = [-np.inf if runs[r][2] is None else runs[r][2] for r in ids]
         buf = np.zeros((len(ids), self.head_at + self.head_terms[0].size))
         if init is not None:
             z = buf[:, : self.pad_at].reshape((len(ids),) + self.z_shape)
             for e, (j, i) in enumerate(self.edges):
                 z[:, e, 0] = init[i].z_in_self[j]
                 z[:, e, 1] = init[i].z_in_neigh[j]
-        two_rho = 2.0 * self.params.rho
-        alpha = self.params.alpha
-        keep = 1.0 - alpha
+        two_rho = 2.0 * self.rho
 
-        errors: list[list[np.ndarray]] = [[] for _ in range(count)]  # pieces per run
+        errors: list[list[np.ndarray]] = [[] for _ in runs]  # pieces per run
         log: list[np.ndarray] = []  # the rows' errors, one entry a round
-        snapshots = [[] for _ in range(count)] if record_states else None
-        ends: list = [None] * count  # (rounds, diverged, final (x, z) or None) per run
+        snapshots = [[] for _ in runs] if record_states else None
+        ends: list = [None] * len(runs)  # (rounds, diverged, final (x, z) or None) per run
         rows = 0  # rows the views below were made for
         for k in range(k_max):
             if rows != len(ids):
@@ -607,6 +603,11 @@ class _StackedEngine:
                 gate = np.empty(z.shape, dtype=bool)
                 gate_rows = gate.reshape(lead + (len(self.edges), 2 * self.n))
                 relaxed = np.empty_like(z)
+                # each row's alpha scales its own q and z (a shared one stays
+                # a scalar, on which numpy calls cost least)
+                alpha = [alphas[r] for r in ids]
+                alpha = np.reshape(alpha, (-1, 1, 1, 1)) if len(set(alpha)) > 1 else alpha[0]
+                keep = 1.0 - alpha
             np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
             state.take(self.linear, axis=-1, out=v)
             v += self.base
@@ -708,8 +709,8 @@ def run(
     QuadraticLocalCost costs (TypeError otherwise) and is bitwise equal to
     iterating `sync_round`; init contributes only its z variables, as there.
     """
-    (trace,) = _StackedEngine(p, params).run(
-        [schedule], k_max, solution=solution, stop_tols=[stop_tol], init=init,
+    (trace,) = _StackedEngine(p, params.rho).run(
+        [(schedule, params.alpha, stop_tol)], k_max, solution=solution, init=init,
         record_states=record_states,
     )
     return trace

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -91,14 +93,14 @@ def monte_carlo_settings(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if solution is None:
         solution = solve_centralized(p)
-    schedules, tols = [], []
+    rows = []
     for loss, tol in settings:
         model = loss if isinstance(loss, LossModel) else LossModel.uniform(p.graph, loss)
-        schedules += [LossSchedule(model=model, seed=_sub_seed(seed, r)) for r in range(runs)]
-        tols += [tol] * runs
-    traces = _StackedEngine(p, params).run(
-        schedules, k_max, solution=solution, stop_tols=tols, final_states=False
-    )
+        rows += [
+            (LossSchedule(model=model, seed=_sub_seed(seed, r)), params.alpha, tol)
+            for r in range(runs)
+        ]
+    traces = _StackedEngine(p, params.rho).run(rows, k_max, solution=solution, final_states=False)
     out = []
     for at in range(0, len(traces), runs):
         group = traces[at : at + runs]
@@ -149,25 +151,28 @@ class SweepResult:
     converged_at: dict[tuple[float, float, float], float | None]
 
 
-def _sweep_cell(args) -> tuple[tuple[float, float, float], str, float | None]:
-    """One cell's runs as one batch. The outcome is that of the first run, in
-    run order, that did not converge; 'converged' when every run did."""
-    p, rho, alpha, loss_p, indices, runs, k_max, seed, tol, solution = args
-    cell = (rho, alpha, loss_p)
-    model = LossModel.uniform(p.graph, loss_p)
-    schedules = [LossSchedule(model=model, seed=_sub_seed(seed, *indices, r)) for r in range(runs)]
-    traces = _StackedEngine(p, AlgorithmParams(alpha=alpha, rho=rho)).run(
-        schedules, k_max, solution=solution, stop_tols=[tol] * runs, final_states=False
-    )
-    rounds = []
-    for tr in traces:
-        if tr.diverged:
-            return cell, "diverged", None
-        at = detect_convergence(tr, tol)
-        if at is None:
-            return cell, "undecided", None
-        rounds.append(at)
-    return cell, "converged", float(np.median(rounds))
+def _sweep_rho(p, solution, alpha_grid, loss_grid, runs, k_max, seed, tol, ir, rho):
+    """Every (alpha, p, run) of one rho as one batch on one engine; one
+    (cell, outcome, median round) per cell. A cell's outcome is that of its
+    first run, in run order, that did not converge; 'converged' if none."""
+    models = [LossModel.uniform(p.graph, loss_p) for loss_p in loss_grid]
+    rows = [
+        (LossSchedule(model=model, seed=_sub_seed(seed, ir, ia, ip, r)), alpha, tol)
+        for ia, alpha in enumerate(alpha_grid)
+        for ip, model in enumerate(models)
+        for r in range(runs)
+    ]
+    traces = _StackedEngine(p, rho).run(rows, k_max, solution=solution, final_states=False)
+    results = []
+    for c, (alpha, loss_p) in enumerate(product(alpha_grid, loss_grid)):
+        group = traces[c * runs : (c + 1) * runs]
+        rounds = [detect_convergence(tr, tol) for tr in group]
+        if None in rounds:
+            outcome = "diverged" if group[rounds.index(None)].diverged else "undecided"
+            results.append(((rho, alpha, loss_p), outcome, None))
+        else:
+            results.append(((rho, alpha, loss_p), "converged", float(np.median(rounds))))
+    return results
 
 
 def stability_sweep(
@@ -184,8 +189,9 @@ def stability_sweep(
     """Classify every (rho, alpha, p) cell by running `runs` seeded schedules.
 
     Cell (i_rho, i_alpha, i_p) derives its run seeds from the experiment seed
-    and its grid indices, so the result does not depend on evaluation order;
-    jobs > 1 distributes cells over processes and reassembles by key.
+    and its grid indices, so the result does not depend on evaluation order.
+    All runs of one rho advance as one batch on one engine; jobs > 1
+    distributes the rho slices over processes.
     """
     if not (rho_grid and alpha_grid and loss_grid):
         raise ValueError("all sweep grids must be nonempty")
@@ -194,37 +200,29 @@ def stability_sweep(
     for rho in rho_grid:
         if rho <= 0:
             raise ValueError(f"rho grid must be positive, got {rho}")
-    solution = solve_centralized(p)
-    tasks = []
-    grid = []
-    for ir, rho in enumerate(rho_grid):
-        for ia, alpha in enumerate(alpha_grid):
-            for ip, loss_p in enumerate(loss_grid):
-                grid.append((rho, alpha, loss_p))
-                tasks.append(
-                    (p, rho, alpha, loss_p, (ir, ia, ip), runs, k_max, seed, tol, solution)
-                )
+    sweep_rho = partial(
+        _sweep_rho, p, solve_centralized(p), alpha_grid, loss_grid, runs, k_max, seed, tol
+    )
     if jobs > 1:
         # imported here: it costs every CLI start ~15 ms and only sweeps use it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_cell, tasks))
+            slices = list(pool.map(sweep_rho, range(len(rho_grid)), rho_grid))
     else:
-        results = [_sweep_cell(t) for t in tasks]
-
+        slices = list(map(sweep_rho, range(len(rho_grid)), rho_grid))
+    results = [cell for cells in slices for cell in cells]
     outcomes = {cell: outcome for cell, outcome, _ in results}
     converged_at = {cell: median for cell, _, median in results}
     boundary: dict[tuple[float, float], float | None] = {}
-    for rho in rho_grid:
-        for loss_p in loss_grid:
-            best = None
-            for alpha in alpha_grid:
-                if outcomes[(rho, alpha, loss_p)] == "converged":
-                    best = alpha
-                else:
-                    break
-            boundary[(rho, loss_p)] = best
+    for rho, loss_p in product(rho_grid, loss_grid):
+        best = None
+        for alpha in alpha_grid:
+            if outcomes[(rho, alpha, loss_p)] != "converged":
+                break
+            best = alpha
+        boundary[(rho, loss_p)] = best
+    grid = [cell for cell, _, _ in results]
     return SweepResult(
         grid=grid, outcomes=outcomes, boundary=boundary, converged_at=converged_at
     )

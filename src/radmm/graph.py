@@ -127,33 +127,3 @@ def generate_connected_rgg(
         f"within {max_resamples} resamples"
     )
 
-
-def graph_to_text(g: Graph) -> str:
-    """Plain-text adjacency list: node count, then 'i j' edge lines, then positions."""
-    lines = [str(g.node_count)]
-    for i, j in sorted(g.edges):
-        lines.append(f"{i} {j}")
-    if g.positions is not None:
-        for i, (x, y) in enumerate(g.positions):
-            lines.append(f"pos {i} {float(x)!r} {float(y)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    """Inverse of graph_to_text."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty graph document")
-    n = int(lines[0])
-    edges = set()
-    positions: np.ndarray | None = None
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "pos":
-            if positions is None:
-                positions = np.zeros((n, 2))
-            positions[int(parts[1])] = [float(parts[2]), float(parts[3])]
-        else:
-            i, j = int(parts[0]), int(parts[1])
-            edges.add((min(i, j), max(i, j)))
-    return Graph(node_count=n, edges=frozenset(edges), positions=positions)

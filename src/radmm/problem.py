@@ -255,7 +255,15 @@ def _mat(a: np.ndarray) -> dict:
 
 
 def _unmat(d: dict) -> np.ndarray:
+    if not set(map(type, d["data"])) <= {int, float}:  # bool is no number here
+        raise ValueError("instance matrix data must be numbers")
     return np.array(d["data"], dtype=float).reshape(d["shape"])
+
+
+def _integer(v, what: str) -> int:
+    if type(v) is not int:
+        raise ValueError(f"instance {what} must be an integer, got {v!r}")
+    return v
 
 
 def problem_to_json(p: PartitionProblem) -> str:
@@ -284,6 +292,8 @@ def problem_to_json(p: PartitionProblem) -> str:
 
 def problem_from_json(text: str) -> PartitionProblem:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("instance document must be a JSON object")
     if doc.get("schema") != SCHEMA_INSTANCE:
         raise ValueError(f"unsupported instance schema: {doc.get('schema')!r}")
     try:
@@ -292,8 +302,10 @@ def problem_from_json(text: str) -> PartitionProblem:
         if gdoc.get("positions") is not None:
             positions = np.array(gdoc["positions"], dtype=float)
         g = Graph(
-            node_count=gdoc["nodes"],
-            edges=frozenset((int(i), int(j)) for i, j in gdoc["edges"]),
+            node_count=_integer(gdoc["nodes"], "graph.nodes"),
+            edges=frozenset(
+                (_integer(i, "edge end"), _integer(j, "edge end")) for i, j in gdoc["edges"]
+            ),
             positions=positions,
         )
         costs = [
@@ -305,6 +317,6 @@ def problem_from_json(text: str) -> PartitionProblem:
             )
             for c in doc["costs"]
         ]
-        return PartitionProblem(graph=g, costs=costs, dim=doc["dim"])
+        return PartitionProblem(graph=g, costs=costs, dim=_integer(doc["dim"], "dim"))
     except KeyError as exc:
         raise ValueError(f"instance document lacks key {exc}") from exc

@@ -8,6 +8,8 @@ import pytest
 
 import radmm as rm
 import radmm.cli as cli
+import radmm.core as core
+import radmm.experiments as experiments
 from radmm.config import build_graph, build_problem, load_config
 from radmm.core import _Z_CHECK_EVERY, _StackedEngine
 from radmm.experiments import _sub_seed
@@ -44,17 +46,25 @@ def spec_trace(p, params, schedule, k_max, sol, stop_tol=None):
     return np.array(errors), states, False
 
 
-def assert_batch_matches_spec(p, params, schedules, tols, k_max):
+def assert_rows_match_spec(p, rho, rows, k_max):
+    """Run the (schedule, alpha, stop_tol) rows as one batch and compare each
+    with the spec at its own alpha."""
     sol = rm.solve_centralized(p)
-    traces = _StackedEngine(p, params).run(schedules, k_max, solution=sol, stop_tols=tols)
-    assert len(traces) == len(schedules)
-    for tr, schedule, tol in zip(traces, schedules, tols):
+    traces = _StackedEngine(p, rho).run(rows, k_max, solution=sol)
+    assert len(traces) == len(rows)
+    for tr, (schedule, alpha, tol) in zip(traces, rows):
+        params = rm.AlgorithmParams(alpha, rho)
         errors, states, diverged = spec_trace(p, params, schedule, k_max, sol, tol)
         assert tr.diverged == diverged
         assert tr.rounds_executed == len(errors)
         assert tr.errors.tobytes() == errors.tobytes()
         assert_states_bitwise(tr.final_states, states)
     return traces
+
+
+def assert_batch_matches_spec(p, params, schedules, tols, k_max):
+    rows = [(s, params.alpha, tol) for s, tol in zip(schedules, tols)]
+    return assert_rows_match_spec(p, params.rho, rows, k_max)
 
 
 def uniform(p, loss_p, seed):
@@ -104,10 +114,38 @@ def test_batch_mixing_divergence_convergence_and_k_max(ten_node_problem):
     assert any(not tr.diverged and tr.rounds_executed == 240 for tr in traces)
 
 
+def test_mixed_alpha_batch_equals_spec(ten_node_problem, monkeypatch):
+    # one row per (alpha, p): four loss-free rows at four alphas, which must
+    # not share a row, and one more loss-free run at alpha = 0.75 with the
+    # same tol, which shares the row of (0.75, p = 0)
+    p = ten_node_problem
+    rows = [
+        (uniform(p, loss_p, 50 + 3 * ia + ip), alpha, 1e-4 if loss_p else 1e-6)
+        for ia, alpha in enumerate([0.3, 0.75, 1.3, 1.6])
+        for ip, loss_p in enumerate([0.0, 0.2, 0.6])
+    ]
+    rows.append((None, 0.75, 1e-6))
+    row_counts = []
+    error_sum = core._error_sum
+
+    def counting(x, *args):
+        row_counts.append(len(x) if x.ndim > 1 else 1)
+        return error_sum(x, *args)
+
+    monkeypatch.setattr(core, "_error_sum", counting)
+    traces = assert_rows_match_spec(p, 3.0, rows, 200)
+    assert row_counts[0] == len(rows) - 1
+    assert traces[3].errors.tobytes() == traces[-1].errors.tobytes()
+    # converged, diverged and still going at k_max all occur
+    assert any(tr.diverged for tr in traces)
+    assert any(not tr.diverged and tr.rounds_executed < 200 for tr in traces)
+    assert any(not tr.diverged and tr.rounds_executed == 200 for tr in traces)
+
+
 def test_shared_loss_free_runs_get_their_own_states(ten_node_problem, ten_node_solution):
     p = ten_node_problem
-    a, b = _StackedEngine(p, rm.AlgorithmParams(0.75, 3.0)).run(
-        [None, uniform(p, 0.0, 31)], 30, solution=ten_node_solution
+    a, b = _StackedEngine(p, 3.0).run(
+        [(None, 0.75, None), (uniform(p, 0.0, 31), 0.75, None)], 30, solution=ten_node_solution
     )
     assert a.errors.tobytes() == b.errors.tobytes()
     assert_states_bitwise(a.final_states, b.final_states)
@@ -117,15 +155,13 @@ def test_shared_loss_free_runs_get_their_own_states(ten_node_problem, ten_node_s
     assert b.errors[0] != 7.0
 
 
-def test_batch_argument_checks(ten_node_problem, ten_node_solution):
-    engine = _StackedEngine(ten_node_problem, rm.AlgorithmParams(0.75, 3.0))
+def test_batch_argument_checks(ten_node_problem):
+    engine = _StackedEngine(ten_node_problem, 3.0)
     assert engine.run([], 10) == []
     with pytest.raises(ValueError):
-        engine.run([None, None], 10, solution=ten_node_solution, stop_tols=[1e-4])
+        engine.run([(None, 0.75, 1e-4)], 10)
     with pytest.raises(ValueError):
-        engine.run([None], 10, stop_tols=[1e-4])
-    with pytest.raises(ValueError):
-        engine.run([None], 0)
+        engine.run([(None, 0.75, None)], 0)
 
 
 def test_monte_carlo_settings_equal_separate_calls(ten_node_problem, ten_node_solution):
@@ -198,7 +234,8 @@ def reference_sweep(p, rho_grid, alpha_grid, loss_grid, runs, k_max, seed, tol):
 
 
 def test_sweep_equals_per_run_reference(ten_node_problem):
-    grid = dict(rho_grid=[3.0], alpha_grid=[0.1, 0.75, 1.3], loss_grid=[0.0, 0.6])
+    # two rhos: the rho index enters the run seeds, and each rho is one batch
+    grid = dict(rho_grid=[3.0, 1.0], alpha_grid=[0.1, 0.75, 1.3], loss_grid=[0.0, 0.6])
     args = dict(runs=4, k_max=240, seed=75, tol=1e-4)
     result = rm.stability_sweep(ten_node_problem, **grid, **args)
     outcomes, medians = reference_sweep(ten_node_problem, *grid.values(), *args.values())
@@ -208,3 +245,20 @@ def test_sweep_equals_per_run_reference(ten_node_problem):
     # run 0 of this cell is still going at k_max while runs 1 and 2 diverge:
     # the first run in run order decides
     assert outcomes[(3.0, 1.3, 0.6)] == "undecided"
+
+
+def test_sweep_builds_one_engine_per_rho(ten_node_problem, monkeypatch):
+    built = []
+
+    class CountingEngine(_StackedEngine):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(experiments, "_StackedEngine", CountingEngine)
+    result = rm.stability_sweep(
+        ten_node_problem, rho_grid=[3.0, 1.0], alpha_grid=[0.3, 0.75, 1.3],
+        loss_grid=[0.0, 0.2], runs=2, k_max=60, seed=9,
+    )
+    assert len(result.grid) == 12
+    assert len(built) == 2

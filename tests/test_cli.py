@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import radmm as rm
 import radmm.cli as cli
 from radmm.config import (
     CheckSpec,
@@ -15,11 +16,12 @@ from radmm.config import (
     ParamsSpec,
     RunSpec,
     SweepSpec,
+    build_graph,
     load_config,
     parse_config,
 )
 from radmm.experiments import DEFAULT_TOL_LOSSLESS, DEFAULT_TOL_LOSSY, stability_sweep
-from radmm.problem import problem_from_json
+from radmm.problem import problem_from_json, problem_to_json
 
 
 def base_config(**overrides):
@@ -205,6 +207,14 @@ def test_all_presets_parse():
         assert cfg.check is not None
 
 
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(json.loads(example))
+    assert cfg.graph.effective_radius == 0.35
+    assert cfg.sweep.rho == [0.5, 1.0, 3.0, 5.0]
+
+
 def test_config_schema_enforced(tmp_path):
     doc = base_config()
     doc["schema"] = "radmm-config/999"
@@ -268,6 +278,34 @@ def _nograph_instance(tmp_path):
     return path
 
 
+def _edited_instance(edit):
+    """A valid 3-node instance document, changed by edit, written to a file."""
+    def write(tmp_path):
+        g = rm.Graph(node_count=3, edges=frozenset({(0, 1), (1, 2)}))
+        doc = json.loads(problem_to_json(rm.generate_instance(g, n=2, r_rows=3, seed=5)))
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(edit(doc)))
+        return path
+    return write
+
+
+def _table_of(value):
+    """A loss table with one value on every directed edge of base_config's graph."""
+    g = build_graph(GraphSpec(**base_config()["graph"]))
+    return {f"{i}->{j}": value for i, j in g.directed_edges()}
+
+
+def _string_nodes(doc):
+    doc["graph"]["nodes"] = "3"
+    return doc
+
+
+def _string_data(doc):
+    q = doc["costs"][0]["q"]
+    q["data"] = [repr(v) for v in q["data"]]
+    return doc
+
+
 @pytest.mark.parametrize(
     "command, section, values, instance",
     [
@@ -281,9 +319,27 @@ def _nograph_instance(tmp_path):
         ("run", "run", {}, lambda tmp_path: tmp_path / "missing.json"),
         ("run", "run", {}, _nograph_instance),
         ("sweep", "sweep", {"rho": [3.0], "alpha": [0.5], "p": [0.0], "runs": 0}, None),
+        ("run", "graph", {"require_connected": "false"}, None),
+        ("run", "run", {"runs": True}, None),
+        ("run", "run", {"k_max": "7"}, None),
+        ("run", "graph", {"nodes": 10.9}, None),
+        ("run", "loss", {"seed": "23"}, None),
+        ("run", "params", {"alpha": [True, 0.5]}, None),
+        ("run", "loss", {"p": None, "table": _table_of("0.5")}, None),
+        ("run", "output", {"prefix": 3}, None),
+        ("run", "run", {"k_mx": 7}, None),
+        ("run", "graph", {"requre_connected": False}, None),
+        ("run", "sweeps", {"runs": 2}, None),
+        ("run", "run", {}, _edited_instance(lambda doc: [doc])),
+        ("run", "run", {}, _edited_instance(_string_nodes)),
+        ("run", "run", {}, _edited_instance(_string_data)),
     ],
     ids=["runs0", "k_max0", "rho-1", "p1.5", "nodes0", "dim0", "off-graph-table",
-         "missing-instance", "instance-without-graph", "sweep-runs0"],
+         "missing-instance", "instance-without-graph", "sweep-runs0",
+         "require_connected-string", "runs-true", "k_max-string", "nodes-float",
+         "loss-seed-string", "alpha-bool", "table-value-string", "prefix-number",
+         "misspelt-run-key", "misspelt-graph-key", "unknown-section",
+         "instance-array", "instance-nodes-string", "instance-data-strings"],
 )
 def test_invalid_input_exits_2_without_output(tmp_path, capsys, command, section, values, instance):
     doc = base_config()

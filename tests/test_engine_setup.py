@@ -95,7 +95,7 @@ def assert_same_array(got, want, name):
 
 
 def assert_engine_matches_loop(p, params=PARAMS):
-    engine = _StackedEngine(p, params)
+    engine = _StackedEngine(p, params.rho)
     want = loop_tables(p, params)
     for name in ("head_terms", "linear", "base", "from_class", "message_x", "message_z"):
         assert_same_array(getattr(engine, name), want[name], name)
@@ -164,7 +164,7 @@ def test_setup_rejects_singular_isolated_node():
     rng = np.random.default_rng(35)
     p.costs[2] = quadratic_cost(rng, 2, 3, [], a_self=np.zeros((3, 2)))
     with pytest.raises(rm.SingularLocalSystemError):
-        _StackedEngine(p, PARAMS)
+        _StackedEngine(p, PARAMS.rho)
 
 
 def test_setup_rejects_non_quadratic_cost():
@@ -175,4 +175,4 @@ def test_setup_rejects_non_quadratic_cost():
     p = hand_problem(2, [(0, 1)], 2, lambda i: 3, seed=36)
     p.costs[0] = Opaque()
     with pytest.raises(TypeError):
-        _StackedEngine(p, PARAMS)
+        _StackedEngine(p, PARAMS.rho)

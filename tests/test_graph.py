@@ -124,17 +124,3 @@ def test_connected_rgg_cap_exceeded():
     with pytest.raises(RuntimeError):
         rm.generate_connected_rgg(10, 0.01, seed=0, max_resamples=5)
 
-
-def test_text_round_trip_with_positions():
-    g = rm.generate_rgg(9, 0.4, seed=13)
-    back = rm.graph_from_text(rm.graph_to_text(g))
-    assert back.node_count == g.node_count
-    assert back.edges == g.edges
-    assert np.array_equal(back.positions, g.positions)
-
-
-def test_text_round_trip_without_positions():
-    g = path_graph(4)
-    back = rm.graph_from_text(rm.graph_to_text(g))
-    assert back.edges == g.edges
-    assert back.positions is None
