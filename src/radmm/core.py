@@ -24,10 +24,12 @@ traces, snapshots and final states are bitwise equal to a loop of
 per (problem, rho) and advances a batch of runs together, one row per
 (schedule, alpha, stop tolerance); `run` is a batch of one, a Monte Carlo
 in `experiments` hands it all its runs, and a sweep every run of one rho.
-Every run of a batch is bitwise equal to the same run alone. The engine is
-built per degree class: its index tables come from the directed-edge arrays,
-and the local systems of all nodes of one degree are factored in one stacked
-call, bitwise equal to one `QuadraticLocalSolver` per node.
+Every run starts from the all-zero `initial_states`, is scored every round
+against the centralized optimum, and loses packets on exactly the graph's
+directed edges. Every run of a batch is bitwise equal to the same run alone.
+The engine is built per degree class: its index tables come from the
+directed-edge arrays, and the local systems of all nodes of one degree are
+factored at once, bitwise equal to one `QuadraticLocalSolver` per node.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .graph import Graph, neighbors
 from .lossy import DeliveryMask, LossSchedule, delivery_array
-from .problem import PartitionProblem, QuadraticLocalCost, Solution
+from .problem import PartitionProblem, QuadraticLocalCost, Solution, solve_centralized
 
 DIVERGENCE_NORM = 1e8
 _Z_CHECK_EVERY = 64
@@ -344,13 +346,12 @@ def consensus_residual(states: list[NodeState], g: Graph) -> float:
 class RunTrace:
     """Per-round record of one run.
 
-    errors[t] is the relative error after round t+1 (None when no reference
-    solution was supplied); diverged marks early termination on a non-finite
-    or runaway state. snapshots, when recorded, hold each node's stacked
-    local iterate per round.
+    errors[t] is the relative error after round t+1; diverged marks early
+    termination on a non-finite or runaway state. snapshots, when recorded,
+    hold each node's stacked local iterate per round.
     """
 
-    errors: np.ndarray | None
+    errors: np.ndarray
     diverged: bool
     rounds_executed: int
     final_states: list[NodeState]
@@ -361,8 +362,10 @@ class _StackedEngine:
     """`sync_round` on whole-graph arrays, for quadratic costs; what `run` uses.
 
     Built once per (problem, rho) and reusable across runs and batches.
-    Directed edge e = (j, i), in `Graph.directed_edges` order, owns row e of
-    z, shape (edges, 2, n): node i's z_in_self[j], then its z_in_neigh[j].
+    Every run starts from all-zero x and z and is scored against a reference
+    solution, and a loss schedule must cover exactly `self.edges`. Directed
+    edge e = (j, i), in `Graph.directed_edges` order, owns row e of z, shape
+    (edges, 2, n): node i's z_in_self[j], then its z_in_neigh[j].
     z sits at the start of a run's flat buffer, followed by an n-wide zero
     pad and, per node, the sum of its z_in_self, which heads the linear term
     of its x-update. x is flat in the `reference` x layout: node blocks
@@ -493,19 +496,11 @@ class _StackedEngine:
         """Round -> delivered flags in edge order; None when nothing is ever lost."""
         if schedule is None:
             return None
-        if schedule.edges == self.edges:
-            perm = None
-        else:
-            at = {e: t for t, e in enumerate(schedule.edges)}
-            for e in self.edges:
-                if e not in at:
-                    raise ValueError(f"delivery mask missing directed edge {e}")
-            perm = np.array([at[e] for e in self.edges], dtype=np.intp)
+        if schedule.edges != self.edges:
+            raise ValueError("a loss schedule must cover exactly the graph's directed edges")
         if schedule.loss_free:
             return None
-        if perm is None:
-            return lambda k: delivery_array(schedule, k)
-        return lambda k: delivery_array(schedule, k)[perm]
+        return lambda k: delivery_array(schedule, k)
 
     def _states(self, x: np.ndarray, z: np.ndarray) -> list[NodeState]:
         n = self.n
@@ -528,8 +523,7 @@ class _StackedEngine:
         self,
         runs: Sequence[tuple[LossSchedule | None, float, float | None]],
         k_max: int,
-        solution: Solution | None = None,
-        init: list[NodeState] | None = None,
+        solution: Solution,
         record_states: bool = False,
         final_states: bool = True,
     ) -> list[RunTrace]:
@@ -541,18 +535,13 @@ class _StackedEngine:
         only its own q and z. Every trace is therefore bitwise equal to that
         run's own `run`. A run that diverges, or whose error falls below its
         stop_tol (None: no stop), is frozen on that round and its row
-        dropped. init, when given, starts every run. With final_states=False
+        dropped; errors are taken against solution. With final_states=False
         the traces carry no final states, which large batches that keep only
         the errors need not hold.
         """
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
-        if solution is None and any(tol is not None for _, _, tol in runs):
-            raise ValueError("stop_tol requires a reference solution")
-        if solution is not None:
-            ref, starts, norms = _reference_blocks(solution, self.orders)
-        if init is not None and len(init) != len(self.orders):
-            raise ValueError(f"init must hold {len(self.orders)} node states, got {len(init)}")
+        ref, starts, norms = _reference_blocks(solution, self.orders)
         delivers = [self._delivery(schedule) for schedule, _, _ in runs]
         if not delivers:
             return []
@@ -567,11 +556,6 @@ class _StackedEngine:
         alphas = [float(alpha) for _, alpha, _ in runs]
         tols = [-np.inf if runs[r][2] is None else runs[r][2] for r in ids]
         buf = np.zeros((len(ids), self.head_at + self.head_terms[0].size))
-        if init is not None:
-            z = buf[:, : self.pad_at].reshape((len(ids),) + self.z_shape)
-            for e, (j, i) in enumerate(self.edges):
-                z[:, e, 0] = init[i].z_in_self[j]
-                z[:, e, 1] = init[i].z_in_neigh[j]
         two_rho = 2.0 * self.rho
 
         errors: list[list[np.ndarray]] = [[] for _ in runs]  # pieces per run
@@ -632,9 +616,8 @@ class _StackedEngine:
             if snapshots is not None:
                 for row, r in enumerate(ids):
                     snapshots[r].append([x_rows[row, a:b] for a, b in self.bounds])
-            if solution is not None:
-                err = _error_sum(x, ref, starts, norms).reshape(rows)
-                log.append(err)
+            err = _error_sum(x, ref, starts, norms).reshape(rows)
+            log.append(err)
             # A cheap test first; the row-by-row checks run only on rounds on
             # which some run may end. NaN fails every comparison.
             check_z = (k + 1) % _Z_CHECK_EVERY == 0 and z.size
@@ -642,26 +625,21 @@ class _StackedEngine:
                 k + 1 < k_max
                 and not check_z
                 and np.abs(x).max() < DIVERGENCE_NORM
-                and (solution is None or all(t <= e < np.inf for e, t in zip(err.tolist(), tols)))
+                and all(t <= e < np.inf for e, t in zip(err.tolist(), tols))
             ):
                 continue
-            ok = np.abs(x_rows).max(axis=1) < DIVERGENCE_NORM
-            if solution is not None:
-                ok &= err < np.inf
+            ok = (np.abs(x_rows).max(axis=1) < DIVERGENCE_NORM) & (err < np.inf)
             if check_z:
                 ok &= np.abs(z).reshape(rows, -1).max(axis=1) < DIVERGENCE_NORM
-            done = ~ok
-            if solution is not None:
-                done |= err < np.array(tols)
+            done = ~ok | (err < np.array(tols))
             if k + 1 == k_max:
                 done[:] = True
             if not done.any():
                 continue
-            if log:
-                block = np.array(log)
-                log = []
-                for row, r in enumerate(ids):
-                    errors[r].append(block[:, row])
+            block = np.array(log)
+            log = []
+            for row, r in enumerate(ids):
+                errors[r].append(block[:, row])
             z_rows = z.reshape((rows,) + self.z_shape)
             for row in np.flatnonzero(done):
                 last = (x_rows[row], z_rows[row]) if final_states else None
@@ -676,7 +654,7 @@ class _StackedEngine:
             rounds, diverged, last = ends[r]
             traces.append(
                 RunTrace(
-                    errors=None if solution is None else np.concatenate(errors[r]),
+                    errors=np.concatenate(errors[r]),
                     diverged=diverged,
                     rounds_executed=rounds,
                     final_states=[] if last is None else self._states(*(a.copy() for a in last)),
@@ -691,50 +669,41 @@ def run(
     params: AlgorithmParams,
     schedule: LossSchedule | None,
     k_max: int,
-    init: list[NodeState] | None = None,
     solution: Solution | None = None,
     stop_tol: float | None = None,
     record_states: bool = False,
 ) -> RunTrace:
-    """Iterate synchronous rounds and record the trajectory.
+    """Iterate synchronous rounds from the all-zero start and record the trajectory.
 
-    schedule=None means every packet is delivered. The trace is a pure
-    function of the arguments. A non-finite coordinate or a state magnitude
-    beyond DIVERGENCE_NORM stops the run with the diverged flag instead of
-    raising (|x| and the error are checked every round, |z| every
-    _Z_CHECK_EVERY rounds). When stop_tol is given (requires solution), the
-    run ends at the first round whose relative error falls below it.
+    schedule=None means every packet is delivered; otherwise the schedule
+    covers exactly the graph's directed edges (ValueError otherwise). Errors
+    are taken against solution, by default `solve_centralized(p)`. The trace
+    is a pure function of the arguments. A non-finite coordinate or a state
+    magnitude beyond DIVERGENCE_NORM stops the run with the diverged flag
+    instead of raising (|x| and the error are checked every round, |z| every
+    _Z_CHECK_EVERY rounds). When stop_tol is given, the run ends at the
+    first round whose relative error falls below it.
 
     The rounds run on the stacked engine as a batch of one, which needs
     QuadraticLocalCost costs (TypeError otherwise) and is bitwise equal to
-    iterating `sync_round`; init contributes only its z variables, as there.
+    iterating `sync_round` from `initial_states`.
     """
-    (trace,) = _StackedEngine(p, params.rho).run(
-        [(schedule, params.alpha, stop_tol)], k_max, solution=solution, init=init,
-        record_states=record_states,
+    engine = _StackedEngine(p, params.rho)
+    if solution is None:
+        solution = solve_centralized(p)
+    (trace,) = engine.run(
+        [(schedule, params.alpha, stop_tol)], k_max, solution, record_states=record_states
     )
     return trace
 
 
 def trace_to_csv(trace: RunTrace) -> str:
-    """CSV rows k, rel_error, diverged, plus per-node coordinates when recorded.
+    """CSV rows k, rel_error, diverged.
 
     The diverged column is 1 only on the terminal row of a diverged run.
     """
-    lines = []
-    header = "k,rel_error,diverged"
-    if trace.snapshots is not None and trace.rounds_executed:
-        n_nodes = len(trace.snapshots[0])
-        cols = []
-        for i in range(n_nodes):
-            cols.extend(f"x{i}_{c}" for c in range(len(trace.snapshots[0][i])))
-        header += "," + ",".join(cols)
-    lines.append(header)
+    lines = ["k,rel_error,diverged"]
     for t in range(trace.rounds_executed):
-        err = "" if trace.errors is None else repr(float(trace.errors[t]))
         div = 1 if (trace.diverged and t == trace.rounds_executed - 1) else 0
-        row = f"{t},{err},{div}"
-        if trace.snapshots is not None:
-            row += "," + ",".join(repr(float(v)) for vec in trace.snapshots[t] for v in vec)
-        lines.append(row)
+        lines.append(f"{t},{float(trace.errors[t])!r},{div}")
     return "\n".join(lines) + "\n"

@@ -126,7 +126,7 @@ def detect_convergence(trace: RunTrace, tol: float) -> int | None:
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if trace.diverged or trace.errors is None:
+    if trace.diverged:
         return None
     for t, below in enumerate((trace.errors < tol).tolist()):
         if below:

@@ -51,9 +51,6 @@ class DeliveryMask:
 
     delivered: dict[tuple[int, int], bool]
 
-    def all_delivered(self) -> bool:
-        return all(self.delivered.values())
-
     @classmethod
     def complete(cls, g: Graph) -> "DeliveryMask":
         return cls(delivered={e: True for e in g.directed_edges()})
@@ -85,10 +82,6 @@ class LossSchedule:
     def loss_free(self) -> bool:
         """True when every loss probability is 0, so every mask is all-delivered."""
         return not self._probs.any()
-
-    @classmethod
-    def lossless(cls, g: Graph, seed: int = 0) -> "LossSchedule":
-        return cls(model=LossModel.uniform(g, 0.0), seed=seed)
 
 
 def delivery_array(schedule: LossSchedule, k: int) -> np.ndarray:

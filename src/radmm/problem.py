@@ -20,6 +20,8 @@ import numpy as np
 from .graph import Graph, neighbors
 
 SYMMETRY_TOL = 1e-12
+# draws `generate_instance` makes before giving up on a positive-definite Hessian
+_MAX_RESAMPLES = 50
 
 
 class IndefiniteHessianError(ValueError):
@@ -203,7 +205,6 @@ def generate_instance(
     r_rows: int,
     seed: int,
     conditioning: float = 10.0,
-    max_resamples: int = 50,
 ) -> PartitionProblem:
     """Random quadratic instance on graph g, resampled until the Hessian is PD.
 
@@ -216,7 +217,7 @@ def generate_instance(
     if conditioning < 1:
         raise ValueError("conditioning must be >= 1")
     coupling_scale = 1.0 / np.sqrt(r_rows * n)
-    for attempt in range(max_resamples):
+    for attempt in range(_MAX_RESAMPLES):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         costs = []
         for i in range(g.node_count):
@@ -236,7 +237,7 @@ def generate_instance(
         if eigs[0] > 1e-9 * max(1.0, eigs[-1]):
             return problem
     raise RuntimeError(
-        f"no positive-definite instance within {max_resamples} resamples "
+        f"no positive-definite instance within {_MAX_RESAMPLES} resamples "
         "(degenerate graph/dimension configuration)"
     )
 
@@ -254,10 +255,27 @@ def _mat(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
 
 
-def _unmat(d: dict) -> np.ndarray:
+def _object(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise ValueError(f"instance {what} must be a JSON object, got {type(v).__name__}")
+    return v
+
+
+def _unmat(d) -> np.ndarray:
+    d = _object(d, "matrix")
     if not set(map(type, d["data"])) <= {int, float}:  # bool is no number here
         raise ValueError("instance matrix data must be numbers")
     return np.array(d["data"], dtype=float).reshape(d["shape"])
+
+
+def _uncost(c) -> QuadraticLocalCost:
+    c = _object(c, "cost")
+    return QuadraticLocalCost(
+        a_self=_unmat(c["a_self"]),
+        a_neigh={int(j): _unmat(a) for j, a in _object(c["a_neigh"], "a_neigh").items()},
+        b=_unmat(c["b"]).reshape(-1),
+        q=_unmat(c["q"]),
+    )
 
 
 def _integer(v, what: str) -> int:
@@ -297,7 +315,7 @@ def problem_from_json(text: str) -> PartitionProblem:
     if doc.get("schema") != SCHEMA_INSTANCE:
         raise ValueError(f"unsupported instance schema: {doc.get('schema')!r}")
     try:
-        gdoc = doc["graph"]
+        gdoc = _object(doc["graph"], "graph")
         positions = None
         if gdoc.get("positions") is not None:
             positions = np.array(gdoc["positions"], dtype=float)
@@ -308,15 +326,9 @@ def problem_from_json(text: str) -> PartitionProblem:
             ),
             positions=positions,
         )
-        costs = [
-            QuadraticLocalCost(
-                a_self=_unmat(c["a_self"]),
-                a_neigh={int(j): _unmat(a) for j, a in c["a_neigh"].items()},
-                b=_unmat(c["b"]).reshape(-1),
-                q=_unmat(c["q"]),
-            )
-            for c in doc["costs"]
-        ]
+        if not isinstance(doc["costs"], list):
+            raise ValueError("instance costs must be a JSON list")
+        costs = [_uncost(c) for c in doc["costs"]]
         return PartitionProblem(graph=g, costs=costs, dim=_integer(doc["dim"], "dim"))
     except KeyError as exc:
         raise ValueError(f"instance document lacks key {exc}") from exc

@@ -11,54 +11,21 @@ import radmm.cli as cli
 import radmm.core as core
 import radmm.experiments as experiments
 from radmm.config import build_graph, build_problem, load_config
-from radmm.core import _Z_CHECK_EVERY, _StackedEngine
+from radmm.core import _StackedEngine
 from radmm.experiments import _sub_seed
 from conftest import make_instances
-from test_engine import assert_states_bitwise, table_model
-
-
-def spec_trace(p, params, schedule, k_max, sol, stop_tol=None):
-    """The node-local loop `run` documents, with its stop rule: errors,
-    rounds, diverged and final states."""
-    states = rm.initial_states(p)
-    solvers = [rm.make_local_solver(c, params) for c in p.costs]
-    complete = rm.DeliveryMask.complete(p.graph)
-    errors = []
-    for k in range(k_max):
-        mask = complete if schedule is None else rm.sample_mask(schedule, k)
-        states = rm.sync_round(states, p, params, mask, solvers)
-        err = rm.relative_error(states, sol)
-        errors.append(err)
-        x_mag = np.max(np.abs(np.concatenate([st.stacked_x() for st in states])))
-        if not (x_mag < rm.DIVERGENCE_NORM and err < np.inf):
-            return np.array(errors), states, True
-        if (k + 1) % _Z_CHECK_EVERY == 0:
-            z_mag = max(
-                np.max(np.abs(v))
-                for st in states
-                for d in (st.z_in_self, st.z_in_neigh)
-                for v in d.values()
-            )
-            if not z_mag < rm.DIVERGENCE_NORM:
-                return np.array(errors), states, True
-        if stop_tol is not None and err < stop_tol:
-            break
-    return np.array(errors), states, False
+from test_engine import assert_states_bitwise, assert_trace_matches_spec, spec_run, table_model
 
 
 def assert_rows_match_spec(p, rho, rows, k_max):
     """Run the (schedule, alpha, stop_tol) rows as one batch and compare each
     with the spec at its own alpha."""
     sol = rm.solve_centralized(p)
-    traces = _StackedEngine(p, rho).run(rows, k_max, solution=sol)
+    traces = _StackedEngine(p, rho).run(rows, k_max, sol, record_states=True)
     assert len(traces) == len(rows)
     for tr, (schedule, alpha, tol) in zip(traces, rows):
         params = rm.AlgorithmParams(alpha, rho)
-        errors, states, diverged = spec_trace(p, params, schedule, k_max, sol, tol)
-        assert tr.diverged == diverged
-        assert tr.rounds_executed == len(errors)
-        assert tr.errors.tobytes() == errors.tobytes()
-        assert_states_bitwise(tr.final_states, states)
+        assert_trace_matches_spec(tr, spec_run(p, params, schedule, k_max, sol, tol))
     return traces
 
 
@@ -157,11 +124,10 @@ def test_shared_loss_free_runs_get_their_own_states(ten_node_problem, ten_node_s
 
 def test_batch_argument_checks(ten_node_problem):
     engine = _StackedEngine(ten_node_problem, 3.0)
-    assert engine.run([], 10) == []
+    sol = rm.solve_centralized(ten_node_problem)
+    assert engine.run([], 10, sol) == []
     with pytest.raises(ValueError):
-        engine.run([(None, 0.75, 1e-4)], 10)
-    with pytest.raises(ValueError):
-        engine.run([(None, 0.75, None)], 0)
+        engine.run([(None, 0.75, None)], 0, sol)
 
 
 def test_monte_carlo_settings_equal_separate_calls(ten_node_problem, ten_node_solution):

@@ -306,6 +306,11 @@ def _string_data(doc):
     return doc
 
 
+def _list_matrix(doc):
+    doc["costs"][0]["q"] = [1.0, 2.0]
+    return doc
+
+
 @pytest.mark.parametrize(
     "command, section, values, instance",
     [
@@ -333,13 +338,17 @@ def _string_data(doc):
         ("run", "run", {}, _edited_instance(lambda doc: [doc])),
         ("run", "run", {}, _edited_instance(_string_nodes)),
         ("run", "run", {}, _edited_instance(_string_data)),
+        ("run", "run", {}, _edited_instance(_list_matrix)),
+        ("run", "run", {}, _edited_instance(lambda doc: dict(doc, costs=5))),
+        ("run", "run", {}, _edited_instance(lambda doc: dict(doc, graph=[3]))),
     ],
     ids=["runs0", "k_max0", "rho-1", "p1.5", "nodes0", "dim0", "off-graph-table",
          "missing-instance", "instance-without-graph", "sweep-runs0",
          "require_connected-string", "runs-true", "k_max-string", "nodes-float",
          "loss-seed-string", "alpha-bool", "table-value-string", "prefix-number",
          "misspelt-run-key", "misspelt-graph-key", "unknown-section",
-         "instance-array", "instance-nodes-string", "instance-data-strings"],
+         "instance-array", "instance-nodes-string", "instance-data-strings",
+         "instance-matrix-list", "instance-costs-number", "instance-graph-list"],
 )
 def test_invalid_input_exits_2_without_output(tmp_path, capsys, command, section, values, instance):
     doc = base_config()

@@ -1,8 +1,8 @@
 """`run` (the stacked engine) against the node-local spec, bit for bit.
 
-The spec is the loop `run` documents: per round sample_mask, then
-sync_round, then relative_error, with the same divergence rule. Every
-comparison is on raw bytes, not within a tolerance.
+The spec is the loop `run` documents: from `initial_states`, per round
+sample_mask, then sync_round, then relative_error, with the same divergence
+and stop rules. Every comparison is on raw bytes, not within a tolerance.
 """
 
 import numpy as np
@@ -11,14 +11,15 @@ import pytest
 import radmm as rm
 from radmm.core import _Z_CHECK_EVERY
 from radmm.experiments import _sub_seed
-from conftest import make_instances, random_states
+from conftest import make_instances
 
 ROUNDS = 120
 
 
-def spec_run(p, params, schedule, k_max, sol, init=None):
-    """The node-local loop: error trace, per-round snapshots, final states, diverged."""
-    states = rm.initial_states(p) if init is None else init
+def spec_run(p, params, schedule, k_max, sol, stop_tol=None):
+    """The node-local loop with its stop rule: error trace, per-round
+    snapshots, final states, diverged."""
+    states = rm.initial_states(p)
     solvers = [rm.make_local_solver(c, params) for c in p.costs]
     complete = rm.DeliveryMask.complete(p.graph)
     errors, snapshots = [], []
@@ -40,6 +41,8 @@ def spec_run(p, params, schedule, k_max, sol, init=None):
             )
             if not z_mag < rm.DIVERGENCE_NORM:
                 return np.array(errors), snapshots, states, True
+        if stop_tol is not None and err < stop_tol:
+            break
     return np.array(errors), snapshots, states, False
 
 
@@ -54,10 +57,10 @@ def assert_states_bitwise(a, b):
                 assert da[j].tobytes() == db[j].tobytes(), (name, j)
 
 
-def assert_run_matches_spec(p, params, schedule, k_max, init=None):
-    sol = rm.solve_centralized(p)
-    errors, snapshots, states, diverged = spec_run(p, params, schedule, k_max, sol, init)
-    tr = rm.run(p, params, schedule, k_max, init=init, solution=sol, record_states=True)
+def assert_trace_matches_spec(tr, spec):
+    """tr against spec_run's result, bit for bit: errors, rounds, diverged,
+    snapshots and final states."""
+    errors, snapshots, states, diverged = spec
     assert tr.diverged == diverged
     assert tr.rounds_executed == len(errors)
     assert tr.errors.tobytes() == errors.tobytes()
@@ -65,6 +68,12 @@ def assert_run_matches_spec(p, params, schedule, k_max, init=None):
     for got, want in zip(tr.snapshots, snapshots):
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
     assert_states_bitwise(tr.final_states, states)
+
+
+def assert_run_matches_spec(p, params, schedule, k_max):
+    sol = rm.solve_centralized(p)
+    tr = rm.run(p, params, schedule, k_max, solution=sol, record_states=True)
+    assert_trace_matches_spec(tr, spec_run(p, params, schedule, k_max, sol))
     return tr
 
 
@@ -101,14 +110,6 @@ def test_run_equals_spec_per_edge_table(ten_node_problem, random_instance, which
 
 def test_run_equals_spec_loss_free_schedule_none(ten_node_problem):
     assert_run_matches_spec(ten_node_problem, rm.AlgorithmParams(0.75, 3.0), None, ROUNDS)
-
-
-@pytest.mark.parametrize("which", ["fig1", "random"])
-def test_run_equals_spec_from_random_init(ten_node_problem, random_instance, which):
-    p = ten_node_problem if which == "fig1" else random_instance
-    init = random_states(np.random.default_rng(21), p)
-    sched = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, 0.2), seed=22)
-    assert_run_matches_spec(p, rm.AlgorithmParams(0.75, 3.0), sched, ROUNDS, init=init)
 
 
 @pytest.mark.parametrize("loss_p", [0.0, 0.2])
@@ -151,13 +152,24 @@ def test_run_schedule_missing_an_edge_is_rejected(ten_node_problem):
         rm.run(p, rm.AlgorithmParams(0.75, 3.0), sched, 3)
 
 
-def test_run_schedule_with_extra_edges_matches_spec(ten_node_problem):
-    # the spec reads only the graph's own edges out of a wider mask
+def test_run_schedule_with_extra_edges_is_rejected(ten_node_problem):
     p = ten_node_problem
     probs = {e: 0.3 for e in p.graph.directed_edges()}
     probs[(0, 99)] = 0.5
     sched = rm.LossSchedule(model=rm.LossModel(probs), seed=27)
-    assert_run_matches_spec(p, rm.AlgorithmParams(0.75, 3.0), sched, 40)
+    with pytest.raises(ValueError):
+        rm.run(p, rm.AlgorithmParams(0.75, 3.0), sched, 3)
+
+
+def test_run_without_solution_scores_against_the_optimum(ten_node_problem):
+    p = ten_node_problem
+    params = rm.AlgorithmParams(0.75, 3.0)
+    sched = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, 0.2), seed=29)
+    a = rm.run(p, params, sched, 150, stop_tol=1e-5)
+    b = rm.run(p, params, sched, 150, solution=rm.solve_centralized(p), stop_tol=1e-5)
+    assert (a.rounds_executed, a.diverged) == (b.rounds_executed, b.diverged)
+    assert a.errors.tobytes() == b.errors.tobytes()
+    assert_states_bitwise(a.final_states, b.final_states)
 
 
 class _OpaqueCost:
