@@ -48,8 +48,10 @@ from .problem import (
 )
 from .reference import (
     ConstraintMatrices,
+    ReferenceRound,
     ReferenceState,
     build_constraint_matrices,
+    build_reference_round,
     check_equivalence,
     node_states_from_stacked_z,
     reference_initial_state,

@@ -80,19 +80,22 @@ def _combo_suffix(cfg: ExperimentConfig, alpha: float, rho: float, loss_p: float
     return "".join(parts)
 
 
+def _loss_models(cfg: ExperimentConfig, problem: PartitionProblem) -> list[tuple[float | None, LossModel]]:
+    """(p, model) per loss value of the config: a uniform model per `loss.p`
+    value, or the one `loss.table` model with p None."""
+    if cfg.loss.p is None:
+        return [(None, LossModel.from_table(problem.graph, cfg.loss.table))]
+    return [(loss_p, LossModel.uniform(problem.graph, loss_p)) for loss_p in cfg.loss.p]
+
+
 def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> int:
     problem = _resolve_instance(cfg, instance_path)
     solution = solve_centralized(problem)
-    loss_values: list[float | None] = list(cfg.loss.p) if cfg.loss.p is not None else [None]
-    settings = []
-    for loss_p in loss_values:
-        if loss_p is None:
-            model = LossModel.from_table(problem.graph, cfg.loss.table)
-            tol = cfg.run.resolved_tol(max(cfg.loss.table.values()))
-        else:
-            model = LossModel.uniform(problem.graph, loss_p)
-            tol = cfg.run.resolved_tol(loss_p)
-        settings.append((model, tol))
+    losses = _loss_models(cfg, problem)
+    settings = [
+        (model, cfg.run.resolved_tol(max(cfg.loss.table.values()) if loss_p is None else loss_p))
+        for loss_p, model in losses
+    ]
     # every (alpha, rho) is checked before the first output is written
     grid = [AlgorithmParams(alpha=a, rho=r) for a in cfg.params.alpha for r in cfg.params.rho]
     any_diverged = False
@@ -123,7 +126,7 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
             )
             texts = [monte_carlo_to_csv(mc) for mc in results]
         any_diverged = any_diverged or any(res.diverged for res in results)
-        for loss_p, text in zip(loss_values, texts):
+        for (loss_p, _), text in zip(losses, texts):
             suffix = _combo_suffix(cfg, params.alpha, params.rho, loss_p)
             path = _write(out_dir, f"{cfg.output_prefix}_trace{suffix}.csv", text)
             print(f"wrote {path}")
@@ -134,14 +137,19 @@ def cmd_check(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -
     if cfg.check is None:
         raise ConfigError("config has no 'check' section")
     problem = _resolve_instance(cfg, instance_path)
+    losses = _loss_models(cfg, problem)
     lines = []
     worst = 0.0
     for alpha in cfg.params.alpha:
         for rho in cfg.params.rho:
             params = AlgorithmParams(alpha=alpha, rho=rho)
-            dev = check_equivalence(problem, params, cfg.check.k_max, cfg.check.seed)
-            worst = max(worst, dev)
-            lines.append(f"alpha={alpha!r} rho={rho!r} k_max={cfg.check.k_max} max_deviation={dev!r}")
+            for loss_p, model in losses:
+                dev = check_equivalence(problem, params, cfg.check.k_max, cfg.check.seed, loss=model)
+                worst = max(worst, dev)
+                p_text = "table" if loss_p is None else repr(loss_p)
+                lines.append(
+                    f"alpha={alpha!r} rho={rho!r} p={p_text} k_max={cfg.check.k_max} max_deviation={dev!r}"
+                )
     verdict = "PASS" if worst < cfg.check.tol else "FAIL"
     lines.append(f"worst={worst!r} tol={cfg.check.tol!r} {verdict}")
     report = "\n".join(lines) + "\n"

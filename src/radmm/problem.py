@@ -261,11 +261,18 @@ def _object(v, what: str) -> dict:
     return v
 
 
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"instance {what} must be a JSON list, got {type(v).__name__}")
+    return v
+
+
 def _unmat(d) -> np.ndarray:
     d = _object(d, "matrix")
-    if not set(map(type, d["data"])) <= {int, float}:  # bool is no number here
+    if not set(map(type, _list(d["data"], "matrix data"))) <= {int, float}:  # bool is no number here
         raise ValueError("instance matrix data must be numbers")
-    return np.array(d["data"], dtype=float).reshape(d["shape"])
+    shape = [_integer(k, "matrix shape entry") for k in _list(d["shape"], "matrix shape")]
+    return np.array(d["data"], dtype=float).reshape(shape)
 
 
 def _uncost(c) -> QuadraticLocalCost:
@@ -318,17 +325,16 @@ def problem_from_json(text: str) -> PartitionProblem:
         gdoc = _object(doc["graph"], "graph")
         positions = None
         if gdoc.get("positions") is not None:
-            positions = np.array(gdoc["positions"], dtype=float)
+            positions = np.array(_list(gdoc["positions"], "graph.positions"), dtype=float)
         g = Graph(
             node_count=_integer(gdoc["nodes"], "graph.nodes"),
             edges=frozenset(
-                (_integer(i, "edge end"), _integer(j, "edge end")) for i, j in gdoc["edges"]
+                (_integer(i, "edge end"), _integer(j, "edge end"))
+                for i, j in (_list(e, "edge") for e in _list(gdoc["edges"], "graph.edges"))
             ),
             positions=positions,
         )
-        if not isinstance(doc["costs"], list):
-            raise ValueError("instance costs must be a JSON list")
-        costs = [_uncost(c) for c in doc["costs"]]
+        costs = [_uncost(c) for c in _list(doc["costs"], "costs")]
         return PartitionProblem(graph=g, costs=costs, dim=_integer(doc["dim"], "dim"))
     except KeyError as exc:
         raise ValueError(f"instance document lacks key {exc}") from exc

@@ -10,30 +10,28 @@ edge slots,
     x = argmin { f(x) + (Pz)' A x + (rho/2) ||A x||^2 }
     z <- (1 - alpha) z - alpha P z - 2 alpha rho A x.
 
-This module builds A and P explicitly, iterates the four updates on dense
-vectors, and exposes a lockstep comparison against the node-local rounds.
-It is deliberately plain dense linear algebra: it is the oracle, not the
-performance path.
+This module builds A and P explicitly and, once per (problem, params), a
+`ReferenceRound` holding the inverse of the x-argmin system
+2 H_f + rho A'A and the linear term 2 g_f; a step is then dense products
+with P, that inverse and A. It also exposes a lockstep comparison against
+the node-local rounds. It is deliberately plain dense linear algebra: it is
+the oracle, not the performance path.
 
 Slot layout of the y/w/z space: slots are grouped by owning node (ascending),
 within a node by ascending neighbor, and each (node, neighbor) pair
 contributes the block for the node's own variable followed by the block for
-the neighbor's variable, each of width n.
+the neighbor's variable, each of width n. The slot pairs therefore follow
+`Graph.directed_edges()` order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .core import (
-    AlgorithmParams,
-    NodeState,
-    make_local_solver,
-    stack_node_xs,
-    sync_round,
-)
+from .core import AlgorithmParams, NodeState, make_local_solver, stack_node_xs, sync_round
 from .graph import Graph, neighbors
 from .lossy import DeliveryMask, LossModel, LossSchedule, sample_mask
 from .problem import PartitionProblem
@@ -72,21 +70,9 @@ def build_constraint_matrices(g: Graph, n: int) -> ConstraintMatrices:
     the own slot of (i, j) with the neighbor slot of (j, i), i.e. the two
     copies of the same underlying variable on the two ends of an edge.
     """
-    x_base = []
-    off = 0
-    for i in range(g.node_count):
-        x_base.append(off)
-        off += n * (g.degree(i) + 1)
-    x_dim = off
-
-    slot_base: dict[tuple[int, int], int] = {}
-    off = 0
-    for i in range(g.node_count):
-        for j in neighbors(g, i):
-            slot_base[(i, j)] = off
-            off += 2 * n
-    y_dim = off
-
+    *x_base, x_dim = accumulate((n * (g.degree(i) + 1) for i in range(g.node_count)), initial=0)
+    slot_base = {e: 2 * n * k for k, e in enumerate(g.directed_edges())}
+    y_dim = 2 * n * len(slot_base)
     a = np.zeros((y_dim, x_dim))
     p = np.zeros((y_dim, y_dim))
     eye = np.eye(n)
@@ -118,62 +104,70 @@ class ReferenceState:
 def reference_initial_state(cm: ConstraintMatrices, z0: np.ndarray) -> ReferenceState:
     if z0.shape != (cm.y_dim,):
         raise ValueError(f"z0 must have shape ({cm.y_dim},), got {z0.shape}")
-    return ReferenceState(
-        x=np.zeros(cm.x_dim),
-        y=np.zeros(cm.y_dim),
-        w=np.zeros(cm.y_dim),
-        z=z0.copy(),
-    )
+    return ReferenceState(x=np.zeros(cm.x_dim), y=np.zeros(cm.y_dim), w=np.zeros(cm.y_dim), z=z0.copy())
 
 
-def _stacked_cost_terms(p: PartitionProblem, cm: ConstraintMatrices) -> tuple[np.ndarray, np.ndarray]:
-    """Hessian-half and linear term of f on the stacked copy vector."""
-    h = np.zeros((cm.x_dim, cm.x_dim))
+@dataclass(frozen=True)
+class ReferenceRound:
+    """One stacked round for a fixed (problem, params), built once.
+
+    x_map is the inverse of the x-argmin system 2 H_f + rho A'A and lin the
+    linear term 2 g_f.
+    """
+
+    cm: ConstraintMatrices
+    params: AlgorithmParams
+    x_map: np.ndarray
+    lin: np.ndarray
+
+
+def build_reference_round(
+    p: PartitionProblem, cm: ConstraintMatrices, params: AlgorithmParams
+) -> ReferenceRound:
+    """Assemble and invert the x-argmin system of p under params.
+
+    H_f is block diagonal over the nodes' stacked copy vectors and A'A is
+    diagonal (each row of A pins one coordinate: the node degree on
+    own-variable coordinates, one elsewhere), so the system is inverted
+    block by block. Raises ValueError when a block is singular.
+    """
+    ata = np.einsum("ij,ij->j", cm.a, cm.a)
+    x_map = np.zeros((cm.x_dim, cm.x_dim))
     lin = np.zeros(cm.x_dim)
     for i, cost in enumerate(p.costs):
         m = cost.stacked_map()
-        base = cm.x_base[i]
-        width = m.shape[1]
+        blk = slice(cm.x_base[i], cm.x_base[i] + m.shape[1])
         mtq = m.T @ cost.q
-        h[base : base + width, base : base + width] = mtq @ m
-        lin[base : base + width] = mtq @ cost.b
-    return h, lin
+        try:
+            x_map[blk, blk] = np.linalg.inv(2.0 * (mtq @ m) + params.rho * np.diag(ata[blk]))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("stacked x-update system is singular") from exc
+        lin[blk] = 2.0 * (mtq @ cost.b)
+    return ReferenceRound(cm=cm, params=params, x_map=x_map, lin=lin)
 
 
 def reference_step(
-    state: ReferenceState,
-    p: PartitionProblem,
-    cm: ConstraintMatrices,
-    params: AlgorithmParams,
-    delivery: DeliveryMask | None = None,
+    state: ReferenceState, rnd: ReferenceRound, delivery: DeliveryMask | None = None
 ) -> ReferenceState:
-    """One four-iterate round on stacked vectors.
+    """One four-iterate round on stacked vectors: P z, one product with the
+    built inverse, A x.
 
-    The x-argmin solves the assembled normal equations
-    (2 H_f + rho A'A) x = 2 g_f - A'(Pz); A'A is diagonal with the node
-    degree on own-variable coordinates and one elsewhere. With a delivery
-    mask, a lost directed edge j -> i keeps the slot pair at
-    slot_base[(j, i)] (the auxiliaries node i holds for the edge from j)
-    at its old value; without one every slot is updated.
+    x = (2 H_f + rho A'A)^-1 (2 g_f - A'(Pz)). With a delivery mask, a lost
+    directed edge j -> i keeps the slot pair at slot_base[(j, i)] (the
+    auxiliaries node i holds for the edge from j) at its old value; without
+    one every slot is updated.
     """
+    cm, alpha, rho = rnd.cm, rnd.params.alpha, rnd.params.rho
     z = state.z
     pz = cm.p @ z
-    y = (z + pz) / (2.0 * params.rho)
+    y = (z + pz) / (2.0 * rho)
     w = (z - pz) / 2.0
-    h, lin = _stacked_cost_terms(p, cm)
-    system = 2.0 * h + params.rho * (cm.a.T @ cm.a)
-    rhs = 2.0 * lin - cm.a.T @ pz
-    try:
-        x = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("stacked x-update system is singular") from exc
-    z_next = (1.0 - params.alpha) * z - params.alpha * pz - 2.0 * params.alpha * params.rho * (cm.a @ x)
+    x = rnd.x_map @ (rnd.lin - cm.a.T @ pz)
+    z_next = (1.0 - alpha) * z - alpha * pz - 2.0 * alpha * rho * (cm.a @ x)
     if delivery is not None:
-        kept = np.zeros(cm.y_dim, dtype=bool)
-        for e, base in cm.slot_base.items():
-            if not delivery.delivered[e]:
-                kept[base : base + 2 * cm.n] = True
-        z_next = np.where(kept, z, z_next)
+        # the slot pairs follow directed-edge order, each 2n wide
+        delivered = np.fromiter(map(delivery.delivered.__getitem__, cm.slot_base), bool)
+        z_next = np.where(np.repeat(~delivered, 2 * cm.n), z, z_next)
     return ReferenceState(x=x, y=y, w=w, z=z_next)
 
 
@@ -230,6 +224,7 @@ def check_equivalence(
     ref = reference_initial_state(cm, z0)
     states = node_states_from_stacked_z(p, cm, z0)
     solvers = [make_local_solver(c, params) for c in p.costs]
+    rnd = build_reference_round(p, cm, params)
     schedule = None
     if loss is not None:
         model = loss if isinstance(loss, LossModel) else LossModel.uniform(p.graph, loss)
@@ -238,7 +233,7 @@ def check_equivalence(
     max_dev = 0.0
     for k in range(k_max):
         mask = None if schedule is None else sample_mask(schedule, k)
-        ref = reference_step(ref, p, cm, params, mask)
+        ref = reference_step(ref, rnd, mask)
         states = sync_round(states, p, params, complete if mask is None else mask, solvers)
         dev = float(np.max(np.abs(ref.x - stack_node_xs(states)))) if cm.x_dim else 0.0
         if dev > max_dev:

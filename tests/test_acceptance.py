@@ -81,6 +81,17 @@ def test_criterion_1_trajectory_equivalence(suite_instances):
         assert elapsed < 10.0, f"equivalence suite took {elapsed:.1f}s"
 
 
+def test_criterion_1_trajectory_equivalence_under_loss(suite_instances):
+    with criterion(1, "node-local rounds match the stacked reference under loss"):
+        worst = 0.0
+        for t, (p, _) in enumerate(suite_instances):
+            dev = rm.check_equivalence(
+                p, rm.AlgorithmParams(0.75, 3.0), k_max=50, seed=_seed64(101, t), loss=0.3
+            )
+            worst = max(worst, dev)
+        assert worst < 1e-9, f"max deviation {worst}"
+
+
 def test_criterion_2_lossless_convergence(suite_instances):
     with criterion(2, "loss-free runs reach 1e-6 with consensus"):
         for p, sol in suite_instances:

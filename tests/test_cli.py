@@ -137,6 +137,19 @@ def test_check_passes_on_generated_instance(tmp_path, capsys):
     assert "PASS" in out
     report = (tmp_path / "o" / "t_check.txt").read_text()
     assert "max_deviation" in report
+    # one line per (alpha, rho, loss value) of the config, a loss table as p=table
+    for loss, labels in [
+        ({"p": [0.0, 0.4]}, ["p=0.0", "p=0.4"]),
+        ({"p": None, "table": _table_of(0.3)}, ["p=table"]),
+    ]:
+        doc = base_config()
+        doc["loss"].update(loss)
+        out_dir = tmp_path / labels[-1]
+        assert cli.main(["check", "--config", write_config(tmp_path, doc), "--out", str(out_dir)]) == cli.EXIT_OK
+        *lines, verdict = (out_dir / "t_check.txt").read_text().splitlines()
+        assert [line.split()[2] for line in lines] == labels
+        assert all(float(line.split("max_deviation=")[1]) < 1e-9 for line in lines)
+        assert verdict.endswith("PASS")
 
 
 def test_sweep_writes_outcomes(tmp_path):
@@ -311,6 +324,17 @@ def _list_matrix(doc):
     return doc
 
 
+def _edited_graph(**values):
+    return _edited_instance(lambda doc: dict(doc, graph=dict(doc["graph"], **values)))
+
+
+def _edited_q(**values):
+    def edit(doc):
+        doc["costs"][0]["q"].update(values)
+        return doc
+    return _edited_instance(edit)
+
+
 @pytest.mark.parametrize(
     "command, section, values, instance",
     [
@@ -341,6 +365,11 @@ def _list_matrix(doc):
         ("run", "run", {}, _edited_instance(_list_matrix)),
         ("run", "run", {}, _edited_instance(lambda doc: dict(doc, costs=5))),
         ("run", "run", {}, _edited_instance(lambda doc: dict(doc, graph=[3]))),
+        ("run", "run", {}, _edited_graph(edges=5)),
+        ("run", "run", {}, _edited_graph(edges=[5])),
+        ("run", "run", {}, _edited_q(data=5)),
+        ("run", "run", {}, _edited_q(shape="x")),
+        ("run", "run", {}, _edited_graph(positions=5)),
     ],
     ids=["runs0", "k_max0", "rho-1", "p1.5", "nodes0", "dim0", "off-graph-table",
          "missing-instance", "instance-without-graph", "sweep-runs0",
@@ -348,7 +377,9 @@ def _list_matrix(doc):
          "loss-seed-string", "alpha-bool", "table-value-string", "prefix-number",
          "misspelt-run-key", "misspelt-graph-key", "unknown-section",
          "instance-array", "instance-nodes-string", "instance-data-strings",
-         "instance-matrix-list", "instance-costs-number", "instance-graph-list"],
+         "instance-matrix-list", "instance-costs-number", "instance-graph-list",
+         "instance-edges-number", "instance-edge-number", "instance-data-number",
+         "instance-shape-string", "instance-positions-number"],
 )
 def test_invalid_input_exits_2_without_output(tmp_path, capsys, command, section, values, instance):
     doc = base_config()

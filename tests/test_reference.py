@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import radmm as rm
+import radmm.reference as reference
 from conftest import central_fd_gradient, make_instances
 
 
@@ -57,8 +58,9 @@ def test_reference_step_from_zero_z(ten_node_problem):
     p = ten_node_problem
     cm = rm.build_constraint_matrices(p.graph, p.dim)
     params = rm.AlgorithmParams(alpha=0.75, rho=3.0)
+    rnd = rm.build_reference_round(p, cm, params)
     state = rm.reference_initial_state(cm, np.zeros(cm.y_dim))
-    out = rm.reference_step(state, p, cm, params)
+    out = rm.reference_step(state, rnd)
     assert np.array_equal(out.y, np.zeros(cm.y_dim))
     assert np.array_equal(out.w, np.zeros(cm.y_dim))
     # x minimizes f + (rho/2)||Ax||^2: its gradient there must vanish
@@ -88,9 +90,10 @@ def test_reference_step_alpha_half_recovers_unrelaxed_update(ten_node_problem):
     p = ten_node_problem
     cm = rm.build_constraint_matrices(p.graph, p.dim)
     params = rm.AlgorithmParams(alpha=0.5, rho=2.0)
+    rnd = rm.build_reference_round(p, cm, params)
     rng = np.random.default_rng(1)
     z = rng.standard_normal(cm.y_dim)
-    out = rm.reference_step(rm.reference_initial_state(cm, z), p, cm, params)
+    out = rm.reference_step(rm.reference_initial_state(cm, z), rnd)
     expected = z / 2 - (cm.p @ z) / 2 - params.rho * (cm.a @ out.x)
     assert np.allclose(out.z, expected, atol=1e-12)
 
@@ -100,11 +103,12 @@ def test_reference_iterate_identities(ten_node_problem):
     p = ten_node_problem
     cm = rm.build_constraint_matrices(p.graph, p.dim)
     params = rm.AlgorithmParams(alpha=0.75, rho=3.0)
+    rnd = rm.build_reference_round(p, cm, params)
     rng = np.random.default_rng(2)
     state = rm.reference_initial_state(cm, rng.standard_normal(cm.y_dim))
     for _ in range(5):
         z_consumed = state.z
-        state = rm.reference_step(state, p, cm, params)
+        state = rm.reference_step(state, rnd)
         assert np.max(np.abs(cm.p @ state.y - state.y)) < 1e-12
         assert np.max(np.abs((np.eye(cm.y_dim) - cm.p) @ state.y)) < 1e-12
         assert np.max(np.abs(state.w + params.rho * state.y - z_consumed)) < 1e-12
@@ -146,13 +150,36 @@ def test_reference_converges_to_centralized_optimum(ten_node_problem, ten_node_s
     p, sol = ten_node_problem, ten_node_solution
     cm = rm.build_constraint_matrices(p.graph, p.dim)
     params = rm.AlgorithmParams(alpha=0.75, rho=3.0)
+    rnd = rm.build_reference_round(p, cm, params)
     state = rm.reference_initial_state(cm, np.zeros(cm.y_dim))
     for _ in range(400):
-        state = rm.reference_step(state, p, cm, params)
+        state = rm.reference_step(state, rnd)
     for i in range(p.graph.node_count):
         base = cm.x_base[i]
         assert np.allclose(state.x[base : base + p.dim], sol.x_star[i], atol=1e-7)
 
+
+
+def test_check_equivalence_builds_the_round_once(ten_node_problem, monkeypatch):
+    # the stacked system is assembled and factored once per call, whatever k_max
+    calls = dict.fromkeys(["build_constraint_matrices", "build_reference_round", "reference_step"], 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(reference, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(reference, name, counted)
+    rm.check_equivalence(ten_node_problem, rm.AlgorithmParams(0.75, 3.0), k_max=50, seed=5, loss=0.3)
+    assert calls == {"build_constraint_matrices": 1, "build_reference_round": 1, "reference_step": 50}
+
+
+def test_singular_stacked_system_raises_when_the_round_is_built():
+    # an isolated node whose one cost row cannot pin both of its coordinates
+    g = rm.Graph(node_count=1, edges=frozenset())
+    cost = rm.QuadraticLocalCost(a_self=np.array([[1.0, 0.0]]), a_neigh={}, b=np.ones(1), q=np.eye(1))
+    p = rm.PartitionProblem(graph=g, costs=[cost], dim=2)
+    cm = rm.build_constraint_matrices(g, p.dim)
+    with pytest.raises(ValueError, match="singular"):
+        rm.build_reference_round(p, cm, rm.AlgorithmParams(0.75, 3.0))
 
 # --- lossy oracle --------------------------------------------------------------
 
@@ -161,9 +188,10 @@ def test_reference_step_complete_mask_equals_unmasked(ten_node_problem):
     p = ten_node_problem
     cm = rm.build_constraint_matrices(p.graph, p.dim)
     params = rm.AlgorithmParams(alpha=0.75, rho=3.0)
+    rnd = rm.build_reference_round(p, cm, params)
     state = rm.reference_initial_state(cm, np.random.default_rng(3).standard_normal(cm.y_dim))
-    a = rm.reference_step(state, p, cm, params)
-    b = rm.reference_step(state, p, cm, params, rm.DeliveryMask.complete(p.graph))
+    a = rm.reference_step(state, rnd)
+    b = rm.reference_step(state, rnd, rm.DeliveryMask.complete(p.graph))
     assert a.z.tobytes() == b.z.tobytes()
     assert a.x.tobytes() == b.x.tobytes()
 
@@ -172,11 +200,12 @@ def test_reference_step_lost_edge_keeps_its_slot_pair(ten_node_problem):
     p = ten_node_problem
     cm = rm.build_constraint_matrices(p.graph, p.dim)
     params = rm.AlgorithmParams(alpha=0.75, rho=3.0)
+    rnd = rm.build_reference_round(p, cm, params)
     state = rm.reference_initial_state(cm, np.random.default_rng(4).standard_normal(cm.y_dim))
     lost = p.graph.directed_edges()[3]
     mask = rm.DeliveryMask(delivered={e: e != lost for e in p.graph.directed_edges()})
-    full = rm.reference_step(state, p, cm, params)
-    gated = rm.reference_step(state, p, cm, params, mask)
+    full = rm.reference_step(state, rnd)
+    gated = rm.reference_step(state, rnd, mask)
     base = cm.slot_base[lost]
     kept = np.zeros(cm.y_dim, dtype=bool)
     kept[base : base + 2 * p.dim] = True
@@ -212,13 +241,14 @@ def test_lossy_lockstep_needs_the_gate(ten_node_problem):
     p = ten_node_problem
     params = rm.AlgorithmParams(0.75, 3.0)
     cm = rm.build_constraint_matrices(p.graph, p.dim)
+    rnd = rm.build_reference_round(p, cm, params)
     z0 = np.random.default_rng(99).standard_normal(cm.y_dim)
     ref = rm.reference_initial_state(cm, z0)
     states = rm.node_states_from_stacked_z(p, cm, z0)
     sched = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, 0.4), seed=99)
     dev = 0.0
     for k in range(10):
-        ref = rm.reference_step(ref, p, cm, params)
+        ref = rm.reference_step(ref, rnd)
         states = rm.sync_round(states, p, params, rm.sample_mask(sched, k))
         dev = max(dev, float(np.max(np.abs(ref.x - np.concatenate([s.stacked_x() for s in states])))))
     assert dev > 1e-3
