@@ -7,7 +7,8 @@ presets take a few seconds on one core; pass --jobs to parallelize the sweep
 and --runs to thin the Monte Carlo.
 
 Each regeneration also writes out/figures/MANIFEST.json: the radmm version,
-and per preset its command, run count and the sha256 of every CSV. With
+the loss-mask contract version (`radmm.MASK_CONTRACT`), and per preset its
+command, run count and the sha256 of every CSV. With
 --check nothing under out/ is written: the presets run again, at the run
 counts the manifest records, into a temporary directory, and the script
 exits 1 unless that output and the committed CSVs both match the manifest.
@@ -63,13 +64,18 @@ def regenerate(root: Path, jobs: int, runs: dict[str, int]) -> tuple[int, dict]:
     for name, command in PRESETS:
         worst = max(worst, run_preset(name, command, root / name, jobs, runs[name]))
         presets[name] = {"command": command, "runs": runs[name], "files": digests(root / name)}
-    return worst, {"radmm_version": radmm.__version__, "presets": presets}
+    return worst, {
+        "radmm_version": radmm.__version__,
+        "mask_contract": radmm.MASK_CONTRACT,
+        "presets": presets,
+    }
 
 
 def mismatches(want: dict, got: dict, what: str) -> list[str]:
     out = []
-    if got.get("radmm_version") != want.get("radmm_version"):
-        out.append(f"{what}: radmm version {got.get('radmm_version')} != {want.get('radmm_version')}")
+    for key in ("radmm_version", "mask_contract"):
+        if got.get(key) != want.get(key):
+            out.append(f"{what}: {key} {got.get(key)} != {want.get(key)}")
     for name in sorted(set(want["presets"]) | set(got["presets"])):
         w, g = want["presets"].get(name), got["presets"].get(name)
         if w is None or g is None:
@@ -91,6 +97,7 @@ def check(jobs: int) -> int:
         rc, fresh = regenerate(Path(tmp), jobs, runs)
     committed = {
         "radmm_version": want["radmm_version"],
+        "mask_contract": want.get("mask_contract"),
         "presets": {
             name: dict(entry, files=digests(FIGDIR / name)) for name, entry in want["presets"].items()
         },

@@ -33,7 +33,15 @@ from .graph import (
     is_connected,
     neighbors,
 )
-from .lossy import DeliveryMask, LossModel, LossSchedule, delivery_array, sample_mask
+from .lossy import (
+    MASK_CONTRACT,
+    DeliveryMask,
+    LossModel,
+    LossSchedule,
+    delivery_array,
+    delivery_block,
+    sample_mask,
+)
 from .problem import (
     IndefiniteHessianError,
     PartitionProblem,

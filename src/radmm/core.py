@@ -40,11 +40,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import Graph, neighbors
-from .lossy import DeliveryMask, LossSchedule, delivery_array
+from .lossy import DeliveryMask, LossSchedule, delivery_block
 from .problem import PartitionProblem, QuadraticLocalCost, Solution, solve_centralized
 
 DIVERGENCE_NORM = 1e8
 _Z_CHECK_EVERY = 64
+_MASK_CHUNK = 64  # rounds of masks the engine draws at once
 
 
 class SingularLocalSystemError(ValueError):
@@ -492,15 +493,13 @@ class _StackedEngine:
         self.message_x = n * np.stack([edge_slot, self_slot[sender]], axis=1)[..., None] + col
         self.message_z = 2 * n * rev[:, None, None] + np.array([[n], [0]]) + col
 
-    def _delivery(self, schedule: LossSchedule | None):
-        """Round -> delivered flags in edge order; None when nothing is ever lost."""
+    def _lossy(self, schedule: LossSchedule | None) -> LossSchedule | None:
+        """The schedule, or None when it never loses a packet."""
         if schedule is None:
             return None
         if schedule.edges != self.edges:
             raise ValueError("a loss schedule must cover exactly the graph's directed edges")
-        if schedule.loss_free:
-            return None
-        return lambda k: delivery_array(schedule, k)
+        return None if schedule.loss_free else schedule
 
     def _states(self, x: np.ndarray, z: np.ndarray) -> list[NodeState]:
         n = self.n
@@ -535,22 +534,25 @@ class _StackedEngine:
         only its own q and z. Every trace is therefore bitwise equal to that
         run's own `run`. A run that diverges, or whose error falls below its
         stop_tol (None: no stop), is frozen on that round and its row
-        dropped; errors are taken against solution. With final_states=False
-        the traces carry no final states, which large batches that keep only
-        the errors need not hold.
+        dropped; errors are taken against solution. The lossy rows' masks
+        are drawn _MASK_CHUNK rounds at a time in one `delivery_block`
+        call, and a dropped row's part of the chunk is dropped with it;
+        masks are a pure function of (seed, round, edge), so chunking does
+        not change them. With final_states=False the traces carry no final
+        states, which large batches that keep only the errors need not hold.
         """
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
         ref, starts, norms = _reference_blocks(solution, self.orders)
-        delivers = [self._delivery(schedule) for schedule, _, _ in runs]
-        if not delivers:
+        schedules = [self._lossy(schedule) for schedule, _, _ in runs]
+        if not schedules:
             return []
         # Loss-free runs with one alpha and stop tolerance follow one
         # trajectory: the first of them gets a row, the others share its result.
         first: dict = {}
         source = [
-            first.setdefault((r,) if deliver else (None, alpha, tol), r)
-            for r, (deliver, (_, alpha, tol)) in enumerate(zip(delivers, runs))
+            first.setdefault((r,) if schedule else (None, alpha, tol), r)
+            for r, (schedule, (_, alpha, tol)) in enumerate(zip(schedules, runs))
         ]
         ids = np.array(sorted(set(source)))  # the run each row holds
         alphas = [float(alpha) for _, alpha, _ in runs]
@@ -563,6 +565,10 @@ class _StackedEngine:
         snapshots = [[] for _ in runs] if record_states else None
         ends: list = [None] * len(runs)  # (rounds, diverged, final (x, z) or None) per run
         rows = 0  # rows the views below were made for
+        # every row's delivery flag per z entry for rounds drawn_at ..
+        # drawn_to - 1, (rows, rounds, edges, 2 n); loss-free rows deliver all
+        gates, drawn_at, drawn_to = None, 0, 0
+        lossy = np.array([schedules[r] is not None for r in ids])
         for k in range(k_max):
             if rows != len(ids):
                 # Views of the rows' state. A single row gets 1-D views, on
@@ -579,13 +585,7 @@ class _StackedEngine:
                     (inv, v[..., at].reshape(lead + shape), xc[..., at].reshape(lead + shape))
                     for inv, at, shape in self.classes
                 ]
-                lossy = [(row, delivers[r]) for row, r in enumerate(ids) if delivers[r]]
-                delivered = np.ones((rows, len(self.edges)), dtype=bool)
-                flags = delivered.reshape(lead + (len(self.edges), 1))
-                # copyto broadcasting an (edges, 1, 1) mask is about twice
-                # as slow as with a full-size one
-                gate = np.empty(z.shape, dtype=bool)
-                gate_rows = gate.reshape(lead + (len(self.edges), 2 * self.n))
+                any_lossy = bool(lossy.any())
                 relaxed = np.empty_like(z)
                 # each row's alpha scales its own q and z (a shared one stays
                 # a scalar, on which numpy calls cost least)
@@ -602,13 +602,17 @@ class _StackedEngine:
             q *= two_rho
             q -= state.take(self.message_z, axis=-1)
             q *= alpha
-            if lossy:
-                for row, deliver in lossy:
-                    delivered[row] = deliver(k)
+            if any_lossy:
+                if k == drawn_to:
+                    # one flag per z entry: copyto broadcasting an (edges, 1,
+                    # 1) mask is about twice as slow as with a full-size one
+                    drawn_at, drawn_to = k, min(k + _MASK_CHUNK, k_max)
+                    gates = np.ones((rows, drawn_to - k, len(self.edges), 2 * self.n), dtype=bool)
+                    drawn = delivery_block([schedules[r] for r in ids[lossy]], k, drawn_to - k)
+                    gates[lossy] = drawn[..., None]
                 np.multiply(z, keep, out=relaxed)
                 relaxed += q
-                gate_rows[...] = flags
-                np.copyto(z, relaxed, where=gate)
+                np.copyto(z, relaxed, where=gates[:, k - drawn_at].reshape(z.shape))
             else:
                 z *= keep
                 z += q
@@ -645,7 +649,9 @@ class _StackedEngine:
                 last = (x_rows[row], z_rows[row]) if final_states else None
                 ends[ids[row]] = (k + 1, not ok[row], last)
             live = ~done
-            buf, ids = buf[live], ids[live]
+            if gates is not None:
+                gates = gates[live]
+            buf, ids, lossy = buf[live], ids[live], lossy[live]
             tols = [t for t, alive in zip(tols, live) if alive]
             if not ids.size:
                 break

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .core import AlgorithmParams, RunTrace, _StackedEngine
-from .lossy import LossModel, LossSchedule
+from .lossy import LossModel, LossSchedule, splitmix64
 from .problem import PartitionProblem, Solution, solve_centralized
 
 __all__ = [
@@ -38,7 +38,13 @@ DEFAULT_TOL_LOSSY = 1e-4
 
 
 def _sub_seed(*key: int) -> int:
-    return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
+    """A loss seed from ints in [0, 2**64): h <- splitmix64(h + v) over them, from h = 0."""
+    h = 0
+    for v in key:
+        if not 0 <= v < 1 << 64:
+            raise ValueError(f"seed keys must be in [0, 2**64), got {v}")
+        h = splitmix64(h + v)
+    return h
 
 
 @dataclass

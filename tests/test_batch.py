@@ -70,6 +70,33 @@ def test_batch_diverging_on_different_rounds(ten_node_problem):
     assert len({tr.rounds_executed for tr in traces}) == len(traces)
 
 
+def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem):
+    # masks are drawn 64 rounds at a time: these runs stop inside the first
+    # and the second chunk (their mask rows are dropped from it), and
+    # k_max = 150 leaves a short last chunk of 22 rounds
+    p = ten_node_problem
+    sol = rm.solve_centralized(p)
+    rows = [
+        (uniform(p, 0.2, 31), 0.75, 1e-3),
+        (uniform(p, 0.0, 32), 0.75, 1e-5),
+        (uniform(p, 0.4, 33), 0.75, 1e-4),
+        (uniform(p, 0.6, 34), 0.75, None),
+        (uniform(p, 0.2, 35), 0.75, 1e-5),
+        (None, 0.75, None),
+        (uniform(p, 0.6, 36), 0.75, 1e-3),
+    ]
+    traces = _StackedEngine(p, 3.0).run(rows, 150, sol)
+    for tr, (schedule, alpha, tol) in zip(traces, rows):
+        alone = rm.run(p, rm.AlgorithmParams(alpha, 3.0), schedule, 150, solution=sol, stop_tol=tol)
+        assert tr.errors.tobytes() == alone.errors.tobytes()
+        assert (tr.rounds_executed, tr.diverged) == (alone.rounds_executed, alone.diverged)
+        assert_states_bitwise(tr.final_states, alone.final_states)
+    rounds = [tr.rounds_executed for tr in traces]
+    assert any(r < 64 for r in rounds)  # a stop inside the first chunk
+    assert any(64 < r < 128 for r in rounds)  # and inside the second
+    assert max(rounds) == 150
+
+
 def test_batch_mixing_divergence_convergence_and_k_max(ten_node_problem):
     # alpha = 1.3 at p = 0.6: some runs diverge within 240 rounds, others not
     p = ten_node_problem
@@ -208,9 +235,9 @@ def test_sweep_equals_per_run_reference(ten_node_problem):
     assert result.outcomes == outcomes
     assert result.converged_at == medians
     assert set(outcomes.values()) == {"converged", "diverged", "undecided"}
-    # run 0 of this cell is still going at k_max while runs 1 and 2 diverge:
-    # the first run in run order decides
-    assert outcomes[(3.0, 1.3, 0.6)] == "undecided"
+    # runs 0, 1 and 3 of this cell diverge while run 2 is still going at
+    # k_max: the first run in run order that does not converge decides
+    assert outcomes[(3.0, 1.3, 0.6)] == "diverged"
 
 
 def test_sweep_builds_one_engine_per_rho(ten_node_problem, monkeypatch):

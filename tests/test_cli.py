@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,6 +130,36 @@ def test_run_with_loss_table(tmp_path):
     )
     assert rc == cli.EXIT_OK
     assert (tmp_path / "o2" / "t_trace.csv").exists()
+
+
+def test_run_and_sweep_from_an_instance_never_import_numpy_random(tmp_path):
+    # masks and run seeds are hashed without numpy.random, whose import
+    # (secrets and hmac with it) would cost every short `radmm run` ~16 ms
+    doc = base_config(
+        loss={"p": [0.0, 0.3], "seed": 5},
+        sweep={"rho": [3.0], "alpha": [0.5, 1.3], "p": [0.0, 0.3], "runs": 2, "k_max": 100},
+    )
+    inst = tmp_path / "o" / "t_instance.json"
+    commands = []
+    for runs in (1, 3):
+        doc["run"]["runs"] = runs
+        cfg = write_config(tmp_path, doc, name=f"runs{runs}.json")
+        commands.append(["run", "--config", cfg, "--instance", str(inst), "--out", str(tmp_path / "o")])
+    commands.append(["sweep", "--config", cfg, "--instance", str(inst), "--out", str(tmp_path / "o")])
+    assert cli.main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    script = (
+        "import sys\n"
+        "from radmm.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(rm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_check_passes_on_generated_instance(tmp_path, capsys):
@@ -370,6 +403,8 @@ def _edited_q(**values):
         ("run", "run", {}, _edited_q(data=5)),
         ("run", "run", {}, _edited_q(shape="x")),
         ("run", "run", {}, _edited_graph(positions=5)),
+        ("run", "loss", {"seed": 2**64}, None),
+        ("run", "loss", {"seed": -1}, None),
     ],
     ids=["runs0", "k_max0", "rho-1", "p1.5", "nodes0", "dim0", "off-graph-table",
          "missing-instance", "instance-without-graph", "sweep-runs0",
@@ -379,7 +414,8 @@ def _edited_q(**values):
          "instance-array", "instance-nodes-string", "instance-data-strings",
          "instance-matrix-list", "instance-costs-number", "instance-graph-list",
          "instance-edges-number", "instance-edge-number", "instance-data-number",
-         "instance-shape-string", "instance-positions-number"],
+         "instance-shape-string", "instance-positions-number", "loss-seed-2**64",
+         "loss-seed-negative"],
 )
 def test_invalid_input_exits_2_without_output(tmp_path, capsys, command, section, values, instance):
     doc = base_config()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import radmm as rm
+from radmm.lossy import splitmix64
 from conftest import random_states
 
 
@@ -86,7 +87,7 @@ def test_monte_carlo_single_run_equals_run(ten_node_problem, ten_node_solution):
     mc = rm.monte_carlo(p, params, 0.3, runs=1, k_max=50, seed=9, solution=sol)
     sched = rm.LossSchedule(
         model=rm.LossModel.uniform(p.graph, 0.3),
-        seed=int(np.random.SeedSequence((9, 0)).generate_state(1, np.uint64)[0]),
+        seed=splitmix64(splitmix64(0 + 9) + 0),  # h <- splitmix64(h + v) over (seed, r) = (9, 0)
     )
     tr = rm.run(p, params, sched, 50, solution=sol)
     assert np.array_equal(mc.mean, tr.errors)

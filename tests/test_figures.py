@@ -1,0 +1,35 @@
+"""scripts/reproduce_figures.py: the manifest records the mask contract."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import radmm as rm
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_figures", ROOT / "scripts" / "reproduce_figures.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_committed_manifest_records_the_mask_contract():
+    manifest = json.loads((ROOT / "out" / "figures" / "MANIFEST.json").read_text())
+    assert manifest["mask_contract"] == rm.MASK_CONTRACT
+
+
+def test_check_reports_another_mask_contract():
+    fig = load_script()
+    fresh = {"radmm_version": rm.__version__, "mask_contract": rm.MASK_CONTRACT, "presets": {}}
+    assert fig.mismatches(fresh, dict(fresh), "regenerated") == []
+    older = dict(fresh, mask_contract=rm.MASK_CONTRACT - 1)
+    assert fig.mismatches(older, fresh, "regenerated") == [
+        f"regenerated: mask_contract {rm.MASK_CONTRACT} != {rm.MASK_CONTRACT - 1}"
+    ]
+    unversioned = {k: v for k, v in fresh.items() if k != "mask_contract"}
+    assert len(fig.mismatches(unversioned, fresh, "regenerated")) == 1

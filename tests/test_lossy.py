@@ -1,9 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radmm as rm
+from radmm.experiments import _sub_seed
+from radmm.lossy import splitmix64
 
 
 def small_graph():
@@ -137,13 +142,27 @@ def test_negative_round_rejected():
         rm.sample_mask(sched, -1)
 
 
-# --- delivery_array: one reused generator, same draws ---------------------------
+# --- delivery_array: the mask contract, on Python ints ----------------------
 
 
 def fresh_draw(sched, k):
-    """The construction the (seed, round, edge) contract is written in."""
-    gen = np.random.Generator(np.random.Philox(key=sched.seed, counter=k << 128))
-    return gen.random(len(sched.edges)) >= np.array([sched.model.probs[e] for e in sched.edges])
+    """The (seed, round, edge) contract written out on Python ints: the top
+    53 bits u of SplitMix64's (kE + e + 1)-th output from seed, and a packet
+    delivered unless u < ceil(p 2**53)."""
+    e_count, out = len(sched.edges), []
+    for e, edge in enumerate(sched.edges):
+        z = (sched.seed + (k * e_count + e + 1) * 0x9E3779B97F4A7C15) % 2**64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        u = (z ^ (z >> 31)) >> 11
+        out.append(u >= math.ceil(sched.model.probs[edge] * 2**53))
+    return np.array(out, dtype=bool)
+
+
+def test_splitmix64_reproduces_the_reference_stream():
+    # SplitMix64's first three outputs from state 0 (Steele, Lea & Flood 2014)
+    outputs = [splitmix64(i * 0x9E3779B97F4A7C15) for i in range(3)]
+    assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 def mixed_graph():
@@ -168,7 +187,8 @@ def test_delivery_array_per_edge_table_and_requery_order():
     sched = rm.LossSchedule(model=rm.LossModel.from_table(g, table), seed=41)
     for k in range(1000):
         assert rm.delivery_array(sched, k).tobytes() == fresh_draw(sched, k).tobytes()
-    for k in (999, 0, 500, 3, 3, 2**64 + 5, 10**9, 1):
+    last = 2**64 // len(sched.edges) - 1  # the largest valid round
+    for k in (999, 0, 500, 3, 3, last, last // 2 + 5, 10**9, last - 1, 1):
         assert rm.delivery_array(sched, k).tobytes() == fresh_draw(sched, k).tobytes()
 
 
@@ -186,3 +206,66 @@ def test_delivery_array_rejects_negative_round():
     sched = rm.LossSchedule(model=rm.LossModel.uniform(small_graph(), 0.5), seed=1)
     with pytest.raises(ValueError):
         rm.delivery_array(sched, -1)
+
+
+# --- delivery_block: chunks of rounds, the contract's bounds -------------------
+
+
+def test_single_rounds_in_random_order_equal_the_block():
+    g = mixed_graph()
+    rng = np.random.default_rng(5)
+    table = {e: float(rng.uniform(0.0, 1.0)) for e in g.directed_edges()}
+    schedules = [
+        rm.LossSchedule(model=rm.LossModel.uniform(g, 0.3), seed=2),
+        rm.LossSchedule(model=rm.LossModel.from_table(g, table), seed=2**64 - 1),
+        rm.LossSchedule(model=rm.LossModel.uniform(g, 0.0), seed=9),
+        rm.LossSchedule(model=rm.LossModel.uniform(g, 1.0), seed=9),
+    ]
+    for k0, rounds in ((0, 64), (3 * 64 + 5, 37), (10**12, 1)):
+        block = rm.delivery_block(schedules, k0, rounds)
+        assert block.shape == (len(schedules), rounds, len(g.directed_edges()))
+        for s in rng.permutation(len(schedules)).tolist():
+            for j in rng.permutation(rounds).tolist():
+                got = rm.delivery_array(schedules[s], k0 + j)
+                assert got.tobytes() == block[s, j].tobytes()
+                assert got.tobytes() == fresh_draw(schedules[s], k0 + j).tobytes()
+
+
+def test_masks_of_consecutive_derived_seeds_are_uncorrelated():
+    # runs r and r + 1 of a Monte Carlo, seeded (seed, r) and (seed, r + 1)
+    g = small_graph()
+    model = rm.LossModel.uniform(g, 0.3)
+    schedules = [rm.LossSchedule(model=model, seed=_sub_seed(23, r)) for r in range(5)]
+    losses = ~rm.delivery_block(schedules, 0, 4000).reshape(len(schedules), -1)
+    for r in range(len(schedules) - 1):
+        corr = np.corrcoef(losses[r].astype(float), losses[r + 1].astype(float))[0, 1]
+        assert abs(corr) < 0.05
+
+
+def test_no_overflow_warning_at_the_largest_seed_and_round():
+    g = mixed_graph()
+    sched = rm.LossSchedule(model=rm.LossModel.uniform(g, 0.5), seed=2**64 - 1)
+    last = 2**64 // len(sched.edges) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = rm.delivery_block([sched], last - 63, 64)
+        single = rm.delivery_array(sched, last)
+    assert single.tobytes() == block[0, -1].tobytes() == fresh_draw(sched, last).tobytes()
+
+
+def test_rounds_and_seeds_outside_the_contract_are_rejected():
+    g = mixed_graph()
+    sched = rm.LossSchedule(model=rm.LossModel.uniform(g, 0.5), seed=1)
+    past = 2**64 // len(sched.edges)  # (past + 1) E > 2**64
+    rm.delivery_array(sched, past - 1)
+    with pytest.raises(ValueError):
+        rm.delivery_array(sched, past)
+    with pytest.raises(ValueError):
+        rm.delivery_block([sched], past - 10, 11)
+    with pytest.raises(ValueError):
+        rm.delivery_block([sched], -1, 2)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            rm.LossSchedule(model=rm.LossModel.uniform(g, 0.5), seed=seed)
+    with pytest.raises(ValueError):
+        _sub_seed(23, 2**64)
