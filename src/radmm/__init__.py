@@ -15,12 +15,12 @@ from .core import (
     QuadraticLocalSolver,
     RunTrace,
     SingularLocalSystemError,
-    apply_message,
     compute_messages,
     consensus_residual,
     initial_states,
     local_x_update,
     make_local_solver,
+    node_states,
     relative_error,
     run,
     sync_round,
@@ -61,7 +61,6 @@ from .reference import (
     build_constraint_matrices,
     build_reference_round,
     check_equivalence,
-    node_states_from_stacked_z,
     reference_initial_state,
     reference_step,
 )

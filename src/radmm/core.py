@@ -16,14 +16,15 @@ Local costs are `QuadraticLocalCost`s, so every x-update is a closed-form
 solve against a system factored once; any other cost is a TypeError.
 
 The node-local functions (`local_x_update`, `compute_messages`,
-`apply_message`, `sync_round`) are the readable specification of a round.
-`run` does not iterate them: it runs a private stacked engine that performs
-the same arithmetic on whole-graph arrays, and the tests check that its
-traces, snapshots and final states are bitwise equal to a loop of
+`sync_round`) are the readable specification of a round. `run` does not
+iterate them: it runs a private stacked engine that performs the same
+arithmetic on whole-graph arrays in the stacked layouts of `reference`
+(which `node_states` reads as node-local states), and the tests check that
+its traces, snapshots and final states are bitwise equal to a loop of
 `sample_mask`, `sync_round` and `relative_error`. The engine is built once
 per (problem, rho) and advances a batch of runs together, one row per
-(schedule, alpha, stop tolerance); `run` is a batch of one, a Monte Carlo
-in `experiments` hands it all its runs, and a sweep every run of one rho.
+(schedule, alpha, stop tolerance); `run` is a batch of one, a Monte Carlo in
+`experiments` hands it all its runs, and a sweep every run of one rho.
 Every run starts from the all-zero `initial_states`, is scored every round
 against the centralized optimum, and loses packets on exactly the graph's
 directed edges. Every run of a batch is bitwise equal to the same run alone.
@@ -201,36 +202,6 @@ def compute_messages(state: NodeState, params: AlgorithmParams, i: int) -> list[
     return msgs
 
 
-def _relax(z_self: dict, z_neigh: dict, m: Message, alpha: float, delivered: bool) -> None:
-    """The gated z-update of m's edge, in place on the receiver's own dict copies.
-
-    A delivered message moves the receiver's two auxiliary vectors for the
-    sender's edge toward the received q values; a lost one leaves them.
-    """
-    j = m.sender
-    if j not in z_self:
-        raise ValueError(f"message from {j} does not match receiver's neighbor set")
-    if delivered:
-        keep = 1.0 - alpha
-        z_self[j] = keep * z_self[j] + alpha * m.q_about_receiver
-        z_neigh[j] = keep * z_neigh[j] + alpha * m.q_about_sender
-
-
-def apply_message(
-    state: NodeState, m: Message, params: AlgorithmParams, delivered: bool
-) -> NodeState:
-    """Gated z-update at the receiving node.
-
-    A delivered message relaxes the receiver's two auxiliary vectors for the
-    sender's edge toward the received q values; a lost message leaves the
-    state untouched. The caller is responsible for routing m to the state of
-    node m.receiver.
-    """
-    z_self, z_neigh = dict(state.z_in_self), dict(state.z_in_neigh)
-    _relax(z_self, z_neigh, m, params.alpha, delivered)
-    return replace(state, z_in_self=z_self, z_in_neigh=z_neigh) if delivered else state
-
-
 def sync_round(
     states: list[NodeState],
     p: PartitionProblem,
@@ -241,10 +212,17 @@ def sync_round(
     """One synchronous round: all x-updates, then all messages, then all z-updates.
 
     Node i's result depends only on its own state and on messages from its
-    neighbors. The input states are never mutated.
+    neighbors. states must hold one state per node, each keyed by exactly
+    the node's graph neighbors (ValueError otherwise), and are never mutated.
     """
-    n_nodes = p.graph.node_count
-    for e in p.graph.directed_edges():
+    g = p.graph
+    n_nodes = g.node_count
+    if len(states) != n_nodes:
+        raise ValueError(f"expected {n_nodes} node states, got {len(states)}")
+    for i, st in enumerate(states):
+        if st.x_neigh.keys() != set(neighbors(g, i)):
+            raise ValueError(f"state {i} does not hold exactly node {i}'s graph neighbors")
+    for e in g.directed_edges():
         if e not in delivery.delivered:
             raise ValueError(f"delivery mask missing directed edge {e}")
     if solvers is None:
@@ -267,31 +245,50 @@ def sync_round(
         for m in compute_messages(st, params, i):
             inbox[m.receiver].append(m)
 
+    alpha, keep = params.alpha, 1.0 - params.alpha
     out = []
     for i, st in enumerate(mid):
         # one copy of the node's z dicts per round, relaxed message by message
         z_self, z_neigh = dict(st.z_in_self), dict(st.z_in_neigh)
         for m in inbox[i]:
-            _relax(z_self, z_neigh, m, params.alpha, delivery.delivered[(m.sender, i)])
+            j = m.sender
+            if delivery.delivered[(j, i)]:
+                z_self[j] = keep * z_self[j] + alpha * m.q_about_receiver
+                z_neigh[j] = keep * z_neigh[j] + alpha * m.q_about_sender
         out.append(replace(st, z_in_self=z_self, z_in_neigh=z_neigh))
     return out
 
 
-def initial_states(p: PartitionProblem) -> list[NodeState]:
-    """All-zero x and z, the canonical starting point."""
-    n = p.dim
-    states = []
-    for cost in p.costs:
-        order = cost.neighbor_order()
+def node_states(g: Graph, n: int, x: np.ndarray, z: np.ndarray) -> list[NodeState]:
+    """The node-local states of graph g (variables n wide) that hold the
+    stacked x and z, in the layouts the `reference` module states.
+
+    The states hold views of x and z, not copies.
+    """
+    edges = g.directed_edges()
+    if x.shape != (n * (len(edges) + g.node_count),) or z.shape != (2 * n * len(edges),):
+        raise ValueError(f"x and z are not flat stacked iterates of this graph at n = {n}")
+    pair = dict(zip(edges, z.reshape(-1, 2, n)))
+    states, at = [], 0
+    for i in range(g.node_count):
+        order = neighbors(g, i)
+        v = x[at : at + n * (len(order) + 1)]
+        at += v.size
         states.append(
             NodeState(
-                x_self=np.zeros(n),
-                x_neigh={j: np.zeros(n) for j in order},
-                z_in_self={j: np.zeros(n) for j in order},
-                z_in_neigh={j: np.zeros(n) for j in order},
+                x_self=v[:n],
+                x_neigh=dict(zip(order, v[n:].reshape(-1, n))),
+                z_in_self={j: pair[(j, i)][1] for j in order},
+                z_in_neigh={j: pair[(j, i)][0] for j in order},
             )
         )
     return states
+
+
+def initial_states(p: PartitionProblem) -> list[NodeState]:
+    """All-zero x and z, the canonical starting point."""
+    g, n, e = p.graph, p.dim, len(p.graph.directed_edges())
+    return node_states(g, n, np.zeros(n * (e + g.node_count)), np.zeros(2 * n * e))
 
 
 def stack_node_xs(states: list[NodeState]) -> np.ndarray:
@@ -364,13 +361,12 @@ class _StackedEngine:
 
     Built once per (problem, rho) and reusable across runs and batches.
     Every run starts from all-zero x and z and is scored against a reference
-    solution, and a loss schedule must cover exactly `self.edges`. Directed
-    edge e = (j, i), in `Graph.directed_edges` order, owns row e of z, shape
-    (edges, 2, n): node i's z_in_self[j], then its z_in_neigh[j].
-    z sits at the start of a run's flat buffer, followed by an n-wide zero
-    pad and, per node, the sum of its z_in_self, which heads the linear term
-    of its x-update. x is flat in the `reference` x layout: node blocks
-    [x_self; x_neigh...]. A batch of runs stacks these buffers as rows.
+    solution, and a loss schedule must cover exactly `self.edges`. A run's
+    flat buffer holds z in the `reference` layout, viewed as (edges, 2, n)
+    with row e the slot pair of directed edge e, then an n-wide zero pad
+    and, per node, the sum of its z_in_self, which heads the linear term of
+    its x-update. x is flat in the `reference` layout too. A batch of runs
+    stacks these buffers as rows.
     The gather tables are built from the directed-edge arrays (sender,
     reverse edge, rank among the receiver's neighbors), and each degree
     class is factored in one stacked cholesky and inv.
@@ -394,8 +390,7 @@ class _StackedEngine:
                     f"{type(cost).__name__}"
                 )
         g, n = p.graph, p.dim
-        self.rho = rho
-        self.n = n
+        self.graph, self.n, self.rho = g, n, rho
         self.edges = g.directed_edges()
         self.orders = tuple(tuple(neighbors(g, i)) for i in range(g.node_count))
         e_count, nodes = len(self.edges), np.arange(g.node_count)
@@ -434,13 +429,13 @@ class _StackedEngine:
         # a non-innermost axis slab by slab, in order; it sums pairwise only
         # along the innermost axis, which here spans the nodes.
         terms = np.full((max(degs) + 1, g.node_count), pad, dtype=np.intp)
-        terms[rank + 1, sender] = 2 * n * rev
+        terms[rank + 1, sender] = 2 * n * rev + n
         self.head_terms = terms[..., None] + col
         # where each slot's linear term starts: the node's head sum for
         # x_self, z_in_neigh of the in-edge for x_neigh
         slot_linear = np.empty(e_count + g.node_count, dtype=np.intp)
         slot_linear[self_slot] = head + n * nodes
-        slot_linear[edge_slot] = 2 * n * rev + n
+        slot_linear[edge_slot] = 2 * n * rev
         # The x-update runs in degree-class-major order: the nodes of each
         # degree are contiguous, so one matmul solves a whole class. Each
         # class is also factored at once: numpy hands each item of a stacked
@@ -488,9 +483,9 @@ class _StackedEngine:
         from_slot = np.empty_like(class_slots)
         from_slot[class_slots] = np.arange(len(class_slots))
         self.from_class = (n * from_slot[:, None] + col).ravel()
-        # message on e = (j, i): [2 rho x_neigh[i] - z_in_neigh[i],
-        # 2 rho x_self - z_in_self[i]] of node j, whose z row is edge (i, j)
-        self.message_x = n * np.stack([edge_slot, self_slot[sender]], axis=1)[..., None] + col
+        # message on e = (j, i): [2 rho x_self - z_in_self[i],
+        # 2 rho x_neigh[i] - z_in_neigh[i]] of node j, whose z row is edge (i, j)
+        self.message_x = n * np.stack([self_slot[sender], edge_slot], axis=1)[..., None] + col
         self.message_z = 2 * n * rev[:, None, None] + np.array([[n], [0]]) + col
 
     def _lossy(self, schedule: LossSchedule | None) -> LossSchedule | None:
@@ -500,23 +495,6 @@ class _StackedEngine:
         if schedule.edges != self.edges:
             raise ValueError("a loss schedule must cover exactly the graph's directed edges")
         return None if schedule.loss_free else schedule
-
-    def _states(self, x: np.ndarray, z: np.ndarray) -> list[NodeState]:
-        n = self.n
-        z_self, z_neigh = list(z[:, 0]), list(z[:, 1])
-        states = []
-        for order, o, (a, b) in zip(self.orders, self.out_at.tolist(), self.bounds):
-            ins = self.rev[o : o + len(order)].tolist()  # the node's in-edges
-            v = x[a:b]
-            states.append(
-                NodeState(
-                    x_self=v[:n],
-                    x_neigh=dict(zip(order, v[n:].reshape(-1, n))),
-                    z_in_self={j: z_self[e] for j, e in zip(order, ins)},
-                    z_in_neigh={j: z_neigh[e] for j, e in zip(order, ins)},
-                )
-            )
-        return states
 
     def run(
         self,
@@ -644,7 +622,7 @@ class _StackedEngine:
             log = []
             for row, r in enumerate(ids):
                 errors[r].append(block[:, row])
-            z_rows = z.reshape((rows,) + self.z_shape)
+            z_rows = z.reshape(rows, -1)
             for row in np.flatnonzero(done):
                 last = (x_rows[row], z_rows[row]) if final_states else None
                 ends[ids[row]] = (k + 1, not ok[row], last)
@@ -658,12 +636,13 @@ class _StackedEngine:
         traces = []
         for r in source:
             rounds, diverged, last = ends[r]
+            states = [] if last is None else node_states(self.graph, self.n, *map(np.copy, last))
             traces.append(
                 RunTrace(
                     errors=np.concatenate(errors[r]),
                     diverged=diverged,
                     rounds_executed=rounds,
-                    final_states=[] if last is None else self._states(*(a.copy() for a in last)),
+                    final_states=states,
                     snapshots=None if snapshots is None else list(snapshots[r]),
                 )
             )

@@ -17,11 +17,12 @@ with P, that inverse and A. It also exposes a lockstep comparison against
 the node-local rounds. It is deliberately plain dense linear algebra: it is
 the oracle, not the performance path.
 
-Slot layout of the y/w/z space: slots are grouped by owning node (ascending),
-within a node by ascending neighbor, and each (node, neighbor) pair
-contributes the block for the node's own variable followed by the block for
-the neighbor's variable, each of width n. The slot pairs therefore follow
-`Graph.directed_edges()` order.
+The stacked layouts, which the engine in `core` shares and `core.node_states`
+reads as node-local states: x is the node blocks [x_self; x_neigh[j] for j
+ascending] in node order. y, w and z hold one 2n-wide slot pair per directed
+edge (i, j), in `Graph.directed_edges()` order: the block for i's variable,
+then the block for j's. Receiver j holds them as z_in_neigh[i] and
+z_in_self[i].
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import AlgorithmParams, NodeState, make_local_solver, stack_node_xs, sync_round
+from .core import AlgorithmParams, make_local_solver, node_states, stack_node_xs, sync_round
 from .graph import Graph, neighbors
 from .lossy import DeliveryMask, LossModel, LossSchedule, sample_mask
 from .problem import PartitionProblem
@@ -171,36 +172,6 @@ def reference_step(
     return ReferenceState(x=x, y=y, w=w, z=z_next)
 
 
-def node_states_from_stacked_z(
-    p: PartitionProblem, cm: ConstraintMatrices, z: np.ndarray
-) -> list[NodeState]:
-    """Node-local states holding the given stacked z, with zero x.
-
-    Node i keeps the two blocks of every (j, i) slot pair: the neighbor block
-    is its own-variable auxiliary for the edge from j, the own block is its
-    copy about j's variable.
-    """
-    n = cm.n
-    states = []
-    for i in range(p.graph.node_count):
-        nbrs = neighbors(p.graph, i)
-        z_in_self = {}
-        z_in_neigh = {}
-        for j in nbrs:
-            base = cm.slot_base[(j, i)]
-            z_in_neigh[j] = z[base : base + n].copy()
-            z_in_self[j] = z[base + n : base + 2 * n].copy()
-        states.append(
-            NodeState(
-                x_self=np.zeros(n),
-                x_neigh={j: np.zeros(n) for j in nbrs},
-                z_in_self=z_in_self,
-                z_in_neigh=z_in_neigh,
-            )
-        )
-    return states
-
-
 def check_equivalence(
     p: PartitionProblem,
     params: AlgorithmParams,
@@ -222,7 +193,7 @@ def check_equivalence(
     cm = build_constraint_matrices(p.graph, p.dim)
     z0 = np.random.default_rng(seed).standard_normal(cm.y_dim)
     ref = reference_initial_state(cm, z0)
-    states = node_states_from_stacked_z(p, cm, z0)
+    states = node_states(p.graph, p.dim, np.zeros(cm.x_dim), z0)
     solvers = [make_local_solver(c, params) for c in p.costs]
     rnd = build_reference_round(p, cm, params)
     schedule = None

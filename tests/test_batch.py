@@ -240,6 +240,24 @@ def test_sweep_equals_per_run_reference(ten_node_problem):
     assert outcomes[(3.0, 1.3, 0.6)] == "diverged"
 
 
+def test_sweep_cell_takes_its_first_nonconverged_run(ten_node_problem, ten_node_solution):
+    # the runs of cell (3.0, 1.2, 0.4) are undecided, undecided, diverged,
+    # diverged: its outcome is its first non-converged run's, not "diverged
+    # because some run diverged"
+    p = ten_node_problem
+    result = rm.stability_sweep(
+        p, [3.0], [1.0, 1.1, 1.2, 1.3], [0.2, 0.4, 0.6], runs=4, k_max=240, seed=2
+    )
+    runs = [
+        rm.run(p, rm.AlgorithmParams(1.2, 3.0), uniform(p, 0.4, _sub_seed(2, 0, 2, 1, r)), 240,
+               solution=ten_node_solution, stop_tol=1e-4)
+        for r in range(4)
+    ]
+    assert [tr.diverged for tr in runs] == [False, False, True, True]
+    assert [rm.detect_convergence(tr, 1e-4) for tr in runs[:2]] == [None, None]
+    assert result.outcomes[(3.0, 1.2, 0.4)] == "undecided"
+
+
 def test_sweep_builds_one_engine_per_rho(ten_node_problem, monkeypatch):
     built = []
 

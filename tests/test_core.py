@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import radmm as rm
@@ -152,58 +150,6 @@ def test_messages_match_elementwise_recomputation():
             )
 
 
-def test_apply_message_not_delivered_is_identity():
-    rng = np.random.default_rng(2)
-    state = random_node_state(rng, 2, [1])
-    m = rm.Message(1, 0, rng.standard_normal(2), rng.standard_normal(2))
-    out = rm.apply_message(state, m, rm.AlgorithmParams(0.75, 3.0), delivered=False)
-    assert out is state
-
-
-def test_apply_message_fixed_point_when_q_equals_z():
-    rng = np.random.default_rng(3)
-    state = random_node_state(rng, 2, [1])
-    m = rm.Message(1, 0, state.z_in_neigh[1].copy(), state.z_in_self[1].copy())
-    out = rm.apply_message(state, m, rm.AlgorithmParams(alpha=0.75, rho=3.0), delivered=True)
-    assert np.array_equal(out.z_in_self[1], state.z_in_self[1])
-    assert np.array_equal(out.z_in_neigh[1], state.z_in_neigh[1])
-
-
-def test_apply_message_scalar_relaxation():
-    # alpha = 0.75, z = 4, q = 0  ->  z' = 1
-    state = rm.NodeState(
-        x_self=np.array([0.0]),
-        x_neigh={1: np.array([0.0])},
-        z_in_self={1: np.array([4.0])},
-        z_in_neigh={1: np.array([4.0])},
-    )
-    m = rm.Message(1, 0, np.array([0.0]), np.array([0.0]))
-    out = rm.apply_message(state, m, rm.AlgorithmParams(alpha=0.75, rho=1.0), delivered=True)
-    assert out.z_in_self[1][0] == 1.0
-    assert out.z_in_neigh[1][0] == 1.0
-
-
-def test_apply_message_rejects_unknown_sender():
-    state = rm.NodeState(x_self=np.zeros(1), x_neigh={}, z_in_self={}, z_in_neigh={})
-    m = rm.Message(5, 0, np.zeros(1), np.zeros(1))
-    with pytest.raises(ValueError):
-        rm.apply_message(state, m, rm.AlgorithmParams(0.5, 1.0), delivered=True)
-
-
-@settings(max_examples=25, deadline=None)
-@given(alpha=st.floats(0.01, 0.99), z=st.floats(-5, 5), q=st.floats(-5, 5))
-def test_apply_message_relaxation_algebra(alpha, z, q):
-    state = rm.NodeState(
-        x_self=np.zeros(1),
-        x_neigh={1: np.zeros(1)},
-        z_in_self={1: np.array([z])},
-        z_in_neigh={1: np.array([z])},
-    )
-    m = rm.Message(1, 0, np.array([q]), np.array([q]))
-    out = rm.apply_message(state, m, rm.AlgorithmParams(alpha=alpha, rho=1.0), delivered=True)
-    assert out.z_in_self[1][0] == pytest.approx((1 - alpha) * z + alpha * q, rel=1e-14, abs=1e-14)
-
-
 def test_sync_round_edgeless_returns_local_argmins():
     g = rm.Graph(node_count=2, edges=frozenset())
     costs = [isolated_cost([1.0, 2.0]), isolated_cost([-3.0, 0.5])]
@@ -255,6 +201,43 @@ def test_sync_round_rejects_incomplete_mask(ten_node_problem):
     bad = rm.DeliveryMask(delivered={e: True for e in edges[:-1]})
     with pytest.raises(ValueError):
         rm.sync_round(rm.initial_states(p), p, rm.AlgorithmParams(0.5, 1.0), bad)
+
+
+def test_sync_round_rejects_states_that_do_not_match_the_graph(path3_problem):
+    p = path3_problem
+    params, mask = rm.AlgorithmParams(0.5, 1.0), rm.DeliveryMask.complete(p.graph)
+    states = rm.initial_states(p)
+    zeros = {j: np.zeros(2) for j in (1, 2)}
+    extra_key = rm.NodeState(np.zeros(2), dict(zeros), dict(zeros), dict(zeros))
+    missing_key = rm.NodeState(np.zeros(2), {}, {}, {})
+    for bad in (
+        states[:-1],  # a node short
+        states + [states[0]],  # a node too many
+        [extra_key] + states[1:],  # node 0's only neighbor is 1
+        [states[0], missing_key, states[2]],  # node 1's neighbors are 0 and 2
+    ):
+        with pytest.raises(ValueError):
+            rm.sync_round(bad, p, params, mask)
+
+
+def test_sync_round_relaxes_delivered_edges_only(path3_problem):
+    # edge 0 -> 1 delivered, 1 -> 0 lost: z <- (1 - alpha) z + alpha q on 1's
+    # pair for the edge from 0, node 0's pair for the edge from 1 kept
+    p = path3_problem
+    params = rm.AlgorithmParams(0.3, 2.0)
+    states = random_states(np.random.default_rng(47), p)
+    mask = rm.DeliveryMask(delivered={e: e != (1, 0) for e in p.graph.directed_edges()})
+    out = rm.sync_round(states, p, params, mask)
+    x_self, x_neigh = rm.local_x_update(p.costs[0], states[0], params)
+    mid = rm.NodeState(x_self, x_neigh, states[0].z_in_self, states[0].z_in_neigh)
+    (m,) = rm.compute_messages(mid, params, 0)
+    keep = 1.0 - params.alpha
+    want_self = keep * states[1].z_in_self[0] + params.alpha * m.q_about_receiver
+    want_neigh = keep * states[1].z_in_neigh[0] + params.alpha * m.q_about_sender
+    assert out[1].z_in_self[0].tobytes() == want_self.tobytes()
+    assert out[1].z_in_neigh[0].tobytes() == want_neigh.tobytes()
+    assert np.array_equal(out[0].z_in_self[1], states[0].z_in_self[1])
+    assert np.array_equal(out[0].z_in_neigh[1], states[0].z_in_neigh[1])
 
 
 def test_sync_round_message_locality():

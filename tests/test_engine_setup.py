@@ -30,10 +30,11 @@ def loop_tables(p, params):
     head = pad + n
     col = np.arange(n)
 
-    def self_slot(e):
+    # edge e's z row is the `reference` slot pair: z_in_neigh, then z_in_self
+    def neigh_slot(e):
         return 2 * n * e + col
 
-    def neigh_slot(e):
+    def self_slot(e):
         return 2 * n * e + n + col
 
     width = max(len(order) for order in orders) + 1
@@ -67,9 +68,9 @@ def loop_tables(p, params):
     x_at, z_at = [], []
     for j, i in edges:
         t = orders[j].index(i)
-        x_at.append([starts[j] + n * (t + 1) + col, starts[j] + col])
+        x_at.append([starts[j] + col, starts[j] + n * (t + 1) + col])
         back = edge_at[(i, j)]
-        z_at.append([neigh_slot(back), self_slot(back)])
+        z_at.append([self_slot(back), neigh_slot(back)])
     z_shape = (len(edges), 2, n)
     return {
         "head_terms": head_terms,

@@ -3,6 +3,7 @@ import pytest
 
 import radmm as rm
 import radmm.reference as reference
+from radmm.core import stack_node_xs
 from conftest import central_fd_gradient, make_instances
 
 
@@ -244,7 +245,7 @@ def test_lossy_lockstep_needs_the_gate(ten_node_problem):
     rnd = rm.build_reference_round(p, cm, params)
     z0 = np.random.default_rng(99).standard_normal(cm.y_dim)
     ref = rm.reference_initial_state(cm, z0)
-    states = rm.node_states_from_stacked_z(p, cm, z0)
+    states = rm.node_states(p.graph, p.dim, np.zeros(cm.x_dim), z0)
     sched = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, 0.4), seed=99)
     dev = 0.0
     for k in range(10):
@@ -252,3 +253,47 @@ def test_lossy_lockstep_needs_the_gate(ten_node_problem):
         states = rm.sync_round(states, p, params, rm.sample_mask(sched, k))
         dev = max(dev, float(np.max(np.abs(ref.x - np.concatenate([s.stacked_x() for s in states])))))
     assert dev > 1e-3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_node_states_read_the_reference_slot_pairs(dim):
+    rng = np.random.default_rng(656 + dim)
+    edgeless = rm.Graph(node_count=3, edges=frozenset())
+    for g in [edgeless] + [p.graph for p in make_instances(4, seed0=4500, dim=dim)]:
+        cm = rm.build_constraint_matrices(g, dim)
+        x, z = rng.standard_normal(cm.x_dim), rng.standard_normal(cm.y_dim)
+        states = rm.node_states(g, dim, x, z)
+        assert len(states) == g.node_count
+        assert np.array_equal(stack_node_xs(states), x)
+        for i, st in enumerate(states):
+            assert np.array_equal(st.x_self, x[cm.x_base[i] : cm.x_base[i] + dim])
+            assert sorted(st.z_in_self) == rm.neighbors(g, i)
+            for j in rm.neighbors(g, i):
+                base = cm.slot_base[(j, i)]
+                assert np.array_equal(st.z_in_neigh[j], z[base : base + dim])
+                assert np.array_equal(st.z_in_self[j], z[base + dim : base + 2 * dim])
+        with pytest.raises(ValueError):
+            rm.node_states(g, dim, np.append(x, 0.0), z)
+        with pytest.raises(ValueError):
+            rm.node_states(g, dim, x, np.append(z, 0.0))
+
+
+@pytest.mark.parametrize("loss_p", [0.0, 0.3])
+def test_engine_runs_the_oracle_round(ten_node_problem, loss_p):
+    # run() and the dense stacked round from z = 0 under the same masks: the
+    # iterates every round and the final z, read through the shared layout
+    for p in [ten_node_problem] + make_instances(2, seed0=4600, dim=3):
+        params = rm.AlgorithmParams(0.75, 3.0)
+        sched = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, loss_p), seed=57)
+        tr = rm.run(p, params, sched, 50, record_states=True)
+        assert tr.rounds_executed == 50 and not tr.diverged
+        cm = rm.build_constraint_matrices(p.graph, p.dim)
+        rnd = rm.build_reference_round(p, cm, params)
+        ref = rm.reference_initial_state(cm, np.zeros(cm.y_dim))
+        for k in range(50):
+            ref = rm.reference_step(ref, rnd, rm.sample_mask(sched, k))
+            assert np.max(np.abs(np.concatenate(tr.snapshots[k]) - ref.x)) < 1e-9
+        for got, want in zip(tr.final_states, rm.node_states(p.graph, p.dim, ref.x, ref.z)):
+            for j in want.z_in_self:
+                assert np.max(np.abs(got.z_in_self[j] - want.z_in_self[j])) < 1e-9
+                assert np.max(np.abs(got.z_in_neigh[j] - want.z_in_neigh[j])) < 1e-9
