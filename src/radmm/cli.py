@@ -8,16 +8,24 @@ value in the config or instance, or an unreadable config or instance file),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .config import ConfigError, ExperimentConfig, build_graph, build_problem, load_config, override_seeds, parse_config
-from .core import AlgorithmParams, run, trace_to_csv
-from .experiments import monte_carlo_settings, monte_carlo_to_csv, stability_sweep, sweep_to_csv
-from .lossy import LossModel, LossSchedule
-from .problem import PartitionProblem, problem_from_json, problem_to_json, solve_centralized
-from .reference import check_equivalence
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+    from .lossy import LossModel
+    from .problem import PartitionProblem
+
+# Each command imports the modules it uses when it runs: `generate` loads no
+# solver, a single `run` neither the Monte Carlo harness nor the oracle.
+
+# main() sets these to one BLAS thread when numpy is not loaded yet. The
+# blocked LU of `solve_centralized` sums in an order that depends on the
+# thread count, and x* reaches every error trace, so outputs would otherwise
+# depend on the machine's core count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,6 +35,9 @@ EXIT_EQUIVALENCE = 4
 
 def _load_preset(name: str) -> ExperimentConfig:
     import json
+    from importlib import resources
+
+    from .config import ConfigError, parse_config
 
     ref = resources.files("radmm").joinpath("presets", f"{name}.json")
     try:
@@ -37,6 +48,8 @@ def _load_preset(name: str) -> ExperimentConfig:
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    from .config import ConfigError, load_config, override_seeds
+
     if bool(args.config) == bool(args.preset):
         raise ConfigError("exactly one of --config or --preset is required")
     cfg = load_config(args.config) if args.config else _load_preset(args.preset)
@@ -46,6 +59,9 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _resolve_instance(cfg: ExperimentConfig, instance_path: str | None) -> PartitionProblem:
+    from .config import ConfigError, build_graph, build_problem
+    from .problem import problem_from_json
+
     if instance_path is not None:
         try:
             text = Path(instance_path).read_text()
@@ -63,6 +79,9 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> int:
+    from .config import build_graph, build_problem
+    from .problem import problem_to_json
+
     problem = build_problem(cfg, build_graph(cfg.graph))
     path = _write(out_dir, f"{cfg.output_prefix}_instance.json", problem_to_json(problem))
     print(f"wrote {path}")
@@ -83,12 +102,18 @@ def _combo_suffix(cfg: ExperimentConfig, alpha: float, rho: float, loss_p: float
 def _loss_models(cfg: ExperimentConfig, problem: PartitionProblem) -> list[tuple[float | None, LossModel]]:
     """(p, model) per loss value of the config: a uniform model per `loss.p`
     value, or the one `loss.table` model with p None."""
+    from .lossy import LossModel
+
     if cfg.loss.p is None:
         return [(None, LossModel.from_table(problem.graph, cfg.loss.table))]
     return [(loss_p, LossModel.uniform(problem.graph, loss_p)) for loss_p in cfg.loss.p]
 
 
 def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> int:
+    from .core import AlgorithmParams, _StackedEngine, trace_to_csv
+    from .lossy import LossSchedule
+    from .problem import solve_centralized
+
     problem = _resolve_instance(cfg, instance_path)
     solution = solve_centralized(problem)
     losses = _loss_models(cfg, problem)
@@ -101,19 +126,21 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
     any_diverged = False
     for params in grid:
         if cfg.run.runs == 1:
-            results = [
-                run(
-                    problem,
-                    params,
-                    LossSchedule(model=model, seed=cfg.loss.seed),
-                    cfg.run.k_max,
-                    solution=solution,
-                    stop_tol=tol,
-                )
-                for model, tol in settings
-            ]
+            # the loss values of this (alpha, rho) as one batch, each run
+            # bitwise its own `core.run`, without the final states no CSV holds
+            results = _StackedEngine(problem, params.rho).run(
+                [
+                    (LossSchedule(model=model, seed=cfg.loss.seed), params.alpha, tol)
+                    for model, tol in settings
+                ],
+                cfg.run.k_max,
+                solution,
+                final_states=False,
+            )
             texts = [trace_to_csv(tr) for tr in results]
         else:
+            from .experiments import monte_carlo_settings, monte_carlo_to_csv
+
             # every loss value x run of this (alpha, rho) advances as one batch
             results = monte_carlo_settings(
                 problem,
@@ -134,6 +161,10 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
 
 
 def cmd_check(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> int:
+    from .config import ConfigError
+    from .core import AlgorithmParams
+    from .reference import check_equivalence
+
     if cfg.check is None:
         raise ConfigError("config has no 'check' section")
     problem = _resolve_instance(cfg, instance_path)
@@ -159,6 +190,9 @@ def cmd_check(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -
 
 
 def cmd_sweep(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path, jobs: int) -> int:
+    from .config import ConfigError
+    from .experiments import stability_sweep, sweep_to_csv
+
     if cfg.sweep is None:
         raise ConfigError("config has no 'sweep' section")
     problem = _resolve_instance(cfg, instance_path)
@@ -202,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if "numpy" not in sys.modules:
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     out_dir = Path(args.out)
     try:
         cfg = _resolve_config(args)
@@ -211,9 +247,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(cfg, args.instance, out_dir)
         if args.command == "check":
             return cmd_check(cfg, args.instance, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.instance, out_dir, args.jobs)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sweep(cfg, args.instance, out_dir, args.jobs)
     except ValueError as exc:  # ConfigError, or an invalid config or instance value
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,11 +11,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .experiments import DEFAULT_TOL_LOSSLESS, DEFAULT_TOL_LOSSY
 from .graph import Graph, generate_connected_rgg, generate_rgg
 from .problem import PartitionProblem, generate_instance
 
 SCHEMA_CONFIG = "radmm-config/1"
+# Default stop tolerances of a run, loss-free and lossy; `experiments` reads them.
+DEFAULT_TOL_LOSSLESS = 1e-6
+DEFAULT_TOL_LOSSY = 1e-4
 
 
 class ConfigError(ValueError):

@@ -398,7 +398,7 @@ class _StackedEngine:
         deg = np.array(degs, dtype=np.intp)
         # Edges are sender-major, so node j's out-edges are contiguous from
         # out_at[j], in its neighbor order: e = (j, i) is j's rank[e]-th.
-        self.out_at = out_at = np.cumsum(deg) - deg
+        out_at = np.cumsum(deg) - deg
         sender = np.repeat(nodes, deg)
         rank = np.arange(e_count) - out_at[sender]
         # rev[e] is the reverse edge of e = (j, i), i's out-edge to j. The
@@ -410,7 +410,7 @@ class _StackedEngine:
         for _, i in self.edges:
             rev.append(seen[i])
             seen[i] += 1
-        self.rev = rev = np.array(rev, dtype=np.intp)
+        rev = np.array(rev, dtype=np.intp)
         # x is a sequence of n-wide slots: node j's x_self in slot
         # out_at[j] + j, and its x_neigh copy on out-edge e in slot e + j + 1.
         self_slot = out_at + nodes

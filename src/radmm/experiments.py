@@ -16,6 +16,7 @@ from itertools import product
 
 import numpy as np
 
+from .config import DEFAULT_TOL_LOSSY
 from .core import AlgorithmParams, RunTrace, _StackedEngine
 from .lossy import LossModel, LossSchedule, splitmix64
 from .problem import PartitionProblem, Solution, solve_centralized
@@ -31,10 +32,6 @@ __all__ = [
     "monte_carlo_to_csv",
     "sweep_to_csv",
 ]
-
-# Default stop tolerances of a run, loss-free and lossy; `config` reads them.
-DEFAULT_TOL_LOSSLESS = 1e-6
-DEFAULT_TOL_LOSSY = 1e-4
 
 
 def _sub_seed(*key: int) -> int:

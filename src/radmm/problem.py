@@ -96,10 +96,9 @@ class PartitionProblem:
 
 @dataclass
 class Solution:
-    """Per-node optimizer blocks and the optimal objective value."""
+    """Per-node optimizer blocks; `global_cost(p, x_star)` is the optimal value."""
 
     x_star: list[np.ndarray]
-    optimal_value: float
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stacked_blocks(
@@ -188,7 +187,7 @@ def solve_centralized(p: PartitionProblem) -> Solution:
     u = np.linalg.solve(H, g)
     n = p.dim
     blocks = [u[i * n : (i + 1) * n].copy() for i in range(p.graph.node_count)]
-    return Solution(x_star=blocks, optimal_value=global_cost(p, blocks))
+    return Solution(x_star=blocks)
 
 
 def _matrix_with_singular_values(
@@ -270,22 +269,47 @@ def _list(v, what: str) -> list:
     return v
 
 
-def _unmat(d) -> np.ndarray:
+def _unmat(d, flat: list) -> tuple[int, int, list[int]]:
+    """Check one matrix object's layout and append its data to flat; returns
+    the data's (start, stop) in flat and the matrix shape."""
     d = _object(d, "matrix")
-    if not set(map(type, _list(d["data"], "matrix data"))) <= {int, float}:  # bool is no number here
-        raise ValueError("instance matrix data must be numbers")
+    data = _list(d["data"], "matrix data")
     shape = [_integer(k, "matrix shape entry") for k in _list(d["shape"], "matrix shape")]
-    return np.array(d["data"], dtype=float).reshape(shape)
+    flat += data
+    return len(flat) - len(data), len(flat), shape
 
 
-def _uncost(c) -> QuadraticLocalCost:
-    c = _object(c, "cost")
-    return QuadraticLocalCost(
-        a_self=_unmat(c["a_self"]),
-        a_neigh={int(j): _unmat(a) for j, a in _object(c["a_neigh"], "a_neigh").items()},
-        b=_unmat(c["b"]).reshape(-1),
-        q=_unmat(c["q"]),
-    )
+def _uncosts(docs) -> list[QuadraticLocalCost]:
+    """The document's costs. All their matrix data is type-checked in one
+    pass and converted in one `np.array` call; each matrix is a view of
+    that one array."""
+    flat: list = []
+    layouts = [
+        (
+            _unmat(c["a_self"], flat),
+            {int(j): _unmat(a, flat) for j, a in _object(c["a_neigh"], "a_neigh").items()},
+            _unmat(c["b"], flat),
+            _unmat(c["q"], flat),
+        )
+        for c in (_object(c, "cost") for c in _list(docs, "costs"))
+    ]
+    if not set(map(type, flat)) <= {int, float}:  # bool is no number here
+        raise ValueError("instance matrix data must be numbers")
+    values = np.array(flat, dtype=float)
+
+    def view(span: tuple[int, int, list[int]]) -> np.ndarray:
+        start, stop, shape = span
+        return values[start:stop].reshape(shape)
+
+    return [
+        QuadraticLocalCost(
+            a_self=view(a_self),
+            a_neigh={j: view(a) for j, a in a_neigh.items()},
+            b=view(b).reshape(-1),
+            q=view(q),
+        )
+        for a_self, a_neigh, b, q in layouts
+    ]
 
 
 def _integer(v, what: str) -> int:
@@ -337,7 +361,7 @@ def problem_from_json(text: str) -> PartitionProblem:
             ),
             positions=positions,
         )
-        costs = [_uncost(c) for c in _list(doc["costs"], "costs")]
+        costs = _uncosts(doc["costs"])
         return PartitionProblem(graph=g, costs=costs, dim=_integer(doc["dim"], "dim"))
     except KeyError as exc:
         raise ValueError(f"instance document lacks key {exc}") from exc

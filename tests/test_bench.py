@@ -1,0 +1,42 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+NUMBER = (int, float)
+
+
+def test_quick_bench_writes_every_section(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(BENCH), "--label", "smoke", "--quick", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert set(doc) == {
+        "schema", "label", "quick", "machine", "import_ms", "modules", "run_stages",
+        "engine", "presets_s", "tier1_s", "perfbench",
+    }
+    assert (doc["schema"], doc["label"], doc["quick"]) == ("radmm-bench/1", "smoke", True)
+    machine = {"nproc", "python", "numpy", "blas", "blas_threads", "writes_bytecode"}
+    assert machine <= set(doc["machine"])
+    assert {"radmm.core", "radmm.cli", "total"} <= set(doc["import_ms"])
+    assert all(isinstance(v, NUMBER) and v >= 0 for v in doc["import_ms"].values())
+    # which modules each command loads is test_cli's to check; here the shape
+    loaded = doc["modules"]
+    assert set(loaded) == {"generate", "run (runs = 1)", "run (runs > 1)", "sweep", "check"}
+    assert all("radmm.cli" in mods and "radmm.problem" in mods for mods in loaded.values())
+    stages = doc["run_stages"]
+    assert set(stages) == {"load_ms", "solve_ms", "engine_setup_ms", "rounds_ms", "rounds"}
+    assert all(isinstance(v, NUMBER) and v > 0 for v in stages.values())
+    # the quick run skips N = 1000, the presets and Tier-1
+    assert [point["nodes"] for point in doc["engine"]] == [10, 100]
+    for point in doc["engine"]:
+        assert all(isinstance(v, NUMBER) and v > 0 for v in point.values())
+        assert {"run_round_us_1", "run_round_us_16", "engine_setup_ms"} <= set(point)
+    assert doc["presets_s"] is None and doc["tier1_s"] is None
+    assert list(doc["perfbench"]) == ["mc_fig1"]
+    traced = doc["perfbench"]["mc_fig1"]
+    assert traced["correct"] is True
+    assert isinstance(traced["metrics"]["core.run_round_us"], NUMBER)

@@ -10,6 +10,8 @@ import pytest
 import radmm as rm
 import radmm.cli as cli
 from radmm.config import (
+    DEFAULT_TOL_LOSSLESS,
+    DEFAULT_TOL_LOSSY,
     CheckSpec,
     ConfigError,
     ExperimentConfig,
@@ -23,7 +25,7 @@ from radmm.config import (
     load_config,
     parse_config,
 )
-from radmm.experiments import DEFAULT_TOL_LOSSLESS, DEFAULT_TOL_LOSSY, stability_sweep
+from radmm.experiments import stability_sweep
 from radmm.problem import problem_from_json, problem_to_json
 
 
@@ -132,34 +134,77 @@ def test_run_with_loss_table(tmp_path):
     assert (tmp_path / "o2" / "t_trace.csv").exists()
 
 
+def _python(script: str, env: dict | None = None) -> str:
+    """Run script in a fresh interpreter that imports radmm from this tree;
+    its last line of output."""
+    src = str(Path(rm.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 def test_run_and_sweep_from_an_instance_never_import_numpy_random(tmp_path):
-    # masks and run seeds are hashed without numpy.random, whose import
-    # (secrets and hmac with it) would cost every short `radmm run` ~16 ms
+    # Masks and run seeds are hashed without numpy.random, whose import
+    # (secrets and hmac with it) would cost every short `radmm run` ~16 ms.
+    # Each command also loads only the radmm modules it uses, and `import
+    # radmm` alone loads no numpy.
     doc = base_config(
         loss={"p": [0.0, 0.3], "seed": 5},
         sweep={"rho": [3.0], "alpha": [0.5, 1.3], "p": [0.0, 0.3], "runs": 2, "k_max": 100},
     )
     inst = tmp_path / "o" / "t_instance.json"
-    commands = []
+    out = ["--out", str(tmp_path / "o")]
+    cfgs = {}
     for runs in (1, 3):
         doc["run"]["runs"] = runs
-        cfg = write_config(tmp_path, doc, name=f"runs{runs}.json")
-        commands.append(["run", "--config", cfg, "--instance", str(inst), "--out", str(tmp_path / "o")])
-    commands.append(["sweep", "--config", cfg, "--instance", str(inst), "--out", str(tmp_path / "o")])
-    assert cli.main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_OK
-    script = (
-        "import sys\n"
-        "from radmm.cli import main\n"
-        f"codes = [main(argv) for argv in {commands!r}]\n"
-        "print(codes, 'numpy.random' in sys.modules)\n"
+        cfgs[runs] = write_config(tmp_path, doc, name=f"runs{runs}.json")
+    # each command with the radmm modules it must not load
+    commands = [
+        (["generate", "--config", cfgs[1], *out], {"core", "lossy", "experiments", "reference"}),
+        (["run", "--config", cfgs[1], "--instance", str(inst), *out], {"experiments", "reference"}),
+        (["run", "--config", cfgs[3], "--instance", str(inst), *out], {"reference"}),
+        (["sweep", "--config", cfgs[3], "--instance", str(inst), *out], {"reference"}),
+        (["check", "--config", cfgs[1], "--instance", str(inst), *out], {"experiments"}),
+    ]
+    for argv, unused in commands:
+        script = (
+            "import sys\n"
+            "from radmm.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'numpy.random' in sys.modules, sorted(sys.modules))\n"
+        )
+        code, has_random, loaded = _python(script).split(" ", 2)
+        assert code == "0", argv
+        if argv[0] in ("run", "sweep"):
+            assert has_random == "False", argv
+        assert not {f"radmm.{m}" for m in unused} & set(eval(loaded)), argv
+    assert _python("import sys, radmm\nprint('numpy' in sys.modules)") == "False"
+
+
+def test_run_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # x* comes from a blocked LU solve whose sums depend on the BLAS thread
+    # count at this size (200 unknowns); `main` pins one thread
+    doc = base_config(
+        graph={"nodes": 100, "radius": 0.2, "seed": 7},
+        instance={"dim": 2, "rows": 2, "seed": 7},
+        loss={"p": 0.2, "seed": 101},
+        run={"k_max": 30, "runs": 1},
     )
-    src = str(Path(rm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["generate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        inst = str(tmp_path / "t_instance.json")
+        argv = ["run", "--config", cfg, "--instance", inst, "--out", str(out)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        _python(f"from radmm.cli import main\nprint(main({argv!r}))", env)
+        traces.append((out / "t_trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_check_passes_on_generated_instance(tmp_path, capsys):

@@ -189,7 +189,7 @@ def test_run_rejects_non_quadratic_cost():
 
 def test_relative_error_zero_norm_block_still_raises(ten_node_problem):
     p = ten_node_problem
-    sol = rm.Solution(x_star=[np.zeros(p.dim)] * p.graph.node_count, optimal_value=0.0)
+    sol = rm.Solution(x_star=[np.zeros(p.dim)] * p.graph.node_count)
     with pytest.raises(ValueError, match="zero norm"):
         rm.relative_error(rm.initial_states(p), sol)
     with pytest.raises(ValueError, match="zero norm"):

@@ -80,7 +80,6 @@ def loop_tables(p, params):
         "message_x": np.array(x_at, dtype=np.intp).reshape(z_shape),
         "message_z": np.array(z_at, dtype=np.intp).reshape(z_shape),
         "classes": classes,
-        "in_edges": in_edges,
         "bounds": [(int(a), int(a) + s) for a, s in zip(starts, sizes)],
         "x_size": sum(sizes),
         "z_shape": z_shape,
@@ -106,8 +105,6 @@ def assert_engine_matches_loop(p, params=PARAMS):
         assert (span, shape) == (span_ref, shape_ref)
     for name in ("bounds", "x_size", "z_shape", "pad_at", "head_at"):
         assert getattr(engine, name) == want[name], name
-    ins = [engine.rev[o : o + len(order)].tolist() for o, order in zip(engine.out_at, engine.orders)]
-    assert ins == want["in_edges"]
 
 
 def quadratic_cost(rng, n, rows, nbrs, a_self=None):

@@ -49,7 +49,7 @@ def test_relative_error_matches_hand_computation(ten_node_problem, ten_node_solu
 def test_relative_error_rejects_zero_norm_block():
     g = rm.Graph(node_count=1, edges=frozenset())
     p = rm.generate_instance(g, n=2, r_rows=3, seed=1)
-    sol = rm.Solution(x_star=[np.zeros(2)], optimal_value=0.0)
+    sol = rm.Solution(x_star=[np.zeros(2)])
     with pytest.raises(ValueError):
         rm.relative_error(rm.initial_states(p), sol)
 

@@ -134,9 +134,10 @@ def test_generate_instance_singular_value_range():
 
 def test_solve_centralized_identity_is_b():
     b = np.array([1.5, -2.0])
-    sol = rm.solve_centralized(single_node_problem(b))
+    p = single_node_problem(b)
+    sol = rm.solve_centralized(p)
     assert np.allclose(sol.x_star[0], b, atol=1e-12)
-    assert sol.optimal_value == pytest.approx(0.0, abs=1e-20)
+    assert rm.global_cost(p, sol.x_star) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_solve_centralized_symmetric_two_node():
@@ -212,16 +213,22 @@ def test_global_cost_matches_per_node_sum(path3_problem):
 
 
 def test_global_cost_at_optimum_equals_optimal_value(ten_node_problem, ten_node_solution):
-    val = rm.global_cost(ten_node_problem, ten_node_solution.x_star)
-    assert val == pytest.approx(ten_node_solution.optimal_value, rel=1e-14)
+    # the cost is u' H u / 2 - g' u + sum_i b_i' Q_i b_i, so its minimum is
+    # sum_i b_i' Q_i b_i - g' u* / 2
+    p, x_star = ten_node_problem, ten_node_solution.x_star
+    _, g = assemble_normal_equations(p)
+    optimal_value = sum(c.b @ c.q @ c.b for c in p.costs) - g @ np.concatenate(x_star) / 2
+    val = rm.global_cost(p, x_star)
+    assert val == pytest.approx(optimal_value, rel=1e-12)
 
 
 def test_optimum_beats_random_points(ten_node_problem, ten_node_solution):
     p, sol = ten_node_problem, ten_node_solution
+    optimal_value = rm.global_cost(p, sol.x_star)
     rng = np.random.default_rng(23)
     for _ in range(50):
         xs = [x + 0.5 * rng.standard_normal(2) for x in sol.x_star]
-        assert rm.global_cost(p, xs) >= sol.optimal_value - 1e-9
+        assert rm.global_cost(p, xs) >= optimal_value - 1e-9
 
 
 def test_json_round_trip_bit_exact(ten_node_problem):
@@ -250,7 +257,7 @@ def test_json_missing_key_is_value_error():
 
 def test_solution_with_filled_cache_equals_fresh_copy(ten_node_problem, ten_node_solution):
     sol = ten_node_solution
-    fresh = rm.Solution(x_star=sol.x_star, optimal_value=sol.optimal_value)
+    fresh = rm.Solution(x_star=sol.x_star)
     g = ten_node_problem.graph
     orders = tuple(tuple(rm.neighbors(g, i)) for i in range(g.node_count))
     sol.stacked_blocks(orders)
