@@ -75,9 +75,10 @@ sol = solve_centralized(p)
 t.append(time.perf_counter())
 engine = _StackedEngine(p, cfg.params.rho[0])
 t.append(time.perf_counter())
-schedule = LossSchedule(model=LossModel.uniform(p.graph, cfg.loss.p[0]), seed=cfg.loss.seed)
-(trace,) = engine.run([(schedule, cfg.params.alpha[0], cfg.run.tol)], cfg.run.k_max, sol,
-                      final_states=False)
+loss_p = cfg.loss.p[0]
+schedule = LossSchedule(model=LossModel.uniform(p.graph, loss_p), seed=cfg.loss.seed)
+(trace,) = engine.run([(schedule, cfg.params.alpha[0], cfg.run.resolved_tol(loss_p))],
+                      cfg.run.k_max, sol, final_states=False)
 t.append(time.perf_counter())
 ms = [1e3 * (b - a) for a, b in zip(t, t[1:])]
 print(json.dumps(dict(zip(["load_ms", "solve_ms", "engine_setup_ms", "rounds_ms"], ms),

@@ -3,14 +3,12 @@
 
 fig1/fig3/fig4 are Monte Carlo error traces (vs loss probability, step size,
 and penalty respectively); fig2 is the stability-boundary sweep. The full
-presets take a few seconds on one core; pass --jobs to parallelize the sweep
-and --runs to thin the Monte Carlo.
+presets take a few seconds on one core; pass --jobs to parallelize the sweep.
 
 Each regeneration also writes out/figures/MANIFEST.json: the radmm version,
 the loss-mask contract version (`radmm.MASK_CONTRACT`), and per preset its
-command, run count and the sha256 of every CSV. With
---check nothing under out/ is written: the presets run again, at the run
-counts the manifest records, into a temporary directory, and the script
+command and the sha256 of every CSV. With --check nothing under out/ is
+written: the presets run again into a temporary directory, and the script
 exits 1 unless that output and the committed CSVs both match the manifest.
 """
 
@@ -20,7 +18,6 @@ import json
 import sys
 import tempfile
 import time
-from importlib import resources
 from pathlib import Path
 
 import radmm
@@ -31,24 +28,12 @@ MANIFEST = FIGDIR / "MANIFEST.json"
 PRESETS = [("fig1", "run"), ("fig2", "sweep"), ("fig3", "run"), ("fig4", "run")]
 
 
-def load_preset(name: str) -> dict:
-    return json.loads(resources.files("radmm").joinpath("presets", f"{name}.json").read_text())
-
-
-def run_preset(name: str, command: str, out: Path, jobs: int, runs: int) -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = [command, "--preset", name, "--out", str(out), "--jobs", str(jobs)]
-        doc = load_preset(name)
-        if runs != doc[command]["runs"]:
-            if command != "run":
-                raise SystemExit(f"{name}: only `run` presets take another run count")
-            # thin the preset's Monte Carlo runs without editing the bundled file
-            doc["run"]["runs"] = runs
-            cfg = Path(tmp) / f"{name}.json"
-            cfg.write_text(json.dumps(doc))
-            argv = [command, "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]
-        t0 = time.perf_counter()
-        rc = radmm_main(argv)
+def run_preset(name: str, command: str, out: Path, jobs: int) -> int:
+    argv = [command, "--preset", name, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--jobs", str(jobs)]
+    t0 = time.perf_counter()
+    rc = radmm_main(argv)
     print(f"{name}: exit {rc} in {time.perf_counter() - t0:.1f}s")
     return rc
 
@@ -57,13 +42,13 @@ def digests(out: Path) -> dict[str, str]:
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.glob("*.csv"))}
 
 
-def regenerate(root: Path, jobs: int, runs: dict[str, int]) -> tuple[int, dict]:
+def regenerate(root: Path, jobs: int) -> tuple[int, dict]:
     """Run every preset into root/<name>; the worst exit code and the manifest."""
     worst = 0
     presets = {}
     for name, command in PRESETS:
-        worst = max(worst, run_preset(name, command, root / name, jobs, runs[name]))
-        presets[name] = {"command": command, "runs": runs[name], "files": digests(root / name)}
+        worst = max(worst, run_preset(name, command, root / name, jobs))
+        presets[name] = {"command": command, "files": digests(root / name)}
     return worst, {
         "radmm_version": radmm.__version__,
         "mask_contract": radmm.MASK_CONTRACT,
@@ -81,9 +66,8 @@ def mismatches(want: dict, got: dict, what: str) -> list[str]:
         if w is None or g is None:
             out.append(f"{what}: preset {name} only in {'the manifest' if g is None else what}")
             continue
-        for key in ("command", "runs"):
-            if w[key] != g[key]:
-                out.append(f"{what}: {name} {key} {g[key]} != {w[key]}")
+        if w["command"] != g["command"]:
+            out.append(f"{what}: {name} command {g['command']} != {w['command']}")
         for f in sorted(set(w["files"]) | set(g["files"])):
             if w["files"].get(f) != g["files"].get(f):
                 out.append(f"{what}: {name}/{f} differs from the manifest")
@@ -92,9 +76,8 @@ def mismatches(want: dict, got: dict, what: str) -> list[str]:
 
 def check(jobs: int) -> int:
     want = json.loads(MANIFEST.read_text())
-    runs = {name: entry["runs"] for name, entry in want["presets"].items()}
     with tempfile.TemporaryDirectory() as tmp:
-        rc, fresh = regenerate(Path(tmp), jobs, runs)
+        rc, fresh = regenerate(Path(tmp), jobs)
     committed = {
         "radmm_version": want["radmm_version"],
         "mask_contract": want.get("mask_contract"),
@@ -111,20 +94,13 @@ def check(jobs: int) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--runs", type=int, default=None, help="override Monte Carlo run count")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes for the fig2 sweep")
     parser.add_argument("--check", action="store_true",
                         help="regenerate into a temporary directory and compare with the manifest")
     args = parser.parse_args()
     if args.check:
-        if args.runs is not None:
-            parser.error("--check takes its run counts from the manifest")
         return check(args.jobs)
-    runs = {}
-    for name, command in PRESETS:
-        own = load_preset(name)[command]["runs"]
-        runs[name] = args.runs if args.runs is not None and command == "run" else own
-    rc, manifest = regenerate(FIGDIR, args.jobs, runs)
+    rc, manifest = regenerate(FIGDIR, args.jobs)
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
     return rc
 

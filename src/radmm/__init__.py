@@ -33,7 +33,14 @@ _EXPORTS = {
         "sync_round",
         "trace_to_csv",
     ),
-    "graph": ("Graph", "generate_connected_rgg", "generate_rgg", "is_connected", "neighbors"),
+    "graph": (
+        "DisconnectedGraphError",
+        "Graph",
+        "generate_connected_rgg",
+        "generate_rgg",
+        "is_connected",
+        "neighbors",
+    ),
     "lossy": (
         "MASK_CONTRACT",
         "DeliveryMask",

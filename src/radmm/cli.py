@@ -227,10 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="path to a config JSON")
         sp.add_argument("--preset", help="name of a bundled preset (fig1..fig4)")
-        sp.add_argument("--instance", help="path to an instance JSON (default: generate from config)")
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--seed-override", type=int, default=None, help="replace every config seed (testing only)")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel worker processes for sweeps")
+        if name == "generate":
+            continue
+        sp.add_argument("--instance", help="path to an instance JSON (default: generate from config)")
+        if name == "sweep":
+            sp.add_argument("--jobs", type=int, default=1, help="worker processes, one rho slice each")
+        elif name == "run":
+            # perfbench/harness.py passes --jobs 1 to every command it times
+            sp.add_argument("--jobs", type=int, default=1, help="ignored: a run uses one process")
     return parser
 
 

@@ -8,7 +8,7 @@ function of its input files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .graph import Graph, generate_connected_rgg, generate_rgg
@@ -24,84 +24,6 @@ class ConfigError(ValueError):
     """Malformed or incomplete configuration."""
 
 
-@dataclass
-class GraphSpec:
-    nodes: int
-    radius: float
-    seed: int
-    require_connected: bool = True
-    max_resamples: int = 10000
-    radius_override: float | None = None
-
-    @property
-    def effective_radius(self) -> float:
-        return self.radius if self.radius_override is None else self.radius_override
-
-
-@dataclass
-class InstanceSpec:
-    dim: int
-    rows: int
-    seed: int
-    conditioning: float = 10.0
-
-
-@dataclass
-class ParamsSpec:
-    """alpha and rho, each a list so presets can sweep one axis."""
-
-    alpha: list[float]
-    rho: list[float]
-
-
-@dataclass
-class LossSpec:
-    seed: int
-    p: list[float] | None = None
-    table: dict[tuple[int, int], float] | None = None
-
-
-@dataclass
-class RunSpec:
-    k_max: int = 5000
-    runs: int = 1
-    tol: float | None = None
-
-    def resolved_tol(self, loss_p: float) -> float:
-        if self.tol is not None:
-            return self.tol
-        return DEFAULT_TOL_LOSSLESS if loss_p == 0.0 else DEFAULT_TOL_LOSSY
-
-
-@dataclass
-class SweepSpec:
-    rho: list[float]
-    alpha: list[float]
-    p: list[float]
-    runs: int = 3
-    k_max: int = 2000
-    tol: float = DEFAULT_TOL_LOSSY
-
-
-@dataclass
-class CheckSpec:
-    seed: int
-    k_max: int = 50
-    tol: float = 1e-9
-
-
-@dataclass
-class ExperimentConfig:
-    graph: GraphSpec
-    instance: InstanceSpec
-    params: ParamsSpec
-    loss: LossSpec
-    run: RunSpec
-    output_prefix: str
-    sweep: SweepSpec | None = None
-    check: CheckSpec | None = None
-
-
 def _integer(v, key: str) -> int:
     if isinstance(v, int) and not isinstance(v, bool):
         return v
@@ -112,6 +34,18 @@ def _number(v, key: str) -> float:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
     raise ConfigError(f"'{key}' must be a number, got {v!r}")
+
+
+def _positive(check):
+    """`check`, and the value must be above zero."""
+
+    def positive(v, key: str):
+        value = check(v, key)
+        if value <= 0:
+            raise ConfigError(f"'{key}' must be positive, got {v!r}")
+        return value
+
+    return positive
 
 
 def _boolean(v, key: str) -> bool:
@@ -148,41 +82,126 @@ def _parse_edge_key(key: str) -> tuple[int, int]:
         raise ConfigError(f"loss table key {key!r} must look like 'i->j'") from exc
 
 
-# Each section's required and optional keys, with the check of each value.
+def _key(check, default=MISSING):
+    """A config key, checked by `check`; required unless it has a default."""
+    return field(default=default, metadata={"check": check})
+
+
+@dataclass
+class GraphSpec:
+    nodes: int = _key(_integer)
+    radius: float = _key(_number)
+    seed: int = _key(_integer)
+    require_connected: bool = _key(_boolean, True)
+    max_resamples: int = _key(_positive(_integer), 10000)
+    radius_override: float | None = _key(_number, None)
+
+    @property
+    def effective_radius(self) -> float:
+        return self.radius if self.radius_override is None else self.radius_override
+
+
+@dataclass
+class InstanceSpec:
+    dim: int = _key(_integer)
+    rows: int = _key(_integer)
+    seed: int = _key(_integer)
+    conditioning: float = _key(_number, 10.0)
+
+
+@dataclass
+class ParamsSpec:
+    """alpha and rho, each a list so presets can sweep one axis."""
+
+    alpha: list[float] = _key(_numbers)
+    rho: list[float] = _key(_numbers)
+
+
+@dataclass
+class LossSpec:
+    seed: int = _key(_integer)
+    p: list[float] | None = _key(_numbers, None)
+    table: dict[tuple[int, int], float] | None = _key(_table, None)
+
+
+@dataclass
+class RunSpec:
+    k_max: int = _key(_integer, 5000)
+    runs: int = _key(_integer, 1)
+    tol: float | None = _key(_positive(_number), None)
+
+    def resolved_tol(self, loss_p: float) -> float:
+        if self.tol is not None:
+            return self.tol
+        return DEFAULT_TOL_LOSSLESS if loss_p == 0.0 else DEFAULT_TOL_LOSSY
+
+
+@dataclass
+class SweepSpec:
+    rho: list[float] = _key(_numbers)
+    alpha: list[float] = _key(_numbers)
+    p: list[float] = _key(_numbers)
+    runs: int = _key(_integer, 3)
+    k_max: int = _key(_integer, 2000)
+    tol: float = _key(_positive(_number), DEFAULT_TOL_LOSSY)
+
+
+@dataclass
+class CheckSpec:
+    seed: int = _key(_integer)
+    k_max: int = _key(_positive(_integer), 50)
+    tol: float = _key(_positive(_number), 1e-9)
+
+
+@dataclass
+class _OutputSpec:
+    prefix: str = _key(_string, "experiment")
+
+
+@dataclass
+class ExperimentConfig:
+    graph: GraphSpec
+    instance: InstanceSpec
+    params: ParamsSpec
+    loss: LossSpec
+    run: RunSpec
+    output_prefix: str
+    sweep: SweepSpec | None = None
+    check: CheckSpec | None = None
+
+
+# The spec class of each section; its fields declare the section's keys.
 _SECTIONS = {
-    "graph": (
-        {"nodes": _integer, "radius": _number, "seed": _integer},
-        {"require_connected": _boolean, "max_resamples": _integer, "radius_override": _number},
-    ),
-    "instance": ({"dim": _integer, "rows": _integer, "seed": _integer}, {"conditioning": _number}),
-    "params": ({"alpha": _numbers, "rho": _numbers}, {}),
-    "loss": ({"seed": _integer}, {"p": _numbers, "table": _table}),
-    "run": ({}, {"k_max": _integer, "runs": _integer, "tol": _number}),
-    "sweep": (
-        {"rho": _numbers, "alpha": _numbers, "p": _numbers},
-        {"runs": _integer, "k_max": _integer, "tol": _number},
-    ),
-    "check": ({"seed": _integer}, {"k_max": _integer, "tol": _number}),
-    "output": ({}, {"prefix": _string}),
+    "graph": GraphSpec,
+    "instance": InstanceSpec,
+    "params": ParamsSpec,
+    "loss": LossSpec,
+    "run": RunSpec,
+    "sweep": SweepSpec,
+    "check": CheckSpec,
+    "output": _OutputSpec,
 }
 
 
-def _section(doc: dict, name: str) -> dict:
-    """The section's checked values: every required key, and the optional
-    keys that are set (not null); the dataclasses hold the other defaults."""
-    section, (required, optional) = doc[name], _SECTIONS[name]
+def _section(doc: dict, name: str):
+    """The section as its spec: every required key, and the optional keys
+    that are set (not null), checked; the spec holds the other defaults."""
+    section, spec = doc[name], _SECTIONS[name]
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be an object")
-    unknown = sorted(set(section) - set(required) - set(optional))
+    keys = {f.name: f for f in fields(spec)}
+    unknown = sorted(set(section) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(unknown)} in section '{name}'")
+    required = [k for k, f in keys.items() if f.default is MISSING]
     for key in required:
         if key not in section:
             raise ConfigError(f"missing required key '{key}' in section '{name}'")
-    checks = {**required, **optional}
-    return {
-        k: checks[k](v, f"{name}.{k}") for k, v in section.items() if v is not None or k in required
-    }
+    return spec(**{
+        k: keys[k].metadata["check"](v, f"{name}.{k}")
+        for k, v in section.items()
+        if v is not None or k in required
+    })
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -197,21 +216,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if doc.get(section) is None:
             raise ConfigError(f"missing section '{section}'")
     # a null optional section is absent, like a null optional key
-    values = {name: _section(doc, name) for name in _SECTIONS if doc.get(name) is not None}
-    loss = LossSpec(**values["loss"])
+    specs = {name: _section(doc, name) for name in _SECTIONS if doc.get(name) is not None}
+    loss = specs["loss"]
     if loss.table is None and loss.p is None:
         raise ConfigError("loss section needs 'p' or 'table'")
     if loss.table is not None and loss.p is not None:
         raise ConfigError("loss section takes 'p' or 'table', not both")
     return ExperimentConfig(
-        graph=GraphSpec(**values["graph"]),
-        instance=InstanceSpec(**values["instance"]),
-        params=ParamsSpec(**values["params"]),
+        graph=specs["graph"],
+        instance=specs["instance"],
+        params=specs["params"],
         loss=loss,
-        run=RunSpec(**values["run"]),
-        output_prefix=values.get("output", {}).get("prefix", "experiment"),
-        sweep=SweepSpec(**values["sweep"]) if "sweep" in values else None,
-        check=CheckSpec(**values["check"]) if "check" in values else None,
+        run=specs["run"],
+        output_prefix=specs.get("output", _OutputSpec()).prefix,
+        sweep=specs.get("sweep"),
+        check=specs.get("check"),
     )
 
 

@@ -200,6 +200,8 @@ def stability_sweep(
         raise ValueError("all sweep grids must be nonempty")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     for rho in rho_grid:
         if rho <= 0:
             raise ValueError(f"rho grid must be positive, got {rho}")

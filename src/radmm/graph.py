@@ -7,6 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+class DisconnectedGraphError(ValueError):
+    """No connected geometric graph appeared within the resample budget."""
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph on nodes 0..node_count-1 with optional planar positions.
@@ -114,15 +118,16 @@ def generate_connected_rgg(
     """Resample geometric graphs with fresh sub-seeds until one is connected.
 
     Attempt t uses the sub-seed derived from (seed, t), so the result is a
-    pure function of the arguments. Raises RuntimeError when no connected
-    graph appears within `max_resamples` attempts (radius too small for n).
+    pure function of the arguments. Raises DisconnectedGraphError when no
+    connected graph appears within `max_resamples` attempts (radius too
+    small for n).
     """
     for attempt in range(max_resamples):
         sub = np.random.SeedSequence((seed, attempt)).generate_state(1, np.uint64)[0]
         g = generate_rgg(n, radius, int(sub))
         if is_connected(g):
             return g
-    raise RuntimeError(
+    raise DisconnectedGraphError(
         f"no connected geometric graph with n={n}, radius={radius} "
         f"within {max_resamples} resamples"
     )

@@ -212,7 +212,9 @@ def generate_instance(
 
     Per node: a_self has singular values in [1, conditioning], coupling blocks
     are scaled Gaussians, b is Gaussian, and q = M'M + I. Attempt t draws from
-    the sub-seed (seed, t), so results are reproducible.
+    the sub-seed (seed, t), so results are reproducible. Raises
+    IndefiniteHessianError when no attempt within the resample budget is PD
+    (a graph and dimension that admit no unique optimizer).
     """
     if n < 1 or r_rows < 1:
         raise ValueError("n and r_rows must be positive")
@@ -238,7 +240,7 @@ def generate_instance(
         eigs = np.linalg.eigvalsh(H)
         if eigs[0] > 1e-9 * max(1.0, eigs[-1]):
             return problem
-    raise RuntimeError(
+    raise IndefiniteHessianError(
         f"no positive-definite instance within {_MAX_RESAMPLES} resamples "
         "(degenerate graph/dimension configuration)"
     )

@@ -290,6 +290,26 @@ def test_seed_override_changes_instance(tmp_path):
     assert a != b
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--instance", "i.json"], ["generate", "--jobs", "2"], ["check", "--jobs", "2"]],
+    ids=["generate-instance", "generate-jobs", "check-jobs"],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, argv):
+    cfg = write_config(tmp_path, base_config())
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_accepts_and_ignores_jobs(tmp_path):
+    cfg = write_config(tmp_path, base_config())
+    for out, jobs in (("a", []), ("b", ["--jobs", "1"])):
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / out), *jobs]) == cli.EXIT_OK
+    assert (tmp_path / "a" / "t_trace.csv").read_bytes() == (tmp_path / "b" / "t_trace.csv").read_bytes()
+
+
 def test_all_presets_parse():
     for name in ("fig1", "fig2", "fig3", "fig4"):
         cfg = cli._load_preset(name)
@@ -450,6 +470,15 @@ def _edited_q(**values):
         ("run", "run", {}, _edited_graph(positions=5)),
         ("run", "loss", {"seed": 2**64}, None),
         ("run", "loss", {"seed": -1}, None),
+        ("check", "check", {"k_max": 0}, None),
+        ("run", "run", {"tol": -1}, None),
+        ("run", "run", {"tol": 0}, None),
+        ("sweep", "sweep", {"rho": [3.0], "alpha": [0.5], "p": [0.0], "tol": -1}, None),
+        ("check", "check", {"tol": 0}, None),
+        ("generate", "graph", {"max_resamples": 0}, None),
+        ("generate", "graph", {"radius_override": 0.01, "max_resamples": 5}, None),
+        # one row per node gives a rank-6 Hessian on 18 unknowns
+        ("generate", "instance", {"dim": 3, "rows": 1}, None),
     ],
     ids=["runs0", "k_max0", "rho-1", "p1.5", "nodes0", "dim0", "off-graph-table",
          "missing-instance", "instance-without-graph", "sweep-runs0",
@@ -460,7 +489,8 @@ def _edited_q(**values):
          "instance-matrix-list", "instance-costs-number", "instance-graph-list",
          "instance-edges-number", "instance-edge-number", "instance-data-number",
          "instance-shape-string", "instance-positions-number", "loss-seed-2**64",
-         "loss-seed-negative"],
+         "loss-seed-negative", "check-k_max0", "run-tol-1", "run-tol0", "sweep-tol-1",
+         "check-tol0", "max_resamples0", "no-connected-graph", "no-pd-instance"],
 )
 def test_invalid_input_exits_2_without_output(tmp_path, capsys, command, section, values, instance):
     doc = base_config()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import radmm as rm
+import radmm.experiments as experiments
 from radmm.lossy import splitmix64
 from conftest import random_states
 
@@ -192,6 +193,16 @@ def test_sweep_rejects_empty_or_invalid_grids(ten_node_problem):
         rm.stability_sweep(ten_node_problem, [], [0.5], [0.0], 1, 10, 0)
     with pytest.raises(ValueError):
         rm.stability_sweep(ten_node_problem, [0.0], [0.5], [0.0], 1, 10, 0)
+
+
+def test_sweep_rejects_a_nonpositive_tol_before_any_run(ten_node_problem, monkeypatch):
+    def solve(p):
+        raise AssertionError("the sweep started before its tol was checked")
+
+    monkeypatch.setattr(experiments, "solve_centralized", solve)
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            rm.stability_sweep(ten_node_problem, [3.0], [0.5], [0.0], 1, 10, 0, tol=tol)
 
 
 def test_boundary_does_not_shrink_with_loss(ten_node_problem):

@@ -1,5 +1,7 @@
-"""scripts/reproduce_figures.py: the manifest records the mask contract."""
+"""scripts/reproduce_figures.py: the manifest records the mask contract and
+each preset's command and CSV digests."""
 
+import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -18,9 +20,12 @@ def load_script():
     return module
 
 
+def committed_manifest() -> dict:
+    return json.loads((ROOT / "out" / "figures" / "MANIFEST.json").read_text())
+
+
 def test_committed_manifest_records_the_mask_contract():
-    manifest = json.loads((ROOT / "out" / "figures" / "MANIFEST.json").read_text())
-    assert manifest["mask_contract"] == rm.MASK_CONTRACT
+    assert committed_manifest()["mask_contract"] == rm.MASK_CONTRACT
 
 
 def test_check_reports_another_mask_contract():
@@ -33,3 +38,19 @@ def test_check_reports_another_mask_contract():
     ]
     unversioned = {k: v for k, v in fresh.items() if k != "mask_contract"}
     assert len(fig.mismatches(unversioned, fresh, "regenerated")) == 1
+
+
+def test_check_reports_another_command_or_csv_digest():
+    manifest = committed_manifest()
+    # every preset runs at its own run count, so the manifest records none
+    assert all(set(entry) == {"command", "files"} for entry in manifest["presets"].values())
+    fig = load_script()
+    assert fig.mismatches(manifest, manifest, "regenerated") == []
+    name = sorted(manifest["presets"]["fig1"]["files"])[0]
+    changed = copy.deepcopy(manifest)
+    changed["presets"]["fig1"]["command"] = "sweep"
+    changed["presets"]["fig1"]["files"][name] = "0" * 64
+    assert fig.mismatches(manifest, changed, "regenerated") == [
+        "regenerated: fig1 command sweep != run",
+        f"regenerated: fig1/{name} differs from the manifest",
+    ]

@@ -121,6 +121,6 @@ def test_connected_rgg_is_connected_and_deterministic():
 
 
 def test_connected_rgg_cap_exceeded():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(rm.DisconnectedGraphError):
         rm.generate_connected_rgg(10, 0.01, seed=0, max_resamples=5)
 
