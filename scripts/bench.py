@@ -73,11 +73,12 @@ p = problem_from_json(text)
 t.append(time.perf_counter())
 sol = solve_centralized(p)
 t.append(time.perf_counter())
-engine = _StackedEngine(p, cfg.params.rho[0])
+rho = cfg.params.rho[0]
+engine = _StackedEngine(p, (rho,))
 t.append(time.perf_counter())
 loss_p = cfg.loss.p[0]
 schedule = LossSchedule(model=LossModel.uniform(p.graph, loss_p), seed=cfg.loss.seed)
-(trace,) = engine.run([(schedule, cfg.params.alpha[0], cfg.run.resolved_tol(loss_p))],
+(trace,) = engine.run([(schedule, cfg.params.alpha[0], rho, cfg.run.resolved_tol(loss_p))],
                       cfg.run.k_max, sol, final_states=False)
 t.append(time.perf_counter())
 ms = [1e3 * (b - a) for a, b in zip(t, t[1:])]
@@ -180,7 +181,7 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
     p, instance_ms = timed(generate_instance, g, 2, 3, 11)
     sol, solve_ms = timed(solve_centralized, p)
     params = AlgorithmParams(alpha=0.75, rho=3.0)
-    engine, setup_ms = timed(_StackedEngine, p, params.rho)
+    engine, setup_ms = timed(_StackedEngine, p, (params.rho,))
     model, k = LossModel.uniform(g, 0.2), ENGINE_ROUNDS[nodes]
     point = {
         "nodes": nodes,
@@ -192,7 +193,8 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
         "rounds": k,
     }
     for runs in (1, 16):
-        rows = [(LossSchedule(model=model, seed=r), params.alpha, None) for r in range(runs)]
+        rows = [(LossSchedule(model=model, seed=r), params.alpha, params.rho, None)
+                for r in range(runs)]
         walls = []
         for _ in range(reps):
             traces, ms = timed(lambda: engine.run(rows, k, sol, final_states=False))

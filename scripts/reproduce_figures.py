@@ -3,7 +3,7 @@
 
 fig1/fig3/fig4 are Monte Carlo error traces (vs loss probability, step size,
 and penalty respectively); fig2 is the stability-boundary sweep. The full
-presets take a few seconds on one core; pass --jobs to parallelize the sweep.
+presets take a few seconds on one core.
 
 Each regeneration also writes out/figures/MANIFEST.json: the radmm version,
 the loss-mask contract version (`radmm.MASK_CONTRACT`), and per preset its
@@ -28,12 +28,9 @@ MANIFEST = FIGDIR / "MANIFEST.json"
 PRESETS = [("fig1", "run"), ("fig2", "sweep"), ("fig3", "run"), ("fig4", "run")]
 
 
-def run_preset(name: str, command: str, out: Path, jobs: int) -> int:
-    argv = [command, "--preset", name, "--out", str(out)]
-    if command == "sweep":
-        argv += ["--jobs", str(jobs)]
+def run_preset(name: str, command: str, out: Path) -> int:
     t0 = time.perf_counter()
-    rc = radmm_main(argv)
+    rc = radmm_main([command, "--preset", name, "--out", str(out)])
     print(f"{name}: exit {rc} in {time.perf_counter() - t0:.1f}s")
     return rc
 
@@ -42,12 +39,12 @@ def digests(out: Path) -> dict[str, str]:
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.glob("*.csv"))}
 
 
-def regenerate(root: Path, jobs: int) -> tuple[int, dict]:
+def regenerate(root: Path) -> tuple[int, dict]:
     """Run every preset into root/<name>; the worst exit code and the manifest."""
     worst = 0
     presets = {}
     for name, command in PRESETS:
-        worst = max(worst, run_preset(name, command, root / name, jobs))
+        worst = max(worst, run_preset(name, command, root / name))
         presets[name] = {"command": command, "files": digests(root / name)}
     return worst, {
         "radmm_version": radmm.__version__,
@@ -74,10 +71,10 @@ def mismatches(want: dict, got: dict, what: str) -> list[str]:
     return out
 
 
-def check(jobs: int) -> int:
+def check() -> int:
     want = json.loads(MANIFEST.read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        rc, fresh = regenerate(Path(tmp), jobs)
+        rc, fresh = regenerate(Path(tmp))
     committed = {
         "radmm_version": want["radmm_version"],
         "mask_contract": want.get("mask_contract"),
@@ -94,13 +91,12 @@ def check(jobs: int) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for the fig2 sweep")
     parser.add_argument("--check", action="store_true",
                         help="regenerate into a temporary directory and compare with the manifest")
     args = parser.parse_args()
     if args.check:
-        return check(args.jobs)
-    rc, manifest = regenerate(FIGDIR, args.jobs)
+        return check()
+    rc, manifest = regenerate(FIGDIR)
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
     return rc
 

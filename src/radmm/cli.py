@@ -128,9 +128,9 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
         if cfg.run.runs == 1:
             # the loss values of this (alpha, rho) as one batch, each run
             # bitwise its own `core.run`, without the final states no CSV holds
-            results = _StackedEngine(problem, params.rho).run(
+            results = _StackedEngine(problem, (params.rho,)).run(
                 [
-                    (LossSchedule(model=model, seed=cfg.loss.seed), params.alpha, tol)
+                    (LossSchedule(model=model, seed=cfg.loss.seed), params.alpha, params.rho, tol)
                     for model, tol in settings
                 ],
                 cfg.run.k_max,
@@ -189,7 +189,7 @@ def cmd_check(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -
     return EXIT_OK if verdict == "PASS" else EXIT_EQUIVALENCE
 
 
-def cmd_sweep(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path, jobs: int) -> int:
+def cmd_sweep(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> int:
     from .config import ConfigError
     from .experiments import stability_sweep, sweep_to_csv
 
@@ -205,7 +205,6 @@ def cmd_sweep(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path, j
         k_max=cfg.sweep.k_max,
         seed=cfg.loss.seed,
         tol=cfg.sweep.tol,
-        jobs=jobs,
     )
     path = _write(out_dir, f"{cfg.output_prefix}_sweep.csv", sweep_to_csv(result))
     print(f"wrote {path}")
@@ -232,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "generate":
             continue
         sp.add_argument("--instance", help="path to an instance JSON (default: generate from config)")
-        if name == "sweep":
-            sp.add_argument("--jobs", type=int, default=1, help="worker processes, one rho slice each")
-        elif name == "run":
-            # perfbench/harness.py passes --jobs 1 to every command it times
+        if name == "run":
+            # perfbench/harness.py passes --jobs 1 to every command it times;
+            # the next change to the benchmark deletes the flag
             sp.add_argument("--jobs", type=int, default=1, help="ignored: a run uses one process")
     return parser
 
@@ -253,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(cfg, args.instance, out_dir)
         if args.command == "check":
             return cmd_check(cfg, args.instance, out_dir)
-        return cmd_sweep(cfg, args.instance, out_dir, args.jobs)
+        return cmd_sweep(cfg, args.instance, out_dir)
     except ValueError as exc:  # ConfigError, or an invalid config or instance value
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG

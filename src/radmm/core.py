@@ -22,9 +22,9 @@ arithmetic on whole-graph arrays in the stacked layouts of `reference`
 (which `node_states` reads as node-local states), and the tests check that
 its traces, snapshots and final states are bitwise equal to a loop of
 `sample_mask`, `sync_round` and `relative_error`. The engine is built once
-per (problem, rho) and advances a batch of runs together, one row per
-(schedule, alpha, stop tolerance); `run` is a batch of one, a Monte Carlo in
-`experiments` hands it all its runs, and a sweep every run of one rho.
+per problem and its rhos and advances a batch of runs together, one row per
+(schedule, alpha, rho, stop tolerance); `run` is a batch of one, a Monte
+Carlo in `experiments` hands it all its runs, and a sweep its whole grid.
 Every run starts from the all-zero `initial_states`, is scored every round
 against the centralized optimum, and loses packets on exactly the graph's
 directed edges. Every run of a batch is bitwise equal to the same run alone.
@@ -359,7 +359,7 @@ class RunTrace:
 class _StackedEngine:
     """`sync_round` on whole-graph arrays, for quadratic costs; what `run` uses.
 
-    Built once per (problem, rho) and reusable across runs and batches.
+    Built once per problem and its rhos, and reusable across runs and batches.
     Every run starts from all-zero x and z and is scored against a reference
     solution, and a loss schedule must cover exactly `self.edges`. A run's
     flat buffer holds z in the `reference` layout, viewed as (edges, 2, n)
@@ -369,20 +369,20 @@ class _StackedEngine:
     stacks these buffers as rows.
     The gather tables are built from the directed-edge arrays (sender,
     reverse edge, rank among the receiver's neighbors), and each degree
-    class is factored in one stacked cholesky and inv.
+    class is factored in one stacked cholesky and inv per rho.
 
     Every arithmetic step is the one `sync_round` takes, in the same order:
     the head sums add z_in_self in ascending neighbor order starting from
     zero, each node's x is `inv @ (base + linear)` (batched over the nodes of
     one degree; numpy hands each item of a stacked matmul to the same BLAS
     gemv as a single `inv @ v`), messages are 2 rho x - z, and a delivered
-    edge relaxes to (1 - alpha) z + alpha q, with the row's own alpha (an
-    elementwise product). Runs are therefore bitwise equal to the node-local
+    edge relaxes to (1 - alpha) z + alpha q, with the row's own alpha and rho
+    (elementwise products). Runs are therefore bitwise equal to the node-local
     rounds, which the tests check. A closed form x = c + K z would be faster
     to state but is not bitwise equal.
     """
 
-    def __init__(self, p: PartitionProblem, rho: float):
+    def __init__(self, p: PartitionProblem, rhos: Sequence[float]):
         for i, cost in enumerate(p.costs):
             if not isinstance(cost, QuadraticLocalCost):
                 raise TypeError(
@@ -390,7 +390,7 @@ class _StackedEngine:
                     f"{type(cost).__name__}"
                 )
         g, n = p.graph, p.dim
-        self.graph, self.n, self.rho = g, n, rho
+        self.graph, self.n, self.rhos = g, n, tuple(dict.fromkeys(map(float, rhos)))
         self.edges = g.directed_edges()
         self.orders = tuple(tuple(neighbors(g, i)) for i in range(g.node_count))
         e_count, nodes = len(self.edges), np.arange(g.node_count)
@@ -443,7 +443,7 @@ class _StackedEngine:
         # matrix, so the inverses are bitwise those of QuadraticLocalSolver.
         # (Plain Python picks the members: an integer compare and nonzero
         # would touch numpy code that nothing else in a run does.)
-        self.classes = []  # (inv stack, span in class-major order, batch shape)
+        self.classes = []  # (inv stack per rho, span in class-major order, batch shape)
         class_slots, bases = [], []
         at = 0
         for d in sorted(set(degs)):
@@ -452,7 +452,7 @@ class _StackedEngine:
             k, m = len(members), n * (d + 1)
             scale = np.ones(m)
             scale[:n] = d
-            system, base = np.empty((k, m, m)), np.empty((k, m, 1))
+            hess, base = np.empty((k, m, m)), np.empty((k, m, 1))
             for r in sorted({c.rows for c in costs}):  # one stack per cost height
                 sub = [s for s, c in enumerate(costs) if c.rows == r]
                 blocks = [
@@ -465,15 +465,19 @@ class _StackedEngine:
                 q = np.array([costs[s].q for s in sub]).reshape(len(sub), r, r)
                 b = np.array([costs[s].b for s in sub]).reshape(len(sub), r, 1)
                 maps_t = maps.transpose(0, 2, 1)
-                system[sub] = 2.0 * (maps_t @ q @ maps) + rho * np.diag(scale)
+                hess[sub] = 2.0 * (maps_t @ q @ maps)
                 base[sub] = 2.0 * (maps_t @ (q @ b))
-            try:
-                np.linalg.cholesky(system)
-            except np.linalg.LinAlgError as exc:
-                raise SingularLocalSystemError(
-                    "local subproblem is singular (isolated node with rank-deficient cost?)"
-                ) from exc
-            self.classes.append((np.linalg.inv(system), slice(at, at + k * m), (k, m, 1)))
+            invs = []
+            for rho in self.rhos:
+                system = hess + rho * np.diag(scale)
+                try:
+                    np.linalg.cholesky(system)
+                except np.linalg.LinAlgError as exc:
+                    raise SingularLocalSystemError(
+                        "local subproblem is singular (isolated node with rank-deficient cost?)"
+                    ) from exc
+                invs.append(np.linalg.inv(system))
+            self.classes.append((invs, slice(at, at + k * m), (k, m, 1)))
             bases.append(base)
             class_slots.append((self_slot[members][:, None] + np.arange(d + 1)).ravel())
             at += k * m
@@ -488,55 +492,61 @@ class _StackedEngine:
         self.message_x = n * np.stack([self_slot[sender], edge_slot], axis=1)[..., None] + col
         self.message_z = 2 * n * rev[:, None, None] + np.array([[n], [0]]) + col
 
-    def _lossy(self, schedule: LossSchedule | None) -> LossSchedule | None:
-        """The schedule, or None when it never loses a packet."""
-        if schedule is None:
-            return None
-        if schedule.edges != self.edges:
-            raise ValueError("a loss schedule must cover exactly the graph's directed edges")
-        return None if schedule.loss_free else schedule
-
     def run(
         self,
-        runs: Sequence[tuple[LossSchedule | None, float, float | None]],
+        runs: Sequence[tuple[LossSchedule | None, float, float, float | None]],
         k_max: int,
         solution: Solution,
         record_states: bool = False,
         final_states: bool = True,
     ) -> list[RunTrace]:
-        """`run` for every (schedule, alpha, stop_tol) at once: one RunTrace each.
+        """`run` for every (schedule, alpha, rho, stop_tol) at once: one
+        RunTrace each.
 
         Each run owns one row of a (runs, buffer) array, and a round does for
         all rows what it does for one: the same gathers, each item of the
-        broadcast matmul goes to the same gemv, and the row's alpha scales
-        only its own q and z. Every trace is therefore bitwise equal to that
-        run's own `run`. A run that diverges, or whose error falls below its
-        stop_tol (None: no stop), is frozen on that round and its row
-        dropped; errors are taken against solution. The lossy rows' masks
-        are drawn _MASK_CHUNK rounds at a time in one `delivery_block`
-        call, and a dropped row's part of the chunk is dropped with it;
-        masks are a pure function of (seed, round, edge), so chunking does
-        not change them. With final_states=False the traces carry no final
-        states, which large batches that keep only the errors need not hold.
+        broadcast matmul goes to the same gemv, and the row's alpha and rho
+        scale only its own q and z. Rows are kept in (rho, run) order, so
+        each degree class takes one matmul per rho present against that
+        rho's inverses. Every trace is therefore bitwise equal to that
+        run's own `run`. rho must be one of the engine's and stop_tol None
+        (no stop) or positive. A run that diverges, or whose error falls
+        below its stop_tol, is frozen on that round and its row dropped;
+        errors are taken against solution. The lossy rows' masks are drawn
+        _MASK_CHUNK rounds at a time in one `delivery_block` call, and a
+        dropped row's part of the chunk is dropped with it; masks are a
+        pure function of (seed, round, edge), so chunking does not change
+        them. With final_states=False the traces carry no final states,
+        which large batches that keep only the errors need not hold.
         """
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
+        rho_at = {rho: i for i, rho in enumerate(self.rhos)}
+        schedules = []  # each run's schedule, None when it never loses a packet
+        for schedule, _, rho, tol in runs:
+            if schedule is not None and schedule.edges != self.edges:
+                raise ValueError("a loss schedule must cover exactly the graph's directed edges")
+            if rho not in rho_at:
+                raise ValueError(f"rho {rho} is not one of the engine's {self.rhos}")
+            if tol is not None and not tol > 0:
+                raise ValueError(f"stop_tol must be None or positive, got {tol}")
+            schedules.append(None if schedule is None or schedule.loss_free else schedule)
         ref, starts, norms = _reference_blocks(solution, self.orders)
-        schedules = [self._lossy(schedule) for schedule, _, _ in runs]
-        if not schedules:
+        if not runs:
             return []
-        # Loss-free runs with one alpha and stop tolerance follow one
+        # Loss-free runs with one rho, alpha and stop tolerance follow one
         # trajectory: the first of them gets a row, the others share its result.
         first: dict = {}
         source = [
-            first.setdefault((r,) if schedule else (None, alpha, tol), r)
-            for r, (schedule, (_, alpha, tol)) in enumerate(zip(schedules, runs))
+            first.setdefault((r,) if schedule else (None, rho, alpha, tol), r)
+            for r, (schedule, (_, alpha, rho, tol)) in enumerate(zip(schedules, runs))
         ]
-        ids = np.array(sorted(set(source)))  # the run each row holds
-        alphas = [float(alpha) for _, alpha, _ in runs]
-        tols = [-np.inf if runs[r][2] is None else runs[r][2] for r in ids]
+        which = [rho_at[rho] for _, _, rho, _ in runs]  # each run's rho index
+        # the run each row holds, in (rho, run) order
+        ids = np.array(sorted(set(source), key=lambda r: (which[r], r)))
+        alphas = [float(alpha) for _, alpha, _, _ in runs]
+        tols = [-np.inf if runs[r][3] is None else runs[r][3] for r in ids]
         buf = np.zeros((len(ids), self.head_at + self.head_terms[0].size))
-        two_rho = 2.0 * self.rho
 
         errors: list[list[np.ndarray]] = [[] for _ in runs]  # pieces per run
         log: list[np.ndarray] = []  # the rows' errors, one entry a round
@@ -559,17 +569,25 @@ class _StackedEngine:
                 heads = state[..., self.head_at :].reshape(lead + self.head_terms.shape[1:])
                 v = np.empty(lead + (self.x_size,))
                 xc = np.empty(lead + (self.x_size,))
-                solves = [
-                    (inv, v[..., at].reshape(lead + shape), xc[..., at].reshape(lead + shape))
-                    for inv, at, shape in self.classes
-                ]
+                # (rho index, its rows) per rho present; the rows are in
+                # (rho, run) order, and one rho takes the class views whole
+                row_rho = [which[r] for r in ids]
+                present = sorted(set(row_rho))
+                spans = [(i, slice(row_rho.index(i), row_rho.index(i) + row_rho.count(i)))
+                         for i in present] if len(present) > 1 else [(present[0], ...)]
+                solves = []
+                for invs, at, shape in self.classes:
+                    v_c, x_c = v[..., at].reshape(lead + shape), xc[..., at].reshape(lead + shape)
+                    solves += [(invs[i], v_c[rs], x_c[rs]) for i, rs in spans]
                 any_lossy = bool(lossy.any())
                 relaxed = np.empty_like(z)
-                # each row's alpha scales its own q and z (a shared one stays
-                # a scalar, on which numpy calls cost least)
+                # each row's alpha and rho scale its own q and z (shared ones
+                # stay scalars, on which numpy calls cost least)
                 alpha = [alphas[r] for r in ids]
                 alpha = np.reshape(alpha, (-1, 1, 1, 1)) if len(set(alpha)) > 1 else alpha[0]
                 keep = 1.0 - alpha
+                two_rho = [2.0 * self.rhos[i] for i in row_rho]
+                two_rho = np.reshape(two_rho, (-1, 1, 1, 1)) if len(present) > 1 else two_rho[0]
             np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
             state.take(self.linear, axis=-1, out=v)
             v += self.base
@@ -673,12 +691,11 @@ def run(
     QuadraticLocalCost costs (TypeError otherwise) and is bitwise equal to
     iterating `sync_round` from `initial_states`.
     """
-    engine = _StackedEngine(p, params.rho)
+    engine = _StackedEngine(p, (params.rho,))
     if solution is None:
         solution = solve_centralized(p)
-    (trace,) = engine.run(
-        [(schedule, params.alpha, stop_tol)], k_max, solution, record_states=record_states
-    )
+    row = (schedule, params.alpha, params.rho, stop_tol)
+    (trace,) = engine.run([row], k_max, solution, record_states=record_states)
     return trace
 
 

@@ -3,15 +3,14 @@
 Aggregation happens in the linear error domain; taking logs is left to
 whoever renders the data, so traces from different settings stay comparable.
 Every run's loss schedule is seeded from the experiment seed and the run's
-grid coordinates, which makes results a pure function of the configuration
-and lets parallel and serial execution agree bitwise.
+grid coordinates, which makes results a pure function of the configuration,
+whatever else shares its batch.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -100,10 +99,10 @@ def monte_carlo_settings(
     for loss, tol in settings:
         model = loss if isinstance(loss, LossModel) else LossModel.uniform(p.graph, loss)
         rows += [
-            (LossSchedule(model=model, seed=_sub_seed(seed, r)), params.alpha, tol)
+            (LossSchedule(model=model, seed=_sub_seed(seed, r)), params.alpha, params.rho, tol)
             for r in range(runs)
         ]
-    traces = _StackedEngine(p, params.rho).run(rows, k_max, solution=solution, final_states=False)
+    traces = _StackedEngine(p, (params.rho,)).run(rows, k_max, solution, final_states=False)
     out = []
     for at in range(0, len(traces), runs):
         group = traces[at : at + runs]
@@ -154,30 +153,6 @@ class SweepResult:
     converged_at: dict[tuple[float, float, float], float | None]
 
 
-def _sweep_rho(p, solution, alpha_grid, loss_grid, runs, k_max, seed, tol, ir, rho):
-    """Every (alpha, p, run) of one rho as one batch on one engine; one
-    (cell, outcome, median round) per cell. A cell's outcome is that of its
-    first run, in run order, that did not converge; 'converged' if none."""
-    models = [LossModel.uniform(p.graph, loss_p) for loss_p in loss_grid]
-    rows = [
-        (LossSchedule(model=model, seed=_sub_seed(seed, ir, ia, ip, r)), alpha, tol)
-        for ia, alpha in enumerate(alpha_grid)
-        for ip, model in enumerate(models)
-        for r in range(runs)
-    ]
-    traces = _StackedEngine(p, rho).run(rows, k_max, solution=solution, final_states=False)
-    results = []
-    for c, (alpha, loss_p) in enumerate(product(alpha_grid, loss_grid)):
-        group = traces[c * runs : (c + 1) * runs]
-        rounds = [detect_convergence(tr, tol) for tr in group]
-        if None in rounds:
-            outcome = "diverged" if group[rounds.index(None)].diverged else "undecided"
-            results.append(((rho, alpha, loss_p), outcome, None))
-        else:
-            results.append(((rho, alpha, loss_p), "converged", float(np.median(rounds))))
-    return results
-
-
 def stability_sweep(
     p: PartitionProblem,
     rho_grid: list[float],
@@ -193,8 +168,11 @@ def stability_sweep(
 
     Cell (i_rho, i_alpha, i_p) derives its run seeds from the experiment seed
     and its grid indices, so the result does not depend on evaluation order.
-    All runs of one rho advance as one batch on one engine; jobs > 1
-    distributes the rho slices over processes.
+    Every run of the grid advances in one batch on one engine. A cell's
+    outcome is that of its first run, in run order, that did not converge;
+    'converged' if none. jobs is accepted for callers that still pass it
+    and must be >= 1; it changes nothing, and the next change to the
+    benchmark deletes it (ROADMAP item 4).
     """
     if not (rho_grid and alpha_grid and loss_grid):
         raise ValueError("all sweep grids must be nonempty")
@@ -202,23 +180,30 @@ def stability_sweep(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for rho in rho_grid:
         if rho <= 0:
             raise ValueError(f"rho grid must be positive, got {rho}")
-    sweep_rho = partial(
-        _sweep_rho, p, solve_centralized(p), alpha_grid, loss_grid, runs, k_max, seed, tol
-    )
-    if jobs > 1:
-        # imported here: it costs every CLI start ~15 ms and only sweeps use it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            slices = list(pool.map(sweep_rho, range(len(rho_grid)), rho_grid))
-    else:
-        slices = list(map(sweep_rho, range(len(rho_grid)), rho_grid))
-    results = [cell for cells in slices for cell in cells]
-    outcomes = {cell: outcome for cell, outcome, _ in results}
-    converged_at = {cell: median for cell, _, median in results}
+    models = [LossModel.uniform(p.graph, loss_p) for loss_p in loss_grid]
+    rows = [
+        (LossSchedule(model=model, seed=_sub_seed(seed, ir, ia, ip, r)), alpha, rho, tol)
+        for ir, rho in enumerate(rho_grid)
+        for ia, alpha in enumerate(alpha_grid)
+        for ip, model in enumerate(models)
+        for r in range(runs)
+    ]
+    traces = _StackedEngine(p, rho_grid).run(rows, k_max, solve_centralized(p), final_states=False)
+    grid = list(product(rho_grid, alpha_grid, loss_grid))
+    outcomes, converged_at = {}, {}
+    for c, cell in enumerate(grid):
+        group = traces[c * runs : (c + 1) * runs]
+        rounds = [detect_convergence(tr, tol) for tr in group]
+        if None in rounds:
+            outcomes[cell] = "diverged" if group[rounds.index(None)].diverged else "undecided"
+            converged_at[cell] = None
+        else:
+            outcomes[cell], converged_at[cell] = "converged", float(np.median(rounds))
     boundary: dict[tuple[float, float], float | None] = {}
     for rho, loss_p in product(rho_grid, loss_grid):
         best = None
@@ -227,7 +212,6 @@ def stability_sweep(
                 break
             best = alpha
         boundary[(rho, loss_p)] = best
-    grid = [cell for cell, _, _ in results]
     return SweepResult(
         grid=grid, outcomes=outcomes, boundary=boundary, converged_at=converged_at
     )

@@ -341,7 +341,7 @@ def problem_to_json(p: PartitionProblem) -> str:
             for c in p.costs
         ],
     }
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)
 
 
 def problem_from_json(text: str) -> PartitionProblem:

@@ -17,21 +17,22 @@ from conftest import make_instances
 from test_engine import assert_states_bitwise, assert_trace_matches_spec, spec_run, table_model
 
 
-def assert_rows_match_spec(p, rho, rows, k_max):
-    """Run the (schedule, alpha, stop_tol) rows as one batch and compare each
-    with the spec at its own alpha."""
+def assert_rows_match_spec(p, rows, k_max):
+    """Run the (schedule, alpha, rho, stop_tol) rows as one batch on one
+    engine and compare each with the spec at its own alpha and rho."""
     sol = rm.solve_centralized(p)
-    traces = _StackedEngine(p, rho).run(rows, k_max, sol, record_states=True)
+    engine = _StackedEngine(p, [rho for _, _, rho, _ in rows])
+    traces = engine.run(rows, k_max, sol, record_states=True)
     assert len(traces) == len(rows)
-    for tr, (schedule, alpha, tol) in zip(traces, rows):
+    for tr, (schedule, alpha, rho, tol) in zip(traces, rows):
         params = rm.AlgorithmParams(alpha, rho)
         assert_trace_matches_spec(tr, spec_run(p, params, schedule, k_max, sol, tol))
     return traces
 
 
 def assert_batch_matches_spec(p, params, schedules, tols, k_max):
-    rows = [(s, params.alpha, tol) for s, tol in zip(schedules, tols)]
-    return assert_rows_match_spec(p, params.rho, rows, k_max)
+    rows = [(s, params.alpha, params.rho, tol) for s, tol in zip(schedules, tols)]
+    return assert_rows_match_spec(p, rows, k_max)
 
 
 def uniform(p, loss_p, seed):
@@ -77,17 +78,17 @@ def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem):
     p = ten_node_problem
     sol = rm.solve_centralized(p)
     rows = [
-        (uniform(p, 0.2, 31), 0.75, 1e-3),
-        (uniform(p, 0.0, 32), 0.75, 1e-5),
-        (uniform(p, 0.4, 33), 0.75, 1e-4),
-        (uniform(p, 0.6, 34), 0.75, None),
-        (uniform(p, 0.2, 35), 0.75, 1e-5),
-        (None, 0.75, None),
-        (uniform(p, 0.6, 36), 0.75, 1e-3),
+        (uniform(p, 0.2, 31), 0.75, 3.0, 1e-3),
+        (uniform(p, 0.0, 32), 0.75, 3.0, 1e-5),
+        (uniform(p, 0.4, 33), 0.75, 3.0, 1e-4),
+        (uniform(p, 0.6, 34), 0.75, 3.0, None),
+        (uniform(p, 0.2, 35), 0.75, 3.0, 1e-5),
+        (None, 0.75, 3.0, None),
+        (uniform(p, 0.6, 36), 0.75, 3.0, 1e-3),
     ]
-    traces = _StackedEngine(p, 3.0).run(rows, 150, sol)
-    for tr, (schedule, alpha, tol) in zip(traces, rows):
-        alone = rm.run(p, rm.AlgorithmParams(alpha, 3.0), schedule, 150, solution=sol, stop_tol=tol)
+    traces = _StackedEngine(p, (3.0,)).run(rows, 150, sol)
+    for tr, (schedule, alpha, rho, tol) in zip(traces, rows):
+        alone = rm.run(p, rm.AlgorithmParams(alpha, rho), schedule, 150, solution=sol, stop_tol=tol)
         assert tr.errors.tobytes() == alone.errors.tobytes()
         assert (tr.rounds_executed, tr.diverged) == (alone.rounds_executed, alone.diverged)
         assert_states_bitwise(tr.final_states, alone.final_states)
@@ -109,16 +110,19 @@ def test_batch_mixing_divergence_convergence_and_k_max(ten_node_problem):
 
 
 def test_mixed_alpha_batch_equals_spec(ten_node_problem, monkeypatch):
-    # one row per (alpha, p): four loss-free rows at four alphas, which must
-    # not share a row, and one more loss-free run at alpha = 0.75 with the
-    # same tol, which shares the row of (0.75, p = 0)
+    # one row per (alpha, p), its rho alternating between 3 and 1 in run
+    # order: four loss-free rows at four alphas, which must not share a
+    # row; one more loss-free run at (alpha, rho) = (0.75, 1) with the same
+    # tol, which shares the row of (0.75, 1, p = 0); and one at
+    # (0.75, 3), which does not
     p = ten_node_problem
     rows = [
-        (uniform(p, loss_p, 50 + 3 * ia + ip), alpha, 1e-4 if loss_p else 1e-6)
+        (uniform(p, loss_p, 50 + 3 * ia + ip), alpha, (3.0, 1.0)[(ia + ip) % 2],
+         1e-4 if loss_p else 1e-6)
         for ia, alpha in enumerate([0.3, 0.75, 1.3, 1.6])
         for ip, loss_p in enumerate([0.0, 0.2, 0.6])
     ]
-    rows.append((None, 0.75, 1e-6))
+    rows += [(None, 0.75, 1.0, 1e-6), (None, 0.75, 3.0, 1e-6)]
     row_counts = []
     error_sum = core._error_sum
 
@@ -127,9 +131,10 @@ def test_mixed_alpha_batch_equals_spec(ten_node_problem, monkeypatch):
         return error_sum(x, *args)
 
     monkeypatch.setattr(core, "_error_sum", counting)
-    traces = assert_rows_match_spec(p, 3.0, rows, 200)
+    traces = assert_rows_match_spec(p, rows, 200)
     assert row_counts[0] == len(rows) - 1
-    assert traces[3].errors.tobytes() == traces[-1].errors.tobytes()
+    assert traces[3].errors.tobytes() == traces[-2].errors.tobytes()
+    assert traces[3].errors.tobytes() != traces[-1].errors.tobytes()
     # converged, diverged and still going at k_max all occur
     assert any(tr.diverged for tr in traces)
     assert any(not tr.diverged and tr.rounds_executed < 200 for tr in traces)
@@ -138,8 +143,9 @@ def test_mixed_alpha_batch_equals_spec(ten_node_problem, monkeypatch):
 
 def test_shared_loss_free_runs_get_their_own_states(ten_node_problem, ten_node_solution):
     p = ten_node_problem
-    a, b = _StackedEngine(p, 3.0).run(
-        [(None, 0.75, None), (uniform(p, 0.0, 31), 0.75, None)], 30, solution=ten_node_solution
+    a, b = _StackedEngine(p, (3.0,)).run(
+        [(None, 0.75, 3.0, None), (uniform(p, 0.0, 31), 0.75, 3.0, None)], 30,
+        solution=ten_node_solution,
     )
     assert a.errors.tobytes() == b.errors.tobytes()
     assert_states_bitwise(a.final_states, b.final_states)
@@ -149,12 +155,23 @@ def test_shared_loss_free_runs_get_their_own_states(ten_node_problem, ten_node_s
     assert b.errors[0] != 7.0
 
 
-def test_batch_argument_checks(ten_node_problem):
-    engine = _StackedEngine(ten_node_problem, 3.0)
-    sol = rm.solve_centralized(ten_node_problem)
+def test_batch_argument_checks(ten_node_problem, monkeypatch):
+    p = ten_node_problem
+    engine = _StackedEngine(p, (3.0,))
+    sol = rm.solve_centralized(p)
     assert engine.run([], 10, sol) == []
     with pytest.raises(ValueError):
-        engine.run([(None, 0.75, None)], 0, sol)
+        engine.run([(None, 0.75, 3.0, None)], 0, sol)
+    with pytest.raises(ValueError, match="rho"):  # a rho the engine was not built for
+        engine.run([(None, 0.75, 3.0, None), (None, 0.75, 1.0, None)], 10, sol)
+    # a stop tolerance that is not positive is rejected before any round
+    monkeypatch.setattr(core, "delivery_block", None)
+    params = rm.AlgorithmParams(0.75, 3.0)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="stop_tol"):
+            rm.run(p, params, uniform(p, 0.2, 1), 300, solution=sol, stop_tol=tol)
+        with pytest.raises(ValueError, match="stop_tol"):
+            rm.monte_carlo(p, params, 0.2, 3, 300, seed=1, solution=sol, stop_tol=tol)
 
 
 def test_monte_carlo_settings_equal_separate_calls(ten_node_problem, ten_node_solution):
@@ -227,7 +244,7 @@ def reference_sweep(p, rho_grid, alpha_grid, loss_grid, runs, k_max, seed, tol):
 
 
 def test_sweep_equals_per_run_reference(ten_node_problem):
-    # two rhos: the rho index enters the run seeds, and each rho is one batch
+    # two rhos: the rho index enters the run seeds, and the grid is one batch
     grid = dict(rho_grid=[3.0, 1.0], alpha_grid=[0.1, 0.75, 1.3], loss_grid=[0.0, 0.6])
     args = dict(runs=4, k_max=240, seed=75, tol=1e-4)
     result = rm.stability_sweep(ten_node_problem, **grid, **args)
@@ -258,7 +275,7 @@ def test_sweep_cell_takes_its_first_nonconverged_run(ten_node_problem, ten_node_
     assert result.outcomes[(3.0, 1.2, 0.4)] == "undecided"
 
 
-def test_sweep_builds_one_engine_per_rho(ten_node_problem, monkeypatch):
+def test_sweep_builds_one_engine(ten_node_problem, monkeypatch):
     built = []
 
     class CountingEngine(_StackedEngine):
@@ -272,4 +289,4 @@ def test_sweep_builds_one_engine_per_rho(ten_node_problem, monkeypatch):
         loss_grid=[0.0, 0.2], runs=2, k_max=60, seed=9,
     )
     assert len(result.grid) == 12
-    assert len(built) == 2
+    assert len(built) == 1

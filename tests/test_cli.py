@@ -292,8 +292,13 @@ def test_seed_override_changes_instance(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["generate", "--instance", "i.json"], ["generate", "--jobs", "2"], ["check", "--jobs", "2"]],
-    ids=["generate-instance", "generate-jobs", "check-jobs"],
+    [
+        ["generate", "--instance", "i.json"],
+        ["generate", "--jobs", "2"],
+        ["check", "--jobs", "2"],
+        ["sweep", "--jobs", "2"],
+    ],
+    ids=["generate-instance", "generate-jobs", "check-jobs", "sweep-jobs"],
 )
 def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, argv):
     cfg = write_config(tmp_path, base_config())

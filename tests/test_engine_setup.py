@@ -1,9 +1,10 @@
 """The stacked engine's set-up against a node-by-node, edge-by-edge build.
 
 `_StackedEngine` builds its index tables from edge arrays and factors each
-degree class in one stacked call. `loop_tables` below builds the same tables
-one node and one edge at a time from `QuadraticLocalSolver`s, the plain
-reference; every table and inverse must match it byte for byte.
+degree class in one stacked call per rho. `loop_tables` below builds the same
+tables one node and one edge at a time from `QuadraticLocalSolver`s, the
+plain reference; every table and every rho's inverses must match it byte for
+byte.
 """
 
 import numpy as np
@@ -13,13 +14,14 @@ import radmm as rm
 from radmm.core import _StackedEngine
 from conftest import make_instances
 
-PARAMS = rm.AlgorithmParams(0.75, 3.0)
+RHOS = (3.0,)
 
 
-def loop_tables(p, params):
+def loop_tables(p, rhos):
     """Every engine table, built per node and per edge: the reference."""
     g, n = p.graph, p.dim
-    solvers = [rm.QuadraticLocalSolver(c, params.rho) for c in p.costs]
+    by_rho = [[rm.QuadraticLocalSolver(c, rho) for c in p.costs] for rho in rhos]
+    solvers = by_rho[0]
     edges = g.directed_edges()
     edge_at = {e: t for t, e in enumerate(edges)}
     orders = [rm.neighbors(g, i) for i in range(g.node_count)]
@@ -62,9 +64,8 @@ def loop_tables(p, params):
         nodes = [i for i in by_class if len(orders[i]) == deg]
         m = n * (deg + 1)
         at = class_at[nodes[0]]
-        classes.append(
-            (np.stack([solvers[i]._inv for i in nodes]), slice(at, at + len(nodes) * m), (len(nodes), m, 1))
-        )
+        invs = [np.stack([rho_solvers[i]._inv for i in nodes]) for rho_solvers in by_rho]
+        classes.append((invs, slice(at, at + len(nodes) * m), (len(nodes), m, 1)))
     x_at, z_at = [], []
     for j, i in edges:
         t = orders[j].index(i)
@@ -94,14 +95,16 @@ def assert_same_array(got, want, name):
     assert got.tobytes() == want.tobytes(), name
 
 
-def assert_engine_matches_loop(p, params=PARAMS):
-    engine = _StackedEngine(p, params.rho)
-    want = loop_tables(p, params)
+def assert_engine_matches_loop(p, rhos=RHOS):
+    engine = _StackedEngine(p, rhos)
+    want = loop_tables(p, rhos)
     for name in ("head_terms", "linear", "base", "from_class", "message_x", "message_z"):
         assert_same_array(getattr(engine, name), want[name], name)
     assert len(engine.classes) == len(want["classes"])
-    for (inv, span, shape), (inv_ref, span_ref, shape_ref) in zip(engine.classes, want["classes"]):
-        assert_same_array(inv, inv_ref, "inverse stack")
+    for (invs, span, shape), (invs_ref, span_ref, shape_ref) in zip(engine.classes, want["classes"]):
+        assert len(invs) == len(invs_ref) == len(rhos)
+        for inv, inv_ref in zip(invs, invs_ref):
+            assert_same_array(inv, inv_ref, "inverse stack")
         assert (span, shape) == (span_ref, shape_ref)
     for name in ("bounds", "x_size", "z_shape", "pad_at", "head_at"):
         assert getattr(engine, name) == want[name], name
@@ -126,13 +129,15 @@ def hand_problem(node_count, edges, n, rows_of, seed):
 
 def test_setup_matches_loop_on_fig1(ten_node_problem):
     assert_engine_matches_loop(ten_node_problem)
-    assert_engine_matches_loop(ten_node_problem, rm.AlgorithmParams(1.6, 0.5))
+    assert_engine_matches_loop(ten_node_problem, (0.5,))
+    # fig2's rhos, each factored from the one rho-free Hessian
+    assert_engine_matches_loop(ten_node_problem, (0.5, 1.0, 3.0, 5.0))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_setup_matches_loop_on_random_instances(dim):
     for p in make_instances(7, seed0=4300, dim=dim):
-        assert_engine_matches_loop(p)
+        assert_engine_matches_loop(p, (3.0, 0.7))
 
 
 def test_setup_matches_loop_on_100_nodes():
@@ -154,7 +159,7 @@ def test_setup_matches_loop_with_an_isolated_node():
 def test_setup_matches_loop_with_mixed_cost_heights():
     # nodes of one degree class whose costs have different row counts
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (4, 5)]
-    assert_engine_matches_loop(hand_problem(6, edges, 2, lambda i: 2 + i % 3, seed=33))
+    assert_engine_matches_loop(hand_problem(6, edges, 2, lambda i: 2 + i % 3, seed=33), (3.0, 0.5))
 
 
 def test_setup_rejects_singular_isolated_node():
@@ -162,7 +167,7 @@ def test_setup_rejects_singular_isolated_node():
     rng = np.random.default_rng(35)
     p.costs[2] = quadratic_cost(rng, 2, 3, [], a_self=np.zeros((3, 2)))
     with pytest.raises(rm.SingularLocalSystemError):
-        _StackedEngine(p, PARAMS.rho)
+        _StackedEngine(p, RHOS)
 
 
 def test_setup_rejects_non_quadratic_cost():
@@ -173,4 +178,4 @@ def test_setup_rejects_non_quadratic_cost():
     p = hand_problem(2, [(0, 1)], 2, lambda i: 3, seed=36)
     p.costs[0] = Opaque()
     with pytest.raises(TypeError):
-        _StackedEngine(p, PARAMS.rho)
+        _StackedEngine(p, RHOS)

@@ -171,28 +171,13 @@ def test_sweep_boundary_stops_at_first_nonconverged(ten_node_problem):
     assert result.boundary[(3.0, 0.0)] is None
 
 
-def test_sweep_parallel_matches_serial(ten_node_problem):
-    kwargs = dict(
-        rho_grid=[0.5, 3.0],
-        alpha_grid=[0.3, 0.75],
-        loss_grid=[0.0, 0.4],
-        runs=2,
-        k_max=3000,
-        seed=61,
-        tol=1e-4,
-    )
-    serial = rm.stability_sweep(ten_node_problem, jobs=1, **kwargs)
-    parallel = rm.stability_sweep(ten_node_problem, jobs=3, **kwargs)
-    assert serial.outcomes == parallel.outcomes
-    assert serial.converged_at == parallel.converged_at
-    assert serial.boundary == parallel.boundary
-
-
 def test_sweep_rejects_empty_or_invalid_grids(ten_node_problem):
     with pytest.raises(ValueError):
         rm.stability_sweep(ten_node_problem, [], [0.5], [0.0], 1, 10, 0)
     with pytest.raises(ValueError):
         rm.stability_sweep(ten_node_problem, [0.0], [0.5], [0.0], 1, 10, 0)
+    with pytest.raises(ValueError, match="jobs"):
+        rm.stability_sweep(ten_node_problem, [3.0], [0.5], [0.0], 1, 10, 0, jobs=0)
 
 
 def test_sweep_rejects_a_nonpositive_tol_before_any_run(ten_node_problem, monkeypatch):
