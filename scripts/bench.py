@@ -16,7 +16,9 @@ holds:
 - run_stages: cold per-stage times of `radmm run`'s path on the
   large_graph benchmark instance (ms): load, solve, engine set-up, rounds;
 - engine: per node count N, the graph, instance, solve and engine set-up
-  times and the engine's µs per run-round for 1 and for 16 runs;
+  times, the engine's µs per run-round for 1 and for 16 runs, and the
+  peak memory numpy and Python allocate inside those runs (KiB, from
+  `tracemalloc` in a separate untimed pass);
 - presets_s: CLI wall time of each figure preset at full run counts;
 - tier1_s: wall time of the Tier-1 suite;
 - perfbench: the per-layer metrics of `perfbench/run.py --trace 1`.
@@ -37,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -166,7 +169,8 @@ def run_stages(cfg: Path, inst: Path, reps: int) -> dict:
 
 
 def engine_point(nodes: int, radius: float, reps: int) -> dict:
-    """ROADMAP's engine table row: set-up times in ms, then µs per run-round."""
+    """ROADMAP's engine table row: set-up times in ms, µs per run-round and
+    the peak KiB allocated inside a run."""
     from radmm.core import AlgorithmParams, _StackedEngine
     from radmm.graph import generate_connected_rgg
     from radmm.lossy import LossModel, LossSchedule
@@ -202,6 +206,12 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
                 raise SystemExit(f"an engine run at N = {nodes} ended before round {k}")
             walls.append(ms)
         point[f"run_round_us_{runs}"] = 1e3 * statistics.median(walls) / (runs * k)
+        tracemalloc.start()  # untimed: tracing slows every allocation
+        try:
+            engine.run(rows, k, sol, final_states=False)
+            point[f"run_peak_kib_{runs}"] = tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
     return point
 
 
@@ -239,6 +249,11 @@ def main() -> int:
                         help="one repetition; skip N = 1000, presets, Tier-1, traced large_graph")
     args = parser.parse_args()
     reps = 1 if args.quick else 5
+    out = Path(args.out)
+    try:  # before measuring, which takes minutes
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out {out}: {exc.strerror}")
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -267,7 +282,7 @@ def main() -> int:
             "perfbench": {w: perfbench(w) for w in ("mc_fig1", "large_graph")
                           if not (args.quick and w == "large_graph")},
         }
-    path = Path(args.out) / f"BENCH_{args.label}.json"
+    path = out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path}")
     return 0

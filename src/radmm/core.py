@@ -25,6 +25,9 @@ its traces, snapshots and final states are bitwise equal to a loop of
 per problem and its rhos and advances a batch of runs together, one row per
 (schedule, alpha, rho, stop tolerance); `run` is a batch of one, a Monte
 Carlo in `experiments` hands it all its runs, and a sweep its whole grid.
+Its working set per round is bounded by two byte budgets, whatever the
+batch size: large batches run in blocks of rows, and masks are drawn a
+budgeted number of rounds at a time.
 Every run starts from the all-zero `initial_states`, is scored every round
 against the centralized optimum, and loses packets on exactly the graph's
 directed edges. Every run of a batch is bitwise equal to the same run alone.
@@ -46,7 +49,10 @@ from .problem import PartitionProblem, QuadraticLocalCost, Solution, solve_centr
 
 DIVERGENCE_NORM = 1e8
 _Z_CHECK_EVERY = 64
-_MASK_CHUNK = 64  # rounds of masks the engine draws at once
+# The engine's working set: the uint64 hashes of one mask draw, and the
+# state buffers of one block of rows, stay within these many bytes.
+_MASK_BYTES = 1 << 17
+_BLOCK_BYTES = 1 << 20
 
 
 class SingularLocalSystemError(ValueError):
@@ -421,6 +427,7 @@ class _StackedEngine:
         self.z_shape = (e_count, 2, n)
         self.pad_at = pad = e_count * 2 * n
         self.head_at = head = pad + n
+        self.row_size = head + n * g.node_count  # floats in one run's buffer
         col = np.arange(n)
 
         # head sums: the slabs of [0, z_in_self of each in-edge, zero pads up
@@ -501,7 +508,7 @@ class _StackedEngine:
         final_states: bool = True,
     ) -> list[RunTrace]:
         """`run` for every (schedule, alpha, rho, stop_tol) at once: one
-        RunTrace each.
+        RunTrace each, in input order.
 
         Each run owns one row of a (runs, buffer) array, and a round does for
         all rows what it does for one: the same gathers, each item of the
@@ -510,53 +517,82 @@ class _StackedEngine:
         each degree class takes one matmul per rho present against that
         rho's inverses. Every trace is therefore bitwise equal to that
         run's own `run`. rho must be one of the engine's and stop_tol None
-        (no stop) or positive. A run that diverges, or whose error falls
-        below its stop_tol, is frozen on that round and its row dropped;
-        errors are taken against solution. The lossy rows' masks are drawn
-        _MASK_CHUNK rounds at a time in one `delivery_block` call, and a
-        dropped row's part of the chunk is dropped with it; masks are a
-        pure function of (seed, round, edge), so chunking does not change
-        them. With final_states=False the traces carry no final states,
-        which large batches that keep only the errors need not hold.
+        (no stop) or positive; every run is checked before any round. A run
+        that diverges, or whose error falls below its stop_tol, is frozen on
+        that round and its row dropped; errors are taken against solution.
+        With final_states=False the traces carry no final states, which
+        large batches that keep only the errors need not hold.
+
+        The working set of a round is bounded whatever the batch size: rows
+        whose buffers together exceed _BLOCK_BYTES run as consecutive blocks
+        of rows that fit, and each `delivery_block` call draws as many rounds
+        of the lossy rows' masks (1 to 64) as keep its uint64 hashes within
+        _MASK_BYTES; a dropped row's part of a draw is dropped with it.
+        Runs are independent and masks a pure function of (seed, round,
+        edge), so neither bound changes a bit of any trace.
         """
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
         rho_at = {rho: i for i, rho in enumerate(self.rhos)}
-        schedules = []  # each run's schedule, None when it never loses a packet
-        for schedule, _, rho, tol in runs:
+        # per run: its schedule (None when it never loses a packet), alpha,
+        # rho index and stop tolerance (-inf for none)
+        settings = []
+        for schedule, alpha, rho, tol in runs:
             if schedule is not None and schedule.edges != self.edges:
                 raise ValueError("a loss schedule must cover exactly the graph's directed edges")
             if rho not in rho_at:
                 raise ValueError(f"rho {rho} is not one of the engine's {self.rhos}")
             if tol is not None and not tol > 0:
                 raise ValueError(f"stop_tol must be None or positive, got {tol}")
-            schedules.append(None if schedule is None or schedule.loss_free else schedule)
-        ref, starts, norms = _reference_blocks(solution, self.orders)
-        if not runs:
-            return []
+            lossy = schedule is not None and not schedule.loss_free
+            settings.append((schedule if lossy else None, float(alpha), rho_at[rho],
+                             -np.inf if tol is None else tol))
+        reference = _reference_blocks(solution, self.orders)
         # Loss-free runs with one rho, alpha and stop tolerance follow one
         # trajectory: the first of them gets a row, the others share its result.
         first: dict = {}
-        source = [
-            first.setdefault((r,) if schedule else (None, rho, alpha, tol), r)
-            for r, (schedule, (_, alpha, rho, tol)) in enumerate(zip(schedules, runs))
-        ]
-        which = [rho_at[rho] for _, _, rho, _ in runs]  # each run's rho index
-        # the run each row holds, in (rho, run) order
-        ids = np.array(sorted(set(source), key=lambda r: (which[r], r)))
-        alphas = [float(alpha) for _, alpha, _, _ in runs]
-        tols = [-np.inf if runs[r][3] is None else runs[r][3] for r in ids]
-        buf = np.zeros((len(ids), self.head_at + self.head_terms[0].size))
+        source = [first.setdefault((r,) if s[0] else s, r) for r, s in enumerate(settings)]
+        # the runs that get a row, in (rho, run) order, in blocks of rows
+        # whose buffers fit _BLOCK_BYTES
+        ids = sorted(set(source), key=lambda r: (settings[r][2], r))
+        size = max(1, _BLOCK_BYTES // (8 * self.row_size))
+        ends = {}
+        for at in range(0, len(ids), size):
+            block = np.array(ids[at : at + size])
+            ends.update(
+                self._run_block(block, settings, k_max, reference, record_states, final_states)
+            )
+        traces = []
+        for r in source:
+            errors, rounds, diverged, last, snapshots = ends[r]
+            states = [] if last is None else node_states(self.graph, self.n, *map(np.copy, last))
+            traces.append(
+                RunTrace(
+                    errors=np.concatenate(errors),
+                    diverged=diverged,
+                    rounds_executed=rounds,
+                    final_states=states,
+                    snapshots=None if snapshots is None else list(snapshots),
+                )
+            )
+        return traces
 
-        errors: list[list[np.ndarray]] = [[] for _ in runs]  # pieces per run
+    def _run_block(self, ids, settings, k_max, reference, record_states, final_states) -> dict:
+        """Run the runs ids, in (rho, run) order and with the settings `run`
+        checked, from zero until each ends. Returns, per run, its error
+        pieces, rounds, diverged flag, final (x, z) or None, and snapshots
+        or None."""
+        errors: dict = {r: [] for r in ids}  # pieces per run
         log: list[np.ndarray] = []  # the rows' errors, one entry a round
-        snapshots = [[] for _ in runs] if record_states else None
-        ends: list = [None] * len(runs)  # (rounds, diverged, final (x, z) or None) per run
+        snapshots = {r: [] for r in ids} if record_states else None
+        ends: dict = {}
+        buf = np.zeros((len(ids), self.row_size))
+        tols = [settings[r][3] for r in ids]
         rows = 0  # rows the views below were made for
         # every row's delivery flag per z entry for rounds drawn_at ..
-        # drawn_to - 1, (rows, rounds, edges, 2 n); loss-free rows deliver all
+        # drawn_to - 1, (rows, rounds, edges * 2 n); loss-free rows deliver all
         gates, drawn_at, drawn_to = None, 0, 0
-        lossy = np.array([schedules[r] is not None for r in ids])
+        lossy = np.array([settings[r][0] is not None for r in ids])
         for k in range(k_max):
             if rows != len(ids):
                 # Views of the rows' state. A single row gets 1-D views, on
@@ -571,7 +607,7 @@ class _StackedEngine:
                 xc = np.empty(lead + (self.x_size,))
                 # (rho index, its rows) per rho present; the rows are in
                 # (rho, run) order, and one rho takes the class views whole
-                row_rho = [which[r] for r in ids]
+                row_rho = [settings[r][2] for r in ids]
                 present = sorted(set(row_rho))
                 spans = [(i, slice(row_rho.index(i), row_rho.index(i) + row_rho.count(i)))
                          for i in present] if len(present) > 1 else [(present[0], ...)]
@@ -583,7 +619,7 @@ class _StackedEngine:
                 relaxed = np.empty_like(z)
                 # each row's alpha and rho scale its own q and z (shared ones
                 # stay scalars, on which numpy calls cost least)
-                alpha = [alphas[r] for r in ids]
+                alpha = [settings[r][1] for r in ids]
                 alpha = np.reshape(alpha, (-1, 1, 1, 1)) if len(set(alpha)) > 1 else alpha[0]
                 keep = 1.0 - alpha
                 two_rho = [2.0 * self.rhos[i] for i in row_rho]
@@ -600,12 +636,22 @@ class _StackedEngine:
             q *= alpha
             if any_lossy:
                 if k == drawn_to:
+                    # as many rounds as keep the draw's uint64 hashes within
+                    # _MASK_BYTES, and at most 64, which bounds the draws a
+                    # row that stops early wastes
+                    schedules = [settings[r][0] for r in ids[lossy]]
+                    hashes = 8 * len(schedules) * len(self.edges)
+                    drawn_at = k
+                    drawn_to = k + min(64, k_max - k, max(1, _MASK_BYTES // hashes))
+                    drawn = delivery_block(schedules, k, drawn_to - k)
                     # one flag per z entry: copyto broadcasting an (edges, 1,
                     # 1) mask is about twice as slow as with a full-size one
-                    drawn_at, drawn_to = k, min(k + _MASK_CHUNK, k_max)
-                    gates = np.ones((rows, drawn_to - k, len(self.edges), 2 * self.n), dtype=bool)
-                    drawn = delivery_block([schedules[r] for r in ids[lossy]], k, drawn_to - k)
-                    gates[lossy] = drawn[..., None]
+                    drawn = np.repeat(drawn, 2 * self.n, axis=-1)
+                    if lossy.all():
+                        gates = drawn
+                    else:
+                        gates = np.ones((rows,) + drawn.shape[1:], dtype=bool)
+                        gates[lossy] = drawn
                 np.multiply(z, keep, out=relaxed)
                 relaxed += q
                 np.copyto(z, relaxed, where=gates[:, k - drawn_at].reshape(z.shape))
@@ -616,7 +662,7 @@ class _StackedEngine:
             if snapshots is not None:
                 for row, r in enumerate(ids):
                     snapshots[r].append([x_rows[row, a:b] for a, b in self.bounds])
-            err = _error_sum(x, ref, starts, norms).reshape(rows)
+            err = _error_sum(x, *reference).reshape(rows)
             log.append(err)
             # A cheap test first; the row-by-row checks run only on rounds on
             # which some run may end. NaN fails every comparison.
@@ -642,8 +688,11 @@ class _StackedEngine:
                 errors[r].append(block[:, row])
             z_rows = z.reshape(rows, -1)
             for row in np.flatnonzero(done):
-                last = (x_rows[row], z_rows[row]) if final_states else None
-                ends[ids[row]] = (k + 1, not ok[row], last)
+                # copies, so that a finished run holds only its own row
+                last = (x_rows[row].copy(), z_rows[row].copy()) if final_states else None
+                r = ids[row]
+                ends[r] = (errors[r], k + 1, not ok[row], last,
+                           None if snapshots is None else snapshots[r])
             live = ~done
             if gates is not None:
                 gates = gates[live]
@@ -651,20 +700,7 @@ class _StackedEngine:
             tols = [t for t, alive in zip(tols, live) if alive]
             if not ids.size:
                 break
-        traces = []
-        for r in source:
-            rounds, diverged, last = ends[r]
-            states = [] if last is None else node_states(self.graph, self.n, *map(np.copy, last))
-            traces.append(
-                RunTrace(
-                    errors=np.concatenate(errors[r]),
-                    diverged=diverged,
-                    rounds_executed=rounds,
-                    final_states=states,
-                    snapshots=None if snapshots is None else list(snapshots[r]),
-                )
-            )
-        return traces
+        return ends
 
 
 def run(

@@ -2,6 +2,7 @@
 and the batched Monte Carlo, CLI and sweep against per-run loops."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,13 +72,34 @@ def test_batch_diverging_on_different_rounds(ten_node_problem):
     assert len({tr.rounds_executed for tr in traces}) == len(traces)
 
 
-def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem):
-    # masks are drawn 64 rounds at a time: these runs stop inside the first
-    # and the second chunk (their mask rows are dropped from it), and
-    # k_max = 150 leaves a short last chunk of 22 rounds
-    p = ten_node_problem
-    sol = rm.solve_centralized(p)
-    rows = [
+def record_draws(monkeypatch):
+    """Replace core.delivery_block by a wrapper that records each call's
+    (first round, rounds, schedules)."""
+    draws, draw = [], core.delivery_block
+
+    def recording(schedules, k0, rounds):
+        draws.append((k0, rounds, len(schedules)))
+        return draw(schedules, k0, rounds)
+
+    monkeypatch.setattr(core, "delivery_block", recording)
+    return draws
+
+
+def record_error_rows(monkeypatch):
+    """Replace core._error_sum by a wrapper that records the rows of each
+    round it scores."""
+    counts, error_sum = [], core._error_sum
+
+    def counting(x, *args):
+        counts.append(len(x) if x.ndim > 1 else 1)
+        return error_sum(x, *args)
+
+    monkeypatch.setattr(core, "_error_sum", counting)
+    return counts
+
+
+def mid_chunk_rows(p):
+    return [
         (uniform(p, 0.2, 31), 0.75, 3.0, 1e-3),
         (uniform(p, 0.0, 32), 0.75, 3.0, 1e-5),
         (uniform(p, 0.4, 33), 0.75, 3.0, 1e-4),
@@ -86,16 +108,87 @@ def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem):
         (None, 0.75, 3.0, None),
         (uniform(p, 0.6, 36), 0.75, 3.0, 1e-3),
     ]
+
+
+def assert_each_run_alone(traces, alone):
+    assert len(traces) == len(alone)
+    for tr, want in zip(traces, alone):
+        assert tr.errors.tobytes() == want.errors.tobytes()
+        assert (tr.rounds_executed, tr.diverged) == (want.rounds_executed, want.diverged)
+        assert_states_bitwise(tr.final_states, want.final_states)
+
+
+def runs_alone(p, rows, k_max, sol):
+    return [rm.run(p, rm.AlgorithmParams(alpha, rho), schedule, k_max, solution=sol, stop_tol=tol)
+            for schedule, alpha, rho, tol in rows]
+
+
+def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem, monkeypatch):
+    # these runs stop inside the first and the second mask draw (their mask
+    # rows are dropped from it), and k_max = 150 leaves a short last draw
+    p = ten_node_problem
+    sol = rm.solve_centralized(p)
+    rows = mid_chunk_rows(p)
+    alone = runs_alone(p, rows, 150, sol)
+    draws = record_draws(monkeypatch)
     traces = _StackedEngine(p, (3.0,)).run(rows, 150, sol)
-    for tr, (schedule, alpha, rho, tol) in zip(traces, rows):
-        alone = rm.run(p, rm.AlgorithmParams(alpha, rho), schedule, 150, solution=sol, stop_tol=tol)
-        assert tr.errors.tobytes() == alone.errors.tobytes()
-        assert (tr.rounds_executed, tr.diverged) == (alone.rounds_executed, alone.diverged)
-        assert_states_bitwise(tr.final_states, alone.final_states)
+    assert_each_run_alone(traces, alone)
+    # each draw covers the rounds that keep its hashes within the budget,
+    # 1 to 64 and no further than k_max, and the draws tile the rounds
+    edges = len(p.graph.directed_edges())
+    for k0, rounds, lossy in draws:
+        assert rounds == min(64, 150 - k0, max(1, core._MASK_BYTES // (8 * lossy * edges)))
+    chunks = [(k0, k0 + rounds) for k0, rounds, _ in draws]
+    assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
+    assert chunks[-1][1] == 150
     rounds = [tr.rounds_executed for tr in traces]
-    assert any(r < 64 for r in rounds)  # a stop inside the first chunk
-    assert any(64 < r < 128 for r in rounds)  # and inside the second
+    (a0, b0), (a1, b1) = chunks[:2]
+    assert any(a0 < r < b0 for r in rounds)  # a stop inside the first draw
+    assert any(a1 < r < b1 for r in rounds)  # and inside the second
     assert max(rounds) == 150
+
+
+@pytest.mark.parametrize("which", ["fig1", "random"])
+def test_budgets_do_not_change_results(ten_node_problem, monkeypatch, which):
+    # both byte budgets at 1: every draw covers one round of one row, and
+    # every block holds one row; a mixed batch (lossy, loss-free, table and
+    # None rows, stops on many rounds) is still bitwise each run alone
+    p = ten_node_problem if which == "fig1" else make_instances(3, seed0=4300)[2]
+    sol = rm.solve_centralized(p)
+    rows = mid_chunk_rows(p) + [
+        (rm.LossSchedule(model=table_model(p.graph, 3), seed=4), 0.75, 3.0, 1e-5),
+        (uniform(p, 0.0, 6), 0.75, 3.0, None),
+    ]
+    alone = runs_alone(p, rows, 150, sol)
+    monkeypatch.setattr(core, "_MASK_BYTES", 1)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)
+    draws = record_draws(monkeypatch)
+    row_counts = record_error_rows(monkeypatch)
+    traces = _StackedEngine(p, (3.0,)).run(rows, 150, sol)
+    assert_each_run_alone(traces, alone)
+    assert {(rounds, lossy) for _, rounds, lossy in draws} == {(1, 1)}
+    assert set(row_counts) == {1}
+    assert len({tr.rounds_executed for tr in traces}) >= 4
+
+
+def test_engine_working_set_is_bounded():
+    # the peak allocation inside a run on a 100-node instance (966 directed
+    # edges) does not grow with the rows or the mask draws of 64 rounds
+    g = rm.generate_connected_rgg(100, 0.2, seed=7)
+    p = rm.generate_instance(g, n=2, r_rows=3, seed=11)
+    sol = rm.solve_centralized(p)
+    engine = _StackedEngine(p, (3.0,))
+    model = rm.LossModel.uniform(g, 0.2)
+    for runs, limit in ((1, 1 << 20), (64, 8 << 20)):
+        rows = [(rm.LossSchedule(model=model, seed=r), 0.75, 3.0, None) for r in range(runs)]
+        tracemalloc.start()
+        try:
+            traces = engine.run(rows, 64, sol, final_states=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [tr.rounds_executed for tr in traces] == [64] * runs
+        assert peak <= limit, (runs, peak)
 
 
 def test_batch_mixing_divergence_convergence_and_k_max(ten_node_problem):
@@ -123,14 +216,7 @@ def test_mixed_alpha_batch_equals_spec(ten_node_problem, monkeypatch):
         for ip, loss_p in enumerate([0.0, 0.2, 0.6])
     ]
     rows += [(None, 0.75, 1.0, 1e-6), (None, 0.75, 3.0, 1e-6)]
-    row_counts = []
-    error_sum = core._error_sum
-
-    def counting(x, *args):
-        row_counts.append(len(x) if x.ndim > 1 else 1)
-        return error_sum(x, *args)
-
-    monkeypatch.setattr(core, "_error_sum", counting)
+    row_counts = record_error_rows(monkeypatch)
     traces = assert_rows_match_spec(p, rows, 200)
     assert row_counts[0] == len(rows) - 1
     assert traces[3].errors.tobytes() == traces[-2].errors.tobytes()
@@ -172,6 +258,21 @@ def test_batch_argument_checks(ten_node_problem, monkeypatch):
             rm.run(p, params, uniform(p, 0.2, 1), 300, solution=sol, stop_tol=tol)
         with pytest.raises(ValueError, match="stop_tol"):
             rm.monte_carlo(p, params, 0.2, 3, 300, seed=1, solution=sol, stop_tol=tol)
+    # every row is checked before any block runs: with one row a block, a
+    # bad row in the last block raises before the first block's first round
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)
+    good = [(uniform(p, 0.2, seed), 0.75, 3.0, None) for seed in (1, 2)]
+    with pytest.raises(TypeError):  # a round would call the missing delivery_block
+        engine.run(good, 10, sol)
+    other = make_instances(1, seed0=4300)[0]
+    for bad, match in [
+        ((uniform(p, 0.2, 3), 0.75, 1.0, None), "rho"),
+        ((uniform(p, 0.2, 3), 0.75, 3.0, 0.0), "stop_tol"),
+        ((uniform(p, 0.2, 3), 0.75, 3.0, float("nan")), "stop_tol"),
+        ((uniform(other, 0.2, 3), 0.75, 3.0, None), "directed edges"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            engine.run(good + [bad], 10, sol)
 
 
 def test_monte_carlo_settings_equal_separate_calls(ten_node_problem, ten_node_solution):

@@ -8,12 +8,13 @@ NUMBER = (int, float)
 
 
 def test_quick_bench_writes_every_section(tmp_path):
+    out = tmp_path / "not" / "yet"  # --out makes the directory
     done = subprocess.run(
-        [sys.executable, str(BENCH), "--label", "smoke", "--quick", "--out", str(tmp_path)],
+        [sys.executable, str(BENCH), "--label", "smoke", "--quick", "--out", str(out)],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    doc = json.loads((out / "BENCH_smoke.json").read_text())
     assert set(doc) == {
         "schema", "label", "quick", "machine", "import_ms", "modules", "run_stages",
         "engine", "presets_s", "tier1_s", "perfbench",
@@ -34,9 +35,21 @@ def test_quick_bench_writes_every_section(tmp_path):
     assert [point["nodes"] for point in doc["engine"]] == [10, 100]
     for point in doc["engine"]:
         assert all(isinstance(v, NUMBER) and v > 0 for v in point.values())
-        assert {"run_round_us_1", "run_round_us_16", "engine_setup_ms"} <= set(point)
+        assert {"run_round_us_1", "run_round_us_16", "run_peak_kib_1", "run_peak_kib_16",
+                "engine_setup_ms"} <= set(point)
     assert doc["presets_s"] is None and doc["tier1_s"] is None
     assert list(doc["perfbench"]) == ["mc_fig1"]
     traced = doc["perfbench"]["mc_fig1"]
     assert traced["correct"] is True
     assert isinstance(traced["metrics"]["core.run_round_us"], NUMBER)
+
+
+def test_out_that_cannot_be_made_fails_before_measuring(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    done = subprocess.run(
+        [sys.executable, str(BENCH), "--label", "x", "--quick", "--out", str(blocker / "sub")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "--out" in done.stderr and "Traceback" not in done.stderr
