@@ -82,7 +82,7 @@ t.append(time.perf_counter())
 loss_p = cfg.loss.p[0]
 schedule = LossSchedule(model=LossModel.uniform(p.graph, loss_p), seed=cfg.loss.seed)
 (trace,) = engine.run([(schedule, cfg.params.alpha[0], rho, cfg.run.resolved_tol(loss_p))],
-                      cfg.run.k_max, sol, final_states=False)
+                      cfg.run.k_max, sol)
 t.append(time.perf_counter())
 ms = [1e3 * (b - a) for a, b in zip(t, t[1:])]
 print(json.dumps(dict(zip(["load_ms", "solve_ms", "engine_setup_ms", "rounds_ms"], ms),
@@ -201,14 +201,14 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
                 for r in range(runs)]
         walls = []
         for _ in range(reps):
-            traces, ms = timed(lambda: engine.run(rows, k, sol, final_states=False))
+            traces, ms = timed(lambda: engine.run(rows, k, sol))
             if any(tr.rounds_executed != k for tr in traces):
                 raise SystemExit(f"an engine run at N = {nodes} ended before round {k}")
             walls.append(ms)
         point[f"run_round_us_{runs}"] = 1e3 * statistics.median(walls) / (runs * k)
         tracemalloc.start()  # untimed: tracing slows every allocation
         try:
-            engine.run(rows, k, sol, final_states=False)
+            engine.run(rows, k, sol)
             point[f"run_peak_kib_{runs}"] = tracemalloc.get_traced_memory()[1] / 1024
         finally:
             tracemalloc.stop()

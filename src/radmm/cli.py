@@ -127,7 +127,7 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
     for params in grid:
         if cfg.run.runs == 1:
             # the loss values of this (alpha, rho) as one batch, each run
-            # bitwise its own `core.run`, without the final states no CSV holds
+            # bitwise its own `core.run`
             results = _StackedEngine(problem, (params.rho,)).run(
                 [
                     (LossSchedule(model=model, seed=cfg.loss.seed), params.alpha, params.rho, tol)
@@ -135,7 +135,6 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
                 ],
                 cfg.run.k_max,
                 solution,
-                final_states=False,
             )
             texts = [trace_to_csv(tr) for tr in results]
         else:

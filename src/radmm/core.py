@@ -20,11 +20,12 @@ The node-local functions (`local_x_update`, `compute_messages`,
 iterate them: it runs a private stacked engine that performs the same
 arithmetic on whole-graph arrays in the stacked layouts of `reference`
 (which `node_states` reads as node-local states), and the tests check that
-its traces, snapshots and final states are bitwise equal to a loop of
-`sample_mask`, `sync_round` and `relative_error`. The engine is built once
-per problem and its rhos and advances a batch of runs together, one row per
-(schedule, alpha, rho, stop tolerance); `run` is a batch of one, a Monte
-Carlo in `experiments` hands it all its runs, and a sweep its whole grid.
+its error traces and recorded flat iterates are bitwise equal to a loop of
+`sample_mask`, `sync_round` and `relative_error`; it builds no node-local
+state. The engine is built once per problem and its rhos and advances a
+batch of runs together, one row per (schedule, alpha, rho, stop tolerance);
+`run` is a batch of one, a Monte Carlo in `experiments` hands it all its
+runs, and a sweep its whole grid.
 Its working set per round is bounded by two byte budgets, whatever the
 batch size: large batches run in blocks of rows, and masks are drawn a
 budgeted number of rounds at a time.
@@ -351,15 +352,19 @@ class RunTrace:
     """Per-round record of one run.
 
     errors[t] is the relative error after round t+1; diverged marks early
-    termination on a non-finite or runaway state. snapshots, when recorded,
-    hold each node's stacked local iterate per round.
+    termination on a non-finite or runaway state. When states are recorded,
+    xs[t] is x after round t+1 and z is z after the last round, flat in the
+    `reference` layouts; otherwise both are None.
     """
 
     errors: np.ndarray
     diverged: bool
-    rounds_executed: int
-    final_states: list[NodeState]
-    snapshots: list[list[np.ndarray]] | None = None
+    xs: np.ndarray | None = None
+    z: np.ndarray | None = None
+
+    @property
+    def rounds_executed(self) -> int:
+        return len(self.errors)
 
 
 class _StackedEngine:
@@ -396,7 +401,7 @@ class _StackedEngine:
                     f"{type(cost).__name__}"
                 )
         g, n = p.graph, p.dim
-        self.graph, self.n, self.rhos = g, n, tuple(dict.fromkeys(map(float, rhos)))
+        self.n, self.rhos = n, tuple(dict.fromkeys(map(float, rhos)))
         self.edges = g.directed_edges()
         self.orders = tuple(tuple(neighbors(g, i)) for i in range(g.node_count))
         e_count, nodes = len(self.edges), np.arange(g.node_count)
@@ -421,8 +426,6 @@ class _StackedEngine:
         # out_at[j] + j, and its x_neigh copy on out-edge e in slot e + j + 1.
         self_slot = out_at + nodes
         edge_slot = np.arange(e_count) + sender + 1
-        starts, sizes = n * self_slot, n * (deg + 1)
-        self.bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
         self.x_size = n * (e_count + g.node_count)
         self.z_shape = (e_count, 2, n)
         self.pad_at = pad = e_count * 2 * n
@@ -505,7 +508,6 @@ class _StackedEngine:
         k_max: int,
         solution: Solution,
         record_states: bool = False,
-        final_states: bool = True,
     ) -> list[RunTrace]:
         """`run` for every (schedule, alpha, rho, stop_tol) at once: one
         RunTrace each, in input order.
@@ -520,8 +522,8 @@ class _StackedEngine:
         (no stop) or positive; every run is checked before any round. A run
         that diverges, or whose error falls below its stop_tol, is frozen on
         that round and its row dropped; errors are taken against solution.
-        With final_states=False the traces carry no final states, which
-        large batches that keep only the errors need not hold.
+        With record_states, each trace also holds its own copies of its x
+        after every round and of its last z.
 
         The working set of a round is bounded whatever the batch size: rows
         whose buffers together exceed _BLOCK_BYTES run as consecutive blocks
@@ -559,32 +561,23 @@ class _StackedEngine:
         ends = {}
         for at in range(0, len(ids), size):
             block = np.array(ids[at : at + size])
-            ends.update(
-                self._run_block(block, settings, k_max, reference, record_states, final_states)
-            )
+            ends.update(self._run_block(block, settings, k_max, reference, record_states))
         traces = []
         for r in source:
-            errors, rounds, diverged, last, snapshots = ends[r]
-            states = [] if last is None else node_states(self.graph, self.n, *map(np.copy, last))
-            traces.append(
-                RunTrace(
-                    errors=np.concatenate(errors),
-                    diverged=diverged,
-                    rounds_executed=rounds,
-                    final_states=states,
-                    snapshots=None if snapshots is None else list(snapshots),
-                )
-            )
+            errors, diverged, xs, z = ends[r]
+            traces.append(RunTrace(errors=np.concatenate(errors), diverged=diverged,
+                                   xs=None if xs is None else np.concatenate(xs),
+                                   z=None if z is None else z.copy()))
         return traces
 
-    def _run_block(self, ids, settings, k_max, reference, record_states, final_states) -> dict:
+    def _run_block(self, ids, settings, k_max, reference, record_states) -> dict:
         """Run the runs ids, in (rho, run) order and with the settings `run`
         checked, from zero until each ends. Returns, per run, its error
-        pieces, rounds, diverged flag, final (x, z) or None, and snapshots
-        or None."""
+        pieces, diverged flag, and with record_states its x pieces and last
+        z (else None and None)."""
         errors: dict = {r: [] for r in ids}  # pieces per run
-        log: list[np.ndarray] = []  # the rows' errors, one entry a round
-        snapshots = {r: [] for r in ids} if record_states else None
+        xs: dict = {r: [] for r in ids}
+        log, x_log = [], []  # the rows' errors and x, one entry a round
         ends: dict = {}
         buf = np.zeros((len(ids), self.row_size))
         tols = [settings[r][3] for r in ids]
@@ -659,9 +652,8 @@ class _StackedEngine:
                 z *= keep
                 z += q
             x_rows = x.reshape(rows, -1)
-            if snapshots is not None:
-                for row, r in enumerate(ids):
-                    snapshots[r].append([x_rows[row, a:b] for a, b in self.bounds])
+            if record_states:
+                x_log.append(x_rows)  # x is a new array every round
             err = _error_sum(x, *reference).reshape(rows)
             log.append(err)
             # A cheap test first; the row-by-row checks run only on rounds on
@@ -682,17 +674,17 @@ class _StackedEngine:
                 done[:] = True
             if not done.any():
                 continue
-            block = np.array(log)
-            log = []
-            for row, r in enumerate(ids):
-                errors[r].append(block[:, row])
+            for pieces, entries in ((errors, log), (xs, x_log)):
+                if entries:
+                    block = np.array(entries)
+                    entries.clear()
+                    for row, r in enumerate(ids):
+                        pieces[r].append(block[:, row])
             z_rows = z.reshape(rows, -1)
             for row in np.flatnonzero(done):
-                # copies, so that a finished run holds only its own row
-                last = (x_rows[row].copy(), z_rows[row].copy()) if final_states else None
                 r = ids[row]
-                ends[r] = (errors[r], k + 1, not ok[row], last,
-                           None if snapshots is None else snapshots[r])
+                last = (xs[r], z_rows[row]) if record_states else (None, None)
+                ends[r] = (errors[r], not ok[row], *last)
             live = ~done
             if gates is not None:
                 gates = gates[live]
@@ -721,7 +713,8 @@ def run(
     magnitude beyond DIVERGENCE_NORM stops the run with the diverged flag
     instead of raising (|x| and the error are checked every round, |z| every
     _Z_CHECK_EVERY rounds). When stop_tol is given, the run ends at the
-    first round whose relative error falls below it.
+    first round whose relative error falls below it. With record_states the
+    trace also holds x after every round and the last z (see `RunTrace`).
 
     The rounds run on the stacked engine as a batch of one, which needs
     QuadraticLocalCost costs (TypeError otherwise) and is bitwise equal to

@@ -102,7 +102,7 @@ def monte_carlo_settings(
             (LossSchedule(model=model, seed=_sub_seed(seed, r)), params.alpha, params.rho, tol)
             for r in range(runs)
         ]
-    traces = _StackedEngine(p, (params.rho,)).run(rows, k_max, solution, final_states=False)
+    traces = _StackedEngine(p, (params.rho,)).run(rows, k_max, solution)
     out = []
     for at in range(0, len(traces), runs):
         group = traces[at : at + runs]
@@ -193,7 +193,7 @@ def stability_sweep(
         for ip, model in enumerate(models)
         for r in range(runs)
     ]
-    traces = _StackedEngine(p, rho_grid).run(rows, k_max, solve_centralized(p), final_states=False)
+    traces = _StackedEngine(p, rho_grid).run(rows, k_max, solve_centralized(p))
     grid = list(product(rho_grid, alpha_grid, loss_grid))
     outcomes, converged_at = {}, {}
     for c, cell in enumerate(grid):

@@ -104,11 +104,13 @@ def test_criterion_2_lossless_convergence(suite_instances):
                         5000,
                         solution=sol,
                         stop_tol=1e-6,
+                        record_states=True,
                     )
                     assert not tr.diverged
                     assert tr.rounds_executed <= 5000
                     assert tr.errors[-1] < 1e-6, (alpha, rho, tr.errors[-1])
-                    resid = rm.consensus_residual(tr.final_states, p.graph)
+                    states = rm.node_states(p.graph, p.dim, tr.xs[-1], tr.z)
+                    resid = rm.consensus_residual(states, p.graph)
                     assert resid < 1e-6, (alpha, rho, resid)
 
 
@@ -193,22 +195,16 @@ def test_criterion_8_degenerate_gates(ten_node):
         all_lost = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, 1.0), seed=5)
         tr = rm.run(p, params, all_lost, 10, solution=sol, record_states=True)
         for k in range(1, tr.rounds_executed):
-            for i in range(p.graph.node_count):
-                assert np.array_equal(tr.snapshots[k][i], tr.snapshots[0][i])
-        for st in tr.final_states:  # z never moved off the all-zero start
-            for j in st.z_in_self:
-                assert np.array_equal(st.z_in_self[j], np.zeros(p.dim))
-                assert np.array_equal(st.z_in_neigh[j], np.zeros(p.dim))
+            assert np.array_equal(tr.xs[k], tr.xs[0])
+        # z never moved off the all-zero start
+        assert np.array_equal(tr.z, np.zeros_like(tr.z))
 
         none_lost = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, 0.0), seed=5)
-        a = rm.run(p, params, none_lost, 120, solution=sol)
-        b = rm.run(p, params, None, 120, solution=sol)
+        a = rm.run(p, params, none_lost, 120, solution=sol, record_states=True)
+        b = rm.run(p, params, None, 120, solution=sol, record_states=True)
         assert np.array_equal(a.errors, b.errors)
-        for sa, sb in zip(a.final_states, b.final_states):
-            assert np.array_equal(sa.x_self, sb.x_self)
-            for j in sa.z_in_self:
-                assert np.array_equal(sa.z_in_self[j], sb.z_in_self[j])
-                assert np.array_equal(sa.z_in_neigh[j], sb.z_in_neigh[j])
+        assert np.array_equal(a.xs, b.xs)
+        assert np.array_equal(a.z, b.z)
 
 
 def test_criterion_9_x_update_stationarity(ten_node):

@@ -15,7 +15,7 @@ from radmm.config import build_graph, build_problem, load_config
 from radmm.core import _StackedEngine
 from radmm.experiments import _sub_seed
 from conftest import make_instances
-from test_engine import assert_states_bitwise, assert_trace_matches_spec, spec_run, table_model
+from test_engine import assert_trace_matches_spec, spec_run, table_model
 
 
 def assert_rows_match_spec(p, rows, k_max):
@@ -27,7 +27,7 @@ def assert_rows_match_spec(p, rows, k_max):
     assert len(traces) == len(rows)
     for tr, (schedule, alpha, rho, tol) in zip(traces, rows):
         params = rm.AlgorithmParams(alpha, rho)
-        assert_trace_matches_spec(tr, spec_run(p, params, schedule, k_max, sol, tol))
+        assert_trace_matches_spec(p, tr, spec_run(p, params, schedule, k_max, sol, tol))
     return traces
 
 
@@ -111,15 +111,18 @@ def mid_chunk_rows(p):
 
 
 def assert_each_run_alone(traces, alone):
+    # both sides recorded with record_states: x every round and the last z
     assert len(traces) == len(alone)
     for tr, want in zip(traces, alone):
         assert tr.errors.tobytes() == want.errors.tobytes()
         assert (tr.rounds_executed, tr.diverged) == (want.rounds_executed, want.diverged)
-        assert_states_bitwise(tr.final_states, want.final_states)
+        assert tr.xs.tobytes() == want.xs.tobytes()
+        assert tr.z.tobytes() == want.z.tobytes()
 
 
 def runs_alone(p, rows, k_max, sol):
-    return [rm.run(p, rm.AlgorithmParams(alpha, rho), schedule, k_max, solution=sol, stop_tol=tol)
+    return [rm.run(p, rm.AlgorithmParams(alpha, rho), schedule, k_max, solution=sol, stop_tol=tol,
+                   record_states=True)
             for schedule, alpha, rho, tol in rows]
 
 
@@ -131,7 +134,7 @@ def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem, monkey
     rows = mid_chunk_rows(p)
     alone = runs_alone(p, rows, 150, sol)
     draws = record_draws(monkeypatch)
-    traces = _StackedEngine(p, (3.0,)).run(rows, 150, sol)
+    traces = _StackedEngine(p, (3.0,)).run(rows, 150, sol, record_states=True)
     assert_each_run_alone(traces, alone)
     # each draw covers the rounds that keep its hashes within the budget,
     # 1 to 64 and no further than k_max, and the draws tile the rounds
@@ -164,7 +167,7 @@ def test_budgets_do_not_change_results(ten_node_problem, monkeypatch, which):
     monkeypatch.setattr(core, "_BLOCK_BYTES", 1)
     draws = record_draws(monkeypatch)
     row_counts = record_error_rows(monkeypatch)
-    traces = _StackedEngine(p, (3.0,)).run(rows, 150, sol)
+    traces = _StackedEngine(p, (3.0,)).run(rows, 150, sol, record_states=True)
     assert_each_run_alone(traces, alone)
     assert {(rounds, lossy) for _, rounds, lossy in draws} == {(1, 1)}
     assert set(row_counts) == {1}
@@ -183,12 +186,32 @@ def test_engine_working_set_is_bounded():
         rows = [(rm.LossSchedule(model=model, seed=r), 0.75, 3.0, None) for r in range(runs)]
         tracemalloc.start()
         try:
-            traces = engine.run(rows, 64, sol, final_states=False)
+            traces = engine.run(rows, 64, sol)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [tr.rounds_executed for tr in traces] == [64] * runs
         assert peak <= limit, (runs, peak)
+
+
+def test_traces_hold_no_more_than_their_errors():
+    # after a run at default arguments, what stays allocated is the traces'
+    # error arrays: 16 lossy runs on a 100-node instance, 16 rounds
+    g = rm.generate_connected_rgg(100, 0.2, seed=7)
+    p = rm.generate_instance(g, n=2, r_rows=3, seed=7)
+    sol = rm.solve_centralized(p)
+    engine = _StackedEngine(p, (3.0,))
+    model = rm.LossModel.uniform(g, 0.2)
+    rows = [(rm.LossSchedule(model=model, seed=r), 0.75, 3.0, None) for r in range(16)]
+    tracemalloc.start()
+    try:
+        traces = engine.run(rows, 16, sol)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 19, held
+    assert [tr.rounds_executed for tr in traces] == [16] * 16
+    assert all(tr.xs is None and tr.z is None for tr in traces)
 
 
 def test_batch_mixing_divergence_convergence_and_k_max(ten_node_problem):
@@ -228,17 +251,18 @@ def test_mixed_alpha_batch_equals_spec(ten_node_problem, monkeypatch):
 
 
 def test_shared_loss_free_runs_get_their_own_states(ten_node_problem, ten_node_solution):
+    # two loss-free runs share one row, but not one array
     p = ten_node_problem
     a, b = _StackedEngine(p, (3.0,)).run(
         [(None, 0.75, 3.0, None), (uniform(p, 0.0, 31), 0.75, 3.0, None)], 30,
-        solution=ten_node_solution,
+        solution=ten_node_solution, record_states=True,
     )
-    assert a.errors.tobytes() == b.errors.tobytes()
-    assert_states_bitwise(a.final_states, b.final_states)
-    a.final_states[0].x_self[:] = 7.0
-    a.errors[:] = 7.0
-    assert b.final_states[0].x_self[0] != 7.0
-    assert b.errors[0] != 7.0
+    fields = ("errors", "xs", "z")
+    want = [getattr(b, name).tobytes() for name in fields]
+    assert [getattr(a, name).tobytes() for name in fields] == want
+    for name in fields:
+        getattr(a, name)[:] = 7.0
+    assert [getattr(b, name).tobytes() for name in fields] == want
 
 
 def test_batch_argument_checks(ten_node_problem, monkeypatch):

@@ -262,12 +262,12 @@ def test_sync_round_message_locality():
 def test_run_single_round_equals_sync_round(ten_node_problem):
     p = ten_node_problem
     params = rm.AlgorithmParams(0.75, 3.0)
-    tr = rm.run(p, params, None, k_max=1)
+    tr = rm.run(p, params, None, k_max=1, record_states=True)
     direct = rm.sync_round(
         rm.initial_states(p), p, params, rm.DeliveryMask.complete(p.graph)
     )
     assert tr.rounds_executed == 1
-    for a, b in zip(tr.final_states, direct):
+    for a, b in zip(rm.node_states(p.graph, p.dim, tr.xs[-1], tr.z), direct):
         assert np.array_equal(a.x_self, b.x_self)
         for j in a.z_in_self:
             assert np.array_equal(a.z_in_self[j], b.z_in_self[j])
@@ -277,11 +277,11 @@ def test_run_traces_are_bitwise_reproducible(ten_node_problem, ten_node_solution
     p = ten_node_problem
     params = rm.AlgorithmParams(0.75, 3.0)
     sched = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, 0.3), seed=91)
-    a = rm.run(p, params, sched, 200, solution=ten_node_solution)
-    b = rm.run(p, params, sched, 200, solution=ten_node_solution)
+    a = rm.run(p, params, sched, 200, solution=ten_node_solution, record_states=True)
+    b = rm.run(p, params, sched, 200, solution=ten_node_solution, record_states=True)
     assert np.array_equal(a.errors, b.errors)
-    for sa, sb in zip(a.final_states, b.final_states):
-        assert np.array_equal(sa.x_self, sb.x_self)
+    assert np.array_equal(a.xs, b.xs)
+    assert np.array_equal(a.z, b.z)
 
 
 def test_run_p1_schedule_freezes_after_first_round(ten_node_problem):
@@ -290,17 +290,17 @@ def test_run_p1_schedule_freezes_after_first_round(ten_node_problem):
     sched = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, 1.0), seed=13)
     tr = rm.run(p, params, sched, k_max=6, record_states=True)
     for k in range(1, 6):
-        for i in range(p.graph.node_count):
-            assert np.array_equal(tr.snapshots[k][i], tr.snapshots[0][i])
+        assert np.array_equal(tr.xs[k], tr.xs[0])
 
 
 def test_run_near_fixed_point_barely_moves(ten_node_problem, ten_node_solution):
     # converged z is numerically a fixed point of the round map
     p = ten_node_problem
     params = rm.AlgorithmParams(0.75, 3.0)
-    tr = rm.run(p, params, None, 5000, solution=ten_node_solution, stop_tol=1e-12)
+    tr = rm.run(p, params, None, 5000, solution=ten_node_solution, stop_tol=1e-12,
+                record_states=True)
     assert tr.errors[-1] < 1e-12
-    before = tr.final_states
+    before = rm.node_states(p.graph, p.dim, tr.xs[-1], tr.z)
     after = rm.sync_round(before, p, params, rm.DeliveryMask.complete(p.graph))
     delta = max(
         np.max(np.abs(a.z_in_self[j] - b.z_in_self[j]))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import radmm as rm
-from radmm.core import _Z_CHECK_EVERY
+from radmm.core import _Z_CHECK_EVERY, stack_node_xs
 from radmm.experiments import _sub_seed
 from conftest import make_instances
 
@@ -17,21 +17,21 @@ ROUNDS = 120
 
 
 def spec_run(p, params, schedule, k_max, sol, stop_tol=None):
-    """The node-local loop with its stop rule: error trace, per-round
-    snapshots, final states, diverged."""
+    """The node-local loop with its stop rule: error trace, x per round (flat,
+    in the `reference` layout), final states, diverged."""
     states = rm.initial_states(p)
     solvers = [rm.make_local_solver(c, params) for c in p.costs]
     complete = rm.DeliveryMask.complete(p.graph)
-    errors, snapshots = [], []
+    errors, xs = [], []
     for k in range(k_max):
         mask = complete if schedule is None else rm.sample_mask(schedule, k)
         states = rm.sync_round(states, p, params, mask, solvers)
         err = rm.relative_error(states, sol)
         errors.append(err)
-        snapshots.append([st.stacked_x() for st in states])
-        x_mag = np.max(np.abs(np.concatenate(snapshots[-1])))
+        xs.append(stack_node_xs(states))
+        x_mag = np.max(np.abs(xs[-1]))
         if not (x_mag < rm.DIVERGENCE_NORM and err < np.inf):
-            return np.array(errors), snapshots, states, True
+            return np.array(errors), xs, states, True
         if (k + 1) % _Z_CHECK_EVERY == 0:
             z_mag = max(
                 np.max(np.abs(v))
@@ -40,10 +40,10 @@ def spec_run(p, params, schedule, k_max, sol, stop_tol=None):
                 for v in d.values()
             )
             if not z_mag < rm.DIVERGENCE_NORM:
-                return np.array(errors), snapshots, states, True
+                return np.array(errors), xs, states, True
         if stop_tol is not None and err < stop_tol:
             break
-    return np.array(errors), snapshots, states, False
+    return np.array(errors), xs, states, False
 
 
 def assert_states_bitwise(a, b):
@@ -57,23 +57,28 @@ def assert_states_bitwise(a, b):
                 assert da[j].tobytes() == db[j].tobytes(), (name, j)
 
 
-def assert_trace_matches_spec(tr, spec):
-    """tr against spec_run's result, bit for bit: errors, rounds, diverged,
-    snapshots and final states."""
-    errors, snapshots, states, diverged = spec
+def last_states(p, tr):
+    """The node-local states of a trace recorded with record_states."""
+    return rm.node_states(p.graph, p.dim, tr.xs[-1], tr.z)
+
+
+def assert_trace_matches_spec(p, tr, spec):
+    """tr (recorded with record_states) against spec_run's result, bit for
+    bit: errors, rounds, diverged, x per round and final states."""
+    errors, xs, states, diverged = spec
     assert tr.diverged == diverged
     assert tr.rounds_executed == len(errors)
     assert tr.errors.tobytes() == errors.tobytes()
-    assert len(tr.snapshots) == len(snapshots)
-    for got, want in zip(tr.snapshots, snapshots):
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
-    assert_states_bitwise(tr.final_states, states)
+    assert len(tr.xs) == len(xs)
+    for k, want in enumerate(xs):
+        assert tr.xs[k].tobytes() == want.tobytes(), k
+    assert_states_bitwise(last_states(p, tr), states)
 
 
 def assert_run_matches_spec(p, params, schedule, k_max):
     sol = rm.solve_centralized(p)
     tr = rm.run(p, params, schedule, k_max, solution=sol, record_states=True)
-    assert_trace_matches_spec(tr, spec_run(p, params, schedule, k_max, sol))
+    assert_trace_matches_spec(p, tr, spec_run(p, params, schedule, k_max, sol))
     return tr
 
 
@@ -165,11 +170,12 @@ def test_run_without_solution_scores_against_the_optimum(ten_node_problem):
     p = ten_node_problem
     params = rm.AlgorithmParams(0.75, 3.0)
     sched = rm.LossSchedule(model=rm.LossModel.uniform(p.graph, 0.2), seed=29)
-    a = rm.run(p, params, sched, 150, stop_tol=1e-5)
-    b = rm.run(p, params, sched, 150, solution=rm.solve_centralized(p), stop_tol=1e-5)
+    a = rm.run(p, params, sched, 150, stop_tol=1e-5, record_states=True)
+    b = rm.run(p, params, sched, 150, solution=rm.solve_centralized(p), stop_tol=1e-5,
+               record_states=True)
     assert (a.rounds_executed, a.diverged) == (b.rounds_executed, b.diverged)
     assert a.errors.tobytes() == b.errors.tobytes()
-    assert_states_bitwise(a.final_states, b.final_states)
+    assert_states_bitwise(last_states(p, a), last_states(p, b))
 
 
 class _OpaqueCost:

@@ -81,7 +81,6 @@ def loop_tables(p, rhos):
         "message_x": np.array(x_at, dtype=np.intp).reshape(z_shape),
         "message_z": np.array(z_at, dtype=np.intp).reshape(z_shape),
         "classes": classes,
-        "bounds": [(int(a), int(a) + s) for a, s in zip(starts, sizes)],
         "x_size": sum(sizes),
         "z_shape": z_shape,
         "pad_at": pad,
@@ -106,7 +105,7 @@ def assert_engine_matches_loop(p, rhos=RHOS):
         for inv, inv_ref in zip(invs, invs_ref):
             assert_same_array(inv, inv_ref, "inverse stack")
         assert (span, shape) == (span_ref, shape_ref)
-    for name in ("bounds", "x_size", "z_shape", "pad_at", "head_at"):
+    for name in ("x_size", "z_shape", "pad_at", "head_at"):
         assert getattr(engine, name) == want[name], name
 
 

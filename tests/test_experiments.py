@@ -56,28 +56,28 @@ def test_relative_error_rejects_zero_norm_block():
 
 
 def test_detect_convergence_immediately_below():
-    tr = rm.RunTrace(errors=np.array([1e-9, 1e-9]), diverged=False, rounds_executed=2, final_states=[])
+    tr = rm.RunTrace(errors=np.array([1e-9, 1e-9]), diverged=False)
     assert rm.detect_convergence(tr, tol=1e-6) == 0
 
 
 def test_detect_convergence_diverged_dominates():
-    tr = rm.RunTrace(errors=np.array([1e-9]), diverged=True, rounds_executed=1, final_states=[])
+    tr = rm.RunTrace(errors=np.array([1e-9]), diverged=True)
     assert rm.detect_convergence(tr, tol=1e-6) is None
 
 
 def test_detect_convergence_undecided():
-    tr = rm.RunTrace(errors=np.array([1.0, 0.5]), diverged=False, rounds_executed=2, final_states=[])
+    tr = rm.RunTrace(errors=np.array([1.0, 0.5]), diverged=False)
     assert rm.detect_convergence(tr, tol=1e-6) is None
 
 
 def test_detect_convergence_first_crossing():
     errors = np.array([1.0, 1e-7, 1.0, 1e-7, 1e-7, 1e-7])
-    tr = rm.RunTrace(errors=errors, diverged=False, rounds_executed=6, final_states=[])
+    tr = rm.RunTrace(errors=errors, diverged=False)
     assert rm.detect_convergence(tr, tol=1e-6) == 1
 
 
 def test_detect_convergence_rejects_bad_args():
-    tr = rm.RunTrace(errors=np.array([1.0]), diverged=False, rounds_executed=1, final_states=[])
+    tr = rm.RunTrace(errors=np.array([1.0]), diverged=False)
     with pytest.raises(ValueError):
         rm.detect_convergence(tr, tol=0.0)
 
