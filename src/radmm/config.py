@@ -3,14 +3,21 @@
 Seeds are always explicit: a config without a seed for any randomized stage
 is rejected rather than silently randomized, so every command is a pure
 function of its input files.
+
+Each section of a document is read into its spec class, and the class
+declares the section's keys once: its `__init__` gives their names, order
+and defaults (a key without a default is required), and its `checks` table
+maps each key to the function that checks and converts a value. A null
+optional key counts as absent. Specs are plain records, equal when their
+fields are.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+from ._record import Record
 from .graph import Graph, generate_connected_rgg, generate_rgg
 from .problem import PartitionProblem, generate_instance
 
@@ -82,53 +89,87 @@ def _parse_edge_key(key: str) -> tuple[int, int]:
         raise ConfigError(f"loss table key {key!r} must look like 'i->j'") from exc
 
 
-def _key(check, default=MISSING):
-    """A config key, checked by `check`; required unless it has a default."""
-    return field(default=default, metadata={"check": check})
+class _Spec(Record):
+    """A config record: equal to another of its class with equal fields."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
-class GraphSpec:
-    nodes: int = _key(_integer)
-    radius: float = _key(_number)
-    seed: int = _key(_integer)
-    require_connected: bool = _key(_boolean, True)
-    max_resamples: int = _key(_positive(_integer), 10000)
-    radius_override: float | None = _key(_number, None)
+class GraphSpec(_Spec):
+    checks = {
+        "nodes": _integer,
+        "radius": _number,
+        "seed": _integer,
+        "require_connected": _boolean,
+        "max_resamples": _positive(_integer),
+        "radius_override": _number,
+    }
+
+    def __init__(
+        self,
+        nodes: int,
+        radius: float,
+        seed: int,
+        require_connected: bool = True,
+        max_resamples: int = 10000,
+        radius_override: float | None = None,
+    ):
+        self.nodes = nodes
+        self.radius = radius
+        self.seed = seed
+        self.require_connected = require_connected
+        self.max_resamples = max_resamples
+        self.radius_override = radius_override
 
     @property
     def effective_radius(self) -> float:
         return self.radius if self.radius_override is None else self.radius_override
 
 
-@dataclass
-class InstanceSpec:
-    dim: int = _key(_integer)
-    rows: int = _key(_integer)
-    seed: int = _key(_integer)
-    conditioning: float = _key(_number, 10.0)
+class InstanceSpec(_Spec):
+    checks = {"dim": _integer, "rows": _integer, "seed": _integer, "conditioning": _number}
+
+    def __init__(self, dim: int, rows: int, seed: int, conditioning: float = 10.0):
+        self.dim = dim
+        self.rows = rows
+        self.seed = seed
+        self.conditioning = conditioning
 
 
-@dataclass
-class ParamsSpec:
+class ParamsSpec(_Spec):
     """alpha and rho, each a list so presets can sweep one axis."""
 
-    alpha: list[float] = _key(_numbers)
-    rho: list[float] = _key(_numbers)
+    checks = {"alpha": _numbers, "rho": _numbers}
+
+    def __init__(self, alpha: list[float], rho: list[float]):
+        self.alpha = alpha
+        self.rho = rho
 
 
-@dataclass
-class LossSpec:
-    seed: int = _key(_integer)
-    p: list[float] | None = _key(_numbers, None)
-    table: dict[tuple[int, int], float] | None = _key(_table, None)
+class LossSpec(_Spec):
+    checks = {"seed": _integer, "p": _numbers, "table": _table}
+
+    def __init__(
+        self,
+        seed: int,
+        p: list[float] | None = None,
+        table: dict[tuple[int, int], float] | None = None,
+    ):
+        self.seed = seed
+        self.p = p
+        self.table = table
 
 
-@dataclass
-class RunSpec:
-    k_max: int = _key(_integer, 5000)
-    runs: int = _key(_integer, 1)
-    tol: float | None = _key(_positive(_number), None)
+class RunSpec(_Spec):
+    checks = {"k_max": _integer, "runs": _integer, "tol": _positive(_number)}
+
+    def __init__(self, k_max: int = 5000, runs: int = 1, tol: float | None = None):
+        self.k_max = k_max
+        self.runs = runs
+        self.tol = tol
 
     def resolved_tol(self, loss_p: float) -> float:
         if self.tol is not None:
@@ -136,41 +177,72 @@ class RunSpec:
         return DEFAULT_TOL_LOSSLESS if loss_p == 0.0 else DEFAULT_TOL_LOSSY
 
 
-@dataclass
-class SweepSpec:
-    rho: list[float] = _key(_numbers)
-    alpha: list[float] = _key(_numbers)
-    p: list[float] = _key(_numbers)
-    runs: int = _key(_integer, 3)
-    k_max: int = _key(_integer, 2000)
-    tol: float = _key(_positive(_number), DEFAULT_TOL_LOSSY)
+class SweepSpec(_Spec):
+    checks = {
+        "rho": _numbers,
+        "alpha": _numbers,
+        "p": _numbers,
+        "runs": _integer,
+        "k_max": _integer,
+        "tol": _positive(_number),
+    }
+
+    def __init__(
+        self,
+        rho: list[float],
+        alpha: list[float],
+        p: list[float],
+        runs: int = 3,
+        k_max: int = 2000,
+        tol: float = DEFAULT_TOL_LOSSY,
+    ):
+        self.rho = rho
+        self.alpha = alpha
+        self.p = p
+        self.runs = runs
+        self.k_max = k_max
+        self.tol = tol
 
 
-@dataclass
-class CheckSpec:
-    seed: int = _key(_integer)
-    k_max: int = _key(_positive(_integer), 50)
-    tol: float = _key(_positive(_number), 1e-9)
+class CheckSpec(_Spec):
+    checks = {"seed": _integer, "k_max": _positive(_integer), "tol": _positive(_number)}
+
+    def __init__(self, seed: int, k_max: int = 50, tol: float = 1e-9):
+        self.seed = seed
+        self.k_max = k_max
+        self.tol = tol
 
 
-@dataclass
-class _OutputSpec:
-    prefix: str = _key(_string, "experiment")
+class _OutputSpec(_Spec):
+    checks = {"prefix": _string}
+
+    def __init__(self, prefix: str = "experiment"):
+        self.prefix = prefix
 
 
-@dataclass
-class ExperimentConfig:
-    graph: GraphSpec
-    instance: InstanceSpec
-    params: ParamsSpec
-    loss: LossSpec
-    run: RunSpec
-    output_prefix: str
-    sweep: SweepSpec | None = None
-    check: CheckSpec | None = None
+class ExperimentConfig(_Spec):
+    def __init__(
+        self,
+        graph: GraphSpec,
+        instance: InstanceSpec,
+        params: ParamsSpec,
+        loss: LossSpec,
+        run: RunSpec,
+        output_prefix: str,
+        sweep: SweepSpec | None = None,
+        check: CheckSpec | None = None,
+    ):
+        self.graph = graph
+        self.instance = instance
+        self.params = params
+        self.loss = loss
+        self.run = run
+        self.output_prefix = output_prefix
+        self.sweep = sweep
+        self.check = check
 
 
-# The spec class of each section; its fields declare the section's keys.
+# The spec class of each section.
 _SECTIONS = {
     "graph": GraphSpec,
     "instance": InstanceSpec,
@@ -189,16 +261,18 @@ def _section(doc: dict, name: str):
     section, spec = doc[name], _SECTIONS[name]
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be an object")
-    keys = {f.name: f for f in fields(spec)}
+    keys = list(spec.checks)
     unknown = sorted(set(section) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(unknown)} in section '{name}'")
-    required = [k for k, f in keys.items() if f.default is MISSING]
+    # `checks` lists the keys in `__init__`'s order, so the keys without a
+    # default lead it
+    required = keys[: len(keys) - len(spec.__init__.__defaults__ or ())]
     for key in required:
         if key not in section:
             raise ConfigError(f"missing required key '{key}' in section '{name}'")
     return spec(**{
-        k: keys[k].metadata["check"](v, f"{name}.{k}")
+        k: spec.checks[k](v, f"{name}.{k}")
         for k, v in section.items()
         if v is not None or k in required
     })
@@ -247,16 +321,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def override_seeds(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Replace every seed in the config (testing convenience)."""
-    from dataclasses import replace
+    """A copy of the config with every seed replaced (testing convenience)."""
 
-    return replace(
-        cfg,
-        graph=replace(cfg.graph, seed=seed),
-        instance=replace(cfg.instance, seed=seed),
-        loss=replace(cfg.loss, seed=seed),
-        check=None if cfg.check is None else replace(cfg.check, seed=seed),
-    )
+    def reseed(spec):
+        return type(spec)(**{**vars(spec), "seed": seed})
+
+    return ExperimentConfig(**{
+        **vars(cfg),
+        "graph": reseed(cfg.graph),
+        "instance": reseed(cfg.instance),
+        "loss": reseed(cfg.loss),
+        "check": None if cfg.check is None else reseed(cfg.check),
+    })
 
 
 def build_graph(spec: GraphSpec) -> Graph:

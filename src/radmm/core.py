@@ -40,10 +40,10 @@ factored at once, bitwise equal to one `QuadraticLocalSolver` per node.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._record import Frozen, Record
 from .graph import Graph, neighbors
 from .lossy import DeliveryMask, LossSchedule, delivery_block
 from .problem import PartitionProblem, QuadraticLocalCost, Solution, solve_centralized
@@ -64,8 +64,7 @@ class SingularLocalSystemError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class AlgorithmParams:
+class AlgorithmParams(Frozen):
     """Step size and penalty of the relaxed scheme.
 
     rho must be positive. alpha in (0, 1) is the provably convergent region;
@@ -73,20 +72,17 @@ class AlgorithmParams:
     reported by `guaranteed_convergent`.
     """
 
-    alpha: float
-    rho: float
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+    def __init__(self, alpha: float, rho: float):
+        if not rho > 0:
+            raise ValueError(f"rho must be positive, got {rho}")
+        self.__dict__.update(alpha=alpha, rho=rho)
 
     @property
     def guaranteed_convergent(self) -> bool:
         return 0.0 < self.alpha < 1.0
 
 
-@dataclass
-class NodeState:
+class NodeState(Record):
     """What one node stores: 3*deg + 1 vectors.
 
     x_self is the node's own iterate, x_neigh its local copies of each
@@ -95,13 +91,18 @@ class NodeState:
     about neighbor j's variable on that same edge.
     """
 
-    x_self: np.ndarray
-    x_neigh: dict[int, np.ndarray]
-    z_in_self: dict[int, np.ndarray]
-    z_in_neigh: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        if not (self.x_neigh.keys() == self.z_in_self.keys() == self.z_in_neigh.keys()):
+    def __init__(
+        self,
+        x_self: np.ndarray,
+        x_neigh: dict[int, np.ndarray],
+        z_in_self: dict[int, np.ndarray],
+        z_in_neigh: dict[int, np.ndarray],
+    ):
+        self.x_self = x_self
+        self.x_neigh = x_neigh
+        self.z_in_self = z_in_self
+        self.z_in_neigh = z_in_neigh
+        if not (x_neigh.keys() == z_in_self.keys() == z_in_neigh.keys()):
             raise ValueError("x_neigh, z_in_self and z_in_neigh must share one neighbor set")
 
     def stacked_x(self) -> np.ndarray:
@@ -109,18 +110,22 @@ class NodeState:
         return np.concatenate([self.x_self] + [self.x_neigh[j] for j in sorted(self.x_neigh)])
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(Frozen):
     """The two vectors one node sends a neighbor each round.
 
     q_about_sender updates the receiver's copy about the sender's variable,
     q_about_receiver the receiver's own-variable auxiliary.
     """
 
-    sender: int
-    receiver: int
-    q_about_sender: np.ndarray
-    q_about_receiver: np.ndarray
+    def __init__(
+        self, sender: int, receiver: int, q_about_sender: np.ndarray, q_about_receiver: np.ndarray
+    ):
+        self.__dict__.update(
+            sender=sender,
+            receiver=receiver,
+            q_about_sender=q_about_sender,
+            q_about_receiver=q_about_receiver,
+        )
 
 
 class QuadraticLocalSolver:
@@ -262,7 +267,7 @@ def sync_round(
             if delivery.delivered[(j, i)]:
                 z_self[j] = keep * z_self[j] + alpha * m.q_about_receiver
                 z_neigh[j] = keep * z_neigh[j] + alpha * m.q_about_sender
-        out.append(replace(st, z_in_self=z_self, z_in_neigh=z_neigh))
+        out.append(NodeState(st.x_self, st.x_neigh, z_self, z_neigh))
     return out
 
 
@@ -337,18 +342,22 @@ def relative_error(states: list[NodeState], sol: Solution) -> float:
     return float(_error_sum(stack_node_xs(states), *_reference_blocks(sol, orders)))
 
 
-def consensus_residual(states: list[NodeState], g: Graph) -> float:
-    """Largest disagreement between a node's variable and any copy a neighbor holds."""
-    worst = 0.0
-    for i, j in g.directed_edges():
-        d = float(np.linalg.norm(states[i].x_self - states[j].x_neigh[i]))
-        if d > worst:
-            worst = d
-    return worst
+def consensus_residual(g: Graph, n: int, x: np.ndarray) -> float:
+    """Largest disagreement between a node's variable and any copy a neighbor
+    holds, for x flat in the `reference` layout (variables n wide)."""
+    edges = np.array(g.directed_edges(), dtype=np.intp).reshape(-1, 2)
+    if x.shape != (n * (len(edges) + g.node_count),):
+        raise ValueError(f"x is not a flat stacked iterate of this graph at n = {n}")
+    senders, receivers = edges.T
+    blocks = x.reshape(-1, n)
+    # directed edge e = (i, j) is e-th in sorted order, so i's copy of j is
+    # block e + i + 1, and j's own variable heads node j's blocks
+    copies = blocks[np.arange(len(edges)) + senders + 1]
+    owns = blocks[np.searchsorted(senders, receivers) + receivers]
+    return float(np.linalg.norm(owns - copies, axis=1).max(initial=0.0))
 
 
-@dataclass
-class RunTrace:
+class RunTrace(Record):
     """Per-round record of one run.
 
     errors[t] is the relative error after round t+1; diverged marks early
@@ -357,10 +366,17 @@ class RunTrace:
     `reference` layouts; otherwise both are None.
     """
 
-    errors: np.ndarray
-    diverged: bool
-    xs: np.ndarray | None = None
-    z: np.ndarray | None = None
+    def __init__(
+        self,
+        errors: np.ndarray,
+        diverged: bool,
+        xs: np.ndarray | None = None,
+        z: np.ndarray | None = None,
+    ):
+        self.errors = errors
+        self.diverged = diverged
+        self.xs = xs
+        self.z = z
 
     @property
     def rounds_executed(self) -> int:

@@ -10,11 +10,11 @@ whatever else shares its batch.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
+from ._record import Record
 from .config import DEFAULT_TOL_LOSSY
 from .core import AlgorithmParams, RunTrace, _StackedEngine
 from .lossy import LossModel, LossSchedule, splitmix64
@@ -43,15 +43,17 @@ def _sub_seed(*key: int) -> int:
     return h
 
 
-@dataclass
-class MonteCarloTrace:
+class MonteCarloTrace(Record):
     """Round-wise mean and min/max envelope of the relative error over runs."""
 
-    mean: np.ndarray
-    low: np.ndarray
-    high: np.ndarray
-    diverged: bool
-    runs: int
+    def __init__(
+        self, mean: np.ndarray, low: np.ndarray, high: np.ndarray, diverged: bool, runs: int
+    ):
+        self.mean = mean
+        self.low = low
+        self.high = high
+        self.diverged = diverged
+        self.runs = runs
 
 
 def monte_carlo(
@@ -136,8 +138,7 @@ def detect_convergence(trace: RunTrace, tol: float) -> int | None:
     return None
 
 
-@dataclass
-class SweepResult:
+class SweepResult(Record):
     """Outcome of a (rho, alpha, loss probability) grid sweep.
 
     outcomes maps each cell to 'converged' (every run reached tol),
@@ -147,10 +148,17 @@ class SweepResult:
     the median convergence round of converged cells.
     """
 
-    grid: list[tuple[float, float, float]]
-    outcomes: dict[tuple[float, float, float], str]
-    boundary: dict[tuple[float, float], float | None]
-    converged_at: dict[tuple[float, float, float], float | None]
+    def __init__(
+        self,
+        grid: list[tuple[float, float, float]],
+        outcomes: dict[tuple[float, float, float], str],
+        boundary: dict[tuple[float, float], float | None],
+        converged_at: dict[tuple[float, float, float], float | None],
+    ):
+        self.grid = grid
+        self.outcomes = outcomes
+        self.boundary = boundary
+        self.converged_at = converged_at
 
 
 def stability_sweep(

@@ -2,51 +2,51 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
+
+from ._record import Frozen
 
 
 class DisconnectedGraphError(ValueError):
     """No connected geometric graph appeared within the resample budget."""
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(Frozen):
     """Undirected graph on nodes 0..node_count-1 with optional planar positions.
 
     Edges are unordered pairs stored as (i, j) tuples with i < j. Positions,
     when present, are the points in the unit square that induced a geometric
-    graph; they are kept only for serialization and inspection.
+    graph; they are kept only for serialization and inspection. Two graphs
+    are equal only when they are the same object.
     """
 
-    node_count: int
-    edges: frozenset[tuple[int, int]]
-    positions: np.ndarray | None = None
-    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    _directed: tuple[tuple[int, int], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError(f"node_count must be >= 1, got {self.node_count}")
-        nbrs: list[list[int]] = [[] for _ in range(self.node_count)]
-        for e in self.edges:
+    def __init__(
+        self,
+        node_count: int,
+        edges: frozenset[tuple[int, int]],
+        positions: np.ndarray | None = None,
+    ):
+        if node_count < 1:
+            raise ValueError(f"node_count must be >= 1, got {node_count}")
+        nbrs: list[list[int]] = [[] for _ in range(node_count)]
+        for e in edges:
             i, j = e
             if i == j:
                 raise ValueError(f"self-loop ({i}, {j}) not allowed")
-            if not (0 <= i < j < self.node_count):
-                raise ValueError(f"edge {e} must satisfy 0 <= i < j < {self.node_count}")
+            if not (0 <= i < j < node_count):
+                raise ValueError(f"edge {e} must satisfy 0 <= i < j < {node_count}")
             nbrs[i].append(j)
             nbrs[j].append(i)
-        if self.positions is not None and len(self.positions) != self.node_count:
+        if positions is not None and len(positions) != node_count:
             raise ValueError("positions must have one point per node")
-        object.__setattr__(
-            self, "_adjacency", tuple(tuple(sorted(ns)) for ns in nbrs)
+        directed = sorted([(i, j) for i, j in edges] + [(j, i) for i, j in edges])
+        self.__dict__.update(
+            node_count=node_count,
+            edges=edges,
+            positions=positions,
+            _adjacency=tuple(tuple(sorted(ns)) for ns in nbrs),
+            _directed=tuple(directed),
         )
-        directed = sorted(
-            [(i, j) for i, j in self.edges] + [(j, i) for i, j in self.edges]
-        )
-        object.__setattr__(self, "_directed", tuple(directed))
 
     @property
     def edge_count(self) -> int:

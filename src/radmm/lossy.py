@@ -23,10 +23,10 @@ runs bitwise reproducible regardless of how the simulation loop is executed.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Frozen
 from .graph import Graph
 
 MASK_CONTRACT = 2  # bump on any change to the (seed, round, edge) -> draw mapping
@@ -76,16 +76,14 @@ def _check_rounds(k0: int, rounds: int, e_count: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LossModel:
+class LossModel(Frozen):
     """Per-directed-edge loss probabilities."""
 
-    probs: dict[tuple[int, int], float]
-
-    def __post_init__(self):
-        for e, p in self.probs.items():
+    def __init__(self, probs: dict[tuple[int, int], float]):
+        for e, p in probs.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"loss probability for edge {e} must be in [0, 1], got {p}")
+        self.__dict__.update(probs=probs)
 
     @classmethod
     def uniform(cls, g: Graph, p: float) -> "LossModel":
@@ -104,36 +102,36 @@ class LossModel:
         return cls(probs=dict(table))
 
 
-@dataclass(frozen=True)
-class DeliveryMask:
+class DeliveryMask(Frozen):
     """One round's delivery outcome per directed edge (True = delivered)."""
 
-    delivered: dict[tuple[int, int], bool]
+    def __init__(self, delivered: dict[tuple[int, int], bool]):
+        self.__dict__.update(delivered=delivered)
 
     @classmethod
     def complete(cls, g: Graph) -> "DeliveryMask":
         return cls(delivered={e: True for e in g.directed_edges()})
 
 
-@dataclass(frozen=True)
-class LossSchedule:
+class LossSchedule(Frozen):
     """Deterministic per-round mask source for one loss model; seed in [0, 2**64)."""
 
-    model: LossModel
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.seed <= _M64:
-            raise ValueError(f"loss seed must be in [0, 2**64), got {self.seed}")
+    def __init__(self, model: LossModel, seed: int):
+        if not 0 <= seed <= _M64:
+            raise ValueError(f"loss seed must be in [0, 2**64), got {seed}")
         # fixed edge ordering so draw -> edge assignment never varies
-        edges = tuple(sorted(self.model.probs))
-        probs = np.array([self.model.probs[e] for e in edges], dtype=float)
-        object.__setattr__(self, "_edges", edges)
+        edges = tuple(sorted(model.probs))
+        probs = np.array([model.probs[e] for e in edges], dtype=float)
         # round 0's hash inputs, seed + (e + 1) G; round k adds k E G
         base = np.arange(1, len(edges) + 1, dtype=np.uint64) * _UGAMMA
-        object.__setattr__(self, "_base", base + np.uint64(self.seed))
-        # p * 2**53 is exact, so u < threshold exactly when u / 2**53 < p
-        object.__setattr__(self, "_thresholds", np.ceil(probs * 2.0**53).astype(np.uint64))
+        self.__dict__.update(
+            model=model,
+            seed=seed,
+            _edges=edges,
+            _base=base + np.uint64(seed),
+            # p * 2**53 is exact, so u < threshold exactly when u / 2**53 < p
+            _thresholds=np.ceil(probs * 2.0**53).astype(np.uint64),
+        )
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -13,10 +13,10 @@ well defined.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .graph import Graph, neighbors
 
 SYMMETRY_TOL = 1e-12
@@ -28,32 +28,32 @@ class IndefiniteHessianError(ValueError):
     """The assembled global Hessian is not positive definite."""
 
 
-@dataclass
-class QuadraticLocalCost:
+class QuadraticLocalCost(Record):
     """One node's quadratic cost data.
 
     a_self maps the node's own variable, a_neigh[j] the copy of neighbor j's
     variable, b is the target vector and q the positive-definite weight.
     """
 
-    a_self: np.ndarray
-    a_neigh: dict[int, np.ndarray]
-    b: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        r, n = self.a_self.shape
-        if self.b.shape != (r,):
-            raise ValueError(f"b must have shape ({r},), got {self.b.shape}")
-        if self.q.shape != (r, r):
-            raise ValueError(f"q must have shape ({r}, {r}), got {self.q.shape}")
-        for j, a in self.a_neigh.items():
+    def __init__(
+        self, a_self: np.ndarray, a_neigh: dict[int, np.ndarray], b: np.ndarray, q: np.ndarray
+    ):
+        self.a_self = a_self
+        self.a_neigh = a_neigh
+        self.b = b
+        self.q = q
+        r, n = a_self.shape
+        if b.shape != (r,):
+            raise ValueError(f"b must have shape ({r},), got {b.shape}")
+        if q.shape != (r, r):
+            raise ValueError(f"q must have shape ({r}, {r}), got {q.shape}")
+        for j, a in a_neigh.items():
             if a.shape != (r, n):
                 raise ValueError(f"a_neigh[{j}] must have shape ({r}, {n}), got {a.shape}")
-        asym = np.max(np.abs(self.q - self.q.T)) if r else 0.0
+        asym = np.max(np.abs(q - q.T)) if r else 0.0
         if asym > SYMMETRY_TOL:
             raise ValueError(f"q must be symmetric within {SYMMETRY_TOL}, asymmetry {asym}")
-        if r and np.min(np.linalg.eigvalsh(self.q)) <= 0:
+        if r and np.min(np.linalg.eigvalsh(q)) <= 0:
             raise ValueError("q must be positive definite")
 
     @property
@@ -73,33 +73,42 @@ class QuadraticLocalCost:
         return np.hstack(blocks)
 
 
-@dataclass
-class PartitionProblem:
+class PartitionProblem(Record):
     """A graph plus one local cost per node, all with variable dimension `dim`."""
 
-    graph: Graph
-    costs: list[QuadraticLocalCost]
-    dim: int
-
-    def __post_init__(self):
-        if len(self.costs) != self.graph.node_count:
+    def __init__(self, graph: Graph, costs: list[QuadraticLocalCost], dim: int):
+        self.graph = graph
+        self.costs = costs
+        self.dim = dim
+        if len(costs) != graph.node_count:
             raise ValueError("one cost per node required")
-        for i, cost in enumerate(self.costs):
-            if cost.dim != self.dim:
-                raise ValueError(f"cost {i} has dim {cost.dim}, expected {self.dim}")
-            if set(cost.a_neigh) != set(neighbors(self.graph, i)):
+        for i, cost in enumerate(costs):
+            if cost.dim != dim:
+                raise ValueError(f"cost {i} has dim {cost.dim}, expected {dim}")
+            if set(cost.a_neigh) != set(neighbors(graph, i)):
                 raise ValueError(
                     f"cost {i} neighbor keys {sorted(cost.a_neigh)} do not match "
-                    f"graph neighbors {neighbors(self.graph, i)}"
+                    f"graph neighbors {neighbors(graph, i)}"
                 )
 
 
-@dataclass
-class Solution:
-    """Per-node optimizer blocks; `global_cost(p, x_star)` is the optimal value."""
+class Solution(Record):
+    """Per-node optimizer blocks; `global_cost(p, x_star)` is the optimal value.
 
-    x_star: list[np.ndarray]
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Two solutions are equal when their blocks are; the cache of
+    `stacked_blocks` does not count.
+    """
+
+    def __init__(self, x_star: list[np.ndarray]):
+        self.x_star = x_star
+        self._blocks = {}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return len(self.x_star) == len(other.x_star) and all(
+            map(np.array_equal, self.x_star, other.x_star)
+        )
 
     def stacked_blocks(
         self, orders: tuple[tuple[int, ...], ...]

@@ -27,19 +27,18 @@ z_in_self[i].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
+from ._record import Frozen, Record
 from .core import AlgorithmParams, make_local_solver, node_states, stack_node_xs, sync_round
 from .graph import Graph, neighbors
 from .lossy import DeliveryMask, LossModel, LossSchedule, sample_mask
 from .problem import PartitionProblem
 
 
-@dataclass
-class ConstraintMatrices:
+class ConstraintMatrices(Record):
     """Constraint map a, slot permutation p, and the index bookkeeping.
 
     slot_base[(i, j)] is the offset of the (i owns, neighbor j) slot pair:
@@ -47,11 +46,19 @@ class ConstraintMatrices:
     x_base[i] is the offset of node i's stacked copy block.
     """
 
-    a: np.ndarray
-    p: np.ndarray
-    slot_base: dict[tuple[int, int], int]
-    x_base: list[int]
-    n: int
+    def __init__(
+        self,
+        a: np.ndarray,
+        p: np.ndarray,
+        slot_base: dict[tuple[int, int], int],
+        x_base: list[int],
+        n: int,
+    ):
+        self.a = a
+        self.p = p
+        self.slot_base = slot_base
+        self.x_base = x_base
+        self.n = n
 
     @property
     def y_dim(self) -> int:
@@ -91,15 +98,15 @@ def build_constraint_matrices(g: Graph, n: int) -> ConstraintMatrices:
     return ConstraintMatrices(a=a, p=p, slot_base=slot_base, x_base=x_base, n=n)
 
 
-@dataclass
-class ReferenceState:
+class ReferenceState(Record):
     """Stacked iterates. After a step, x/y/w belong to the round the step
     consumed and z is the next round's auxiliary vector."""
 
-    x: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    z: np.ndarray
+    def __init__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray, z: np.ndarray):
+        self.x = x
+        self.y = y
+        self.w = w
+        self.z = z
 
 
 def reference_initial_state(cm: ConstraintMatrices, z0: np.ndarray) -> ReferenceState:
@@ -108,18 +115,17 @@ def reference_initial_state(cm: ConstraintMatrices, z0: np.ndarray) -> Reference
     return ReferenceState(x=np.zeros(cm.x_dim), y=np.zeros(cm.y_dim), w=np.zeros(cm.y_dim), z=z0.copy())
 
 
-@dataclass(frozen=True)
-class ReferenceRound:
+class ReferenceRound(Frozen):
     """One stacked round for a fixed (problem, params), built once.
 
     x_map is the inverse of the x-argmin system 2 H_f + rho A'A and lin the
     linear term 2 g_f.
     """
 
-    cm: ConstraintMatrices
-    params: AlgorithmParams
-    x_map: np.ndarray
-    lin: np.ndarray
+    def __init__(
+        self, cm: ConstraintMatrices, params: AlgorithmParams, x_map: np.ndarray, lin: np.ndarray
+    ):
+        self.__dict__.update(cm=cm, params=params, x_map=x_map, lin=lin)
 
 
 def build_reference_round(

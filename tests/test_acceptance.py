@@ -109,8 +109,7 @@ def test_criterion_2_lossless_convergence(suite_instances):
                     assert not tr.diverged
                     assert tr.rounds_executed <= 5000
                     assert tr.errors[-1] < 1e-6, (alpha, rho, tr.errors[-1])
-                    states = rm.node_states(p.graph, p.dim, tr.xs[-1], tr.z)
-                    resid = rm.consensus_residual(states, p.graph)
+                    resid = rm.consensus_residual(p.graph, p.dim, tr.xs[-1])
                     assert resid < 1e-6, (alpha, rho, resid)
 
 

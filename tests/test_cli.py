@@ -21,8 +21,10 @@ from radmm.config import (
     ParamsSpec,
     RunSpec,
     SweepSpec,
+    _SECTIONS,
     build_graph,
     load_config,
+    override_seeds,
     parse_config,
 )
 from radmm.experiments import stability_sweep
@@ -185,6 +187,19 @@ def test_run_and_sweep_from_an_instance_never_import_numpy_random(tmp_path):
     assert _python("import sys, radmm\nprint('numpy' in sys.modules)") == "False"
 
 
+def test_no_radmm_module_imports_dataclasses():
+    # records are plain classes: the dataclass decorator execs generated
+    # source for every class it decorates, which each command would pay at
+    # import (numpy, argparse and json import no dataclasses themselves)
+    modules = ("cli", "config", "graph", "problem", "lossy", "core", "experiments", "reference")
+    script = (
+        "import sys\n"
+        f"import {', '.join(f'radmm.{m}' for m in modules)}\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    assert _python(script) == "False"
+
+
 def test_run_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     # x* comes from a blocked LU solve whose sums depend on the BLAS thread
     # count at this size (200 unknowns); `main` pins one thread
@@ -345,7 +360,7 @@ def test_load_config_bad_json(tmp_path):
         load_config(path)
 
 
-def test_required_keys_only_parse_to_dataclass_defaults():
+def test_required_keys_only_parse_to_spec_defaults():
     required = {
         "schema": "radmm-config/1",
         "graph": {"nodes": 6, "radius": 0.5, "seed": 3},
@@ -378,6 +393,27 @@ def test_required_keys_only_parse_to_dataclass_defaults():
     )
     assert parse_config(required) == expected
     assert parse_config(nulls) == expected
+
+
+def test_override_seeds_replaces_every_seed_and_nothing_else():
+    sweep = {"rho": [3.0], "alpha": [0.5], "p": [0.0, 0.3]}
+    for check in (base_config()["check"], None):
+        doc = base_config(check=check, sweep=sweep)
+        cfg = parse_config(doc)
+        new = override_seeds(cfg, 123)
+        assert cfg == parse_config(doc)  # the input is not mutated
+        assert (new.check is None) == (check is None)
+        for name, value in vars(new).items():
+            old = getattr(cfg, name)
+            if name in ("graph", "instance", "loss", "check") and value is not None:
+                assert vars(value) == {**vars(old), "seed": 123}, name
+            else:
+                assert value == old, name
+
+
+def test_each_section_checks_exactly_the_keys_its_spec_takes():
+    for name, spec in _SECTIONS.items():
+        assert list(spec.checks) == list(inspect.signature(spec).parameters), name
 
 
 def test_tolerance_defaults_are_the_experiment_constants():

@@ -3,7 +3,13 @@ import pytest
 from scipy.optimize import minimize
 
 import radmm as rm
-from conftest import central_fd_gradient, local_objective, random_node_state, random_states
+from conftest import (
+    central_fd_gradient,
+    local_objective,
+    make_instances,
+    random_node_state,
+    random_states,
+)
 
 
 def isolated_cost(b):
@@ -29,6 +35,39 @@ def test_params_flag_guaranteed_region():
     assert rm.AlgorithmParams(alpha=0.5, rho=1.0).guaranteed_convergent
     assert not rm.AlgorithmParams(alpha=1.2, rho=1.0).guaranteed_convergent
     assert not rm.AlgorithmParams(alpha=0.0, rho=1.0).guaranteed_convergent
+
+
+def test_frozen_records_are_read_only(ten_node_problem):
+    p = ten_node_problem
+    params = rm.AlgorithmParams(0.75, 3.0)
+    model = rm.LossModel.uniform(p.graph, 0.2)
+    records = [
+        params,
+        rm.Message(0, 1, np.zeros(2), np.zeros(2)),
+        p.graph,
+        model,
+        rm.DeliveryMask.complete(p.graph),
+        rm.LossSchedule(model=model, seed=3),
+        rm.build_reference_round(p, rm.build_constraint_matrices(p.graph, p.dim), params),
+    ]
+    for rec in records:
+        field = next(iter(vars(rec)))
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+    assert (params.alpha, params.rho) == (0.75, 3.0)
+
+
+def test_records_of_arrays_compare_without_raising(ten_node_problem):
+    # equal arrays in two records made a field-by-field == ambiguous; such
+    # records are equal only to themselves
+    cost = ten_node_problem.costs[0]
+    twin = rm.QuadraticLocalCost(cost.a_self, cost.a_neigh, cost.b.copy(), cost.q)
+    assert cost == cost and cost != twin
+    assert rm.RunTrace(np.zeros(3), False) != rm.RunTrace(np.zeros(3), False)
 
 
 def test_node_state_rejects_mismatched_keys():
@@ -328,3 +367,25 @@ def test_trace_csv_layout(ten_node_problem, ten_node_solution):
     assert len(lines) == 4
     assert lines[1].startswith("0,")
     assert lines[1].endswith(",0")
+
+
+@pytest.mark.parametrize("which", ["fig1", "suite"])
+def test_consensus_residual_of_flat_x_is_the_node_local_definition(ten_node_problem, which):
+    p = ten_node_problem if which == "fig1" else make_instances(7)[6]
+    g, n = p.graph, p.dim
+    e = len(g.directed_edges())
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        x = rng.standard_normal(n * (e + g.node_count))
+        states = rm.node_states(g, n, x, np.zeros(2 * n * e))
+        expected = max(
+            float(np.linalg.norm(states[i].x_self - states[j].x_neigh[i]))
+            for i, j in g.directed_edges()
+        )
+        assert rm.consensus_residual(g, n, x) == pytest.approx(expected, rel=1e-12, abs=0)
+    # the optimum's blocks, each node's copies equal to their owners' variables
+    orders = tuple(tuple(rm.neighbors(g, i)) for i in range(g.node_count))
+    consensus = rm.solve_centralized(p).stacked_blocks(orders)[0]
+    assert rm.consensus_residual(g, n, consensus) == 0.0
+    with pytest.raises(ValueError):
+        rm.consensus_residual(g, n, x[:-1])
