@@ -117,8 +117,11 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
     problem = _resolve_instance(cfg, instance_path)
     solution = solve_centralized(problem)
     losses = _loss_models(cfg, problem)
+    # a table runs at the tolerance of its worst link; an empty table loses nothing
     settings = [
-        (model, cfg.run.resolved_tol(max(cfg.loss.table.values()) if loss_p is None else loss_p))
+        (model, cfg.run.resolved_tol(
+            max(cfg.loss.table.values(), default=0.0) if loss_p is None else loss_p
+        ))
         for loss_p, model in losses
     ]
     # every (alpha, rho) is checked before the first output is written

@@ -4,12 +4,9 @@ Seeds are always explicit: a config without a seed for any randomized stage
 is rejected rather than silently randomized, so every command is a pure
 function of its input files.
 
-Each section of a document is read into its spec class, and the class
-declares the section's keys once: its `__init__` gives their names, order
-and defaults (a key without a default is required), and its `checks` table
-maps each key to the function that checks and converts a value. A null
-optional key counts as absent. Specs are plain records, equal when their
-fields are.
+Each section of a document is read into its spec class, whose `keys` table
+declares each key of the section once: its check, and its default, or
+`REQUIRED`. A null optional key counts as absent.
 """
 
 from __future__ import annotations
@@ -89,8 +86,26 @@ def _parse_edge_key(key: str) -> tuple[int, int]:
         raise ConfigError(f"loss table key {key!r} must look like 'i->j'") from exc
 
 
+# The default of a key that has none: the key is required.
+REQUIRED = object()
+
+
 class _Spec(Record):
-    """A config record: equal to another of its class with equal fields."""
+    """A config record. Its class's `keys` table declares its fields, in
+    order, as {name: (check, default)}: `check(value, "section.key")` checks
+    and converts a document's value. Specs are built by keyword, and equal
+    when their fields are."""
+
+    def __init__(self, **values):
+        name = type(self).__name__
+        unknown = sorted(set(values) - set(self.keys))
+        if unknown:
+            raise TypeError(f"{name}() got unexpected keyword(s) {', '.join(unknown)}")
+        for key, (_, default) in self.keys.items():
+            value = values.get(key, default)
+            if value is REQUIRED:
+                raise TypeError(f"{name}() missing required keyword {key!r}")
+            setattr(self, key, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -99,30 +114,14 @@ class _Spec(Record):
 
 
 class GraphSpec(_Spec):
-    checks = {
-        "nodes": _integer,
-        "radius": _number,
-        "seed": _integer,
-        "require_connected": _boolean,
-        "max_resamples": _positive(_integer),
-        "radius_override": _number,
+    keys = {
+        "nodes": (_positive(_integer), REQUIRED),
+        "radius": (_number, REQUIRED),
+        "seed": (_integer, REQUIRED),
+        "require_connected": (_boolean, True),
+        "max_resamples": (_positive(_integer), 10000),
+        "radius_override": (_number, None),
     }
-
-    def __init__(
-        self,
-        nodes: int,
-        radius: float,
-        seed: int,
-        require_connected: bool = True,
-        max_resamples: int = 10000,
-        radius_override: float | None = None,
-    ):
-        self.nodes = nodes
-        self.radius = radius
-        self.seed = seed
-        self.require_connected = require_connected
-        self.max_resamples = max_resamples
-        self.radius_override = radius_override
 
     @property
     def effective_radius(self) -> float:
@@ -130,46 +129,30 @@ class GraphSpec(_Spec):
 
 
 class InstanceSpec(_Spec):
-    checks = {"dim": _integer, "rows": _integer, "seed": _integer, "conditioning": _number}
-
-    def __init__(self, dim: int, rows: int, seed: int, conditioning: float = 10.0):
-        self.dim = dim
-        self.rows = rows
-        self.seed = seed
-        self.conditioning = conditioning
+    keys = {
+        "dim": (_positive(_integer), REQUIRED),
+        "rows": (_positive(_integer), REQUIRED),
+        "seed": (_integer, REQUIRED),
+        "conditioning": (_number, 10.0),
+    }
 
 
 class ParamsSpec(_Spec):
     """alpha and rho, each a list so presets can sweep one axis."""
 
-    checks = {"alpha": _numbers, "rho": _numbers}
-
-    def __init__(self, alpha: list[float], rho: list[float]):
-        self.alpha = alpha
-        self.rho = rho
+    keys = {"alpha": (_numbers, REQUIRED), "rho": (_numbers, REQUIRED)}
 
 
 class LossSpec(_Spec):
-    checks = {"seed": _integer, "p": _numbers, "table": _table}
-
-    def __init__(
-        self,
-        seed: int,
-        p: list[float] | None = None,
-        table: dict[tuple[int, int], float] | None = None,
-    ):
-        self.seed = seed
-        self.p = p
-        self.table = table
+    keys = {"seed": (_integer, REQUIRED), "p": (_numbers, None), "table": (_table, None)}
 
 
 class RunSpec(_Spec):
-    checks = {"k_max": _integer, "runs": _integer, "tol": _positive(_number)}
-
-    def __init__(self, k_max: int = 5000, runs: int = 1, tol: float | None = None):
-        self.k_max = k_max
-        self.runs = runs
-        self.tol = tol
+    keys = {
+        "k_max": (_positive(_integer), 5000),
+        "runs": (_positive(_integer), 1),
+        "tol": (_positive(_number), None),
+    }
 
     def resolved_tol(self, loss_p: float) -> float:
         if self.tol is not None:
@@ -178,103 +161,73 @@ class RunSpec(_Spec):
 
 
 class SweepSpec(_Spec):
-    checks = {
-        "rho": _numbers,
-        "alpha": _numbers,
-        "p": _numbers,
-        "runs": _integer,
-        "k_max": _integer,
-        "tol": _positive(_number),
+    keys = {
+        "rho": (_numbers, REQUIRED),
+        "alpha": (_numbers, REQUIRED),
+        "p": (_numbers, REQUIRED),
+        "runs": (_positive(_integer), 3),
+        "k_max": (_positive(_integer), 2000),
+        "tol": (_positive(_number), DEFAULT_TOL_LOSSY),
     }
-
-    def __init__(
-        self,
-        rho: list[float],
-        alpha: list[float],
-        p: list[float],
-        runs: int = 3,
-        k_max: int = 2000,
-        tol: float = DEFAULT_TOL_LOSSY,
-    ):
-        self.rho = rho
-        self.alpha = alpha
-        self.p = p
-        self.runs = runs
-        self.k_max = k_max
-        self.tol = tol
 
 
 class CheckSpec(_Spec):
-    checks = {"seed": _integer, "k_max": _positive(_integer), "tol": _positive(_number)}
-
-    def __init__(self, seed: int, k_max: int = 50, tol: float = 1e-9):
-        self.seed = seed
-        self.k_max = k_max
-        self.tol = tol
+    keys = {
+        "seed": (_integer, REQUIRED),
+        "k_max": (_positive(_integer), 50),
+        "tol": (_positive(_number), 1e-9),
+    }
 
 
 class _OutputSpec(_Spec):
-    checks = {"prefix": _string}
-
-    def __init__(self, prefix: str = "experiment"):
-        self.prefix = prefix
+    keys = {"prefix": (_string, "experiment")}
 
 
 class ExperimentConfig(_Spec):
-    def __init__(
-        self,
-        graph: GraphSpec,
-        instance: InstanceSpec,
-        params: ParamsSpec,
-        loss: LossSpec,
-        run: RunSpec,
-        output_prefix: str,
-        sweep: SweepSpec | None = None,
-        check: CheckSpec | None = None,
-    ):
-        self.graph = graph
-        self.instance = instance
-        self.params = params
-        self.loss = loss
-        self.run = run
-        self.output_prefix = output_prefix
-        self.sweep = sweep
-        self.check = check
+    """A parsed document: each section's spec, None for an absent optional
+    one, and the `output` prefix. `parse_config` checks every field."""
+
+    keys = {
+        "graph": (None, REQUIRED),
+        "instance": (None, REQUIRED),
+        "params": (None, REQUIRED),
+        "loss": (None, REQUIRED),
+        "run": (None, REQUIRED),
+        "output_prefix": (None, REQUIRED),
+        "sweep": (None, None),
+        "check": (None, None),
+    }
 
 
-# The spec class of each section.
+# The spec class of each section, and whether a document must have it.
 _SECTIONS = {
-    "graph": GraphSpec,
-    "instance": InstanceSpec,
-    "params": ParamsSpec,
-    "loss": LossSpec,
-    "run": RunSpec,
-    "sweep": SweepSpec,
-    "check": CheckSpec,
-    "output": _OutputSpec,
+    "graph": (GraphSpec, True),
+    "instance": (InstanceSpec, True),
+    "params": (ParamsSpec, True),
+    "loss": (LossSpec, True),
+    "run": (RunSpec, True),
+    "sweep": (SweepSpec, False),
+    "check": (CheckSpec, False),
+    "output": (_OutputSpec, False),
 }
 
 
 def _section(doc: dict, name: str):
     """The section as its spec: every required key, and the optional keys
     that are set (not null), checked; the spec holds the other defaults."""
-    section, spec = doc[name], _SECTIONS[name]
+    section, (spec, _) = doc[name], _SECTIONS[name]
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be an object")
-    keys = list(spec.checks)
-    unknown = sorted(set(section) - set(keys))
+    unknown = sorted(set(section) - set(spec.keys))
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(unknown)} in section '{name}'")
-    # `checks` lists the keys in `__init__`'s order, so the keys without a
-    # default lead it
-    required = keys[: len(keys) - len(spec.__init__.__defaults__ or ())]
-    for key in required:
-        if key not in section:
+    for key, (_, default) in spec.keys.items():
+        if default is REQUIRED and key not in section:
             raise ConfigError(f"missing required key '{key}' in section '{name}'")
     return spec(**{
-        k: spec.checks[k](v, f"{name}.{k}")
+        k: spec.keys[k][0](v, f"{name}.{k}")
         for k, v in section.items()
-        if v is not None or k in required
+        if v is not None or spec.keys[k][1] is REQUIRED
     })
 
 
@@ -286,9 +239,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     unknown = sorted(set(doc) - {"schema", *_SECTIONS})
     if unknown:
         raise ConfigError(f"unknown section(s) {', '.join(unknown)}")
-    for section in ("graph", "instance", "params", "loss", "run"):
-        if doc.get(section) is None:
-            raise ConfigError(f"missing section '{section}'")
+    for name, (_, required) in _SECTIONS.items():
+        if required and doc.get(name) is None:
+            raise ConfigError(f"missing section '{name}'")
     # a null optional section is absent, like a null optional key
     specs = {name: _section(doc, name) for name in _SECTIONS if doc.get(name) is not None}
     loss = specs["loss"]
@@ -296,16 +249,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("loss section needs 'p' or 'table'")
     if loss.table is not None and loss.p is not None:
         raise ConfigError("loss section takes 'p' or 'table', not both")
-    return ExperimentConfig(
-        graph=specs["graph"],
-        instance=specs["instance"],
-        params=specs["params"],
-        loss=loss,
-        run=specs["run"],
-        output_prefix=specs.get("output", _OutputSpec()).prefix,
-        sweep=specs.get("sweep"),
-        check=specs.get("check"),
-    )
+    output = specs.pop("output", _OutputSpec())
+    return ExperimentConfig(**specs, output_prefix=output.prefix)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -323,16 +268,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def override_seeds(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     """A copy of the config with every seed replaced (testing convenience)."""
 
-    def reseed(spec):
-        return type(spec)(**{**vars(spec), "seed": seed})
+    def reseed(value):
+        if isinstance(value, _Spec) and "seed" in value.keys:
+            return type(value)(**{**vars(value), "seed": seed})
+        return value
 
-    return ExperimentConfig(**{
-        **vars(cfg),
-        "graph": reseed(cfg.graph),
-        "instance": reseed(cfg.instance),
-        "loss": reseed(cfg.loss),
-        "check": None if cfg.check is None else reseed(cfg.check),
-    })
+    return ExperimentConfig(**{name: reseed(value) for name, value in vars(cfg).items()})
 
 
 def build_graph(spec: GraphSpec) -> Graph:

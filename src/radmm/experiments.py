@@ -174,6 +174,7 @@ def stability_sweep(
 ) -> SweepResult:
     """Classify every (rho, alpha, p) cell by running `runs` seeded schedules.
 
+    Each grid lists distinct values, since the result keys cells by value.
     Cell (i_rho, i_alpha, i_p) derives its run seeds from the experiment seed
     and its grid indices, so the result does not depend on evaluation order.
     Every run of the grid advances in one batch on one engine. A cell's
@@ -184,6 +185,9 @@ def stability_sweep(
     """
     if not (rho_grid and alpha_grid and loss_grid):
         raise ValueError("all sweep grids must be nonempty")
+    for axis, values in (("rho", rho_grid), ("alpha", alpha_grid), ("p", loss_grid)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{axis} grid repeats a value: {list(values)}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if tol <= 0:

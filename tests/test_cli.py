@@ -12,6 +12,7 @@ import radmm.cli as cli
 from radmm.config import (
     DEFAULT_TOL_LOSSLESS,
     DEFAULT_TOL_LOSSY,
+    REQUIRED,
     CheckSpec,
     ConfigError,
     ExperimentConfig,
@@ -134,6 +135,14 @@ def test_run_with_loss_table(tmp_path):
     )
     assert rc == cli.EXIT_OK
     assert (tmp_path / "o2" / "t_trace.csv").exists()
+
+
+def test_run_with_an_empty_loss_table_on_a_graph_without_edges(tmp_path):
+    doc = base_config(loss={"table": {}, "seed": 3})
+    doc["graph"]["nodes"] = 1
+    rc = cli.main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_OK
+    assert [f.name for f in (tmp_path / "o").iterdir()] == ["t_trace.csv"]
 
 
 def _python(script: str, env: dict | None = None) -> str:
@@ -396,6 +405,8 @@ def test_required_keys_only_parse_to_spec_defaults():
 
 
 def test_override_seeds_replaces_every_seed_and_nothing_else():
+    seeded = {name for name, (spec, _) in _SECTIONS.items() if "seed" in spec.keys}
+    assert seeded == {"graph", "instance", "loss", "check"}
     sweep = {"rho": [3.0], "alpha": [0.5], "p": [0.0, 0.3]}
     for check in (base_config()["check"], None):
         doc = base_config(check=check, sweep=sweep)
@@ -405,15 +416,36 @@ def test_override_seeds_replaces_every_seed_and_nothing_else():
         assert (new.check is None) == (check is None)
         for name, value in vars(new).items():
             old = getattr(cfg, name)
-            if name in ("graph", "instance", "loss", "check") and value is not None:
+            if name in seeded and value is not None:
                 assert vars(value) == {**vars(old), "seed": 123}, name
             else:
                 assert value == old, name
 
 
-def test_each_section_checks_exactly_the_keys_its_spec_takes():
-    for name, spec in _SECTIONS.items():
-        assert list(spec.checks) == list(inspect.signature(spec).parameters), name
+def test_each_spec_holds_its_table_defaults_and_takes_only_its_keys():
+    for name, (spec, _) in _SECTIONS.items():
+        required = {k: 1 for k, (_, default) in spec.keys.items() if default is REQUIRED}
+        built = spec(**required)
+        assert list(vars(built)) == list(spec.keys), name
+        for key, (_, default) in spec.keys.items():
+            assert getattr(built, key) == (1 if default is REQUIRED else default), (name, key)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            spec(**required, not_a_key=1)
+        for key in required:
+            with pytest.raises(TypeError, match=f"missing required keyword '{key}'"):
+                spec(**{k: v for k, v in required.items() if k != key})
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("graph", "nodes"), ("instance", "dim"), ("instance", "rows"), ("run", "k_max"),
+     ("run", "runs"), ("sweep", "k_max"), ("sweep", "runs")],
+)
+def test_every_count_must_be_positive(section, key):
+    doc = base_config(sweep={"rho": [3.0], "alpha": [0.5], "p": [0.0]})
+    doc[section][key] = 0
+    with pytest.raises(ConfigError, match=f"^'{section}.{key}' must be positive, got 0$"):
+        parse_config(doc)
 
 
 def test_tolerance_defaults_are_the_experiment_constants():
@@ -487,6 +519,7 @@ def _edited_q(**values):
         ("run", "run", {}, lambda tmp_path: tmp_path / "missing.json"),
         ("run", "run", {}, _nograph_instance),
         ("sweep", "sweep", {"rho": [3.0], "alpha": [0.5], "p": [0.0], "runs": 0}, None),
+        ("sweep", "sweep", {"rho": [3.0], "alpha": [0.5, 1.9, 0.5], "p": [0.0]}, None),
         ("run", "graph", {"require_connected": "false"}, None),
         ("run", "run", {"runs": True}, None),
         ("run", "run", {"k_max": "7"}, None),
@@ -522,7 +555,7 @@ def _edited_q(**values):
         ("generate", "instance", {"dim": 3, "rows": 1}, None),
     ],
     ids=["runs0", "k_max0", "rho-1", "p1.5", "nodes0", "dim0", "off-graph-table",
-         "missing-instance", "instance-without-graph", "sweep-runs0",
+         "missing-instance", "instance-without-graph", "sweep-runs0", "sweep-repeated-alpha",
          "require_connected-string", "runs-true", "k_max-string", "nodes-float",
          "loss-seed-string", "alpha-bool", "table-value-string", "prefix-number",
          "misspelt-run-key", "misspelt-graph-key", "unknown-section",

@@ -178,6 +178,14 @@ def test_sweep_rejects_empty_or_invalid_grids(ten_node_problem):
         rm.stability_sweep(ten_node_problem, [0.0], [0.5], [0.0], 1, 10, 0)
     with pytest.raises(ValueError, match="jobs"):
         rm.stability_sweep(ten_node_problem, [3.0], [0.5], [0.0], 1, 10, 0, jobs=0)
+    # cells are keyed by value, so a repeat would report another cell's result
+    for grids in (
+        [[3.0, 3.0], [0.5], [0.0]],
+        [[3.0], [0.5, 1.9, 0.5], [0.0]],
+        [[3.0], [0.5], [0.0, 0.0]],
+    ):
+        with pytest.raises(ValueError, match="grid repeats a value"):
+            rm.stability_sweep(ten_node_problem, *grids, 1, 10, 0)
 
 
 def test_sweep_rejects_a_nonpositive_tol_before_any_run(ten_node_problem, monkeypatch):
