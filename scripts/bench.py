@@ -8,8 +8,9 @@ Every timing runs with one BLAS thread, and every cold timing in a fresh
 interpreter that imports radmm from this checkout's `src`. The document
 holds:
 
-- machine: cores, Python, numpy and its BLAS, and whether Python writes
-  bytecode (with PYTHONDONTWRITEBYTECODE set, every command compiles radmm);
+- machine: cores, Python, numpy and its BLAS, the OpenBLAS kernel's core
+  name (null if unknown), and whether Python writes bytecode (with
+  PYTHONDONTWRITEBYTECODE set, every command compiles radmm);
 - import_ms: radmm's own import self time per module, from `python -X
   importtime` importing every module (median over fresh interpreters);
 - modules: the radmm modules each subcommand loads;
@@ -115,6 +116,24 @@ def median_dict(samples: list[dict]) -> dict:
     return {k: statistics.median(s[k] for s in samples) for k in samples[0]}
 
 
+def blas_core() -> str | None:
+    """The kernel family OpenBLAS picked for this CPU ("SkylakeX", say), which
+    the figure bits depend on; None when numpy bundles no scipy-openblas."""
+    import ctypes
+
+    import numpy as np
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def machine() -> dict:
     import numpy as np
 
@@ -124,6 +143,7 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": blas_core(),
         "blas_threads": 1,
         "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }

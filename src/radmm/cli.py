@@ -8,6 +8,7 @@ value in the config or instance, or an unreadable config or instance file),
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -259,5 +260,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
 
+def entry() -> None:
+    """The `radmm` command and `python -m radmm.cli`: main(), then exit with
+    its code. main() called in-process leaves the collector alone."""
+    code = main()
+    # Every output file is written and closed by now. At shutdown CPython
+    # runs full cyclic collections over every object alive, most of them
+    # built by numpy's and radmm's imports, and all they free is cycles from
+    # those imports: 16 to 20 ms of a 0.17 to 0.3 s benchmark command.
+    # Frozen objects are skipped by that walk but still freed by reference
+    # counting, and atexit handlers and the stdio flush still run.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -72,6 +72,18 @@ def _numbers(v, key: str) -> list[float]:
     return [_number(x, key) for x in items]
 
 
+def _distinct(check):
+    """`check`, and the list must not repeat a value: outputs are named by value."""
+
+    def distinct(v, key: str):
+        values = check(v, key)
+        if len(set(values)) != len(values):
+            raise ConfigError(f"'{key}' repeats a value: {values}")
+        return values
+
+    return distinct
+
+
 def _table(v, key: str) -> dict[tuple[int, int], float]:
     if not isinstance(v, dict):
         raise ConfigError(f"'{key}' must be an object mapping 'i->j' to numbers")
@@ -140,11 +152,11 @@ class InstanceSpec(_Spec):
 class ParamsSpec(_Spec):
     """alpha and rho, each a list so presets can sweep one axis."""
 
-    keys = {"alpha": (_numbers, REQUIRED), "rho": (_numbers, REQUIRED)}
+    keys = {"alpha": (_distinct(_numbers), REQUIRED), "rho": (_distinct(_numbers), REQUIRED)}
 
 
 class LossSpec(_Spec):
-    keys = {"seed": (_integer, REQUIRED), "p": (_numbers, None), "table": (_table, None)}
+    keys = {"seed": (_integer, REQUIRED), "p": (_distinct(_numbers), None), "table": (_table, None)}
 
 
 class RunSpec(_Spec):

@@ -20,8 +20,9 @@ def test_quick_bench_writes_every_section(tmp_path):
         "engine", "presets_s", "tier1_s", "perfbench",
     }
     assert (doc["schema"], doc["label"], doc["quick"]) == ("radmm-bench/1", "smoke", True)
-    machine = {"nproc", "python", "numpy", "blas", "blas_threads", "writes_bytecode"}
+    machine = {"nproc", "python", "numpy", "blas", "blas_core", "blas_threads", "writes_bytecode"}
     assert machine <= set(doc["machine"])
+    assert doc["machine"]["blas_core"] is None or isinstance(doc["machine"]["blas_core"], str)
     assert {"radmm.core", "radmm.cli", "total"} <= set(doc["import_ms"])
     assert all(isinstance(v, NUMBER) and v >= 0 for v in doc["import_ms"].values())
     # which modules each command loads is test_cli's to check; here the shape

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import os
@@ -145,15 +146,20 @@ def test_run_with_an_empty_loss_table_on_a_graph_without_edges(tmp_path):
     assert [f.name for f in (tmp_path / "o").iterdir()] == ["t_trace.csv"]
 
 
-def _python(script: str, env: dict | None = None) -> str:
-    """Run script in a fresh interpreter that imports radmm from this tree;
-    its last line of output."""
+def _fresh(script: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run script with args in a fresh interpreter that imports radmm from this tree."""
     src = str(Path(rm.__file__).resolve().parents[1])
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+        timeout=120,
     )
+
+
+def _python(script: str, env: dict | None = None) -> str:
+    """Run script in a fresh interpreter; its last line of output."""
+    done = _fresh(script, env=env)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
 
@@ -207,6 +213,59 @@ def test_no_radmm_module_imports_dataclasses():
         "print('dataclasses' in sys.modules)\n"
     )
     assert _python(script) == "False"
+
+
+# `python -m radmm.cli ARGS` as runpy runs it, with an atexit probe that
+# prints whether the collector was frozen before the interpreter shut down
+ENTRY_PROBE = (
+    "import atexit, gc, runpy\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+    "runpy.run_module('radmm.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        ({"loss": {"p": [0.0, 0.3], "seed": 5}, "run": {"k_max": 200, "runs": 2}}, cli.EXIT_OK),
+        ({"run": {"runs": 0}}, cli.EXIT_CONFIG),
+        ({"params": {"alpha": 1.7, "rho": 3.0}, "run": {"k_max": 3000}}, cli.EXIT_DIVERGED),
+    ],
+    ids=["ok", "invalid", "diverged"],
+)
+def test_process_entry_freezes_the_collector_and_writes_what_main_writes(
+    tmp_path, capsys, edit, code
+):
+    cfg = write_config(tmp_path, base_config(**edit))
+    argv = ["run", "--config", cfg]
+    assert cli.main([*argv, "--out", str(tmp_path / "main")]) == code
+    err = capsys.readouterr().err
+    done = _fresh(ENTRY_PROBE, *argv, "--out", str(tmp_path / "entry"))
+    assert done.returncode == code, done.stderr
+    assert done.stderr == err
+    assert done.stdout.splitlines()[-1] == "frozen True"
+    written = {
+        name: sorted((f.name, f.read_bytes()) for f in (tmp_path / name).iterdir())
+        for name in ("main", "entry")
+        if (tmp_path / name).exists()
+    }
+    assert written.get("entry") == written.get("main")
+    assert (code == cli.EXIT_CONFIG) == (written == {})
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path):
+    cfg = write_config(tmp_path, base_config())
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_radmm_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"radmm": "radmm.cli:entry"}
+    assert callable(cli.entry)
 
 
 def test_run_output_does_not_depend_on_the_blas_thread_count(tmp_path):
@@ -448,6 +507,16 @@ def test_every_count_must_be_positive(section, key):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("section, key", [("params", "alpha"), ("params", "rho"), ("loss", "p")])
+def test_a_repeated_value_is_rejected_by_its_key(section, key):
+    # run names each output file by these values: a repeat would run again
+    # and write the same file twice
+    doc = base_config()
+    doc[section][key] = [0.2, 0.4, 0.2]
+    with pytest.raises(ConfigError, match=f"^'{section}.{key}' repeats a value: "):
+        parse_config(doc)
+
+
 def test_tolerance_defaults_are_the_experiment_constants():
     assert RunSpec().resolved_tol(0.0) == DEFAULT_TOL_LOSSLESS
     assert RunSpec().resolved_tol(0.2) == DEFAULT_TOL_LOSSY
@@ -526,6 +595,9 @@ def _edited_q(**values):
         ("run", "graph", {"nodes": 10.9}, None),
         ("run", "loss", {"seed": "23"}, None),
         ("run", "params", {"alpha": [True, 0.5]}, None),
+        ("run", "params", {"alpha": [0.5, 0.75, 0.5]}, None),
+        ("run", "params", {"rho": [3.0, 3]}, None),
+        ("run", "loss", {"p": [0.2, 0.4, 0.2]}, None),
         ("run", "loss", {"p": None, "table": _table_of("0.5")}, None),
         ("run", "output", {"prefix": 3}, None),
         ("run", "run", {"k_mx": 7}, None),
@@ -557,7 +629,8 @@ def _edited_q(**values):
     ids=["runs0", "k_max0", "rho-1", "p1.5", "nodes0", "dim0", "off-graph-table",
          "missing-instance", "instance-without-graph", "sweep-runs0", "sweep-repeated-alpha",
          "require_connected-string", "runs-true", "k_max-string", "nodes-float",
-         "loss-seed-string", "alpha-bool", "table-value-string", "prefix-number",
+         "loss-seed-string", "alpha-bool", "repeated-alpha", "repeated-rho", "repeated-p",
+         "table-value-string", "prefix-number",
          "misspelt-run-key", "misspelt-graph-key", "unknown-section",
          "instance-array", "instance-nodes-string", "instance-data-strings",
          "instance-matrix-list", "instance-costs-number", "instance-graph-list",
