@@ -16,6 +16,8 @@ holds:
 - modules: the radmm modules each subcommand loads;
 - run_stages: cold per-stage times of `radmm run`'s path on the
   large_graph benchmark instance (ms): load, solve, engine set-up, rounds;
+  the instance file's size (bytes) and the peak memory Python and numpy
+  allocate inside `problem_from_json` (KiB, `tracemalloc`, an untimed pass);
 - engine: per node count N, the graph, instance, solve and engine set-up
   times, the engine's µs per run-round for 1 and for 16 runs, and the
   peak memory numpy and Python allocate inside those runs (KiB, from
@@ -63,7 +65,7 @@ PRESETS = (("fig1", "run"), ("fig2", "sweep"), ("fig3", "run"), ("fig4", "run"))
 
 # One cold pass over `radmm run`'s stages on one instance; prints their times.
 STAGES = """
-import json, sys, time
+import json, sys, time, tracemalloc
 from pathlib import Path
 from radmm.config import load_config
 from radmm.core import _StackedEngine
@@ -71,7 +73,8 @@ from radmm.lossy import LossModel, LossSchedule
 from radmm.problem import problem_from_json, solve_centralized
 
 cfg = load_config(sys.argv[1])
-text = Path(sys.argv[2]).read_text()
+path = Path(sys.argv[2])
+text = path.read_text()
 t = [time.perf_counter()]
 p = problem_from_json(text)
 t.append(time.perf_counter())
@@ -86,8 +89,13 @@ schedule = LossSchedule(model=LossModel.uniform(p.graph, loss_p), seed=cfg.loss.
                       cfg.run.k_max, sol)
 t.append(time.perf_counter())
 ms = [1e3 * (b - a) for a, b in zip(t, t[1:])]
+tracemalloc.start()  # untimed: tracing slows every allocation
+problem_from_json(text)
+load_peak_kib = tracemalloc.get_traced_memory()[1] / 1024
+tracemalloc.stop()
 print(json.dumps(dict(zip(["load_ms", "solve_ms", "engine_setup_ms", "rounds_ms"], ms),
-                      rounds=trace.rounds_executed)))
+                      rounds=trace.rounds_executed, load_peak_kib=load_peak_kib,
+                      instance_bytes=path.stat().st_size)))
 """
 
 # The radmm modules one CLI command loads; prints its exit code and them.

@@ -579,21 +579,24 @@ class _StackedEngine:
             block = np.array(ids[at : at + size])
             ends.update(self._run_block(block, settings, k_max, reference, record_states))
         traces = []
-        for r in source:
+        for at, r in enumerate(source):
             errors, diverged, xs, z = ends[r]
+            if xs is not None and r in source[:at]:  # a shared row's copy
+                xs = xs.copy()
             traces.append(RunTrace(errors=np.concatenate(errors), diverged=diverged,
-                                   xs=None if xs is None else np.concatenate(xs),
-                                   z=None if z is None else z.copy()))
+                                   xs=xs, z=None if z is None else z.copy()))
         return traces
 
     def _run_block(self, ids, settings, k_max, reference, record_states) -> dict:
         """Run the runs ids, in (rho, run) order and with the settings `run`
         checked, from zero until each ends. Returns, per run, its error
-        pieces, diverged flag, and with record_states its x pieces and last
-        z (else None and None)."""
+        pieces, diverged flag, and with record_states its x after every
+        round (copied once, into one array per run that grows in place by
+        rounds within _BLOCK_BYTES) and its last z (else None and None)."""
         errors: dict = {r: [] for r in ids}  # pieces per run
-        xs: dict = {r: [] for r in ids}
-        log, x_log = [], []  # the rows' errors and x, one entry a round
+        xs = {r: np.empty((0, self.x_size)) for r in ids} if record_states else {}
+        grow = max(1, _BLOCK_BYTES // (8 * self.x_size * len(ids)))
+        log = []  # the rows' errors, one entry a round
         ends: dict = {}
         buf = np.zeros((len(ids), self.row_size))
         tols = [settings[r][3] for r in ids]
@@ -669,7 +672,10 @@ class _StackedEngine:
                 z += q
             x_rows = x.reshape(rows, -1)
             if record_states:
-                x_log.append(x_rows)  # x is a new array every round
+                for row, r in enumerate(ids):
+                    if k == len(xs[r]):
+                        xs[r].resize((min(k_max, k + grow), self.x_size), refcheck=False)
+                    xs[r][k] = x_rows[row]
             err = _error_sum(x, *reference).reshape(rows)
             log.append(err)
             # A cheap test first; the row-by-row checks run only on rounds on
@@ -690,17 +696,17 @@ class _StackedEngine:
                 done[:] = True
             if not done.any():
                 continue
-            for pieces, entries in ((errors, log), (xs, x_log)):
-                if entries:
-                    block = np.array(entries)
-                    entries.clear()
-                    for row, r in enumerate(ids):
-                        pieces[r].append(block[:, row])
+            block = np.array(log)
+            log.clear()
+            for row, r in enumerate(ids):
+                errors[r].append(block[:, row])
             z_rows = z.reshape(rows, -1)
             for row in np.flatnonzero(done):
                 r = ids[row]
-                last = (xs[r], z_rows[row]) if record_states else (None, None)
-                ends[r] = (errors[r], not ok[row], *last)
+                x_all = xs.pop(r, None)
+                if x_all is not None:
+                    x_all.resize((k + 1, self.x_size), refcheck=False)
+                ends[r] = (errors[r], not ok[row], x_all, z_rows[row] if record_states else None)
             live = ~done
             if gates is not None:
                 gates = gates[live]

@@ -257,15 +257,15 @@ def generate_instance(
 
 # --- serialization ----------------------------------------------------------
 #
-# Instances round-trip through JSON bit-exactly: floats are emitted with
-# Python's shortest-repr encoding (at most 17 significant digits), which
-# parses back to the identical IEEE-754 double.
+# An instance document holds the schema, `dim`, the graph (node count, edges
+# and optional positions) and the costs as one flat list of numbers: node by
+# node a_self, a_neigh[j] for j ascending, b and q, each row-major, with
+# `costs.rows` giving each node's row count r_i. Every shape follows from
+# dim, r_i and the graph. Floats are emitted with Python's shortest-repr
+# encoding (at most 17 significant digits), which parses back to the
+# identical IEEE-754 double, so instances round-trip bit-exactly.
 
-SCHEMA_INSTANCE = "radmm-instance/1"
-
-
-def _mat(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
+SCHEMA_INSTANCE = "radmm-instance/2"
 
 
 def _object(v, what: str) -> dict:
@@ -280,56 +280,47 @@ def _list(v, what: str) -> list:
     return v
 
 
-def _unmat(d, flat: list) -> tuple[int, int, list[int]]:
-    """Check one matrix object's layout and append its data to flat; returns
-    the data's (start, stop) in flat and the matrix shape."""
-    d = _object(d, "matrix")
-    data = _list(d["data"], "matrix data")
-    shape = [_integer(k, "matrix shape entry") for k in _list(d["shape"], "matrix shape")]
-    flat += data
-    return len(flat) - len(data), len(flat), shape
-
-
-def _uncosts(docs) -> list[QuadraticLocalCost]:
-    """The document's costs. All their matrix data is type-checked in one
-    pass and converted in one `np.array` call; each matrix is a view of
-    that one array."""
-    flat: list = []
-    layouts = [
-        (
-            _unmat(c["a_self"], flat),
-            {int(j): _unmat(a, flat) for j, a in _object(c["a_neigh"], "a_neigh").items()},
-            _unmat(c["b"], flat),
-            _unmat(c["q"], flat),
-        )
-        for c in (_object(c, "cost") for c in _list(docs, "costs"))
-    ]
-    if not set(map(type, flat)) <= {int, float}:  # bool is no number here
-        raise ValueError("instance matrix data must be numbers")
-    values = np.array(flat, dtype=float)
-
-    def view(span: tuple[int, int, list[int]]) -> np.ndarray:
-        start, stop, shape = span
-        return values[start:stop].reshape(shape)
-
-    return [
-        QuadraticLocalCost(
-            a_self=view(a_self),
-            a_neigh={j: view(a) for j, a in a_neigh.items()},
-            b=view(b).reshape(-1),
-            q=view(q),
-        )
-        for a_self, a_neigh, b, q in layouts
-    ]
-
-
 def _integer(v, what: str) -> int:
     if type(v) is not int:
         raise ValueError(f"instance {what} must be an integer, got {v!r}")
     return v
 
 
+def _uncosts(doc, g: Graph, n: int) -> list[QuadraticLocalCost]:
+    """The document's costs. All their data is type-checked in one pass and
+    converted in one `np.array` call; each matrix is a view of that array."""
+    rows = [_integer(r, "costs.rows entry") for r in _list(doc["rows"], "costs.rows")]
+    if len(rows) != g.node_count or min(rows) < 0:
+        raise ValueError(f"instance costs.rows must hold {g.node_count} non-negative integers")
+    data = _list(doc["data"], "costs.data")
+    if not set(map(type, data)) <= {int, float}:  # bool is no number here
+        raise ValueError("instance costs.data must hold numbers only")
+    orders = [neighbors(g, i) for i in range(g.node_count)]
+    size = sum(r * n * (len(order) + 1) + r + r * r for r, order in zip(rows, orders))
+    if len(data) != size:
+        raise ValueError(f"instance costs.data must hold {size} numbers, got {len(data)}")
+    try:
+        values = np.array(data, dtype=float)
+    except OverflowError as exc:  # an integer beyond the range of a double
+        raise ValueError(f"instance costs.data must hold doubles: {exc}") from exc
+    costs, at = [], 0
+    for r, order in zip(rows, orders):
+        end = at + r * n * (len(order) + 1)
+        maps = values[at:end].reshape(len(order) + 1, r, n)
+        b, q = values[end : end + r], values[end + r : end + r + r * r].reshape(r, r)
+        at = end + r + r * r
+        costs.append(QuadraticLocalCost(
+            a_self=maps[0], a_neigh=dict(zip(order, maps[1:])), b=b, q=q
+        ))
+    return costs
+
+
 def problem_to_json(p: PartitionProblem) -> str:
+    parts = [
+        a.ravel()
+        for c in p.costs
+        for a in [c.a_self, *(c.a_neigh[j] for j in c.neighbor_order()), c.b, c.q]
+    ]
     doc = {
         "schema": SCHEMA_INSTANCE,
         "dim": p.dim,
@@ -340,15 +331,10 @@ def problem_to_json(p: PartitionProblem) -> str:
             if p.graph.positions is None
             else [[float(x), float(y)] for x, y in p.graph.positions],
         },
-        "costs": [
-            {
-                "a_self": _mat(c.a_self),
-                "a_neigh": {str(j): _mat(a) for j, a in sorted(c.a_neigh.items())},
-                "b": _mat(c.b),
-                "q": _mat(c.q),
-            }
-            for c in p.costs
-        ],
+        "costs": {
+            "rows": [c.rows for c in p.costs],
+            "data": np.concatenate(parts, dtype=float).tolist(),
+        },
     }
     return json.dumps(doc)
 
@@ -358,7 +344,10 @@ def problem_from_json(text: str) -> PartitionProblem:
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
     if doc.get("schema") != SCHEMA_INSTANCE:
-        raise ValueError(f"unsupported instance schema: {doc.get('schema')!r}")
+        raise ValueError(
+            f"unsupported instance schema {doc.get('schema')!r}: this version reads "
+            f"{SCHEMA_INSTANCE}; regenerate the instance with `radmm generate`"
+        )
     try:
         gdoc = _object(doc["graph"], "graph")
         positions = None
@@ -372,7 +361,10 @@ def problem_from_json(text: str) -> PartitionProblem:
             ),
             positions=positions,
         )
-        costs = _uncosts(doc["costs"])
-        return PartitionProblem(graph=g, costs=costs, dim=_integer(doc["dim"], "dim"))
+        n = _integer(doc["dim"], "dim")
+        if n < 1:
+            raise ValueError(f"instance dim must be positive, got {n}")
+        costs = _uncosts(_object(doc["costs"], "costs"), g, n)
+        return PartitionProblem(graph=g, costs=costs, dim=n)
     except KeyError as exc:
         raise ValueError(f"instance document lacks key {exc}") from exc

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -527,7 +528,8 @@ def test_tolerance_defaults_are_the_experiment_constants():
 
 def _nograph_instance(tmp_path):
     path = tmp_path / "nograph.json"
-    path.write_text(json.dumps({"schema": "radmm-instance/1", "dim": 2, "costs": []}))
+    costs = {"rows": [3, 3, 3], "data": [0.5] * 72}
+    path.write_text(json.dumps({"schema": "radmm-instance/2", "dim": 2, "costs": costs}))
     return path
 
 
@@ -553,26 +555,38 @@ def _string_nodes(doc):
     return doc
 
 
-def _string_data(doc):
-    q = doc["costs"][0]["q"]
-    q["data"] = [repr(v) for v in q["data"]]
-    return doc
-
-
-def _list_matrix(doc):
-    doc["costs"][0]["q"] = [1.0, 2.0]
-    return doc
-
-
 def _edited_graph(**values):
     return _edited_instance(lambda doc: dict(doc, graph=dict(doc["graph"], **values)))
 
 
-def _edited_q(**values):
+def _edited_costs(edit_rows=None, edit_data=None):
+    """The 3-node instance with its costs.rows and costs.data replaced by
+    edit_rows(rows) and edit_data(data)."""
     def edit(doc):
-        doc["costs"][0]["q"].update(values)
+        costs = doc["costs"]
+        if edit_rows is not None:
+            costs["rows"] = edit_rows(costs["rows"])
+        if edit_data is not None:
+            costs["data"] = edit_data(costs["data"])
         return doc
     return _edited_instance(edit)
+
+
+def _first_schema(doc):
+    """The instance as a radmm-instance/1 document: one object per cost,
+    each matrix with its own shape."""
+    rows, data, at = doc["costs"]["rows"], doc["costs"]["data"], 0
+    costs = []
+    for i, r in enumerate(rows):
+        def mat(*shape):
+            nonlocal at
+            size = math.prod(shape)
+            at += size
+            return {"shape": list(shape), "data": data[at - size : at]}
+        nbrs = sorted({j for e in doc["graph"]["edges"] if i in e for j in e} - {i})
+        costs.append({"a_self": mat(r, 2), "a_neigh": {str(j): mat(r, 2) for j in nbrs},
+                      "b": mat(r), "q": mat(r, r)})
+    return dict(doc, schema="radmm-instance/1", costs=costs)
 
 
 @pytest.mark.parametrize(
@@ -605,14 +619,25 @@ def _edited_q(**values):
         ("run", "sweeps", {"runs": 2}, None),
         ("run", "run", {}, _edited_instance(lambda doc: [doc])),
         ("run", "run", {}, _edited_instance(_string_nodes)),
-        ("run", "run", {}, _edited_instance(_string_data)),
-        ("run", "run", {}, _edited_instance(_list_matrix)),
+        ("run", "run", {}, _edited_costs(edit_data=lambda d: [repr(v) for v in d])),
+        ("run", "run", {}, _edited_instance(lambda doc: dict(doc, costs=[doc["costs"]]))),
         ("run", "run", {}, _edited_instance(lambda doc: dict(doc, costs=5))),
         ("run", "run", {}, _edited_instance(lambda doc: dict(doc, graph=[3]))),
         ("run", "run", {}, _edited_graph(edges=5)),
         ("run", "run", {}, _edited_graph(edges=[5])),
-        ("run", "run", {}, _edited_q(data=5)),
-        ("run", "run", {}, _edited_q(shape="x")),
+        ("run", "run", {}, _edited_costs(edit_data=lambda d: 5)),
+        ("run", "run", {}, _edited_costs(edit_rows=lambda r: r[:2])),
+        ("run", "run", {}, _edited_costs(edit_rows=lambda r: r + [0])),
+        ("run", "run", {}, _edited_costs(edit_rows=lambda r: [True] + r[1:])),
+        ("run", "run", {}, _edited_costs(edit_rows=lambda r: [3.0] + r[1:])),
+        ("run", "run", {}, _edited_costs(edit_rows=lambda r: [-1, 3, 7])),
+        ("run", "run", {}, _edited_costs(edit_rows=lambda r: "3")),
+        ("run", "run", {}, _edited_costs(edit_data=lambda d: [True] + d[1:])),
+        ("run", "run", {}, _edited_costs(edit_data=lambda d: [10**400] + d[1:])),
+        ("run", "run", {}, _edited_costs(edit_data=lambda d: d[:-1])),
+        ("run", "run", {}, _edited_costs(edit_data=lambda d: d + [0.5])),
+        ("run", "run", {}, _edited_instance(lambda doc: dict(doc, dim=0))),
+        ("run", "run", {}, _edited_instance(_first_schema)),
         ("run", "run", {}, _edited_graph(positions=5)),
         ("run", "loss", {"seed": 2**64}, None),
         ("run", "loss", {"seed": -1}, None),
@@ -633,9 +658,13 @@ def _edited_q(**values):
          "table-value-string", "prefix-number",
          "misspelt-run-key", "misspelt-graph-key", "unknown-section",
          "instance-array", "instance-nodes-string", "instance-data-strings",
-         "instance-matrix-list", "instance-costs-number", "instance-graph-list",
+         "instance-costs-list", "instance-costs-number", "instance-graph-list",
          "instance-edges-number", "instance-edge-number", "instance-data-number",
-         "instance-shape-string", "instance-positions-number", "loss-seed-2**64",
+         "instance-rows-short", "instance-rows-long", "instance-rows-bool",
+         "instance-rows-float", "instance-rows-negative", "instance-rows-string",
+         "instance-data-bool", "instance-data-huge-int", "instance-data-short",
+         "instance-data-long", "instance-dim0", "instance-schema-1",
+         "instance-positions-number", "loss-seed-2**64",
          "loss-seed-negative", "check-k_max0", "run-tol-1", "run-tol0", "sweep-tol-1",
          "check-tol0", "max_resamples0", "no-connected-graph", "no-pd-instance"],
 )

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -231,18 +232,66 @@ def test_optimum_beats_random_points(ten_node_problem, ten_node_solution):
         assert rm.global_cost(p, xs) >= optimal_value - 1e-9
 
 
-def test_json_round_trip_bit_exact(ten_node_problem):
-    p = ten_node_problem
-    back = rm.problem_from_json(rm.problem_to_json(p))
+def mixed_height_problem():
+    """A path 0-1-2-3 whose costs have 3, 0, 1 and 2 rows; node 1's cost is
+    empty, which QuadraticLocalCost accepts."""
+    rng = np.random.default_rng(17)
+    g = rm.Graph(node_count=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}))
+    costs = []
+    for i, r in enumerate([3, 0, 1, 2]):
+        m = rng.standard_normal((r, r))
+        costs.append(rm.QuadraticLocalCost(
+            a_self=rng.standard_normal((r, 2)),
+            a_neigh={j: rng.standard_normal((r, 2)) for j in rm.neighbors(g, i)},
+            b=rng.standard_normal(r),
+            q=m.T @ m + np.eye(r),
+        ))
+    return rm.PartitionProblem(graph=g, costs=costs, dim=2)
+
+
+def assert_round_trip_bit_exact(p):
+    """p decodes from its JSON bit for bit, and re-encodes to the same bytes."""
+    text = rm.problem_to_json(p)
+    back = rm.problem_from_json(text)
+    assert rm.problem_to_json(back) == text
+    assert back.dim == p.dim
     assert back.graph.edges == p.graph.edges
     assert np.array_equal(back.graph.positions, p.graph.positions)
-    for ca, cb in zip(p.costs, back.costs):
-        assert np.array_equal(ca.a_self, cb.a_self)
-        assert np.array_equal(ca.b, cb.b)
-        assert np.array_equal(ca.q, cb.q)
-        assert set(ca.a_neigh) == set(cb.a_neigh)
-        for j in ca.a_neigh:
-            assert np.array_equal(ca.a_neigh[j], cb.a_neigh[j])
+    for ca, cb in zip(p.costs, back.costs, strict=True):
+        assert list(ca.a_neigh) == list(cb.a_neigh)
+        for a, b in zip([ca.a_self, ca.b, ca.q, *ca.a_neigh.values()],
+                        [cb.a_self, cb.b, cb.q, *cb.a_neigh.values()]):
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+
+
+def test_json_round_trip_bit_exact(ten_node_problem):
+    assert_round_trip_bit_exact(ten_node_problem)
+
+
+def test_json_round_trip_bit_exact_on_100_nodes():
+    g = rm.generate_connected_rgg(100, 0.2, seed=7)
+    assert_round_trip_bit_exact(rm.generate_instance(g, n=2, r_rows=3, seed=11))
+
+
+def test_json_round_trip_bit_exact_with_mixed_cost_heights():
+    p = mixed_height_problem()
+    assert [c.rows for c in p.costs] == [3, 0, 1, 2]
+    assert_round_trip_bit_exact(p)
+
+
+def test_json_layout_is_rows_then_flat_data(path3_problem):
+    # per node a_self, a_neigh[j] for j ascending, b and q, each row-major
+    p = path3_problem
+    doc = json.loads(rm.problem_to_json(p))
+    assert doc["schema"] == "radmm-instance/2"
+    assert doc["costs"]["rows"] == [3, 3, 3]
+    want = np.concatenate([
+        a.ravel()
+        for i, c in enumerate(p.costs)
+        for a in [c.a_self, *(c.a_neigh[j] for j in rm.neighbors(p.graph, i)), c.b, c.q]
+    ])
+    assert np.array(doc["costs"]["data"]).tobytes() == want.tobytes()
+    assert len(want) == sum(3 * 2 * (p.graph.degree(i) + 1) + 3 + 9 for i in range(3))
 
 
 def test_json_rejects_unknown_schema():
@@ -250,9 +299,15 @@ def test_json_rejects_unknown_schema():
         rm.problem_from_json('{"schema": "other/9"}')
 
 
-def test_json_missing_key_is_value_error():
-    with pytest.raises(ValueError, match="graph"):
+def test_json_first_schema_asks_for_regeneration():
+    with pytest.raises(ValueError, match="radmm-instance/2.*radmm generate"):
         rm.problem_from_json('{"schema": "radmm-instance/1", "dim": 2, "costs": []}')
+
+
+def test_json_missing_key_is_value_error():
+    doc = {"schema": "radmm-instance/2", "dim": 2, "costs": {"rows": [], "data": []}}
+    with pytest.raises(ValueError, match="graph"):
+        rm.problem_from_json(json.dumps(doc))
 
 
 def test_solution_with_filled_cache_equals_fresh_copy(ten_node_problem, ten_node_solution):
