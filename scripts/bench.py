@@ -3,6 +3,7 @@
 
     python scripts/bench.py --label baseline               # a few minutes
     python scripts/bench.py --label smoke --quick --out /tmp
+    python scripts/bench.py --label pr --against ../parent # adds paired numbers
 
 Every timing runs with one BLAS thread, and every cold timing in a fresh
 interpreter that imports radmm from this checkout's `src`. The document
@@ -24,11 +25,19 @@ holds:
   `tracemalloc` in a separate untimed pass);
 - presets_s: CLI wall time of each figure preset at full run counts;
 - tier1_s: wall time of the Tier-1 suite;
-- perfbench: the per-layer metrics of `perfbench/run.py --trace 1`.
+- perfbench: the per-layer metrics of `perfbench/run.py --trace 1`;
+- against (null without --against DIR): `run_stages`, and `import_ms` of
+  the modules the large_graph `radmm run` loads, of the checkout at DIR
+  and of this one, measured in alternating pairs (DIR's first in each) on
+  this checkout's instance. Per number it holds each tree's median and
+  quartiles and `wins`, the pairs in which this tree's value is lower;
+  `import_ms` lists the modules both trees load, and its total is over
+  each tree's own. Single cold runs on a shared host drift by tens of
+  percent, so only paired numbers compare two trees.
 
---quick times once instead of taking medians, skips N = 1000, the presets,
-Tier-1 and the large_graph traced run, and writes the same keys (null where
-skipped).
+--quick times once instead of taking medians (one pair with --against),
+skips N = 1000, the presets, Tier-1 and the large_graph traced run, and
+writes the same keys (null where skipped).
 """
 
 from __future__ import annotations
@@ -56,7 +65,9 @@ from workloads import config_doc  # noqa: E402  (perfbench's workload configs)
 os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))  # children, and numpy here
 
 SCHEMA = "radmm-bench/1"
-MODULES = ("cli", "config", "core", "experiments", "graph", "lossy", "problem", "reference")
+MODULES = ("cli", "config", "core", "engine", "experiments", "graph", "lossy", "problem",
+           "reference")
+PAIRS = 11  # alternating pairs of --against (one with --quick)
 # (nodes, radius) of the engine points: fig1's graph, then the large_graph
 # radius, then one that keeps N = 1000 at ~10 neighbors a node
 ENGINE_POINTS = ((10, 0.35), (100, 0.2), (1000, 0.06))
@@ -68,7 +79,10 @@ STAGES = """
 import json, sys, time, tracemalloc
 from pathlib import Path
 from radmm.config import load_config
-from radmm.core import _StackedEngine
+try:
+    from radmm.engine import _StackedEngine
+except ImportError:  # a tree from before the engine had its own module
+    from radmm.core import _StackedEngine
 from radmm.lossy import LossModel, LossSchedule
 from radmm.problem import problem_from_json, solve_centralized
 
@@ -107,13 +121,10 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("radmm"))]
 """
 
 
-def child_env() -> dict:
-    return dict(os.environ, PYTHONPATH=str(SRC))
-
-
-def python(args: list[str], **kw) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *args], env=child_env(), cwd=ROOT, check=True,
-                          capture_output=True, text=True, **kw)
+def python(args: list[str], src: Path = SRC, **kw) -> subprocess.CompletedProcess:
+    """Run Python on args in a fresh interpreter that imports radmm from src."""
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(src)),
+                          cwd=ROOT, check=True, capture_output=True, text=True, **kw)
 
 
 def last_json(out: str):
@@ -157,20 +168,23 @@ def machine() -> dict:
     }
 
 
+def import_sample(modules: list[str], src: Path = SRC) -> dict:
+    """Self time of each radmm module that importing modules loads from
+    the tree at src, ms, and their total, from one fresh interpreter."""
+    code = "import " + ", ".join(modules)
+    selfs = {}
+    lines = python(["-X", "importtime", "-c", code], src).stderr.splitlines()
+    for line in (line for line in lines if line.startswith("import time:")):
+        _, self_us, _, name = (part.strip() for part in line.replace(":", "|", 1).split("|"))
+        if name == "radmm" or name.startswith("radmm."):
+            selfs[name] = int(self_us) / 1e3
+    selfs["total"] = sum(selfs.values())
+    return selfs
+
+
 def import_ms(reps: int) -> dict:
-    """Self time per radmm module, ms, and their total."""
-    code = "import " + ", ".join(f"radmm.{m}" for m in MODULES)
-    samples = []
-    for _ in range(reps):
-        selfs = {}
-        lines = python(["-X", "importtime", "-c", code]).stderr.splitlines()
-        for line in (line for line in lines if line.startswith("import time:")):
-            _, self_us, _, name = (part.strip() for part in line.replace(":", "|", 1).split("|"))
-            if name == "radmm" or name.startswith("radmm."):
-                selfs[name] = int(self_us) / 1e3
-        selfs["total"] = sum(selfs.values())
-        samples.append(selfs)
-    return median_dict(samples)
+    """Self time per radmm module, ms, and their total (medians)."""
+    return median_dict([import_sample([f"radmm.{m}" for m in MODULES]) for _ in range(reps)])
 
 
 def modules(work: Path, cfg: Path, cfg_runs1: Path, inst: Path) -> dict:
@@ -182,24 +196,63 @@ def modules(work: Path, cfg: Path, cfg_runs1: Path, inst: Path) -> dict:
         "sweep": ["sweep", "--config", str(cfg), "--instance", str(inst), *out],
         "check": ["check", "--config", str(cfg), "--instance", str(inst), *out],
     }
-    loaded = {}
-    for name, argv in commands.items():
-        code, names = last_json(python(["-c", LOADED, *argv]).stdout)
-        if code != 0:
-            raise SystemExit(f"`radmm {' '.join(argv)}` exited {code}")
-        loaded[name] = names
-    return loaded
+    return {name: loaded(argv) for name, argv in commands.items()}
+
+
+def loaded(argv: list[str], src: Path = SRC) -> list[str]:
+    """The radmm modules `radmm argv` loads from the tree at src."""
+    code, names = last_json(python(["-c", LOADED, *argv], src).stdout)
+    if code != 0:
+        raise SystemExit(f"`radmm {' '.join(argv)}` exited {code}")
+    return names
+
+
+def stages_sample(cfg: Path, inst: Path, src: Path = SRC) -> dict:
+    return last_json(python(["-c", STAGES, str(cfg), str(inst)], src).stdout)
 
 
 def run_stages(cfg: Path, inst: Path, reps: int) -> dict:
-    return median_dict([last_json(python(["-c", STAGES, str(cfg), str(inst)]).stdout)
-                        for _ in range(reps)])
+    return median_dict([stages_sample(cfg, inst) for _ in range(reps)])
+
+
+def summary(values: list[float]) -> dict:
+    """Median and quartiles; a single value is all three."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def against(other: Path, work: Path, cfg: Path, inst: Path, pairs: int) -> dict:
+    """The `against` section: `run_stages` samples and the import times of
+    the modules `radmm run` loads, of the tree at other and of this one, in
+    alternating pairs."""
+    trees = {"against": other / "src", "this": SRC}
+    argv = ["run", "--config", str(cfg), "--instance", str(inst), "--out", str(work / "against")]
+    run_path = {name: loaded(argv, src) for name, src in trees.items()}
+    samples = {name: ([], []) for name in trees}
+    for _ in range(pairs):
+        for name, src in trees.items():
+            stages, imports = samples[name]
+            stages.append(stages_sample(cfg, inst, src))
+            imports.append(import_sample(run_path[name], src))
+    out = {"pairs": pairs}
+    for at, section in enumerate(("run_stages", "import_ms")):
+        theirs, ours = samples["against"][at], samples["this"][at]
+        out[section] = {
+            key: {
+                "against": summary([s[key] for s in theirs]),
+                "this": summary([s[key] for s in ours]),
+                "wins": sum(b[key] < a[key] for a, b in zip(theirs, ours)),
+            }
+            for key in ours[0] if key in theirs[0]
+        }
+    return out
 
 
 def engine_point(nodes: int, radius: float, reps: int) -> dict:
     """ROADMAP's engine table row: set-up times in ms, µs per run-round and
     the peak KiB allocated inside a run."""
-    from radmm.core import AlgorithmParams, _StackedEngine
+    from radmm.engine import AlgorithmParams, _StackedEngine
     from radmm.graph import generate_connected_rgg
     from radmm.lossy import LossModel, LossSchedule
     from radmm.problem import generate_instance, solve_centralized
@@ -275,7 +328,13 @@ def main() -> int:
                         help="directory to write to (default: the checkout)")
     parser.add_argument("--quick", action="store_true",
                         help="one repetition; skip N = 1000, presets, Tier-1, traced large_graph")
+    parser.add_argument("--against", metavar="DIR",
+                        help="also time run_stages and import_ms of the checkout at DIR and of "
+                             "this one in alternating pairs")
     args = parser.parse_args()
+    other = None if args.against is None else Path(args.against).resolve()
+    if other is not None and not (other / "src" / "radmm" / "__init__.py").is_file():
+        parser.error(f"--against {args.against}: no radmm checkout (src/radmm) there")
     reps = 1 if args.quick else 5
     out = Path(args.out)
     try:  # before measuring, which takes minutes
@@ -309,6 +368,8 @@ def main() -> int:
             "tier1_s": None if args.quick else tier1_s(),
             "perfbench": {w: perfbench(w) for w in ("mc_fig1", "large_graph")
                           if not (args.quick and w == "large_graph")},
+            "against": None if other is None else against(
+                other, work, cfgs["large_graph"], inst["large_graph"], 1 if args.quick else PAIRS),
         }
     path = out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")

@@ -15,13 +15,9 @@ from importlib import import_module
 
 _EXPORTS = {
     "core": (
-        "DIVERGENCE_NORM",
-        "AlgorithmParams",
         "Message",
         "NodeState",
         "QuadraticLocalSolver",
-        "RunTrace",
-        "SingularLocalSystemError",
         "compute_messages",
         "consensus_residual",
         "initial_states",
@@ -29,8 +25,14 @@ _EXPORTS = {
         "make_local_solver",
         "node_states",
         "relative_error",
-        "run",
         "sync_round",
+    ),
+    "engine": (
+        "DIVERGENCE_NORM",
+        "AlgorithmParams",
+        "RunTrace",
+        "SingularLocalSystemError",
+        "run",
         "trace_to_csv",
     ),
     "graph": (

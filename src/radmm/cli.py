@@ -111,7 +111,7 @@ def _loss_models(cfg: ExperimentConfig, problem: PartitionProblem) -> list[tuple
 
 
 def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> int:
-    from .core import AlgorithmParams, _StackedEngine, trace_to_csv
+    from .engine import AlgorithmParams, _StackedEngine, trace_to_csv
     from .lossy import LossSchedule
     from .problem import solve_centralized
 
@@ -131,7 +131,7 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
     for params in grid:
         if cfg.run.runs == 1:
             # the loss values of this (alpha, rho) as one batch, each run
-            # bitwise its own `core.run`
+            # bitwise its own `engine.run`
             results = _StackedEngine(problem, (params.rho,)).run(
                 [
                     (LossSchedule(model=model, seed=cfg.loss.seed), params.alpha, params.rho, tol)
@@ -165,7 +165,7 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
 
 def cmd_check(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> int:
     from .config import ConfigError
-    from .core import AlgorithmParams
+    from .engine import AlgorithmParams
     from .reference import check_equivalence
 
     if cfg.check is None:

@@ -1,0 +1,493 @@
+"""The stacked engine: synchronous relaxed ADMM rounds on whole-graph arrays.
+
+`run`, the Monte Carlo harness in `experiments` and stability sweeps all
+iterate here. A round performs the arithmetic of the node-local
+specification in `core` (`sync_round`), on arrays in the stacked layouts
+of `reference`, which `core.node_states` reads as node-local states; the
+tests check that its error traces and recorded flat iterates are bitwise
+equal to a loop of `sample_mask`, `sync_round` and `relative_error`. No
+command that runs the engine loads `core`.
+
+The engine is built once per problem and its rhos and advances a batch of
+runs together, one row per (schedule, alpha, rho, stop tolerance); `run`
+is a batch of one, a Monte Carlo hands it all its runs, and a sweep its
+whole grid. Its working set per round is bounded by two byte budgets,
+whatever the batch size: large batches run in blocks of rows, and masks
+are drawn a budgeted number of rounds at a time.
+Every run starts from all-zero x and z, is scored every round against the
+centralized optimum, and loses packets on exactly the graph's directed
+edges. Every run of a batch is bitwise equal to the same run alone.
+The engine is built per degree class: its index tables come from the
+directed-edge arrays, and the local systems of all nodes of one degree are
+factored at once from the problem's stacked `local_blocks`, bitwise equal
+to one `core.QuadraticLocalSolver` per node.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+import numpy as np
+
+from ._record import Frozen, Record
+from .graph import neighbors
+from .lossy import LossSchedule, delivery_block
+from .problem import PartitionProblem, Solution, solve_centralized
+
+DIVERGENCE_NORM = 1e8
+_Z_CHECK_EVERY = 64
+# The engine's working set: the uint64 hashes of one mask draw, and the
+# state buffers of one block of rows, stay within these many bytes.
+_MASK_BYTES = 1 << 17
+_BLOCK_BYTES = 1 << 20
+
+
+class SingularLocalSystemError(ValueError):
+    """The node-local subproblem has no unique minimizer.
+
+    With a positive penalty this can only happen on an isolated node whose
+    own cost is rank deficient.
+    """
+
+
+class AlgorithmParams(Frozen):
+    """Step size and penalty of the relaxed scheme.
+
+    rho must be positive. alpha in (0, 1) is the provably convergent region;
+    values outside it are accepted (stability sweeps probe them) and are
+    reported by `guaranteed_convergent`.
+    """
+
+    def __init__(self, alpha: float, rho: float):
+        if not rho > 0:
+            raise ValueError(f"rho must be positive, got {rho}")
+        self.__dict__.update(alpha=alpha, rho=rho)
+
+    @property
+    def guaranteed_convergent(self) -> bool:
+        return 0.0 < self.alpha < 1.0
+
+
+def _error_sum(x: np.ndarray, ref: np.ndarray, starts: np.ndarray, norms: np.ndarray):
+    """Sum over node blocks of ||x block - ref block|| / ||ref block||.
+
+    x and ref are flat in the `reference` x layout and block i starts at
+    starts[i]; x may also hold one such flat iterate per row, which gives
+    one sum per row. Both `relative_error` and the stacked engine compute
+    the error here, so the two agree bitwise on equal iterates.
+    """
+    d = x - ref
+    d *= d
+    return (np.sqrt(np.add.reduceat(d, starts, axis=-1)) / norms).sum(axis=-1)
+
+
+def _reference_blocks(
+    sol: Solution, orders: tuple[tuple[int, ...], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ref, starts, norms = sol.stacked_blocks(orders)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"optimum block of node {zero[0]} has zero norm")
+    return ref, starts, norms
+
+class RunTrace(Record):
+    """Per-round record of one run.
+
+    errors[t] is the relative error after round t+1; diverged marks early
+    termination on a non-finite or runaway state. When states are recorded,
+    xs[t] is x after round t+1 and z is z after the last round, flat in the
+    `reference` layouts; otherwise both are None.
+    """
+
+    def __init__(
+        self,
+        errors: np.ndarray,
+        diverged: bool,
+        xs: np.ndarray | None = None,
+        z: np.ndarray | None = None,
+    ):
+        self.errors = errors
+        self.diverged = diverged
+        self.xs = xs
+        self.z = z
+
+    @property
+    def rounds_executed(self) -> int:
+        return len(self.errors)
+
+
+class _StackedEngine:
+    """`sync_round` on whole-graph arrays, for quadratic costs; what `run` uses.
+
+    Built once per problem and its rhos, and reusable across runs and batches.
+    Every run starts from all-zero x and z and is scored against a reference
+    solution, and a loss schedule must cover exactly `self.edges`. A run's
+    flat buffer holds z in the `reference` layout, viewed as (edges, 2, n)
+    with row e the slot pair of directed edge e, then an n-wide zero pad
+    and, per node, the sum of its z_in_self, which heads the linear term of
+    its x-update. x is flat in the `reference` layout too. A batch of runs
+    stacks these buffers as rows.
+    The gather tables are built from the directed-edge arrays (sender,
+    reverse edge, rank among the receiver's neighbors), and each degree
+    class is factored in one stacked cholesky and inv per rho.
+
+    Every arithmetic step is the one `sync_round` takes, in the same order:
+    the head sums add z_in_self in ascending neighbor order starting from
+    zero, each node's x is `inv @ (base + linear)` (batched over the nodes of
+    one degree; numpy hands each item of a stacked matmul to the same BLAS
+    gemv as a single `inv @ v`), messages are 2 rho x - z, and a delivered
+    edge relaxes to (1 - alpha) z + alpha q, with the row's own alpha and rho
+    (elementwise products). Runs are therefore bitwise equal to the node-local
+    rounds, which the tests check. A closed form x = c + K z would be faster
+    to state but is not bitwise equal.
+    """
+
+    def __init__(self, p: PartitionProblem, rhos: Sequence[float]):
+        g, n = p.graph, p.dim
+        self.n, self.rhos = n, tuple(dict.fromkeys(map(float, rhos)))
+        self.edges = g.directed_edges()
+        self.orders = tuple(tuple(neighbors(g, i)) for i in range(g.node_count))
+        e_count, nodes = len(self.edges), np.arange(g.node_count)
+        degs = [len(order) for order in self.orders]
+        deg = np.array(degs, dtype=np.intp)
+        # Edges are sender-major, so node j's out-edges are contiguous from
+        # out_at[j], in its neighbor order: e = (j, i) is j's rank[e]-th.
+        out_at = np.cumsum(deg) - deg
+        sender = np.repeat(nodes, deg)
+        rank = np.arange(e_count) - out_at[sender]
+        # rev[e] is the reverse edge of e = (j, i), i's out-edge to j. The
+        # senders into i come in ascending order, so the in-edges of i seen
+        # so far give j's rank among i's neighbors. rev over node i's
+        # out-edges therefore lists i's in-edges in its neighbor order.
+        seen = out_at.tolist()
+        rev = []
+        for _, i in self.edges:
+            rev.append(seen[i])
+            seen[i] += 1
+        rev = np.array(rev, dtype=np.intp)
+        # x is a sequence of n-wide slots: node j's x_self in slot
+        # out_at[j] + j, and its x_neigh copy on out-edge e in slot e + j + 1.
+        self_slot = out_at + nodes
+        edge_slot = np.arange(e_count) + sender + 1
+        self.x_size = n * (e_count + g.node_count)
+        self.z_shape = (e_count, 2, n)
+        self.pad_at = pad = e_count * 2 * n
+        self.head_at = head = pad + n
+        self.row_size = head + n * g.node_count  # floats in one run's buffer
+        col = np.arange(n)
+
+        # head sums: the slabs of [0, z_in_self of each in-edge, zero pads up
+        # to the largest degree] added in turn give the spec's 0 + z_1 + ...
+        # (a pad adds +0.0, which leaves such a sum unchanged). numpy reduces
+        # a non-innermost axis slab by slab, in order; it sums pairwise only
+        # along the innermost axis, which here spans the nodes.
+        terms = np.full((max(degs) + 1, g.node_count), pad, dtype=np.intp)
+        terms[rank + 1, sender] = 2 * n * rev + n
+        self.head_terms = terms[..., None] + col
+        # where each slot's linear term starts: the node's head sum for
+        # x_self, z_in_neigh of the in-edge for x_neigh
+        slot_linear = np.empty(e_count + g.node_count, dtype=np.intp)
+        slot_linear[self_slot] = head + n * nodes
+        slot_linear[edge_slot] = 2 * n * rev
+        # The x-update runs in degree-class-major order: the nodes of each
+        # degree are contiguous, so one matmul solves a whole class. Each
+        # class is also factored at once, from the problem's `local_blocks`
+        # (one group per cost height): numpy hands each item of a stacked
+        # matmul, cholesky or inv to the same BLAS/LAPACK call as a single
+        # matrix, so the inverses are bitwise those of QuadraticLocalSolver.
+        # (Plain Python picks the members: an integer compare and nonzero
+        # would touch numpy code that nothing else in a run does.)
+        by_degree: dict[int, list] = {}  # the groups come in (degree, height) order
+        for group in p.local_blocks():
+            by_degree.setdefault(degs[group[0][0]], []).append(group)
+        del group
+        # From here the engine holds the blocks alone, and each class's
+        # Hessian blocks are freed once factored, before the next class's
+        # inverses are made: they are as large as the inverses.
+        p.drop_local_blocks()
+        self.classes = []  # (inv stack per rho, span in class-major order, batch shape)
+        class_slots, bases = [], []
+        at = 0
+        for d in list(by_degree):
+            groups = by_degree.pop(d)
+            members = sorted(i for group, *_ in groups for i in group)
+            k, m = len(members), n * (d + 1)
+            scale = np.ones(m)
+            scale[:n] = d
+            if len(groups) == 1:
+                ((_, hess, _, base),) = groups
+            else:  # each height's blocks go to its nodes' ranks in the class
+                hess, base = np.empty((k, m, m)), np.empty((k, m))
+                rank = {i: s for s, i in enumerate(members)}
+                for group, group_hess, _, group_base in groups:
+                    sub = [rank[i] for i in group]
+                    hess[sub], base[sub] = group_hess, group_base
+            del groups
+            invs = []
+            for rho in self.rhos:
+                system = hess + rho * np.diag(scale)
+                try:
+                    np.linalg.cholesky(system)
+                except np.linalg.LinAlgError as exc:
+                    raise SingularLocalSystemError(
+                        "local subproblem is singular (isolated node with rank-deficient cost?)"
+                    ) from exc
+                invs.append(np.linalg.inv(system))
+            self.classes.append((invs, slice(at, at + k * m), (k, m, 1)))
+            bases.append(base)
+            class_slots.append((self_slot[members][:, None] + np.arange(d + 1)).ravel())
+            at += k * m
+            del hess
+        self.base = np.concatenate(bases, axis=None)
+        class_slots = np.concatenate(class_slots)
+        self.linear = (slot_linear[class_slots, None] + col).ravel()
+        from_slot = np.empty_like(class_slots)
+        from_slot[class_slots] = np.arange(len(class_slots))
+        self.from_class = (n * from_slot[:, None] + col).ravel()
+        # message on e = (j, i): [2 rho x_self - z_in_self[i],
+        # 2 rho x_neigh[i] - z_in_neigh[i]] of node j, whose z row is edge (i, j)
+        self.message_x = n * np.stack([self_slot[sender], edge_slot], axis=1)[..., None] + col
+        self.message_z = 2 * n * rev[:, None, None] + np.array([[n], [0]]) + col
+
+    def run(
+        self,
+        runs: Sequence[tuple[LossSchedule | None, float, float, float | None]],
+        k_max: int,
+        solution: Solution,
+        record_states: bool = False,
+    ) -> list[RunTrace]:
+        """`run` for every (schedule, alpha, rho, stop_tol) at once: one
+        RunTrace each, in input order.
+
+        Each run owns one row of a (runs, buffer) array, and a round does for
+        all rows what it does for one: the same gathers, each item of the
+        broadcast matmul goes to the same gemv, and the row's alpha and rho
+        scale only its own q and z. Rows are kept in (rho, run) order, so
+        each degree class takes one matmul per rho present against that
+        rho's inverses. Every trace is therefore bitwise equal to that
+        run's own `run`. rho must be one of the engine's and stop_tol None
+        (no stop) or positive; every run is checked before any round. A run
+        that diverges, or whose error falls below its stop_tol, is frozen on
+        that round and its row dropped; errors are taken against solution.
+        With record_states, each trace also holds its own copies of its x
+        after every round and of its last z.
+
+        The working set of a round is bounded whatever the batch size: rows
+        whose buffers together exceed _BLOCK_BYTES run as consecutive blocks
+        of rows that fit, and each `delivery_block` call draws as many rounds
+        of the lossy rows' masks (1 to 64) as keep its uint64 hashes within
+        _MASK_BYTES; a dropped row's part of a draw is dropped with it.
+        Runs are independent and masks a pure function of (seed, round,
+        edge), so neither bound changes a bit of any trace.
+        """
+        if k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {k_max}")
+        rho_at = {rho: i for i, rho in enumerate(self.rhos)}
+        # per run: its schedule (None when it never loses a packet), alpha,
+        # rho index and stop tolerance (-inf for none)
+        settings = []
+        for schedule, alpha, rho, tol in runs:
+            if schedule is not None and schedule.edges != self.edges:
+                raise ValueError("a loss schedule must cover exactly the graph's directed edges")
+            if rho not in rho_at:
+                raise ValueError(f"rho {rho} is not one of the engine's {self.rhos}")
+            if tol is not None and not tol > 0:
+                raise ValueError(f"stop_tol must be None or positive, got {tol}")
+            lossy = schedule is not None and not schedule.loss_free
+            settings.append((schedule if lossy else None, float(alpha), rho_at[rho],
+                             -np.inf if tol is None else tol))
+        reference = _reference_blocks(solution, self.orders)
+        # Loss-free runs with one rho, alpha and stop tolerance follow one
+        # trajectory: the first of them gets a row, the others share its result.
+        first: dict = {}
+        source = [first.setdefault((r,) if s[0] else s, r) for r, s in enumerate(settings)]
+        # the runs that get a row, in (rho, run) order, in blocks of rows
+        # whose buffers fit _BLOCK_BYTES
+        ids = sorted(set(source), key=lambda r: (settings[r][2], r))
+        size = max(1, _BLOCK_BYTES // (8 * self.row_size))
+        ends = {}
+        for at in range(0, len(ids), size):
+            block = np.array(ids[at : at + size])
+            ends.update(self._run_block(block, settings, k_max, reference, record_states))
+        traces = []
+        for at, r in enumerate(source):
+            errors, diverged, xs, z = ends[r]
+            if xs is not None and r in source[:at]:  # a shared row's copy
+                xs = xs.copy()
+            traces.append(RunTrace(errors=np.concatenate(errors), diverged=diverged,
+                                   xs=xs, z=None if z is None else z.copy()))
+        return traces
+
+    def _run_block(self, ids, settings, k_max, reference, record_states) -> dict:
+        """Run the runs ids, in (rho, run) order and with the settings `run`
+        checked, from zero until each ends. Returns, per run, its error
+        pieces, diverged flag, and with record_states its x after every
+        round (copied once, into one array per run that grows in place by
+        rounds within _BLOCK_BYTES) and its last z (else None and None)."""
+        errors: dict = {r: [] for r in ids}  # pieces per run
+        xs = {r: np.empty((0, self.x_size)) for r in ids} if record_states else {}
+        grow = max(1, _BLOCK_BYTES // (8 * self.x_size * len(ids)))
+        log = []  # the rows' errors, one entry a round
+        ends: dict = {}
+        buf = np.zeros((len(ids), self.row_size))
+        tols = [settings[r][3] for r in ids]
+        rows = 0  # rows the views below were made for
+        # every row's delivery flag per z entry for rounds drawn_at ..
+        # drawn_to - 1, (rows, rounds, edges * 2 n); loss-free rows deliver all
+        gates, drawn_at, drawn_to = None, 0, 0
+        lossy = np.array([settings[r][0] is not None for r in ids])
+        for k in range(k_max):
+            if rows != len(ids):
+                # Views of the rows' state. A single row gets 1-D views, on
+                # which numpy calls cost least; the axis -1 and -3 arguments
+                # below address the same axes with or without the row axis.
+                rows = len(ids)
+                lead = (rows,) if rows > 1 else ()
+                state = buf if rows > 1 else buf[0]
+                z = state[..., : self.pad_at].reshape(lead + self.z_shape)
+                heads = state[..., self.head_at :].reshape(lead + self.head_terms.shape[1:])
+                v = np.empty(lead + (self.x_size,))
+                xc = np.empty(lead + (self.x_size,))
+                # (rho index, its rows) per rho present; the rows are in
+                # (rho, run) order, and one rho takes the class views whole
+                row_rho = [settings[r][2] for r in ids]
+                present = sorted(set(row_rho))
+                spans = [(i, slice(row_rho.index(i), row_rho.index(i) + row_rho.count(i)))
+                         for i in present] if len(present) > 1 else [(present[0], ...)]
+                solves = []
+                for invs, at, shape in self.classes:
+                    v_c, x_c = v[..., at].reshape(lead + shape), xc[..., at].reshape(lead + shape)
+                    solves += [(invs[i], v_c[rs], x_c[rs]) for i, rs in spans]
+                any_lossy = bool(lossy.any())
+                relaxed = np.empty_like(z)
+                # each row's alpha and rho scale its own q and z (shared ones
+                # stay scalars, on which numpy calls cost least)
+                alpha = [settings[r][1] for r in ids]
+                alpha = np.reshape(alpha, (-1, 1, 1, 1)) if len(set(alpha)) > 1 else alpha[0]
+                keep = 1.0 - alpha
+                two_rho = [2.0 * self.rhos[i] for i in row_rho]
+                two_rho = np.reshape(two_rho, (-1, 1, 1, 1)) if len(present) > 1 else two_rho[0]
+            np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
+            state.take(self.linear, axis=-1, out=v)
+            v += self.base
+            for inv, v_c, x_c in solves:
+                np.matmul(inv, v_c, out=x_c)
+            x = xc.take(self.from_class, axis=-1)
+            q = x.take(self.message_x, axis=-1)
+            q *= two_rho
+            q -= state.take(self.message_z, axis=-1)
+            q *= alpha
+            if any_lossy:
+                if k == drawn_to:
+                    # as many rounds as keep the draw's uint64 hashes within
+                    # _MASK_BYTES, and at most 64, which bounds the draws a
+                    # row that stops early wastes
+                    schedules = [settings[r][0] for r in ids[lossy]]
+                    hashes = 8 * len(schedules) * len(self.edges)
+                    drawn_at = k
+                    drawn_to = k + min(64, k_max - k, max(1, _MASK_BYTES // hashes))
+                    drawn = delivery_block(schedules, k, drawn_to - k)
+                    # one flag per z entry: copyto broadcasting an (edges, 1,
+                    # 1) mask is about twice as slow as with a full-size one
+                    drawn = np.repeat(drawn, 2 * self.n, axis=-1)
+                    if lossy.all():
+                        gates = drawn
+                    else:
+                        gates = np.ones((rows,) + drawn.shape[1:], dtype=bool)
+                        gates[lossy] = drawn
+                np.multiply(z, keep, out=relaxed)
+                relaxed += q
+                np.copyto(z, relaxed, where=gates[:, k - drawn_at].reshape(z.shape))
+            else:
+                z *= keep
+                z += q
+            x_rows = x.reshape(rows, -1)
+            if record_states:
+                for row, r in enumerate(ids):
+                    if k == len(xs[r]):
+                        xs[r].resize((min(k_max, k + grow), self.x_size), refcheck=False)
+                    xs[r][k] = x_rows[row]
+            err = _error_sum(x, *reference).reshape(rows)
+            log.append(err)
+            # A cheap test first; the row-by-row checks run only on rounds on
+            # which some run may end. NaN fails every comparison.
+            check_z = (k + 1) % _Z_CHECK_EVERY == 0 and z.size
+            if (
+                k + 1 < k_max
+                and not check_z
+                and np.abs(x).max() < DIVERGENCE_NORM
+                and all(t <= e < np.inf for e, t in zip(err.tolist(), tols))
+            ):
+                continue
+            ok = (np.abs(x_rows).max(axis=1) < DIVERGENCE_NORM) & (err < np.inf)
+            if check_z:
+                ok &= np.abs(z).reshape(rows, -1).max(axis=1) < DIVERGENCE_NORM
+            done = ~ok | (err < np.array(tols))
+            if k + 1 == k_max:
+                done[:] = True
+            if not done.any():
+                continue
+            block = np.array(log)
+            log.clear()
+            for row, r in enumerate(ids):
+                errors[r].append(block[:, row])
+            z_rows = z.reshape(rows, -1)
+            for row in np.flatnonzero(done):
+                r = ids[row]
+                x_all = xs.pop(r, None)
+                if x_all is not None:
+                    x_all.resize((k + 1, self.x_size), refcheck=False)
+                ends[r] = (errors[r], not ok[row], x_all, z_rows[row] if record_states else None)
+            live = ~done
+            if gates is not None:
+                gates = gates[live]
+            buf, ids, lossy = buf[live], ids[live], lossy[live]
+            tols = [t for t, alive in zip(tols, live) if alive]
+            if not ids.size:
+                break
+        return ends
+
+
+def run(
+    p: PartitionProblem,
+    params: AlgorithmParams,
+    schedule: LossSchedule | None,
+    k_max: int,
+    solution: Solution | None = None,
+    stop_tol: float | None = None,
+    record_states: bool = False,
+) -> RunTrace:
+    """Iterate synchronous rounds from the all-zero start and record the trajectory.
+
+    schedule=None means every packet is delivered; otherwise the schedule
+    covers exactly the graph's directed edges (ValueError otherwise). Errors
+    are taken against solution, by default `solve_centralized(p)`. The trace
+    is a pure function of the arguments. A non-finite coordinate or a state
+    magnitude beyond DIVERGENCE_NORM stops the run with the diverged flag
+    instead of raising (|x| and the error are checked every round, |z| every
+    _Z_CHECK_EVERY rounds). When stop_tol is given, the run ends at the
+    first round whose relative error falls below it. With record_states the
+    trace also holds x after every round and the last z (see `RunTrace`).
+
+    The rounds run on the stacked engine as a batch of one, which needs
+    QuadraticLocalCost costs (TypeError otherwise) and is bitwise equal to
+    iterating `sync_round` from `initial_states`.
+    """
+    if solution is None:  # first: the engine drops the problem's local_blocks
+        solution = solve_centralized(p)
+    engine = _StackedEngine(p, (params.rho,))
+    row = (schedule, params.alpha, params.rho, stop_tol)
+    (trace,) = engine.run([row], k_max, solution, record_states=record_states)
+    return trace
+
+
+def trace_to_csv(trace: RunTrace) -> str:
+    """CSV rows k, rel_error, diverged.
+
+    The diverged column is 1 only on the terminal row of a diverged run.
+    """
+    lines = ["k,rel_error,diverged"]
+    for t in range(trace.rounds_executed):
+        div = 1 if (trace.diverged and t == trace.rounds_executed - 1) else 0
+        lines.append(f"{t},{float(trace.errors[t])!r},{div}")
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._record import Record
 from .config import DEFAULT_TOL_LOSSY
-from .core import AlgorithmParams, RunTrace, _StackedEngine
+from .engine import AlgorithmParams, RunTrace, _StackedEngine
 from .lossy import LossModel, LossSchedule, splitmix64
 from .problem import PartitionProblem, Solution, solve_centralized
 
@@ -205,7 +205,8 @@ def stability_sweep(
         for ip, model in enumerate(models)
         for r in range(runs)
     ]
-    traces = _StackedEngine(p, rho_grid).run(rows, k_max, solve_centralized(p))
+    solution = solve_centralized(p)  # first: the engine drops the problem's local_blocks
+    traces = _StackedEngine(p, rho_grid).run(rows, k_max, solution)
     grid = list(product(rho_grid, alpha_grid, loss_grid))
     outcomes, converged_at = {}, {}
     for c, cell in enumerate(grid):

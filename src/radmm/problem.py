@@ -13,6 +13,7 @@ well defined.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -22,10 +23,27 @@ from .graph import Graph, neighbors
 SYMMETRY_TOL = 1e-12
 # draws `generate_instance` makes before giving up on a positive-definite Hessian
 _MAX_RESAMPLES = 50
+# Hessian entries `assemble_normal_equations` scatters per `np.add.at` call, so
+# that the concatenated index and value arrays of a call stay small
+_SCATTER_CHUNK = 1 << 12
 
 
 class IndefiniteHessianError(ValueError):
     """The assembled global Hessian is not positive definite."""
+
+
+def check_weights(q: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the stack q (k, r, r) is
+    symmetric within SYMMETRY_TOL and positive definite; the message names
+    the first matrix that fails, symmetry checked first."""
+    if not q.size:
+        return
+    asym = np.abs(q - q.swapaxes(1, 2)).max(axis=(1, 2))
+    bad = np.flatnonzero(asym > SYMMETRY_TOL)
+    if bad.size:
+        raise ValueError(f"q must be symmetric within {SYMMETRY_TOL}, asymmetry {asym[bad[0]]}")
+    if np.linalg.eigvalsh(q).min() <= 0:
+        raise ValueError("q must be positive definite")
 
 
 class QuadraticLocalCost(Record):
@@ -50,11 +68,18 @@ class QuadraticLocalCost(Record):
         for j, a in a_neigh.items():
             if a.shape != (r, n):
                 raise ValueError(f"a_neigh[{j}] must have shape ({r}, {n}), got {a.shape}")
-        asym = np.max(np.abs(q - q.T)) if r else 0.0
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"q must be symmetric within {SYMMETRY_TOL}, asymmetry {asym}")
-        if r and np.min(np.linalg.eigvalsh(q)) <= 0:
-            raise ValueError("q must be positive definite")
+        check_weights(q[None])
+
+    @classmethod
+    def _checked(
+        cls, a_self: np.ndarray, a_neigh: dict[int, np.ndarray], b: np.ndarray, q: np.ndarray
+    ) -> QuadraticLocalCost:
+        """A cost whose shapes its caller made consistent and whose q it has
+        passed through `check_weights` already (the decoder checks all q of
+        one height in one stacked call)."""
+        cost = cls.__new__(cls)
+        cost.__dict__.update(a_self=a_self, a_neigh=a_neigh, b=b, q=q)
+        return cost
 
     @property
     def rows(self) -> int:
@@ -74,12 +99,17 @@ class QuadraticLocalCost(Record):
 
 
 class PartitionProblem(Record):
-    """A graph plus one local cost per node, all with variable dimension `dim`."""
+    """A graph plus one local cost per node, all with variable dimension `dim`.
+
+    `local_blocks` caches the costs' stacked products; they are computed
+    from the costs once, so costs must not change after the first call.
+    """
 
     def __init__(self, graph: Graph, costs: list[QuadraticLocalCost], dim: int):
         self.graph = graph
         self.costs = costs
         self.dim = dim
+        self._blocks = None
         if len(costs) != graph.node_count:
             raise ValueError("one cost per node required")
         for i, cost in enumerate(costs):
@@ -90,6 +120,54 @@ class PartitionProblem(Record):
                     f"cost {i} neighbor keys {sorted(cost.a_neigh)} do not match "
                     f"graph neighbors {neighbors(graph, i)}"
                 )
+
+    def local_blocks(self) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+        """Per group of nodes that share a degree d and a cost height r, in
+        (d, r) order: the group's nodes ascending and, stacked over them, the
+        Hessian blocks 2 (M'Q) M (k, m, m), the linear blocks 2 (M'Q) b
+        (k, m) of the normal equations and the x-update bases 2 M'(Q b)
+        (k, m), with M a node's `stacked_map` (m = dim (d + 1) columns), Q
+        its weight and b its target. Each group takes one stacked product per
+        factor, and numpy hands each item of a stacked matmul to the same
+        BLAS call as a single matrix, so every block is bitwise the per-node
+        product.
+
+        `assemble_normal_equations` and the stacked engine both read them,
+        through this cache. The Hessian blocks are as large as the engine's
+        inverses, so the engine takes them: it drops the cache
+        (`drop_local_blocks`) and frees each degree class's blocks once it
+        has factored them. A later call computes the same bits again.
+        """
+        if self._blocks is None:
+            n, orders = self.dim, [neighbors(self.graph, i) for i in range(self.graph.node_count)]
+            groups: dict[tuple[int, int], list[int]] = {}
+            for i, cost in enumerate(self.costs):
+                if not isinstance(cost, QuadraticLocalCost):
+                    raise TypeError(f"costs must be QuadraticLocalCost, node {i} has "
+                                    f"{type(cost).__name__}")
+                groups.setdefault((len(orders[i]), cost.rows), []).append(i)
+            self._blocks = []
+            for (d, r), nodes in sorted(groups.items()):
+                k, m = len(nodes), n * (d + 1)
+                costs = [self.costs[i] for i in nodes]
+                maps = np.array([[c.a_self] + [c.a_neigh[j] for j in orders[i]]
+                                 for i, c in zip(nodes, costs)])
+                # each node's stacked_map, C-contiguous as np.hstack makes it
+                maps = maps.reshape(k, d + 1, r, n).transpose(0, 2, 1, 3)
+                maps = np.ascontiguousarray(maps).reshape(k, r, m)
+                q = np.array([c.q for c in costs]).reshape(k, r, r)
+                b = np.array([c.b for c in costs]).reshape(k, r, 1)
+                maps_t = maps.transpose(0, 2, 1)
+                mtq = maps_t @ q
+                blocks = mtq @ maps, (mtq @ b)[..., 0], (maps_t @ (q @ b))[..., 0]
+                for block in blocks:
+                    block *= 2.0  # in place: no second full-size temporary
+                self._blocks.append((nodes, *blocks))
+        return self._blocks
+
+    def drop_local_blocks(self) -> None:
+        """Free the `local_blocks` cache."""
+        self._blocks = None
 
 
 class Solution(Record):
@@ -161,19 +239,34 @@ def assemble_normal_equations(p: PartitionProblem) -> tuple[np.ndarray, np.ndarr
 
     The global cost is x' H x / 2 - g' x + const with H = sum_i 2 S_i' M_i' Q_i M_i S_i
     where M_i is the node's stacked map and S_i selects [x_i; x_neighbors].
+    The blocks come from `p.local_blocks()` and are added in node order, so
+    every entry is the sum of its nodes' terms in node order: nodes are
+    scattered in chunks with `np.add.at`, which adds repeated indices one
+    after another, and a node's own slots are distinct.
     """
-    n = p.dim
-    N = p.graph.node_count
-    H = np.zeros((N * n, N * n))
-    g = np.zeros(N * n)
+    n, N = p.dim, p.graph.node_count
+    size = N * n
+    H, g = np.zeros((size, size)), np.zeros(size)
     col = np.arange(n)
-    for i, cost in enumerate(p.costs):
-        # the node's blocks are distinct, so each entry gets one addition per node
-        idx = (n * np.array([i] + cost.neighbor_order())[:, None] + col).ravel()
-        m = cost.stacked_map()
-        mtq = m.T @ cost.q
-        H[np.ix_(idx, idx)] += 2.0 * (mtq @ m)
-        g[idx] += 2.0 * (mtq @ cost.b)
+    # per node, as views of its group's stacks: the flat indices in H of its
+    # Hessian block, that block, its slots in x and its linear block
+    at, hess, slots, lin = [None] * N, [None] * N, [None] * N, [None] * N
+    for nodes, group_hess, group_lin, _ in p.local_blocks():
+        table = np.array([[i, *neighbors(p.graph, i)] for i in nodes])
+        group_slots = (n * table[..., None] + col).reshape(len(nodes), -1)
+        group_at = (size * group_slots)[:, :, None] + group_slots[:, None, :]
+        for i, *views in zip(nodes, group_at, group_hess, group_slots, group_lin):
+            at[i], hess[i], slots[i], lin[i] = views
+    start = 0
+    while start < N:
+        end, held = start, 0
+        while end < N and held < _SCATTER_CHUNK:
+            held += hess[end].size
+            end += 1
+        np.add.at(H.reshape(-1), np.concatenate(at[start:end], axis=None),
+                  np.concatenate(hess[start:end], axis=None))
+        start = end
+    np.add.at(g, np.concatenate(slots), np.concatenate(lin))
     return H, g
 
 
@@ -286,32 +379,62 @@ def _integer(v, what: str) -> int:
     return v
 
 
+def _numbers(v: list, what: str) -> np.ndarray:
+    """The JSON numbers v as doubles, one `np.array` call; bool is no number
+    here, and an integer beyond a double's range, NaN or an infinity is
+    rejected."""
+    if not set(map(type, v)) <= {int, float}:
+        raise ValueError(f"instance {what} must hold numbers only")
+    try:
+        values = np.array(v, dtype=float)
+    except OverflowError as exc:  # an integer beyond the range of a double
+        raise ValueError(f"instance {what} must hold doubles: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ValueError(f"instance {what} must hold finite numbers")
+    return values
+
+
+def _edges(v) -> frozenset[tuple[int, int]]:
+    edges = _list(v, "graph.edges")
+    if not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {2}:
+        raise ValueError("instance graph.edges must hold [i, j] pairs")
+    if not set(map(type, chain.from_iterable(edges))) <= {int}:  # bool is no node id
+        raise ValueError("instance graph.edges must hold integer node ids")
+    return frozenset(map(tuple, edges))
+
+
+def _positions(v, node_count: int) -> np.ndarray:
+    points = _list(v, "graph.positions")
+    if len(points) != node_count or any(type(pt) is not list or len(pt) != 2 for pt in points):
+        raise ValueError(f"instance graph.positions must hold {node_count} [x, y] pairs")
+    return _numbers([c for pt in points for c in pt], "graph.positions").reshape(-1, 2)
+
+
 def _uncosts(doc, g: Graph, n: int) -> list[QuadraticLocalCost]:
-    """The document's costs. All their data is type-checked in one pass and
-    converted in one `np.array` call; each matrix is a view of that array."""
+    """The document's costs. All their data is type-checked and converted in
+    one pass, and each matrix is a view of that one array; the q of each
+    cost height are checked in one stacked `check_weights` call."""
     rows = [_integer(r, "costs.rows entry") for r in _list(doc["rows"], "costs.rows")]
     if len(rows) != g.node_count or min(rows) < 0:
         raise ValueError(f"instance costs.rows must hold {g.node_count} non-negative integers")
     data = _list(doc["data"], "costs.data")
-    if not set(map(type, data)) <= {int, float}:  # bool is no number here
-        raise ValueError("instance costs.data must hold numbers only")
     orders = [neighbors(g, i) for i in range(g.node_count)]
     size = sum(r * n * (len(order) + 1) + r + r * r for r, order in zip(rows, orders))
     if len(data) != size:
         raise ValueError(f"instance costs.data must hold {size} numbers, got {len(data)}")
-    try:
-        values = np.array(data, dtype=float)
-    except OverflowError as exc:  # an integer beyond the range of a double
-        raise ValueError(f"instance costs.data must hold doubles: {exc}") from exc
-    costs, at = [], 0
+    values = _numbers(data, "costs.data")
+    costs, at, q_at = [], 0, {}
     for r, order in zip(rows, orders):
         end = at + r * n * (len(order) + 1)
         maps = values[at:end].reshape(len(order) + 1, r, n)
         b, q = values[end : end + r], values[end + r : end + r + r * r].reshape(r, r)
+        q_at.setdefault(r, []).append(end + r)
         at = end + r + r * r
-        costs.append(QuadraticLocalCost(
+        costs.append(QuadraticLocalCost._checked(
             a_self=maps[0], a_neigh=dict(zip(order, maps[1:])), b=b, q=q
         ))
+    for r, starts in q_at.items():
+        check_weights(values[np.add.outer(starts, np.arange(r * r))].reshape(len(starts), r, r))
     return costs
 
 
@@ -350,17 +473,11 @@ def problem_from_json(text: str) -> PartitionProblem:
         )
     try:
         gdoc = _object(doc["graph"], "graph")
-        positions = None
-        if gdoc.get("positions") is not None:
-            positions = np.array(_list(gdoc["positions"], "graph.positions"), dtype=float)
-        g = Graph(
-            node_count=_integer(gdoc["nodes"], "graph.nodes"),
-            edges=frozenset(
-                (_integer(i, "edge end"), _integer(j, "edge end"))
-                for i, j in (_list(e, "edge") for e in _list(gdoc["edges"], "graph.edges"))
-            ),
-            positions=positions,
-        )
+        nodes = _integer(gdoc["nodes"], "graph.nodes")
+        positions = gdoc.get("positions")
+        if positions is not None:
+            positions = _positions(positions, nodes)
+        g = Graph(node_count=nodes, edges=_edges(gdoc["edges"]), positions=positions)
         n = _integer(doc["dim"], "dim")
         if n < 1:
             raise ValueError(f"instance dim must be positive, got {n}")

@@ -17,7 +17,7 @@ with P, that inverse and A. It also exposes a lockstep comparison against
 the node-local rounds. It is deliberately plain dense linear algebra: it is
 the oracle, not the performance path.
 
-The stacked layouts, which the engine in `core` shares and `core.node_states`
+The stacked layouts, which the `engine` shares and `core.node_states`
 reads as node-local states: x is the node blocks [x_self; x_neigh[j] for j
 ascending] in node order. y, w and z hold one 2n-wide slot pair per directed
 edge (i, j), in `Graph.directed_edges()` order: the block for i's variable,

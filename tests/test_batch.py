@@ -9,10 +9,10 @@ import pytest
 
 import radmm as rm
 import radmm.cli as cli
-import radmm.core as core
+import radmm.engine as engine_module
 import radmm.experiments as experiments
 from radmm.config import build_graph, build_problem, load_config
-from radmm.core import _StackedEngine
+from radmm.engine import _StackedEngine
 from radmm.experiments import _sub_seed
 from conftest import make_instances
 from test_engine import assert_trace_matches_spec, spec_run, table_model
@@ -73,28 +73,28 @@ def test_batch_diverging_on_different_rounds(ten_node_problem):
 
 
 def record_draws(monkeypatch):
-    """Replace core.delivery_block by a wrapper that records each call's
-    (first round, rounds, schedules)."""
-    draws, draw = [], core.delivery_block
+    """Replace the engine's delivery_block by a wrapper that records each
+    call's (first round, rounds, schedules)."""
+    draws, draw = [], engine_module.delivery_block
 
     def recording(schedules, k0, rounds):
         draws.append((k0, rounds, len(schedules)))
         return draw(schedules, k0, rounds)
 
-    monkeypatch.setattr(core, "delivery_block", recording)
+    monkeypatch.setattr(engine_module, "delivery_block", recording)
     return draws
 
 
 def record_error_rows(monkeypatch):
-    """Replace core._error_sum by a wrapper that records the rows of each
-    round it scores."""
-    counts, error_sum = [], core._error_sum
+    """Replace the engine's _error_sum by a wrapper that records the rows of
+    each round it scores."""
+    counts, error_sum = [], engine_module._error_sum
 
     def counting(x, *args):
         counts.append(len(x) if x.ndim > 1 else 1)
         return error_sum(x, *args)
 
-    monkeypatch.setattr(core, "_error_sum", counting)
+    monkeypatch.setattr(engine_module, "_error_sum", counting)
     return counts
 
 
@@ -140,7 +140,8 @@ def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem, monkey
     # 1 to 64 and no further than k_max, and the draws tile the rounds
     edges = len(p.graph.directed_edges())
     for k0, rounds, lossy in draws:
-        assert rounds == min(64, 150 - k0, max(1, core._MASK_BYTES // (8 * lossy * edges)))
+        budget = engine_module._MASK_BYTES // (8 * lossy * edges)
+        assert rounds == min(64, 150 - k0, max(1, budget))
     chunks = [(k0, k0 + rounds) for k0, rounds, _ in draws]
     assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
     assert chunks[-1][1] == 150
@@ -163,8 +164,8 @@ def test_budgets_do_not_change_results(ten_node_problem, monkeypatch, which):
         (uniform(p, 0.0, 6), 0.75, 3.0, None),
     ]
     alone = runs_alone(p, rows, 150, sol)
-    monkeypatch.setattr(core, "_MASK_BYTES", 1)
-    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(engine_module, "_MASK_BYTES", 1)
+    monkeypatch.setattr(engine_module, "_BLOCK_BYTES", 1)
     draws = record_draws(monkeypatch)
     row_counts = record_error_rows(monkeypatch)
     traces = _StackedEngine(p, (3.0,)).run(rows, 150, sol, record_states=True)
@@ -296,7 +297,7 @@ def test_batch_argument_checks(ten_node_problem, monkeypatch):
     with pytest.raises(ValueError, match="rho"):  # a rho the engine was not built for
         engine.run([(None, 0.75, 3.0, None), (None, 0.75, 1.0, None)], 10, sol)
     # a stop tolerance that is not positive is rejected before any round
-    monkeypatch.setattr(core, "delivery_block", None)
+    monkeypatch.setattr(engine_module, "delivery_block", None)
     params = rm.AlgorithmParams(0.75, 3.0)
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="stop_tol"):
@@ -305,7 +306,7 @@ def test_batch_argument_checks(ten_node_problem, monkeypatch):
             rm.monte_carlo(p, params, 0.2, 3, 300, seed=1, solution=sol, stop_tol=tol)
     # every row is checked before any block runs: with one row a block, a
     # bad row in the last block raises before the first block's first round
-    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(engine_module, "_BLOCK_BYTES", 1)
     good = [(uniform(p, 0.2, seed), 0.75, 3.0, None) for seed in (1, 2)]
     with pytest.raises(TypeError):  # a round would call the missing delivery_block
         engine.run(good, 10, sol)

@@ -3,21 +3,23 @@ import subprocess
 import sys
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "scripts" / "bench.py"
 NUMBER = (int, float)
 
 
 def test_quick_bench_writes_every_section(tmp_path):
     out = tmp_path / "not" / "yet"  # --out makes the directory
     done = subprocess.run(
-        [sys.executable, str(BENCH), "--label", "smoke", "--quick", "--out", str(out)],
+        [sys.executable, str(BENCH), "--label", "smoke", "--quick", "--out", str(out),
+         "--against", str(ROOT)],  # this checkout against itself
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     doc = json.loads((out / "BENCH_smoke.json").read_text())
     assert set(doc) == {
         "schema", "label", "quick", "machine", "import_ms", "modules", "run_stages",
-        "engine", "presets_s", "tier1_s", "perfbench",
+        "engine", "presets_s", "tier1_s", "perfbench", "against",
     }
     assert (doc["schema"], doc["label"], doc["quick"]) == ("radmm-bench/1", "smoke", True)
     machine = {"nproc", "python", "numpy", "blas", "blas_core", "blas_threads", "writes_bytecode"}
@@ -44,6 +46,29 @@ def test_quick_bench_writes_every_section(tmp_path):
     traced = doc["perfbench"]["mc_fig1"]
     assert traced["correct"] is True
     assert isinstance(traced["metrics"]["core.run_round_us"], NUMBER)
+    # one pair in quick mode; both trees here are this checkout
+    paired = doc["against"]
+    assert set(paired) == {"pairs", "run_stages", "import_ms"} and paired["pairs"] == 1
+    assert set(paired["run_stages"]) == set(stages)
+    assert {"radmm.problem", "total"} <= set(paired["import_ms"])
+    for section in ("run_stages", "import_ms"):
+        for number in paired[section].values():
+            assert set(number) == {"against", "this", "wins"} and number["wins"] in (0, 1)
+            for tree in ("against", "this"):
+                q = number[tree]
+                assert set(q) == {"median", "q1", "q3"} and q["q1"] == q["median"] == q["q3"]
+    assert paired["run_stages"]["rounds"]["against"] == paired["run_stages"]["rounds"]["this"]
+
+
+def test_against_without_a_checkout_fails_before_measuring(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(BENCH), "--label", "x", "--quick", "--out", str(tmp_path),
+         "--against", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "--against" in done.stderr and "Traceback" not in done.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_out_that_cannot_be_made_fails_before_measuring(tmp_path):

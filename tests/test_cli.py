@@ -182,10 +182,12 @@ def test_run_and_sweep_from_an_instance_never_import_numpy_random(tmp_path):
         cfgs[runs] = write_config(tmp_path, doc, name=f"runs{runs}.json")
     # each command with the radmm modules it must not load
     commands = [
-        (["generate", "--config", cfgs[1], *out], {"core", "lossy", "experiments", "reference"}),
-        (["run", "--config", cfgs[1], "--instance", str(inst), *out], {"experiments", "reference"}),
-        (["run", "--config", cfgs[3], "--instance", str(inst), *out], {"reference"}),
-        (["sweep", "--config", cfgs[3], "--instance", str(inst), *out], {"reference"}),
+        (["generate", "--config", cfgs[1], *out],
+         {"core", "engine", "lossy", "experiments", "reference"}),
+        (["run", "--config", cfgs[1], "--instance", str(inst), *out],
+         {"core", "experiments", "reference"}),
+        (["run", "--config", cfgs[3], "--instance", str(inst), *out], {"core", "reference"}),
+        (["sweep", "--config", cfgs[3], "--instance", str(inst), *out], {"core", "reference"}),
         (["check", "--config", cfgs[1], "--instance", str(inst), *out], {"experiments"}),
     ]
     for argv, unused in commands:
@@ -207,7 +209,8 @@ def test_no_radmm_module_imports_dataclasses():
     # records are plain classes: the dataclass decorator execs generated
     # source for every class it decorates, which each command would pay at
     # import (numpy, argparse and json import no dataclasses themselves)
-    modules = ("cli", "config", "graph", "problem", "lossy", "core", "experiments", "reference")
+    modules = ("cli", "config", "graph", "problem", "lossy", "core", "engine", "experiments",
+               "reference")
     script = (
         "import sys\n"
         f"import {', '.join(f'radmm.{m}' for m in modules)}\n"
@@ -639,6 +642,14 @@ def _first_schema(doc):
         ("run", "run", {}, _edited_instance(lambda doc: dict(doc, dim=0))),
         ("run", "run", {}, _edited_instance(_first_schema)),
         ("run", "run", {}, _edited_graph(positions=5)),
+        ("run", "run", {}, _edited_costs(edit_data=lambda d: [math.nan] + d[1:])),
+        ("run", "run", {}, _edited_costs(edit_data=lambda d: d[:5] + [math.inf] + d[6:])),
+        ("run", "run", {}, _edited_costs(edit_data=lambda d: d[:-1] + [-math.inf])),
+        ("run", "run", {}, _edited_graph(positions=[[0.1], [0.2], [0.3]])),
+        ("run", "run", {}, _edited_graph(positions=[[True, False], [1, 0], [0.5, 0.5]])),
+        ("run", "run", {}, _edited_graph(positions=[[math.nan, 0.0], [0.1, 0.2], [0.3, 0.4]])),
+        ("run", "run", {}, _edited_graph(positions=[[0.1, 0.2], [0.3, 0.4]])),
+        ("run", "run", {}, _edited_graph(positions=[[0.1, 0.2], [0.3, 0.4], "0.5 0.6"])),
         ("run", "loss", {"seed": 2**64}, None),
         ("run", "loss", {"seed": -1}, None),
         ("check", "check", {"k_max": 0}, None),
@@ -664,7 +675,10 @@ def _first_schema(doc):
          "instance-rows-float", "instance-rows-negative", "instance-rows-string",
          "instance-data-bool", "instance-data-huge-int", "instance-data-short",
          "instance-data-long", "instance-dim0", "instance-schema-1",
-         "instance-positions-number", "loss-seed-2**64",
+         "instance-positions-number", "instance-data-nan", "instance-data-infinity",
+         "instance-data-minus-infinity", "instance-positions-width-1",
+         "instance-positions-bool", "instance-positions-nan", "instance-positions-short",
+         "instance-positions-string", "loss-seed-2**64",
          "loss-seed-negative", "check-k_max0", "run-tol-1", "run-tol0", "sweep-tol-1",
          "check-tol0", "max_resamples0", "no-connected-graph", "no-pd-instance"],
 )

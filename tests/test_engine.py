@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import radmm as rm
-from radmm.core import _Z_CHECK_EVERY, stack_node_xs
+from radmm.core import stack_node_xs
+from radmm.engine import _Z_CHECK_EVERY
 from radmm.experiments import _sub_seed
 from conftest import make_instances
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import radmm as rm
-from radmm.core import _StackedEngine
+from radmm.engine import _StackedEngine
 from conftest import make_instances
 
 RHOS = (3.0,)

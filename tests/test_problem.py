@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radmm as rm
-from radmm.problem import assemble_normal_equations
+from radmm.problem import assemble_normal_equations, check_weights
 from conftest import central_fd_gradient, make_instances
 
 
@@ -344,3 +344,126 @@ def test_assemble_normal_equations_equals_block_loop_bitwise():
         H_ref, g_ref = block_loop_normal_equations(p)
         assert H.tobytes() == H_ref.tobytes()
         assert g.tobytes() == g_ref.tobytes()
+
+
+def ix_normal_equations(p):
+    """H and g assembled node by node with one np.ix_ scatter each, from each
+    node's own stacked_map: the reference for the stacked assembly."""
+    n, N = p.dim, p.graph.node_count
+    H, g = np.zeros((N * n, N * n)), np.zeros(N * n)
+    col = np.arange(n)
+    for i, cost in enumerate(p.costs):
+        idx = (n * np.array([i] + cost.neighbor_order())[:, None] + col).ravel()
+        m = cost.stacked_map()
+        mtq = m.T @ cost.q
+        H[np.ix_(idx, idx)] += 2.0 * (mtq @ m)
+        g[idx] += 2.0 * (mtq @ cost.b)
+    return H, g
+
+
+def random_height_problem(node_count, radius, dim, seed):
+    """A random geometric graph (isolated nodes and all) whose costs have
+    0 to 4 rows each."""
+    g = rm.generate_rgg(node_count, radius, seed)
+    rng = np.random.default_rng(seed)
+    costs = []
+    for i in range(node_count):
+        r = int(rng.integers(0, 5))
+        a = rng.standard_normal((r, r))
+        costs.append(rm.QuadraticLocalCost(
+            a_self=rng.standard_normal((r, dim)),
+            a_neigh={j: rng.standard_normal((r, dim)) for j in rm.neighbors(g, i)},
+            b=rng.standard_normal(r),
+            q=a @ a.T + np.eye(r),
+        ))
+    return rm.PartitionProblem(graph=g, costs=costs, dim=dim)
+
+
+def large_graph_problem():
+    """The benchmark's 100-node instance (483 edges, dim 2, 3 rows a node)."""
+    g = rm.generate_connected_rgg(100, 0.2, seed=7)
+    return rm.generate_instance(g, n=2, r_rows=3, seed=11)
+
+
+def test_normal_equations_equal_per_node_ix_assembly_bitwise():
+    problems = [*make_instances(7, dim=1), *make_instances(7, dim=3), large_graph_problem(),
+                mixed_height_problem()]
+    problems += [random_height_problem(12, 0.35, dim, seed=60 + dim) for dim in (1, 2, 3)]
+    isolated = [p.graph.degree(i) for p in problems[-3:] for i in range(p.graph.node_count)]
+    assert 0 in isolated  # the random graphs hold isolated nodes
+    for p in problems:
+        H, g = assemble_normal_equations(p)
+        H_ref, g_ref = ix_normal_equations(p)
+        assert H.tobytes() == H_ref.tobytes()
+        assert g.tobytes() == g_ref.tobytes()
+
+
+def test_local_blocks_are_each_nodes_own_products():
+    p = random_height_problem(12, 0.35, 2, seed=71)
+    groups = p.local_blocks()
+    assert p.local_blocks() is groups  # cached
+    seen = []
+    for nodes, hess, lin, base in groups:
+        assert nodes == sorted(nodes)
+        assert {(p.graph.degree(i), p.costs[i].rows) for i in nodes} == {
+            (p.graph.degree(nodes[0]), p.costs[nodes[0]].rows)}
+        for s, i in enumerate(nodes):
+            c = p.costs[i]
+            m = c.stacked_map()
+            assert hess[s].tobytes() == (2.0 * (m.T @ c.q @ m)).tobytes()
+            assert lin[s].tobytes() == (2.0 * ((m.T @ c.q) @ c.b)).tobytes()
+            assert base[s].tobytes() == (2.0 * (m.T @ (c.q @ c.b))).tobytes()
+        seen += nodes
+    assert sorted(seen) == list(range(p.graph.node_count))
+    # the engine drops the cache once it has factored the Hessian blocks;
+    # they come back with the same bits
+    p.drop_local_blocks()
+    again = p.local_blocks()
+    assert again is not groups
+    for a, b in zip(groups, again):
+        assert a[0] == b[0] and all(x.tobytes() == y.tobytes() for x, y in zip(a[1:], b[1:]))
+
+
+def test_local_blocks_reject_a_non_quadratic_cost():
+    p = mixed_height_problem()
+    p.costs[2] = object()
+    with pytest.raises(TypeError, match="node 2"):
+        p.local_blocks()
+
+
+def per_node_error(q):
+    """The ValueError a node's own QuadraticLocalCost raises for weight q."""
+    r = len(q)
+    with pytest.raises(ValueError) as info:
+        rm.QuadraticLocalCost(a_self=np.zeros((r, 2)), a_neigh={}, b=np.zeros(r), q=q)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "bad_q",
+    [
+        lambda q: q + np.triu(np.full_like(q, 1e-6), 1),  # asymmetric
+        lambda q: q - 2 * np.linalg.eigvalsh(q).max() * np.eye(len(q)),  # indefinite
+    ],
+    ids=["asymmetric", "indefinite"],
+)
+def test_decoder_raises_what_the_per_node_check_raises(bad_q):
+    p = mixed_height_problem()
+    doc = json.loads(rm.problem_to_json(p))
+    # node 3 has 2 rows; its q is the last 4 numbers of the data
+    q = bad_q(np.array(doc["costs"]["data"][-4:]).reshape(2, 2))
+    doc["costs"]["data"][-4:] = q.ravel().tolist()
+    with pytest.raises(ValueError) as info:
+        rm.problem_from_json(json.dumps(doc))
+    assert str(info.value) == per_node_error(q)
+
+
+def test_check_weights_names_the_first_failing_matrix():
+    good = np.eye(2)
+    asym = np.array([[1.0, 0.25], [0.0, 1.0]])
+    stack = np.stack([good, asym, np.array([[1.0, 0.5], [0.0, 1.0]])])
+    with pytest.raises(ValueError) as info:
+        check_weights(stack)
+    assert str(info.value) == per_node_error(asym)
+    check_weights(np.stack([good, 2 * good]))
+    check_weights(np.zeros((3, 0, 0)))
