@@ -30,7 +30,9 @@ holds:
   the modules the large_graph `radmm run` loads, of the checkout at DIR
   and of this one, measured in alternating pairs (DIR's first in each) on
   this checkout's instance. Per number it holds each tree's median and
-  quartiles and `wins`, the pairs in which this tree's value is lower;
+  quartiles, `wins`, the pairs in which this tree's value is lower, and
+  `ratio`, the median and quartiles of this tree's value over DIR's, pair
+  by pair (over the pairs in which DIR's value is not zero; null if none);
   `import_ms` lists the modules both trees load, and its total is over
   each tree's own. Single cold runs on a shared host drift by tens of
   percent, so only paired numbers compare two trees.
@@ -222,6 +224,11 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def ratio(values: list[float]) -> dict | None:
+    """`summary` of per-pair ratios; null when no pair has one."""
+    return summary(values) if values else None
+
+
 def against(other: Path, work: Path, cfg: Path, inst: Path, pairs: int) -> dict:
     """The `against` section: `run_stages` samples and the import times of
     the modules `radmm run` loads, of the tree at other and of this one, in
@@ -243,6 +250,7 @@ def against(other: Path, work: Path, cfg: Path, inst: Path, pairs: int) -> dict:
                 "against": summary([s[key] for s in theirs]),
                 "this": summary([s[key] for s in ours]),
                 "wins": sum(b[key] < a[key] for a, b in zip(theirs, ours)),
+                "ratio": ratio([b[key] / a[key] for a, b in zip(theirs, ours) if a[key]]),
             }
             for key in ours[0] if key in theirs[0]
         }

@@ -12,6 +12,7 @@ declares each key of the section once: its check, and its default, or
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from ._record import Record
@@ -35,9 +36,11 @@ def _integer(v, key: str) -> int:
 
 
 def _number(v, key: str) -> float:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    """A finite number: JSON as Python reads it also has NaN, Infinity and
+    integers beyond a double's range."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
         return float(v)
-    raise ConfigError(f"'{key}' must be a number, got {v!r}")
+    raise ConfigError(f"'{key}' must be a finite number, got {v!r}")
 
 
 def _positive(check):

@@ -192,37 +192,23 @@ class _StackedEngine:
         # The x-update runs in degree-class-major order: the nodes of each
         # degree are contiguous, so one matmul solves a whole class. Each
         # class is also factored at once, from the problem's `local_blocks`
-        # (one group per cost height): numpy hands each item of a stacked
-        # matmul, cholesky or inv to the same BLAS/LAPACK call as a single
-        # matrix, so the inverses are bitwise those of QuadraticLocalSolver.
-        # (Plain Python picks the members: an integer compare and nonzero
-        # would touch numpy code that nothing else in a run does.)
-        by_degree: dict[int, list] = {}  # the groups come in (degree, height) order
-        for group in p.local_blocks():
-            by_degree.setdefault(degs[group[0][0]], []).append(group)
-        del group
+        # (one group per degree): numpy hands each item of a stacked matmul,
+        # cholesky or inv to the same BLAS/LAPACK call as a single matrix,
+        # so the inverses are bitwise those of QuadraticLocalSolver.
         # From here the engine holds the blocks alone, and each class's
         # Hessian blocks are freed once factored, before the next class's
         # inverses are made: they are as large as the inverses.
+        groups = p.local_blocks()[::-1]
         p.drop_local_blocks()
         self.classes = []  # (inv stack per rho, span in class-major order, batch shape)
         class_slots, bases = [], []
         at = 0
-        for d in list(by_degree):
-            groups = by_degree.pop(d)
-            members = sorted(i for group, *_ in groups for i in group)
-            k, m = len(members), n * (d + 1)
+        while groups:
+            members, hess, _, base = groups.pop()
+            k, d = len(members), degs[members[0]]
+            m = n * (d + 1)
             scale = np.ones(m)
             scale[:n] = d
-            if len(groups) == 1:
-                ((_, hess, _, base),) = groups
-            else:  # each height's blocks go to its nodes' ranks in the class
-                hess, base = np.empty((k, m, m)), np.empty((k, m))
-                rank = {i: s for s, i in enumerate(members)}
-                for group, group_hess, _, group_base in groups:
-                    sub = [rank[i] for i in group]
-                    hess[sub], base[sub] = group_hess, group_base
-            del groups
             invs = []
             for rho in self.rhos:
                 system = hess + rho * np.diag(scale)
@@ -469,9 +455,8 @@ def run(
     first round whose relative error falls below it. With record_states the
     trace also holds x after every round and the last z (see `RunTrace`).
 
-    The rounds run on the stacked engine as a batch of one, which needs
-    QuadraticLocalCost costs (TypeError otherwise) and is bitwise equal to
-    iterating `sync_round` from `initial_states`.
+    The rounds run on the stacked engine as a batch of one, which is bitwise
+    equal to iterating `sync_round` from `initial_states`.
     """
     if solution is None:  # first: the engine drops the problem's local_blocks
         solution = solve_centralized(p)

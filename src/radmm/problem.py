@@ -13,11 +13,12 @@ well defined.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
 
-from ._record import Record
+from ._record import Frozen, Record
 from .graph import Graph, neighbors
 
 SYMMETRY_TOL = 1e-12
@@ -51,6 +52,7 @@ class QuadraticLocalCost(Record):
 
     a_self maps the node's own variable, a_neigh[j] the copy of neighbor j's
     variable, b is the target vector and q the positive-definite weight.
+    Only the shapes are checked here; `PartitionProblem` checks the weights.
     """
 
     def __init__(
@@ -68,18 +70,6 @@ class QuadraticLocalCost(Record):
         for j, a in a_neigh.items():
             if a.shape != (r, n):
                 raise ValueError(f"a_neigh[{j}] must have shape ({r}, {n}), got {a.shape}")
-        check_weights(q[None])
-
-    @classmethod
-    def _checked(
-        cls, a_self: np.ndarray, a_neigh: dict[int, np.ndarray], b: np.ndarray, q: np.ndarray
-    ) -> QuadraticLocalCost:
-        """A cost whose shapes its caller made consistent and whose q it has
-        passed through `check_weights` already (the decoder checks all q of
-        one height in one stacked call)."""
-        cost = cls.__new__(cls)
-        cost.__dict__.update(a_self=a_self, a_neigh=a_neigh, b=b, q=q)
-        return cost
 
     @property
     def rows(self) -> int:
@@ -98,21 +88,25 @@ class QuadraticLocalCost(Record):
         return np.hstack(blocks)
 
 
-class PartitionProblem(Record):
+class PartitionProblem(Frozen):
     """A graph plus one local cost per node, all with variable dimension `dim`.
 
-    `local_blocks` caches the costs' stacked products; they are computed
-    from the costs once, so costs must not change after the first call.
+    Read-only, and the one place a problem is checked, however it was built:
+    one QuadraticLocalCost per node (TypeError otherwise), of dimension dim,
+    keyed by the node's neighbors, and the q of each cost height checked in
+    one stacked `check_weights` call. `costs` is a tuple, so the stacked
+    products `local_blocks` caches always belong to these costs.
     """
 
-    def __init__(self, graph: Graph, costs: list[QuadraticLocalCost], dim: int):
-        self.graph = graph
-        self.costs = costs
-        self.dim = dim
-        self._blocks = None
+    def __init__(self, graph: Graph, costs: Sequence[QuadraticLocalCost], dim: int):
+        costs = tuple(costs)
         if len(costs) != graph.node_count:
             raise ValueError("one cost per node required")
+        heights: dict[int, list[np.ndarray]] = {}  # in order of first appearance
         for i, cost in enumerate(costs):
+            if not isinstance(cost, QuadraticLocalCost):
+                raise TypeError(f"costs must be QuadraticLocalCost, node {i} has "
+                                f"{type(cost).__name__}")
             if cost.dim != dim:
                 raise ValueError(f"cost {i} has dim {cost.dim}, expected {dim}")
             if set(cost.a_neigh) != set(neighbors(graph, i)):
@@ -120,54 +114,71 @@ class PartitionProblem(Record):
                     f"cost {i} neighbor keys {sorted(cost.a_neigh)} do not match "
                     f"graph neighbors {neighbors(graph, i)}"
                 )
+            heights.setdefault(cost.rows, []).append(cost.q)
+        for qs in heights.values():
+            check_weights(np.array(qs))
+        self.__dict__.update(graph=graph, costs=costs, dim=dim, _blocks=None)
 
     def local_blocks(self) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
-        """Per group of nodes that share a degree d and a cost height r, in
-        (d, r) order: the group's nodes ascending and, stacked over them, the
-        Hessian blocks 2 (M'Q) M (k, m, m), the linear blocks 2 (M'Q) b
-        (k, m) of the normal equations and the x-update bases 2 M'(Q b)
-        (k, m), with M a node's `stacked_map` (m = dim (d + 1) columns), Q
-        its weight and b its target. Each group takes one stacked product per
-        factor, and numpy hands each item of a stacked matmul to the same
-        BLAS call as a single matrix, so every block is bitwise the per-node
-        product.
+        """Per degree d, ascending: the nodes of degree d ascending and,
+        stacked over them, the Hessian blocks 2 (M'Q) M (k, m, m), the linear
+        blocks 2 (M'Q) b (k, m) of the normal equations and the x-update
+        bases 2 M'(Q b) (k, m), with M a node's `stacked_map` (m = dim (d + 1)
+        columns), Q its weight and b its target. Each cost height r of a
+        degree takes one stacked product per factor, and numpy hands each
+        item of a stacked matmul to the same BLAS call as a single matrix, so
+        every block is bitwise the per-node product; a degree with several
+        heights copies each height's blocks to its nodes' ranks.
 
         `assemble_normal_equations` and the stacked engine both read them,
         through this cache. The Hessian blocks are as large as the engine's
         inverses, so the engine takes them: it drops the cache
-        (`drop_local_blocks`) and frees each degree class's blocks once it
-        has factored them. A later call computes the same bits again.
+        (`drop_local_blocks`) and frees each degree's blocks once it has
+        factored them. A later call computes the same bits again.
         """
         if self._blocks is None:
             n, orders = self.dim, [neighbors(self.graph, i) for i in range(self.graph.node_count)]
-            groups: dict[tuple[int, int], list[int]] = {}
+            groups: dict[int, dict[int, list[int]]] = {}
             for i, cost in enumerate(self.costs):
-                if not isinstance(cost, QuadraticLocalCost):
-                    raise TypeError(f"costs must be QuadraticLocalCost, node {i} has "
-                                    f"{type(cost).__name__}")
-                groups.setdefault((len(orders[i]), cost.rows), []).append(i)
-            self._blocks = []
-            for (d, r), nodes in sorted(groups.items()):
-                k, m = len(nodes), n * (d + 1)
-                costs = [self.costs[i] for i in nodes]
-                maps = np.array([[c.a_self] + [c.a_neigh[j] for j in orders[i]]
-                                 for i, c in zip(nodes, costs)])
-                # each node's stacked_map, C-contiguous as np.hstack makes it
-                maps = maps.reshape(k, d + 1, r, n).transpose(0, 2, 1, 3)
-                maps = np.ascontiguousarray(maps).reshape(k, r, m)
-                q = np.array([c.q for c in costs]).reshape(k, r, r)
-                b = np.array([c.b for c in costs]).reshape(k, r, 1)
-                maps_t = maps.transpose(0, 2, 1)
-                mtq = maps_t @ q
-                blocks = mtq @ maps, (mtq @ b)[..., 0], (maps_t @ (q @ b))[..., 0]
-                for block in blocks:
-                    block *= 2.0  # in place: no second full-size temporary
-                self._blocks.append((nodes, *blocks))
+                groups.setdefault(len(orders[i]), {}).setdefault(cost.rows, []).append(i)
+            blocks = []
+            for d, heights in sorted(groups.items()):
+                m, parts = n * (d + 1), []
+                for r, nodes in sorted(heights.items()):
+                    k, costs = len(nodes), [self.costs[i] for i in nodes]
+                    maps = np.array([[c.a_self] + [c.a_neigh[j] for j in orders[i]]
+                                     for i, c in zip(nodes, costs)])
+                    # each node's stacked_map, C-contiguous as np.hstack makes it
+                    maps = maps.reshape(k, d + 1, r, n).transpose(0, 2, 1, 3)
+                    maps = np.ascontiguousarray(maps).reshape(k, r, m)
+                    q = np.array([c.q for c in costs]).reshape(k, r, r)
+                    b = np.array([c.b for c in costs]).reshape(k, r, 1)
+                    maps_t = maps.transpose(0, 2, 1)
+                    mtq = maps_t @ q
+                    stacks = mtq @ maps, (mtq @ b)[..., 0], (maps_t @ (q @ b))[..., 0]
+                    for stack in stacks:
+                        stack *= 2.0  # in place: no second full-size temporary
+                    parts.append((nodes, *stacks))
+                blocks.append(parts[0] if len(parts) == 1 else _merged(parts))
+            self.__dict__["_blocks"] = blocks
         return self._blocks
 
     def drop_local_blocks(self) -> None:
         """Free the `local_blocks` cache."""
-        self._blocks = None
+        self.__dict__["_blocks"] = None
+
+
+def _merged(parts: list[tuple]) -> tuple:
+    """One group from groups of disjoint nodes: each group's stacks copied to
+    its nodes' ranks among all of them."""
+    members = sorted(i for nodes, *_ in parts for i in nodes)
+    rank = {i: s for s, i in enumerate(members)}
+    merged = [np.empty((len(members),) + stack.shape[1:]) for stack in parts[0][1:]]
+    for nodes, *stacks in parts:
+        sub = [rank[i] for i in nodes]
+        for out, stack in zip(merged, stacks):
+            out[sub] = stack
+    return (members, *merged)
 
 
 class Solution(Record):
@@ -320,7 +331,7 @@ def generate_instance(
     """
     if n < 1 or r_rows < 1:
         raise ValueError("n and r_rows must be positive")
-    if conditioning < 1:
+    if not conditioning >= 1:  # NaN fails it too
         raise ValueError("conditioning must be >= 1")
     coupling_scale = 1.0 / np.sqrt(r_rows * n)
     for attempt in range(_MAX_RESAMPLES):
@@ -410,31 +421,23 @@ def _positions(v, node_count: int) -> np.ndarray:
     return _numbers([c for pt in points for c in pt], "graph.positions").reshape(-1, 2)
 
 
-def _uncosts(doc, g: Graph, n: int) -> list[QuadraticLocalCost]:
+def _uncosts(rows: list[int], data, g: Graph, n: int) -> list[QuadraticLocalCost]:
     """The document's costs. All their data is type-checked and converted in
-    one pass, and each matrix is a view of that one array; the q of each
-    cost height are checked in one stacked `check_weights` call."""
-    rows = [_integer(r, "costs.rows entry") for r in _list(doc["rows"], "costs.rows")]
-    if len(rows) != g.node_count or min(rows) < 0:
-        raise ValueError(f"instance costs.rows must hold {g.node_count} non-negative integers")
-    data = _list(doc["data"], "costs.data")
+    one pass, and each matrix is a view of that one array."""
+    data = _list(data, "costs.data")
     orders = [neighbors(g, i) for i in range(g.node_count)]
     size = sum(r * n * (len(order) + 1) + r + r * r for r, order in zip(rows, orders))
     if len(data) != size:
         raise ValueError(f"instance costs.data must hold {size} numbers, got {len(data)}")
     values = _numbers(data, "costs.data")
-    costs, at, q_at = [], 0, {}
+    costs, at = [], 0
     for r, order in zip(rows, orders):
         end = at + r * n * (len(order) + 1)
         maps = values[at:end].reshape(len(order) + 1, r, n)
         b, q = values[end : end + r], values[end + r : end + r + r * r].reshape(r, r)
-        q_at.setdefault(r, []).append(end + r)
         at = end + r + r * r
-        costs.append(QuadraticLocalCost._checked(
-            a_self=maps[0], a_neigh=dict(zip(order, maps[1:])), b=b, q=q
-        ))
-    for r, starts in q_at.items():
-        check_weights(values[np.add.outer(starts, np.arange(r * r))].reshape(len(starts), r, r))
+        costs.append(QuadraticLocalCost(a_self=maps[0], a_neigh=dict(zip(order, maps[1:])),
+                                        b=b, q=q))
     return costs
 
 
@@ -474,6 +477,11 @@ def problem_from_json(text: str) -> PartitionProblem:
     try:
         gdoc = _object(doc["graph"], "graph")
         nodes = _integer(gdoc["nodes"], "graph.nodes")
+        # rows first: building the graph costs O(nodes) whatever the document's size
+        cdoc = _object(doc["costs"], "costs")
+        rows = [_integer(r, "costs.rows entry") for r in _list(cdoc["rows"], "costs.rows")]
+        if len(rows) != nodes or any(r < 0 for r in rows):
+            raise ValueError(f"instance costs.rows must hold {nodes} non-negative integers")
         positions = gdoc.get("positions")
         if positions is not None:
             positions = _positions(positions, nodes)
@@ -481,7 +489,6 @@ def problem_from_json(text: str) -> PartitionProblem:
         n = _integer(doc["dim"], "dim")
         if n < 1:
             raise ValueError(f"instance dim must be positive, got {n}")
-        costs = _uncosts(_object(doc["costs"], "costs"), g, n)
-        return PartitionProblem(graph=g, costs=costs, dim=n)
+        return PartitionProblem(graph=g, costs=_uncosts(rows, cdoc["data"], g, n), dim=n)
     except KeyError as exc:
         raise ValueError(f"instance document lacks key {exc}") from exc

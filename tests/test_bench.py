@@ -53,11 +53,19 @@ def test_quick_bench_writes_every_section(tmp_path):
     assert {"radmm.problem", "total"} <= set(paired["import_ms"])
     for section in ("run_stages", "import_ms"):
         for number in paired[section].values():
-            assert set(number) == {"against", "this", "wins"} and number["wins"] in (0, 1)
-            for tree in ("against", "this"):
+            assert set(number) == {"against", "this", "wins", "ratio"}
+            assert number["wins"] in (0, 1)
+            for tree in ("against", "this", "ratio"):
                 q = number[tree]
+                if tree == "ratio" and number["against"]["median"] == 0:
+                    assert q is None  # no pair to divide by
+                    continue
                 assert set(q) == {"median", "q1", "q3"} and q["q1"] == q["median"] == q["q3"]
-    assert paired["run_stages"]["rounds"]["against"] == paired["run_stages"]["rounds"]["this"]
+            if number["ratio"] is not None:
+                this, theirs = number["this"]["median"], number["against"]["median"]
+                assert number["ratio"]["median"] == this / theirs
+    rounds = paired["run_stages"]["rounds"]
+    assert rounds["against"] == rounds["this"] and rounds["ratio"]["median"] == 1.0
 
 
 def test_against_without_a_checkout_fails_before_measuring(tmp_path):

@@ -658,6 +658,13 @@ def _first_schema(doc):
         ("sweep", "sweep", {"rho": [3.0], "alpha": [0.5], "p": [0.0], "tol": -1}, None),
         ("check", "check", {"tol": 0}, None),
         ("generate", "graph", {"max_resamples": 0}, None),
+        ("generate", "instance", {"conditioning": math.nan}, None),
+        ("run", "instance", {"conditioning": math.inf}, None),
+        ("run", "params", {"rho": math.inf}, None),
+        ("run", "params", {"alpha": [0.5, -math.inf]}, None),
+        ("run", "loss", {"p": math.nan}, None),
+        ("generate", "graph", {"radius_override": math.nan}, None),
+        ("run", "run", {"tol": 10**400}, None),
         ("generate", "graph", {"radius_override": 0.01, "max_resamples": 5}, None),
         # one row per node gives a rank-6 Hessian on 18 unknowns
         ("generate", "instance", {"dim": 3, "rows": 1}, None),
@@ -680,7 +687,9 @@ def _first_schema(doc):
          "instance-positions-bool", "instance-positions-nan", "instance-positions-short",
          "instance-positions-string", "loss-seed-2**64",
          "loss-seed-negative", "check-k_max0", "run-tol-1", "run-tol0", "sweep-tol-1",
-         "check-tol0", "max_resamples0", "no-connected-graph", "no-pd-instance"],
+         "check-tol0", "max_resamples0", "conditioning-nan", "conditioning-infinity",
+         "rho-infinity", "alpha-minus-infinity", "p-nan", "radius_override-nan",
+         "tol-huge-int", "no-connected-graph", "no-pd-instance"],
 )
 def test_invalid_input_exits_2_without_output(tmp_path, capsys, command, section, values, instance):
     doc = base_config()

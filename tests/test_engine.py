@@ -180,7 +180,7 @@ def test_run_without_solution_scores_against_the_optimum(ten_node_problem):
 
 
 class _OpaqueCost:
-    """A cost with the surface PartitionProblem checks, but no quadratic data."""
+    """A cost with a dim and neighbor keys, but no quadratic data."""
 
     def __init__(self, nbrs):
         self.dim = 2
@@ -188,10 +188,10 @@ class _OpaqueCost:
 
 
 def test_run_rejects_non_quadratic_cost():
+    # the problem refuses such a cost, so no run is ever handed one
     g = rm.Graph(node_count=2, edges=frozenset({(0, 1)}))
-    p = rm.PartitionProblem(graph=g, costs=[_OpaqueCost([1]), _OpaqueCost([0])], dim=2)
-    with pytest.raises(TypeError):
-        rm.run(p, rm.AlgorithmParams(0.5, 1.0), None, 3)
+    with pytest.raises(TypeError, match="node 0 has _OpaqueCost"):
+        rm.PartitionProblem(graph=g, costs=[_OpaqueCost([1]), _OpaqueCost([0])], dim=2)
 
 
 def test_relative_error_zero_norm_block_still_raises(ten_node_problem):

@@ -164,7 +164,8 @@ def test_setup_matches_loop_with_mixed_cost_heights():
 def test_setup_rejects_singular_isolated_node():
     p = hand_problem(3, [(0, 1)], 2, lambda i: 3, seed=34)
     rng = np.random.default_rng(35)
-    p.costs[2] = quadratic_cost(rng, 2, 3, [], a_self=np.zeros((3, 2)))
+    singular = quadratic_cost(rng, 2, 3, [], a_self=np.zeros((3, 2)))
+    p = rm.PartitionProblem(graph=p.graph, costs=[*p.costs[:2], singular], dim=2)
     with pytest.raises(rm.SingularLocalSystemError):
         _StackedEngine(p, RHOS)
 
@@ -174,7 +175,7 @@ def test_setup_rejects_non_quadratic_cost():
         dim = 2
         a_neigh = {1: None}
 
+    # the problem refuses it, so the engine is never handed one
     p = hand_problem(2, [(0, 1)], 2, lambda i: 3, seed=36)
-    p.costs[0] = Opaque()
-    with pytest.raises(TypeError):
-        _StackedEngine(p, RHOS)
+    with pytest.raises(TypeError, match="node 0 has Opaque"):
+        rm.PartitionProblem(graph=p.graph, costs=[Opaque(), p.costs[1]], dim=2)

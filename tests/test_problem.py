@@ -79,16 +79,24 @@ def test_evaluate_local_purely_quadratic_when_b_zero(t, seed):
     assert ft == pytest.approx(t * t * f1, rel=1e-12, abs=1e-12)
 
 
+def one_node_problem(cost):
+    g = rm.Graph(node_count=1, edges=frozenset())
+    return rm.PartitionProblem(graph=g, costs=[cost], dim=cost.dim)
+
+
 def test_cost_rejects_asymmetric_q():
+    # a cost checks its shapes; the problem that holds it checks its weight
     q = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        rm.QuadraticLocalCost(a_self=np.eye(2), a_neigh={}, b=np.zeros(2), q=q)
+    cost = rm.QuadraticLocalCost(a_self=np.eye(2), a_neigh={}, b=np.zeros(2), q=q)
+    with pytest.raises(ValueError, match="symmetric"):
+        one_node_problem(cost)
 
 
 def test_cost_rejects_indefinite_q():
     q = np.diag([1.0, -1.0])
-    with pytest.raises(ValueError):
-        rm.QuadraticLocalCost(a_self=np.eye(2), a_neigh={}, b=np.zeros(2), q=q)
+    cost = rm.QuadraticLocalCost(a_self=np.eye(2), a_neigh={}, b=np.zeros(2), q=q)
+    with pytest.raises(ValueError, match="positive definite"):
+        one_node_problem(cost)
 
 
 def test_problem_rejects_wrong_neighbor_keys():
@@ -310,6 +318,26 @@ def test_json_missing_key_is_value_error():
         rm.problem_from_json(json.dumps(doc))
 
 
+def test_json_checks_rows_against_nodes_before_building_the_graph(monkeypatch):
+    # a short document that claims many nodes must fail before the graph,
+    # whose size follows the claim, is built
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(rm.problem, "Graph", no_graph)
+    doc = {"schema": "radmm-instance/2", "dim": 2,
+           "graph": {"nodes": 2_000_000, "edges": []}, "costs": {"rows": [3, 3], "data": []}}
+    with pytest.raises(ValueError, match="costs.rows must hold 2000000"):
+        rm.problem_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("conditioning", [math.nan, 0.5])
+def test_generate_instance_rejects_conditioning_below_one_or_nan(conditioning):
+    g = rm.Graph(node_count=1, edges=frozenset())
+    with pytest.raises(ValueError, match="conditioning"):
+        rm.generate_instance(g, n=2, r_rows=3, seed=5, conditioning=conditioning)
+
+
 def test_solution_with_filled_cache_equals_fresh_copy(ten_node_problem, ten_node_solution):
     sol = ten_node_solution
     fresh = rm.Solution(x_star=sol.x_star)
@@ -402,11 +430,14 @@ def test_local_blocks_are_each_nodes_own_products():
     p = random_height_problem(12, 0.35, 2, seed=71)
     groups = p.local_blocks()
     assert p.local_blocks() is groups  # cached
+    degrees = [p.graph.degree(nodes[0]) for nodes, *_ in groups]
+    assert degrees == sorted(set(degrees))  # one group per degree, ascending
+    # some degree holds costs of several heights, merged into its group
+    assert any(len({p.costs[i].rows for i in nodes}) > 1 for nodes, *_ in groups)
     seen = []
     for nodes, hess, lin, base in groups:
         assert nodes == sorted(nodes)
-        assert {(p.graph.degree(i), p.costs[i].rows) for i in nodes} == {
-            (p.graph.degree(nodes[0]), p.costs[nodes[0]].rows)}
+        assert {p.graph.degree(i) for i in nodes} == {p.graph.degree(nodes[0])}
         for s, i in enumerate(nodes):
             c = p.costs[i]
             m = c.stacked_map()
@@ -425,17 +456,44 @@ def test_local_blocks_are_each_nodes_own_products():
 
 
 def test_local_blocks_reject_a_non_quadratic_cost():
+    # the problem refuses the cost, so local_blocks never meets one
     p = mixed_height_problem()
-    p.costs[2] = object()
+    costs = list(p.costs)
+    costs[2] = object()
     with pytest.raises(TypeError, match="node 2"):
-        p.local_blocks()
+        rm.PartitionProblem(graph=p.graph, costs=costs, dim=p.dim)
+
+
+def test_problem_is_read_only():
+    # the local_blocks cache belongs to the costs the problem was built with
+    p = mixed_height_problem()
+    other = random_height_problem(4, 0.5, 2, seed=72)
+    blocks = p.local_blocks()
+    with pytest.raises(AttributeError):
+        p.costs = other.costs
+    with pytest.raises(TypeError):
+        p.costs[:] = other.costs
+    with pytest.raises(TypeError):
+        p.costs[0] = other.costs[0]
+    assert p.local_blocks() is blocks
+
+
+def test_problem_checks_the_weights_of_every_cost_height():
+    p = mixed_height_problem()  # heights 3, 0, 1 and 2
+    for i in (0, 2, 3):
+        costs = list(p.costs)
+        c = costs[i]
+        costs[i] = rm.QuadraticLocalCost(a_self=c.a_self, a_neigh=c.a_neigh, b=c.b, q=-c.q)
+        with pytest.raises(ValueError, match="positive definite"):
+            rm.PartitionProblem(graph=p.graph, costs=costs, dim=p.dim)
 
 
 def per_node_error(q):
-    """The ValueError a node's own QuadraticLocalCost raises for weight q."""
+    """The ValueError a one-node problem raises for weight q."""
     r = len(q)
+    cost = rm.QuadraticLocalCost(a_self=np.zeros((r, 2)), a_neigh={}, b=np.zeros(r), q=q)
     with pytest.raises(ValueError) as info:
-        rm.QuadraticLocalCost(a_self=np.zeros((r, 2)), a_neigh={}, b=np.zeros(r), q=q)
+        one_node_problem(cost)
     return str(info.value)
 
 
