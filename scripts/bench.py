@@ -16,13 +16,14 @@ holds:
   importtime` importing every module (median over fresh interpreters);
 - modules: the radmm modules each subcommand loads;
 - run_stages: cold per-stage times of `radmm run`'s path on the
-  large_graph benchmark instance (ms): load, solve, engine set-up, rounds;
+  large_graph benchmark instance (ms): load, engine set-up (which solves
+  the problem), rounds;
   the instance file's size (bytes) and the peak memory Python and numpy
   allocate inside `problem_from_json` (KiB, `tracemalloc`, an untimed pass);
-- engine: per node count N, the graph, instance, solve and engine set-up
-  times, the engine's µs per run-round for 1 and for 16 runs, and the
-  peak memory numpy and Python allocate inside those runs (KiB, from
-  `tracemalloc` in a separate untimed pass);
+- engine: per node count N, the graph, instance and engine set-up (with
+  the solve) times, the engine's µs per run-round for 1 and for 16 runs,
+  and the peak memory numpy and Python allocate inside those runs (KiB,
+  from `tracemalloc` in a separate untimed pass);
 - presets_s: CLI wall time of each figure preset at full run counts;
 - tier1_s: wall time of the Tier-1 suite;
 - perfbench: the per-layer metrics of `perfbench/run.py --trace 1`;
@@ -94,22 +95,24 @@ text = path.read_text()
 t = [time.perf_counter()]
 p = problem_from_json(text)
 t.append(time.perf_counter())
-sol = solve_centralized(p)
-t.append(time.perf_counter())
 rho = cfg.params.rho[0]
-engine = _StackedEngine(p, (rho,))
+try:  # the engine solves the problem
+    engine, solution = _StackedEngine(p, (rho,), None), ()
+except TypeError:  # an engine from before that: solve first, hand x* to each batch
+    solution = (solve_centralized(p),)
+    engine = _StackedEngine(p, (rho,))
 t.append(time.perf_counter())
 loss_p = cfg.loss.p[0]
 schedule = LossSchedule(model=LossModel.uniform(p.graph, loss_p), seed=cfg.loss.seed)
 (trace,) = engine.run([(schedule, cfg.params.alpha[0], rho, cfg.run.resolved_tol(loss_p))],
-                      cfg.run.k_max, sol)
+                      cfg.run.k_max, *solution)
 t.append(time.perf_counter())
 ms = [1e3 * (b - a) for a, b in zip(t, t[1:])]
 tracemalloc.start()  # untimed: tracing slows every allocation
 problem_from_json(text)
 load_peak_kib = tracemalloc.get_traced_memory()[1] / 1024
 tracemalloc.stop()
-print(json.dumps(dict(zip(["load_ms", "solve_ms", "engine_setup_ms", "rounds_ms"], ms),
+print(json.dumps(dict(zip(["load_ms", "engine_setup_ms", "rounds_ms"], ms),
                       rounds=trace.rounds_executed, load_peak_kib=load_peak_kib,
                       instance_bytes=path.stat().st_size)))
 """
@@ -263,7 +266,7 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
     from radmm.engine import AlgorithmParams, _StackedEngine
     from radmm.graph import generate_connected_rgg
     from radmm.lossy import LossModel, LossSchedule
-    from radmm.problem import generate_instance, solve_centralized
+    from radmm.problem import generate_instance
 
     def timed(f, *args):
         t0 = time.perf_counter()
@@ -272,7 +275,6 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
 
     g, graph_ms = timed(generate_connected_rgg, nodes, radius, 7)
     p, instance_ms = timed(generate_instance, g, 2, 3, 11)
-    sol, solve_ms = timed(solve_centralized, p)
     params = AlgorithmParams(alpha=0.75, rho=3.0)
     engine, setup_ms = timed(_StackedEngine, p, (params.rho,))
     model, k = LossModel.uniform(g, 0.2), ENGINE_ROUNDS[nodes]
@@ -281,7 +283,6 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
         "directed_edges": len(engine.edges),
         "graph_ms": graph_ms,
         "instance_ms": instance_ms,
-        "solve_ms": solve_ms,
         "engine_setup_ms": setup_ms,
         "rounds": k,
     }
@@ -290,14 +291,14 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
                 for r in range(runs)]
         walls = []
         for _ in range(reps):
-            traces, ms = timed(lambda: engine.run(rows, k, sol))
+            traces, ms = timed(lambda: engine.run(rows, k))
             if any(tr.rounds_executed != k for tr in traces):
                 raise SystemExit(f"an engine run at N = {nodes} ended before round {k}")
             walls.append(ms)
         point[f"run_round_us_{runs}"] = 1e3 * statistics.median(walls) / (runs * k)
         tracemalloc.start()  # untimed: tracing slows every allocation
         try:
-            engine.run(rows, k, sol)
+            engine.run(rows, k)
             point[f"run_peak_kib_{runs}"] = tracemalloc.get_traced_memory()[1] / 1024
         finally:
             tracemalloc.stop()

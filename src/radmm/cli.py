@@ -113,10 +113,8 @@ def _loss_models(cfg: ExperimentConfig, problem: PartitionProblem) -> list[tuple
 def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> int:
     from .engine import AlgorithmParams, _StackedEngine, trace_to_csv
     from .lossy import LossSchedule
-    from .problem import solve_centralized
 
     problem = _resolve_instance(cfg, instance_path)
-    solution = solve_centralized(problem)
     losses = _loss_models(cfg, problem)
     # a table runs at the tolerance of its worst link; an empty table loses nothing
     settings = [
@@ -125,42 +123,30 @@ def cmd_run(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> 
         ))
         for loss_p, model in losses
     ]
-    # every (alpha, rho) is checked before the first output is written
+    # every (alpha, rho) is checked before the engine is built
     grid = [AlgorithmParams(alpha=a, rho=r) for a in cfg.params.alpha for r in cfg.params.rho]
-    any_diverged = False
-    for params in grid:
-        if cfg.run.runs == 1:
-            # the loss values of this (alpha, rho) as one batch, each run
-            # bitwise its own `engine.run`
-            results = _StackedEngine(problem, (params.rho,)).run(
-                [
-                    (LossSchedule(model=model, seed=cfg.loss.seed), params.alpha, params.rho, tol)
-                    for model, tol in settings
-                ],
-                cfg.run.k_max,
-                solution,
-            )
-            texts = [trace_to_csv(tr) for tr in results]
-        else:
-            from .experiments import monte_carlo_settings, monte_carlo_to_csv
+    # one engine for the command; the loss values (times the runs) of each
+    # (alpha, rho) advance as one batch, each run bitwise its own `engine.run`
+    if cfg.run.runs == 1:
+        engine, results = _StackedEngine(problem, cfg.params.rho), []
+        for params in grid:
+            results += engine.run([
+                (LossSchedule(model=model, seed=cfg.loss.seed), params.alpha, params.rho, tol)
+                for model, tol in settings
+            ], cfg.run.k_max)
+        texts = [trace_to_csv(tr) for tr in results]
+    else:
+        from .experiments import monte_carlo_settings, monte_carlo_to_csv
 
-            # every loss value x run of this (alpha, rho) advances as one batch
-            results = monte_carlo_settings(
-                problem,
-                params,
-                settings,
-                cfg.run.runs,
-                cfg.run.k_max,
-                cfg.loss.seed,
-                solution=solution,
-            )
-            texts = [monte_carlo_to_csv(mc) for mc in results]
-        any_diverged = any_diverged or any(res.diverged for res in results)
-        for (loss_p, _), text in zip(losses, texts):
-            suffix = _combo_suffix(cfg, params.alpha, params.rho, loss_p)
-            path = _write(out_dir, f"{cfg.output_prefix}_trace{suffix}.csv", text)
-            print(f"wrote {path}")
-    return EXIT_DIVERGED if any_diverged else EXIT_OK
+        cells = [(params, model, tol) for params in grid for model, tol in settings]
+        results = monte_carlo_settings(problem, cells, cfg.run.runs, cfg.run.k_max, cfg.loss.seed)
+        texts = [monte_carlo_to_csv(mc) for mc in results]
+    names = [(params, loss_p) for params in grid for loss_p, _ in losses]
+    for (params, loss_p), text in zip(names, texts):
+        suffix = _combo_suffix(cfg, params.alpha, params.rho, loss_p)
+        path = _write(out_dir, f"{cfg.output_prefix}_trace{suffix}.csv", text)
+        print(f"wrote {path}")
+    return EXIT_DIVERGED if any(res.diverged for res in results) else EXIT_OK
 
 
 def cmd_check(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -> int:

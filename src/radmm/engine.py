@@ -8,19 +8,21 @@ tests check that its error traces and recorded flat iterates are bitwise
 equal to a loop of `sample_mask`, `sync_round` and `relative_error`. No
 command that runs the engine loads `core`.
 
-The engine is built once per problem and its rhos and advances a batch of
-runs together, one row per (schedule, alpha, rho, stop tolerance); `run`
-is a batch of one, a Monte Carlo hands it all its runs, and a sweep its
-whole grid. Its working set per round is bounded by two byte budgets,
-whatever the batch size: large batches run in blocks of rows, and masks
-are drawn a budgeted number of rounds at a time.
+The engine is built once per problem and its rhos, solves the problem
+unless it is handed the solution, and advances batches of runs, one row
+per (schedule, alpha, rho, stop tolerance); each command builds one. `run`
+is a batch of one, a Monte Carlo hands it one batch per (alpha, rho), and
+a sweep its whole grid. Its working set per round is bounded by two byte
+budgets, whatever the batch size: large batches run in blocks of rows, and
+masks are drawn a budgeted number of rounds at a time.
 Every run starts from all-zero x and z, is scored every round against the
 centralized optimum, and loses packets on exactly the graph's directed
 edges. Every run of a batch is bitwise equal to the same run alone.
 The engine is built per degree class: its index tables come from the
 directed-edge arrays, and the local systems of all nodes of one degree are
 factored at once from the problem's stacked `local_blocks`, bitwise equal
-to one `core.QuadraticLocalSolver` per node.
+to one `core.QuadraticLocalSolver` per node; the centralized solve
+assembles its normal equations from the same blocks.
 """
 
 from __future__ import annotations
@@ -120,13 +122,14 @@ class _StackedEngine:
     """`sync_round` on whole-graph arrays, for quadratic costs; what `run` uses.
 
     Built once per problem and its rhos, and reusable across runs and batches.
-    Every run starts from all-zero x and z and is scored against a reference
-    solution, and a loss schedule must cover exactly `self.edges`. A run's
-    flat buffer holds z in the `reference` layout, viewed as (edges, 2, n)
-    with row e the slot pair of directed edge e, then an n-wide zero pad
-    and, per node, the sum of its z_in_self, which heads the linear term of
-    its x-update. x is flat in the `reference` layout too. A batch of runs
-    stacks these buffers as rows.
+    Every run starts from all-zero x and z and is scored against
+    `self.solution`: the one it was given, else `solve_centralized(p)`. A
+    loss schedule must cover exactly `self.edges`. A run's flat buffer holds
+    z in the `reference` layout, viewed as (edges, 2, n) with row e the slot
+    pair of directed edge e, then an n-wide zero pad and, per node, the sum
+    of its z_in_self, which heads the linear term of its x-update. x is flat
+    in the `reference` layout too. A batch of runs stacks these buffers as
+    rows.
     The gather tables are built from the directed-edge arrays (sender,
     reverse edge, rank among the receiver's neighbors), and each degree
     class is factored in one stacked cholesky and inv per rho.
@@ -142,11 +145,21 @@ class _StackedEngine:
     to state but is not bitwise equal.
     """
 
-    def __init__(self, p: PartitionProblem, rhos: Sequence[float]):
+    def __init__(
+        self, p: PartitionProblem, rhos: Sequence[float], solution: Solution | None = None
+    ):
         g, n = p.graph, p.dim
         self.n, self.rhos = n, tuple(dict.fromkeys(map(float, rhos)))
         self.edges = g.directed_edges()
         self.orders = tuple(tuple(neighbors(g, i)) for i in range(g.node_count))
+        # The solve and the factoring below read one computation of the
+        # blocks. The Hessian blocks are as large as the inverses, so each
+        # class's are freed once factored, before the next class's inverses
+        # are made.
+        groups = p.local_blocks()
+        self.solution = solve_centralized(p, groups) if solution is None else solution
+        self.reference = _reference_blocks(self.solution, self.orders)
+        groups.reverse()  # popped in degree order
         e_count, nodes = len(self.edges), np.arange(g.node_count)
         degs = [len(order) for order in self.orders]
         deg = np.array(degs, dtype=np.intp)
@@ -195,11 +208,6 @@ class _StackedEngine:
         # (one group per degree): numpy hands each item of a stacked matmul,
         # cholesky or inv to the same BLAS/LAPACK call as a single matrix,
         # so the inverses are bitwise those of QuadraticLocalSolver.
-        # From here the engine holds the blocks alone, and each class's
-        # Hessian blocks are freed once factored, before the next class's
-        # inverses are made: they are as large as the inverses.
-        groups = p.local_blocks()[::-1]
-        p.drop_local_blocks()
         self.classes = []  # (inv stack per rho, span in class-major order, batch shape)
         class_slots, bases = [], []
         at = 0
@@ -239,7 +247,6 @@ class _StackedEngine:
         self,
         runs: Sequence[tuple[LossSchedule | None, float, float, float | None]],
         k_max: int,
-        solution: Solution,
         record_states: bool = False,
     ) -> list[RunTrace]:
         """`run` for every (schedule, alpha, rho, stop_tol) at once: one
@@ -254,7 +261,8 @@ class _StackedEngine:
         run's own `run`. rho must be one of the engine's and stop_tol None
         (no stop) or positive; every run is checked before any round. A run
         that diverges, or whose error falls below its stop_tol, is frozen on
-        that round and its row dropped; errors are taken against solution.
+        that round and its row dropped; errors are taken against
+        `self.solution`.
         With record_states, each trace also holds its own copies of its x
         after every round and of its last z.
 
@@ -282,7 +290,6 @@ class _StackedEngine:
             lossy = schedule is not None and not schedule.loss_free
             settings.append((schedule if lossy else None, float(alpha), rho_at[rho],
                              -np.inf if tol is None else tol))
-        reference = _reference_blocks(solution, self.orders)
         # Loss-free runs with one rho, alpha and stop tolerance follow one
         # trajectory: the first of them gets a row, the others share its result.
         first: dict = {}
@@ -294,7 +301,7 @@ class _StackedEngine:
         ends = {}
         for at in range(0, len(ids), size):
             block = np.array(ids[at : at + size])
-            ends.update(self._run_block(block, settings, k_max, reference, record_states))
+            ends.update(self._run_block(block, settings, k_max, record_states))
         traces = []
         for at, r in enumerate(source):
             errors, diverged, xs, z = ends[r]
@@ -304,7 +311,7 @@ class _StackedEngine:
                                    xs=xs, z=None if z is None else z.copy()))
         return traces
 
-    def _run_block(self, ids, settings, k_max, reference, record_states) -> dict:
+    def _run_block(self, ids, settings, k_max, record_states) -> dict:
         """Run the runs ids, in (rho, run) order and with the settings `run`
         checked, from zero until each ends. Returns, per run, its error
         pieces, diverged flag, and with record_states its x after every
@@ -393,7 +400,7 @@ class _StackedEngine:
                     if k == len(xs[r]):
                         xs[r].resize((min(k_max, k + grow), self.x_size), refcheck=False)
                     xs[r][k] = x_rows[row]
-            err = _error_sum(x, *reference).reshape(rows)
+            err = _error_sum(x, *self.reference).reshape(rows)
             log.append(err)
             # A cheap test first; the row-by-row checks run only on rounds on
             # which some run may end. NaN fails every comparison.
@@ -458,11 +465,9 @@ def run(
     The rounds run on the stacked engine as a batch of one, which is bitwise
     equal to iterating `sync_round` from `initial_states`.
     """
-    if solution is None:  # first: the engine drops the problem's local_blocks
-        solution = solve_centralized(p)
-    engine = _StackedEngine(p, (params.rho,))
+    engine = _StackedEngine(p, (params.rho,), solution)
     row = (schedule, params.alpha, params.rho, stop_tol)
-    (trace,) = engine.run([row], k_max, solution, record_states=record_states)
+    (trace,) = engine.run([row], k_max, record_states=record_states)
     return trace
 
 

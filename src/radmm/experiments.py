@@ -18,7 +18,7 @@ from ._record import Record
 from .config import DEFAULT_TOL_LOSSY
 from .engine import AlgorithmParams, RunTrace, _StackedEngine
 from .lossy import LossModel, LossSchedule, splitmix64
-from .problem import PartitionProblem, Solution, solve_centralized
+from .problem import PartitionProblem, Solution
 
 __all__ = [
     "RunTrace",
@@ -74,51 +74,50 @@ def monte_carlo(
     ends a run early); any diverged run marks the whole aggregate diverged.
     """
     (trace,) = monte_carlo_settings(
-        p, params, [(loss_p, stop_tol)], runs, k_max, seed, solution=solution
+        p, [(params, loss_p, stop_tol)], runs, k_max, seed, solution=solution
     )
     return trace
 
 
 def monte_carlo_settings(
     p: PartitionProblem,
-    params: AlgorithmParams,
-    settings: Sequence[tuple[float | LossModel, float | None]],
+    settings: Sequence[tuple[AlgorithmParams, float | LossModel, float | None]],
     runs: int,
     k_max: int,
     seed: int,
     solution: Solution | None = None,
 ) -> list[MonteCarloTrace]:
-    """`monte_carlo` for each (loss, stop_tol) setting, all runs in one batch.
+    """`monte_carlo` for each (params, loss, stop_tol) setting, on one engine.
 
-    Every run of every setting advances in one stacked-engine loop; the
+    The runs of all settings with one (alpha, rho) advance as one batch; the
     result for each setting equals its own `monte_carlo` call bitwise.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if solution is None:
-        solution = solve_centralized(p)
-    rows = []
-    for loss, tol in settings:
+    batches: dict = {}  # rows and setting indices per (alpha, rho), in order
+    for at, (params, loss, tol) in enumerate(settings):
         model = loss if isinstance(loss, LossModel) else LossModel.uniform(p.graph, loss)
+        rows, members = batches.setdefault((params.alpha, params.rho), ([], []))
         rows += [
             (LossSchedule(model=model, seed=_sub_seed(seed, r)), params.alpha, params.rho, tol)
             for r in range(runs)
         ]
-    traces = _StackedEngine(p, (params.rho,)).run(rows, k_max, solution)
-    out = []
-    for at in range(0, len(traces), runs):
-        group = traces[at : at + runs]
-        rounds = min(len(tr.errors) for tr in group)
-        stacked = np.stack([tr.errors[:rounds] for tr in group])
-        out.append(
-            MonteCarloTrace(
+        members.append(at)
+    engine = _StackedEngine(p, [params.rho for params, _, _ in settings], solution)
+    out = [None] * len(settings)
+    for rows, members in batches.values():
+        traces = engine.run(rows, k_max)
+        for at, member in enumerate(members):
+            group = traces[at * runs : (at + 1) * runs]
+            rounds = min(len(tr.errors) for tr in group)
+            stacked = np.stack([tr.errors[:rounds] for tr in group])
+            out[member] = MonteCarloTrace(
                 mean=stacked.mean(axis=0),
                 low=stacked.min(axis=0),
                 high=stacked.max(axis=0),
                 diverged=any(tr.diverged for tr in group),
                 runs=runs,
             )
-        )
     return out
 
 
@@ -205,8 +204,7 @@ def stability_sweep(
         for ip, model in enumerate(models)
         for r in range(runs)
     ]
-    solution = solve_centralized(p)  # first: the engine drops the problem's local_blocks
-    traces = _StackedEngine(p, rho_grid).run(rows, k_max, solution)
+    traces = _StackedEngine(p, rho_grid).run(rows, k_max)
     grid = list(product(rho_grid, alpha_grid, loss_grid))
     outcomes, converged_at = {}, {}
     for c, cell in enumerate(grid):

@@ -52,7 +52,8 @@ class QuadraticLocalCost(Record):
 
     a_self maps the node's own variable, a_neigh[j] the copy of neighbor j's
     variable, b is the target vector and q the positive-definite weight.
-    Only the shapes are checked here; `PartitionProblem` checks the weights.
+    Only the shapes are checked here; `PartitionProblem` checks the weights
+    and marks the arrays read-only.
     """
 
     def __init__(
@@ -94,8 +95,8 @@ class PartitionProblem(Frozen):
     Read-only, and the one place a problem is checked, however it was built:
     one QuadraticLocalCost per node (TypeError otherwise), of dimension dim,
     keyed by the node's neighbors, and the q of each cost height checked in
-    one stacked `check_weights` call. `costs` is a tuple, so the stacked
-    products `local_blocks` caches always belong to these costs.
+    one stacked `check_weights` call. `costs` is a tuple and every cost
+    array is marked read-only, so the checked data cannot change later.
     """
 
     def __init__(self, graph: Graph, costs: Sequence[QuadraticLocalCost], dim: int):
@@ -115,9 +116,11 @@ class PartitionProblem(Frozen):
                     f"graph neighbors {neighbors(graph, i)}"
                 )
             heights.setdefault(cost.rows, []).append(cost.q)
+            for a in (cost.a_self, *cost.a_neigh.values(), cost.b, cost.q):
+                a.setflags(write=False)
         for qs in heights.values():
             check_weights(np.array(qs))
-        self.__dict__.update(graph=graph, costs=costs, dim=dim, _blocks=None)
+        self.__dict__.update(graph=graph, costs=costs, dim=dim)
 
     def local_blocks(self) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
         """Per degree d, ascending: the nodes of degree d ascending and,
@@ -130,42 +133,33 @@ class PartitionProblem(Frozen):
         every block is bitwise the per-node product; a degree with several
         heights copies each height's blocks to its nodes' ranks.
 
-        `assemble_normal_equations` and the stacked engine both read them,
-        through this cache. The Hessian blocks are as large as the engine's
-        inverses, so the engine takes them: it drops the cache
-        (`drop_local_blocks`) and frees each degree's blocks once it has
-        factored them. A later call computes the same bits again.
+        `assemble_normal_equations` and the stacked engine both read them;
+        the engine computes them once and hands them to its solve.
         """
-        if self._blocks is None:
-            n, orders = self.dim, [neighbors(self.graph, i) for i in range(self.graph.node_count)]
-            groups: dict[int, dict[int, list[int]]] = {}
-            for i, cost in enumerate(self.costs):
-                groups.setdefault(len(orders[i]), {}).setdefault(cost.rows, []).append(i)
-            blocks = []
-            for d, heights in sorted(groups.items()):
-                m, parts = n * (d + 1), []
-                for r, nodes in sorted(heights.items()):
-                    k, costs = len(nodes), [self.costs[i] for i in nodes]
-                    maps = np.array([[c.a_self] + [c.a_neigh[j] for j in orders[i]]
-                                     for i, c in zip(nodes, costs)])
-                    # each node's stacked_map, C-contiguous as np.hstack makes it
-                    maps = maps.reshape(k, d + 1, r, n).transpose(0, 2, 1, 3)
-                    maps = np.ascontiguousarray(maps).reshape(k, r, m)
-                    q = np.array([c.q for c in costs]).reshape(k, r, r)
-                    b = np.array([c.b for c in costs]).reshape(k, r, 1)
-                    maps_t = maps.transpose(0, 2, 1)
-                    mtq = maps_t @ q
-                    stacks = mtq @ maps, (mtq @ b)[..., 0], (maps_t @ (q @ b))[..., 0]
-                    for stack in stacks:
-                        stack *= 2.0  # in place: no second full-size temporary
-                    parts.append((nodes, *stacks))
-                blocks.append(parts[0] if len(parts) == 1 else _merged(parts))
-            self.__dict__["_blocks"] = blocks
-        return self._blocks
-
-    def drop_local_blocks(self) -> None:
-        """Free the `local_blocks` cache."""
-        self.__dict__["_blocks"] = None
+        n, orders = self.dim, [neighbors(self.graph, i) for i in range(self.graph.node_count)]
+        groups: dict[int, dict[int, list[int]]] = {}
+        for i, cost in enumerate(self.costs):
+            groups.setdefault(len(orders[i]), {}).setdefault(cost.rows, []).append(i)
+        blocks = []
+        for d, heights in sorted(groups.items()):
+            m, parts = n * (d + 1), []
+            for r, nodes in sorted(heights.items()):
+                k, costs = len(nodes), [self.costs[i] for i in nodes]
+                maps = np.array([[c.a_self] + [c.a_neigh[j] for j in orders[i]]
+                                 for i, c in zip(nodes, costs)])
+                # each node's stacked_map, C-contiguous as np.hstack makes it
+                maps = maps.reshape(k, d + 1, r, n).transpose(0, 2, 1, 3)
+                maps = np.ascontiguousarray(maps).reshape(k, r, m)
+                q = np.array([c.q for c in costs]).reshape(k, r, r)
+                b = np.array([c.b for c in costs]).reshape(k, r, 1)
+                maps_t = maps.transpose(0, 2, 1)
+                mtq = maps_t @ q
+                stacks = mtq @ maps, (mtq @ b)[..., 0], (maps_t @ (q @ b))[..., 0]
+                for stack in stacks:
+                    stack *= 2.0  # in place: no second full-size temporary
+                parts.append((nodes, *stacks))
+            blocks.append(parts[0] if len(parts) == 1 else _merged(parts))
+        return blocks
 
 
 def _merged(parts: list[tuple]) -> tuple:
@@ -245,15 +239,17 @@ def global_cost(p: PartitionProblem, x: list[np.ndarray]) -> float:
     return total
 
 
-def assemble_normal_equations(p: PartitionProblem) -> tuple[np.ndarray, np.ndarray]:
+def assemble_normal_equations(
+    p: PartitionProblem, blocks: list[tuple] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Hessian and linear term of the global quadratic on the stacked variables.
 
     The global cost is x' H x / 2 - g' x + const with H = sum_i 2 S_i' M_i' Q_i M_i S_i
     where M_i is the node's stacked map and S_i selects [x_i; x_neighbors].
-    The blocks come from `p.local_blocks()` and are added in node order, so
-    every entry is the sum of its nodes' terms in node order: nodes are
-    scattered in chunks with `np.add.at`, which adds repeated indices one
-    after another, and a node's own slots are distinct.
+    The blocks are `p.local_blocks()`, computed here unless given, and are
+    added in node order, so every entry is the sum of its nodes' terms in
+    node order: nodes are scattered in chunks with `np.add.at`, which adds
+    repeated indices one after another, and a node's own slots are distinct.
     """
     n, N = p.dim, p.graph.node_count
     size = N * n
@@ -262,7 +258,7 @@ def assemble_normal_equations(p: PartitionProblem) -> tuple[np.ndarray, np.ndarr
     # per node, as views of its group's stacks: the flat indices in H of its
     # Hessian block, that block, its slots in x and its linear block
     at, hess, slots, lin = [None] * N, [None] * N, [None] * N, [None] * N
-    for nodes, group_hess, group_lin, _ in p.local_blocks():
+    for nodes, group_hess, group_lin, _ in p.local_blocks() if blocks is None else blocks:
         table = np.array([[i, *neighbors(p.graph, i)] for i in nodes])
         group_slots = (n * table[..., None] + col).reshape(len(nodes), -1)
         group_at = (size * group_slots)[:, :, None] + group_slots[:, None, :]
@@ -281,8 +277,9 @@ def assemble_normal_equations(p: PartitionProblem) -> tuple[np.ndarray, np.ndarr
     return H, g
 
 
-def solve_centralized(p: PartitionProblem) -> Solution:
-    """Exact minimizer of the global cost: one dense solve of H u = g.
+def solve_centralized(p: PartitionProblem, blocks: list[tuple] | None = None) -> Solution:
+    """Exact minimizer of the global cost: one dense solve of H u = g, with
+    H and g assembled from blocks, `p.local_blocks()` unless given.
 
     A Cholesky factorization checks first that the Hessian is positive
     definite and raises IndefiniteHessianError when it is not (the optimizer
@@ -290,7 +287,7 @@ def solve_centralized(p: PartitionProblem) -> Solution:
     triangular solve, so the factor itself is not reused: one LU solve of H
     costs half of two on the factors.
     """
-    H, g = assemble_normal_equations(p)
+    H, g = assemble_normal_equations(p, blocks)
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:

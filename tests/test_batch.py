@@ -22,8 +22,8 @@ def assert_rows_match_spec(p, rows, k_max):
     """Run the (schedule, alpha, rho, stop_tol) rows as one batch on one
     engine and compare each with the spec at its own alpha and rho."""
     sol = rm.solve_centralized(p)
-    engine = _StackedEngine(p, [rho for _, _, rho, _ in rows])
-    traces = engine.run(rows, k_max, sol, record_states=True)
+    engine = _StackedEngine(p, [rho for _, _, rho, _ in rows], sol)
+    traces = engine.run(rows, k_max, record_states=True)
     assert len(traces) == len(rows)
     for tr, (schedule, alpha, rho, tol) in zip(traces, rows):
         params = rm.AlgorithmParams(alpha, rho)
@@ -85,6 +85,26 @@ def record_draws(monkeypatch):
     return draws
 
 
+def record_engines(monkeypatch, *modules):
+    """Replace `_StackedEngine` in modules by a subclass that records the
+    arguments of each engine built and the (alpha, rho) of each row of each
+    batch run."""
+    built, batches = [], []
+
+    class CountingEngine(_StackedEngine):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+        def run(self, rows, *args, **kwargs):
+            batches.append([(alpha, rho) for _, alpha, rho, _ in rows])
+            return super().run(rows, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_StackedEngine", CountingEngine)
+    return built, batches
+
+
 def record_error_rows(monkeypatch):
     """Replace the engine's _error_sum by a wrapper that records the rows of
     each round it scores."""
@@ -134,7 +154,7 @@ def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem, monkey
     rows = mid_chunk_rows(p)
     alone = runs_alone(p, rows, 150, sol)
     draws = record_draws(monkeypatch)
-    traces = _StackedEngine(p, (3.0,)).run(rows, 150, sol, record_states=True)
+    traces = _StackedEngine(p, (3.0,), sol).run(rows, 150, record_states=True)
     assert_each_run_alone(traces, alone)
     # each draw covers the rounds that keep its hashes within the budget,
     # 1 to 64 and no further than k_max, and the draws tile the rounds
@@ -168,7 +188,7 @@ def test_budgets_do_not_change_results(ten_node_problem, monkeypatch, which):
     monkeypatch.setattr(engine_module, "_BLOCK_BYTES", 1)
     draws = record_draws(monkeypatch)
     row_counts = record_error_rows(monkeypatch)
-    traces = _StackedEngine(p, (3.0,)).run(rows, 150, sol, record_states=True)
+    traces = _StackedEngine(p, (3.0,), sol).run(rows, 150, record_states=True)
     assert_each_run_alone(traces, alone)
     assert {(rounds, lossy) for _, rounds, lossy in draws} == {(1, 1)}
     assert set(row_counts) == {1}
@@ -181,13 +201,13 @@ def test_engine_working_set_is_bounded():
     g = rm.generate_connected_rgg(100, 0.2, seed=7)
     p = rm.generate_instance(g, n=2, r_rows=3, seed=11)
     sol = rm.solve_centralized(p)
-    engine = _StackedEngine(p, (3.0,))
+    engine = _StackedEngine(p, (3.0,), sol)
     model = rm.LossModel.uniform(g, 0.2)
     for runs, limit in ((1, 1 << 20), (64, 8 << 20)):
         rows = [(rm.LossSchedule(model=model, seed=r), 0.75, 3.0, None) for r in range(runs)]
         tracemalloc.start()
         try:
-            traces = engine.run(rows, 64, sol)
+            traces = engine.run(rows, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -201,12 +221,12 @@ def test_traces_hold_no_more_than_their_errors():
     g = rm.generate_connected_rgg(100, 0.2, seed=7)
     p = rm.generate_instance(g, n=2, r_rows=3, seed=7)
     sol = rm.solve_centralized(p)
-    engine = _StackedEngine(p, (3.0,))
+    engine = _StackedEngine(p, (3.0,), sol)
     model = rm.LossModel.uniform(g, 0.2)
     rows = [(rm.LossSchedule(model=model, seed=r), 0.75, 3.0, None) for r in range(16)]
     tracemalloc.start()
     try:
-        traces = engine.run(rows, 16, sol)
+        traces = engine.run(rows, 16)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -222,12 +242,12 @@ def test_recorded_states_are_held_once():
     g = rm.generate_connected_rgg(100, 0.2, seed=7)
     p = rm.generate_instance(g, n=2, r_rows=3, seed=11)
     sol = rm.solve_centralized(p)
-    engine = _StackedEngine(p, (3.0,))
+    engine = _StackedEngine(p, (3.0,), sol)
     model = rm.LossModel.uniform(g, 0.2)
     rows = [(rm.LossSchedule(model=model, seed=r), 0.75, 3.0, None) for r in range(16)]
     tracemalloc.start()
     try:
-        traces = engine.run(rows, 32, sol, record_states=True)
+        traces = engine.run(rows, 32, record_states=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,9 +295,9 @@ def test_mixed_alpha_batch_equals_spec(ten_node_problem, monkeypatch):
 def test_shared_loss_free_runs_get_their_own_states(ten_node_problem, ten_node_solution):
     # two loss-free runs share one row, but not one array
     p = ten_node_problem
-    a, b = _StackedEngine(p, (3.0,)).run(
+    a, b = _StackedEngine(p, (3.0,), ten_node_solution).run(
         [(None, 0.75, 3.0, None), (uniform(p, 0.0, 31), 0.75, 3.0, None)], 30,
-        solution=ten_node_solution, record_states=True,
+        record_states=True,
     )
     fields = ("errors", "xs", "z")
     want = [getattr(b, name).tobytes() for name in fields]
@@ -289,13 +309,13 @@ def test_shared_loss_free_runs_get_their_own_states(ten_node_problem, ten_node_s
 
 def test_batch_argument_checks(ten_node_problem, monkeypatch):
     p = ten_node_problem
-    engine = _StackedEngine(p, (3.0,))
     sol = rm.solve_centralized(p)
-    assert engine.run([], 10, sol) == []
+    engine = _StackedEngine(p, (3.0,), sol)
+    assert engine.run([], 10) == []
     with pytest.raises(ValueError):
-        engine.run([(None, 0.75, 3.0, None)], 0, sol)
+        engine.run([(None, 0.75, 3.0, None)], 0)
     with pytest.raises(ValueError, match="rho"):  # a rho the engine was not built for
-        engine.run([(None, 0.75, 3.0, None), (None, 0.75, 1.0, None)], 10, sol)
+        engine.run([(None, 0.75, 3.0, None), (None, 0.75, 1.0, None)], 10)
     # a stop tolerance that is not positive is rejected before any round
     monkeypatch.setattr(engine_module, "delivery_block", None)
     params = rm.AlgorithmParams(0.75, 3.0)
@@ -309,7 +329,7 @@ def test_batch_argument_checks(ten_node_problem, monkeypatch):
     monkeypatch.setattr(engine_module, "_BLOCK_BYTES", 1)
     good = [(uniform(p, 0.2, seed), 0.75, 3.0, None) for seed in (1, 2)]
     with pytest.raises(TypeError):  # a round would call the missing delivery_block
-        engine.run(good, 10, sol)
+        engine.run(good, 10)
     other = make_instances(1, seed0=4300)[0]
     for bad, match in [
         ((uniform(p, 0.2, 3), 0.75, 1.0, None), "rho"),
@@ -318,20 +338,26 @@ def test_batch_argument_checks(ten_node_problem, monkeypatch):
         ((uniform(other, 0.2, 3), 0.75, 3.0, None), "directed edges"),
     ]:
         with pytest.raises(ValueError, match=match):
-            engine.run(good + [bad], 10, sol)
+            engine.run(good + [bad], 10)
 
 
-def test_monte_carlo_settings_equal_separate_calls(ten_node_problem, ten_node_solution):
+def test_monte_carlo_settings_equal_separate_calls(ten_node_problem, ten_node_solution, monkeypatch):
+    # mixed (alpha, rho), one of them in two non-adjacent settings
     p, sol = ten_node_problem, ten_node_solution
-    params = rm.AlgorithmParams(0.75, 3.0)
+    first, second, third = (rm.AlgorithmParams(a, r) for a, r in ((0.75, 3.0), (0.3, 1.0), (1.3, 3.0)))
     settings = [
-        (0.0, 1e-6),
-        (0.2, 1e-4),
-        (rm.LossModel.from_table(p.graph, {e: 0.3 for e in p.graph.directed_edges()}), 1e-5),
-        (0.6, None),
+        (first, 0.0, 1e-6),
+        (second, 0.2, 1e-4),
+        (first, rm.LossModel.from_table(p.graph, {e: 0.3 for e in p.graph.directed_edges()}), 1e-5),
+        (third, 0.6, None),
+        (first, 0.6, None),
     ]
-    batch = rm.monte_carlo_settings(p, params, settings, 5, 150, seed=40, solution=sol)
-    for got, (loss, tol) in zip(batch, settings):
+    built, batches = record_engines(monkeypatch, experiments)
+    batch = rm.monte_carlo_settings(p, settings, 5, 150, seed=40, solution=sol)
+    # one engine, and one batch per (alpha, rho) in order of first appearance
+    assert len(built) == 1
+    assert batches == [[(0.75, 3.0)] * 15, [(0.3, 1.0)] * 5, [(1.3, 3.0)] * 5]
+    for got, (params, loss, tol) in zip(batch, settings):
         want = rm.monte_carlo(p, params, loss, 5, 150, seed=40, solution=sol, stop_tol=tol)
         for name in ("mean", "low", "high"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -423,17 +449,53 @@ def test_sweep_cell_takes_its_first_nonconverged_run(ten_node_problem, ten_node_
 
 
 def test_sweep_builds_one_engine(ten_node_problem, monkeypatch):
-    built = []
-
-    class CountingEngine(_StackedEngine):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(experiments, "_StackedEngine", CountingEngine)
+    built, _ = record_engines(monkeypatch, experiments)
     result = rm.stability_sweep(
         ten_node_problem, rho_grid=[3.0, 1.0], alpha_grid=[0.3, 0.75, 1.3],
         loss_grid=[0.0, 0.2], runs=2, k_max=60, seed=9,
     )
     assert len(result.grid) == 12
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+def test_cli_run_preset_builds_one_engine(tmp_path, monkeypatch, preset):
+    # four (alpha, rho) of 100 runs each: one engine, one batch of 100 per (alpha, rho)
+    built, batches = record_engines(monkeypatch, engine_module, experiments)
+    assert cli.main(["run", "--preset", preset, "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(built) == 1
+    assert [len(rows) for rows in batches] == [100] * 4
+    assert all(len(set(rows)) == 1 for rows in batches)
+    assert len({rows[0] for rows in batches}) == 4
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_cli_run_on_an_instance_computes_the_blocks_once(tmp_path, monkeypatch, runs):
+    doc = {
+        "schema": "radmm-config/1",
+        "graph": {"nodes": 8, "radius": 0.5, "seed": 3, "require_connected": True},
+        "instance": {"dim": 2, "rows": 3, "seed": 4},
+        "params": {"alpha": [0.5, 0.75], "rho": [3.0, 1.0]},
+        "loss": {"p": [0.0, 0.2], "seed": 5},
+        "run": {"k_max": 100, "runs": runs},
+        "output": {"prefix": "t"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
+    calls, local_blocks = [], rm.PartitionProblem.local_blocks
+
+    def counting(problem):
+        calls.append(problem)
+        return local_blocks(problem)
+
+    monkeypatch.setattr(rm.PartitionProblem, "local_blocks", counting)
+    built, batches = record_engines(monkeypatch, engine_module, experiments)
+    argv = ["run", "--config", str(path), "--instance", str(tmp_path / "t_instance.json"),
+            "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(calls) == 1
+    assert len(built) == 1
+    # one batch per (alpha, rho), of its loss values times the runs
+    assert [len(rows) for rows in batches] == [2 * runs] * 4
+    assert len({rows[0] for rows in batches}) == 4

@@ -32,7 +32,7 @@ def test_quick_bench_writes_every_section(tmp_path):
     assert set(loaded) == {"generate", "run (runs = 1)", "run (runs > 1)", "sweep", "check"}
     assert all("radmm.cli" in mods and "radmm.problem" in mods for mods in loaded.values())
     stages = doc["run_stages"]
-    assert set(stages) == {"load_ms", "solve_ms", "engine_setup_ms", "rounds_ms", "rounds",
+    assert set(stages) == {"load_ms", "engine_setup_ms", "rounds_ms", "rounds",
                            "load_peak_kib", "instance_bytes"}
     assert all(isinstance(v, NUMBER) and v > 0 for v in stages.values())
     # the quick run skips N = 1000, the presets and Tier-1

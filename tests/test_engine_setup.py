@@ -166,8 +166,15 @@ def test_setup_rejects_singular_isolated_node():
     rng = np.random.default_rng(35)
     singular = quadratic_cost(rng, 2, 3, [], a_self=np.zeros((3, 2)))
     p = rm.PartitionProblem(graph=p.graph, costs=[*p.costs[:2], singular], dim=2)
-    with pytest.raises(rm.SingularLocalSystemError):
+    # the global Hessian is singular too, so the engine's own solve stops
+    # first, as `run` does; given a solution, it reaches its local check
+    with pytest.raises(rm.IndefiniteHessianError):
         _StackedEngine(p, RHOS)
+    with pytest.raises(rm.IndefiniteHessianError):
+        rm.run(p, rm.AlgorithmParams(0.75, RHOS[0]), None, 5)
+    solution = rm.Solution(x_star=[np.ones(2)] * 3)
+    with pytest.raises(rm.SingularLocalSystemError):
+        _StackedEngine(p, RHOS, solution)
 
 
 def test_setup_rejects_non_quadratic_cost():

@@ -189,10 +189,10 @@ def test_sweep_rejects_empty_or_invalid_grids(ten_node_problem):
 
 
 def test_sweep_rejects_a_nonpositive_tol_before_any_run(ten_node_problem, monkeypatch):
-    def solve(p):
+    def engine(*args):
         raise AssertionError("the sweep started before its tol was checked")
 
-    monkeypatch.setattr(experiments, "solve_centralized", solve)
+    monkeypatch.setattr(experiments, "_StackedEngine", engine)
     for tol in (0.0, -1.0):
         with pytest.raises(ValueError, match="tol must be positive"):
             rm.stability_sweep(ten_node_problem, [3.0], [0.5], [0.0], 1, 10, 0, tol=tol)

@@ -429,7 +429,6 @@ def test_normal_equations_equal_per_node_ix_assembly_bitwise():
 def test_local_blocks_are_each_nodes_own_products():
     p = random_height_problem(12, 0.35, 2, seed=71)
     groups = p.local_blocks()
-    assert p.local_blocks() is groups  # cached
     degrees = [p.graph.degree(nodes[0]) for nodes, *_ in groups]
     assert degrees == sorted(set(degrees))  # one group per degree, ascending
     # some degree holds costs of several heights, merged into its group
@@ -446,12 +445,9 @@ def test_local_blocks_are_each_nodes_own_products():
             assert base[s].tobytes() == (2.0 * (m.T @ (c.q @ c.b))).tobytes()
         seen += nodes
     assert sorted(seen) == list(range(p.graph.node_count))
-    # the engine drops the cache once it has factored the Hessian blocks;
-    # they come back with the same bits
-    p.drop_local_blocks()
+    # a second computation gives the same bits
     again = p.local_blocks()
-    assert again is not groups
-    for a, b in zip(groups, again):
+    for a, b in zip(groups, again, strict=True):
         assert a[0] == b[0] and all(x.tobytes() == y.tobytes() for x, y in zip(a[1:], b[1:]))
 
 
@@ -465,17 +461,41 @@ def test_local_blocks_reject_a_non_quadratic_cost():
 
 
 def test_problem_is_read_only():
-    # the local_blocks cache belongs to the costs the problem was built with
+    # the problem keeps the costs it was built with
     p = mixed_height_problem()
     other = random_height_problem(4, 0.5, 2, seed=72)
     blocks = p.local_blocks()
+    costs = p.costs
     with pytest.raises(AttributeError):
         p.costs = other.costs
     with pytest.raises(TypeError):
         p.costs[:] = other.costs
     with pytest.raises(TypeError):
         p.costs[0] = other.costs[0]
-    assert p.local_blocks() is blocks
+    assert p.costs is costs
+    for a, b in zip(blocks, p.local_blocks(), strict=True):
+        assert a[0] == b[0] and all(x.tobytes() == y.tobytes() for x, y in zip(a[1:], b[1:]))
+
+
+@pytest.mark.parametrize("source", ["generated", "decoded"])
+def test_cost_arrays_are_read_only(ten_node_problem, source):
+    # a cost's arrays cannot be written in place once the problem has
+    # checked them (negating q would bypass the weight check), whether the
+    # problem was generated or decoded, where each array is a view
+    p = ten_node_problem
+    if source == "decoded":
+        p = rm.problem_from_json(rm.problem_to_json(p))
+    c = p.costs[1]
+    arrays = (c.a_self, *c.a_neigh.values(), c.b, c.q)
+    before = [a.tobytes() for a in arrays]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        c.q[:] = -c.q
+    with pytest.raises(ValueError, match="read-only"):
+        c.b += 5.0
+    assert [a.tobytes() for a in arrays] == before
 
 
 def test_problem_checks_the_weights_of_every_cost_height():
