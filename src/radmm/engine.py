@@ -33,7 +33,7 @@ import numpy as np
 
 from ._record import Frozen, Record
 from .graph import neighbors
-from .lossy import LossSchedule, delivery_block
+from .lossy import LossSchedule, draw_block, stack_schedules
 from .problem import PartitionProblem, Solution, solve_centralized
 
 DIVERGENCE_NORM = 1e8
@@ -268,7 +268,7 @@ class _StackedEngine:
 
         The working set of a round is bounded whatever the batch size: rows
         whose buffers together exceed _BLOCK_BYTES run as consecutive blocks
-        of rows that fit, and each `delivery_block` call draws as many rounds
+        of rows that fit, and each `draw_block` call draws as many rounds
         of the lossy rows' masks (1 to 64) as keep its uint64 hashes within
         _MASK_BYTES; a dropped row's part of a draw is dropped with it.
         Runs are independent and masks a pure function of (seed, round,
@@ -323,12 +323,18 @@ class _StackedEngine:
         log = []  # the rows' errors, one entry a round
         ends: dict = {}
         buf = np.zeros((len(ids), self.row_size))
-        tols = [settings[r][3] for r in ids]
+        # Each row's settings, read once into arrays aligned with buf's rows
+        # and sliced with them where rows end: whether it loses packets, its
+        # alpha, rho index and stop tolerance; and the lossy rows' hash bases
+        # and thresholds, from which each mask draw is made.
+        schedules, alphas, rhos, tols = zip(*(settings[r] for r in ids))
+        lossy = np.array([s is not None for s in schedules])
+        alphas, rhos, tols = np.array(alphas), np.array(rhos), np.array(tols)
+        bases, thresholds = stack_schedules([s for s in schedules if s is not None])
         rows = 0  # rows the views below were made for
         # every row's delivery flag per z entry for rounds drawn_at ..
         # drawn_to - 1, (rows, rounds, edges * 2 n); loss-free rows deliver all
-        gates, drawn_at, drawn_to = None, 0, 0
-        lossy = np.array([settings[r][0] is not None for r in ids])
+        gates, drawn_at, drawn_to = np.empty((len(ids), 0)), 0, 0
         for k in range(k_max):
             if rows != len(ids):
                 # Views of the rows' state. A single row gets 1-D views, on
@@ -343,23 +349,23 @@ class _StackedEngine:
                 xc = np.empty(lead + (self.x_size,))
                 # (rho index, its rows) per rho present; the rows are in
                 # (rho, run) order, and one rho takes the class views whole
-                row_rho = [settings[r][2] for r in ids]
-                present = sorted(set(row_rho))
-                spans = [(i, slice(row_rho.index(i), row_rho.index(i) + row_rho.count(i)))
-                         for i in present] if len(present) > 1 else [(present[0], ...)]
+                present, starts = np.unique(rhos, return_index=True)
+                bounds = [*starts.tolist(), rows]
+                spans = list(zip(present.tolist(), map(slice, bounds, bounds[1:])))
+                spans = spans if len(spans) > 1 else [(spans[0][0], ...)]
                 solves = []
                 for invs, at, shape in self.classes:
                     v_c, x_c = v[..., at].reshape(lead + shape), xc[..., at].reshape(lead + shape)
                     solves += [(invs[i], v_c[rs], x_c[rs]) for i, rs in spans]
-                any_lossy = bool(lossy.any())
                 relaxed = np.empty_like(z)
                 # each row's alpha and rho scale its own q and z (shared ones
-                # stay scalars, on which numpy calls cost least)
-                alpha = [settings[r][1] for r in ids]
-                alpha = np.reshape(alpha, (-1, 1, 1, 1)) if len(set(alpha)) > 1 else alpha[0]
+                # stay scalars, on which numpy calls cost least); np.unique
+                # of floats would import numpy.ma, ~10 ms a command
+                alpha = alphas.reshape(-1, 1, 1, 1)
+                alpha = alpha if rows > 1 and (alphas != alphas[0]).any() else alphas.item(0)
                 keep = 1.0 - alpha
-                two_rho = [2.0 * self.rhos[i] for i in row_rho]
-                two_rho = np.reshape(two_rho, (-1, 1, 1, 1)) if len(present) > 1 else two_rho[0]
+                two_rho = 2.0 * np.take(self.rhos, rhos).reshape(-1, 1, 1, 1)
+                two_rho = two_rho if len(spans) > 1 else two_rho.item(0)
             np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
             state.take(self.linear, axis=-1, out=v)
             v += self.base
@@ -370,24 +376,18 @@ class _StackedEngine:
             q *= two_rho
             q -= state.take(self.message_z, axis=-1)
             q *= alpha
-            if any_lossy:
+            if len(bases):
                 if k == drawn_to:
                     # as many rounds as keep the draw's uint64 hashes within
                     # _MASK_BYTES, and at most 64, which bounds the draws a
                     # row that stops early wastes
-                    schedules = [settings[r][0] for r in ids[lossy]]
-                    hashes = 8 * len(schedules) * len(self.edges)
                     drawn_at = k
-                    drawn_to = k + min(64, k_max - k, max(1, _MASK_BYTES // hashes))
-                    drawn = delivery_block(schedules, k, drawn_to - k)
+                    drawn_to = k + min(64, k_max - k, max(1, _MASK_BYTES // bases.nbytes))
+                    drawn = draw_block(bases, thresholds, k, drawn_to - k)
                     # one flag per z entry: copyto broadcasting an (edges, 1,
                     # 1) mask is about twice as slow as with a full-size one
-                    drawn = np.repeat(drawn, 2 * self.n, axis=-1)
-                    if lossy.all():
-                        gates = drawn
-                    else:
-                        gates = np.ones((rows,) + drawn.shape[1:], dtype=bool)
-                        gates[lossy] = drawn
+                    gates = np.ones((rows, drawn_to - k, self.pad_at), dtype=bool)
+                    gates[lossy] = np.repeat(drawn, 2 * self.n, axis=-1)
                 np.multiply(z, keep, out=relaxed)
                 relaxed += q
                 np.copyto(z, relaxed, where=gates[:, k - drawn_at].reshape(z.shape))
@@ -409,13 +409,13 @@ class _StackedEngine:
                 k + 1 < k_max
                 and not check_z
                 and np.abs(x).max() < DIVERGENCE_NORM
-                and all(t <= e < np.inf for e, t in zip(err.tolist(), tols))
+                and ((tols <= err) & (err < np.inf)).all()
             ):
                 continue
             ok = (np.abs(x_rows).max(axis=1) < DIVERGENCE_NORM) & (err < np.inf)
             if check_z:
                 ok &= np.abs(z).reshape(rows, -1).max(axis=1) < DIVERGENCE_NORM
-            done = ~ok | (err < np.array(tols))
+            done = ~ok | (err < tols)
             if k + 1 == k_max:
                 done[:] = True
             if not done.any():
@@ -431,11 +431,12 @@ class _StackedEngine:
                 if x_all is not None:
                     x_all.resize((k + 1, self.x_size), refcheck=False)
                 ends[r] = (errors[r], not ok[row], x_all, z_rows[row] if record_states else None)
+            # the one place rows are dropped: every per-row array follows buf
             live = ~done
-            if gates is not None:
-                gates = gates[live]
-            buf, ids, lossy = buf[live], ids[live], lossy[live]
-            tols = [t for t, alive in zip(tols, live) if alive]
+            bases, thresholds = bases[live[lossy]], thresholds[live[lossy]]
+            buf, ids, lossy, alphas, rhos, tols, gates = (
+                a[live] for a in (buf, ids, lossy, alphas, rhos, tols, gates)
+            )
             if not ids.size:
                 break
         return ends

@@ -144,24 +144,37 @@ class LossSchedule(Frozen):
         return not self._thresholds.any()
 
 
+def stack_schedules(schedules: Sequence[LossSchedule]) -> tuple[np.ndarray, np.ndarray]:
+    """The counter-hash bases and loss thresholds of schedules, as two uint64
+    (schedules, E) arrays for `draw_block`. All schedules must have the same
+    number E of edges."""
+    e_count = len(schedules[0].edges) if schedules else 0
+    if any(len(s.edges) != e_count for s in schedules):
+        raise ValueError("the schedules of one block must have the same number of edges")
+    shape = (len(schedules), e_count)
+    bases = np.array([s._base for s in schedules], dtype=np.uint64).reshape(shape)
+    return bases, np.array([s._thresholds for s in schedules], dtype=np.uint64).reshape(shape)
+
+
+def draw_block(bases: np.ndarray, thresholds: np.ndarray, k0: int, rounds: int) -> np.ndarray:
+    """Rounds k0 .. k0 + rounds - 1 of the schedules stacked by
+    `stack_schedules` (or rows of such stacks), as bool (schedules, rounds, E)."""
+    e_count = bases.shape[-1]
+    _check_rounds(k0, rounds, e_count)
+    step = e_count * _GAMMA  # what one round adds to every counter hash input
+    offsets = np.arange(rounds, dtype=np.uint64)
+    offsets *= np.uint64(step & _M64)
+    offsets += np.uint64(k0 * step & _M64)
+    return _delivered(bases[:, None], offsets[:, None], thresholds[:, None])
+
+
 def delivery_block(schedules: Sequence[LossSchedule], k0: int, rounds: int) -> np.ndarray:
     """Rounds k0 .. k0 + rounds - 1 of every schedule, as bool (schedules, rounds, E).
 
     Entry [s, j] is `delivery_array(schedules[s], k0 + j)`, drawn for the
     whole block at once. All schedules must have the same number E of edges.
     """
-    e_count = len(schedules[0].edges) if schedules else 0
-    if any(len(s.edges) != e_count for s in schedules):
-        raise ValueError("the schedules of one block must have the same number of edges")
-    _check_rounds(k0, rounds, e_count)
-    step = e_count * _GAMMA  # what one round adds to every counter hash input
-    offsets = np.arange(rounds, dtype=np.uint64)
-    offsets *= np.uint64(step & _M64)
-    offsets += np.uint64(k0 * step & _M64)
-    shape = (len(schedules), 1, e_count)
-    bases = np.array([s._base for s in schedules], dtype=np.uint64).reshape(shape)
-    thresholds = np.array([s._thresholds for s in schedules], dtype=np.uint64)
-    return _delivered(bases, offsets[:, None], thresholds.reshape(shape))
+    return draw_block(*stack_schedules(schedules), k0, rounds)
 
 
 def delivery_array(schedule: LossSchedule, k: int) -> np.ndarray:

@@ -408,7 +408,10 @@ def _edges(v) -> frozenset[tuple[int, int]]:
         raise ValueError("instance graph.edges must hold [i, j] pairs")
     if not set(map(type, chain.from_iterable(edges))) <= {int}:  # bool is no node id
         raise ValueError("instance graph.edges must hold integer node ids")
-    return frozenset(map(tuple, edges))
+    pairs = frozenset(map(tuple, edges))
+    if len(pairs) != len(edges):  # the encoder writes each edge once
+        raise ValueError("instance graph.edges must name each edge once")
+    return pairs
 
 
 def _positions(v, node_count: int) -> np.ndarray:

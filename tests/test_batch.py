@@ -73,15 +73,17 @@ def test_batch_diverging_on_different_rounds(ten_node_problem):
 
 
 def record_draws(monkeypatch):
-    """Replace the engine's delivery_block by a wrapper that records each
-    call's (first round, rounds, schedules)."""
-    draws, draw = [], engine_module.delivery_block
+    """Replace the engine's draw_block by a wrapper that records each call's
+    (first round, rounds, schedules) and checks that its two stacks are
+    (schedules, edges) arrays of one shape."""
+    draws, draw = [], engine_module.draw_block
 
-    def recording(schedules, k0, rounds):
-        draws.append((k0, rounds, len(schedules)))
-        return draw(schedules, k0, rounds)
+    def recording(bases, thresholds, k0, rounds):
+        assert bases.shape == thresholds.shape and bases.ndim == 2
+        draws.append((k0, rounds, len(bases)))
+        return draw(bases, thresholds, k0, rounds)
 
-    monkeypatch.setattr(engine_module, "delivery_block", recording)
+    monkeypatch.setattr(engine_module, "draw_block", recording)
     return draws
 
 
@@ -146,30 +148,65 @@ def runs_alone(p, rows, k_max, sol):
             for schedule, alpha, rho, tol in rows]
 
 
+def mixed_settings_rows(p):
+    # lossy and loss-free rows at two alphas, two rhos and tolerances None,
+    # 1e-6 and 1e-4, listed across the rhos so that the engine's (rho, run)
+    # order differs from this one; rows 0, 1, 2, 4 and 5 end inside the
+    # second draw in an order that is not their row order, and rows 3 and 8
+    # diverge by the |z| bound on the first _Z_CHECK_EVERY round
+    return [
+        (uniform(p, 0.2, 40), 0.75, 1.0, 1e-4),
+        (None, 0.75, 3.0, 1e-6),
+        (uniform(p, 0.4, 42), 0.75, 3.0, 1e-4),
+        (uniform(p, 0.2, 0), 1.4, 1.0, None),
+        (uniform(p, 0.2, 41), 0.75, 3.0, 1e-6),
+        (uniform(p, 0.0, 43), 0.75, 1.0, 1e-4),
+        (uniform(p, 0.6, 41), 0.75, 3.0, None),
+        (uniform(p, 0.0, 44), 0.75, 3.0, 1e-4),
+        (uniform(p, 0.2, 42), 1.4, 3.0, 1e-6),
+    ]
+
+
 def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem, monkeypatch):
     # these runs stop inside the first and the second mask draw (their mask
     # rows are dropped from it), and k_max = 150 leaves a short last draw
     p = ten_node_problem
     sol = rm.solve_centralized(p)
-    rows = mid_chunk_rows(p)
-    alone = runs_alone(p, rows, 150, sol)
     draws = record_draws(monkeypatch)
-    traces = _StackedEngine(p, (3.0,), sol).run(rows, 150, record_states=True)
-    assert_each_run_alone(traces, alone)
-    # each draw covers the rounds that keep its hashes within the budget,
-    # 1 to 64 and no further than k_max, and the draws tile the rounds
-    edges = len(p.graph.directed_edges())
-    for k0, rounds, lossy in draws:
-        budget = engine_module._MASK_BYTES // (8 * lossy * edges)
-        assert rounds == min(64, 150 - k0, max(1, budget))
-    chunks = [(k0, k0 + rounds) for k0, rounds, _ in draws]
-    assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
-    assert chunks[-1][1] == 150
-    rounds = [tr.rounds_executed for tr in traces]
-    (a0, b0), (a1, b1) = chunks[:2]
-    assert any(a0 < r < b0 for r in rounds)  # a stop inside the first draw
-    assert any(a1 < r < b1 for r in rounds)  # and inside the second
-    assert max(rounds) == 150
+    for make_rows in (mid_chunk_rows, mixed_settings_rows):
+        rows = make_rows(p)
+        alone = runs_alone(p, rows, 150, sol)
+        draws.clear()
+        traces = _StackedEngine(p, [rho for _, _, rho, _ in rows], sol).run(
+            rows, 150, record_states=True
+        )
+        assert_each_run_alone(traces, alone)
+        # each draw covers the rounds that keep its hashes within the budget,
+        # 1 to 64 and no further than k_max, and the draws tile the rounds
+        edges = len(p.graph.directed_edges())
+        for k0, rounds, lossy in draws:
+            budget = engine_module._MASK_BYTES // (8 * lossy * edges)
+            assert rounds == min(64, 150 - k0, max(1, budget))
+        chunks = [(k0, k0 + rounds) for k0, rounds, _ in draws]
+        assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
+        assert chunks[-1][1] == 150
+        rounds = [tr.rounds_executed for tr in traces]
+        (a0, b0), (a1, b1) = chunks[:2]
+        assert any(a0 < r < b0 for r in rounds)  # a stop inside the first draw
+        assert any(a1 < r < b1 for r in rounds)  # and inside the second
+        assert max(rounds) == 150
+    # in the engine's (rho, run) order, the mixed rows that end inside the
+    # second draw do not end in row order
+    rho_first = {rho: at for at, (_, _, rho, _) in reversed(list(enumerate(rows)))}
+    order = sorted(range(len(rows)), key=lambda r: (rho_first[rows[r][2]], r))
+    inside = [rounds[r] for r in order if a1 < rounds[r] < b1]
+    assert len(inside) >= 3 and inside != sorted(inside)
+    # and some run ends by the |z| bound alone: its x is still within it
+    assert any(
+        tr.diverged and tr.rounds_executed % engine_module._Z_CHECK_EVERY == 0
+        and np.abs(tr.xs[-1]).max() < rm.DIVERGENCE_NORM <= np.abs(tr.z).max()
+        for tr in traces
+    )
 
 
 @pytest.mark.parametrize("which", ["fig1", "random"])
@@ -316,8 +353,11 @@ def test_batch_argument_checks(ten_node_problem, monkeypatch):
         engine.run([(None, 0.75, 3.0, None)], 0)
     with pytest.raises(ValueError, match="rho"):  # a rho the engine was not built for
         engine.run([(None, 0.75, 3.0, None), (None, 0.75, 1.0, None)], 10)
+    # loss-free rows draw nothing: without draw_block, they still run
+    monkeypatch.setattr(engine_module, "draw_block", None)
+    loss_free = [(None, 0.75, 3.0, None), (uniform(p, 0.0, 1), 0.3, 3.0, 1e-4)]
+    assert [tr.rounds_executed for tr in engine.run(loss_free, 10)] == [10, 10]
     # a stop tolerance that is not positive is rejected before any round
-    monkeypatch.setattr(engine_module, "delivery_block", None)
     params = rm.AlgorithmParams(0.75, 3.0)
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="stop_tol"):
@@ -328,7 +368,7 @@ def test_batch_argument_checks(ten_node_problem, monkeypatch):
     # bad row in the last block raises before the first block's first round
     monkeypatch.setattr(engine_module, "_BLOCK_BYTES", 1)
     good = [(uniform(p, 0.2, seed), 0.75, 3.0, None) for seed in (1, 2)]
-    with pytest.raises(TypeError):  # a round would call the missing delivery_block
+    with pytest.raises(TypeError):  # a round would call the missing draw_block
         engine.run(good, 10)
     other = make_instances(1, seed0=4300)[0]
     for bad, match in [

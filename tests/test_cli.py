@@ -628,6 +628,7 @@ def _first_schema(doc):
         ("run", "run", {}, _edited_instance(lambda doc: dict(doc, graph=[3]))),
         ("run", "run", {}, _edited_graph(edges=5)),
         ("run", "run", {}, _edited_graph(edges=[5])),
+        ("run", "run", {}, _edited_graph(edges=[[0, 1], [1, 2], [0, 1]])),
         ("run", "run", {}, _edited_costs(edit_data=lambda d: 5)),
         ("run", "run", {}, _edited_costs(edit_rows=lambda r: r[:2])),
         ("run", "run", {}, _edited_costs(edit_rows=lambda r: r + [0])),
@@ -677,7 +678,8 @@ def _first_schema(doc):
          "misspelt-run-key", "misspelt-graph-key", "unknown-section",
          "instance-array", "instance-nodes-string", "instance-data-strings",
          "instance-costs-list", "instance-costs-number", "instance-graph-list",
-         "instance-edges-number", "instance-edge-number", "instance-data-number",
+         "instance-edges-number", "instance-edge-number", "instance-edge-twice",
+         "instance-data-number",
          "instance-rows-short", "instance-rows-long", "instance-rows-bool",
          "instance-rows-float", "instance-rows-negative", "instance-rows-string",
          "instance-data-bool", "instance-data-huge-int", "instance-data-short",
