@@ -82,12 +82,9 @@ STAGES = """
 import json, sys, time, tracemalloc
 from pathlib import Path
 from radmm.config import load_config
-try:
-    from radmm.engine import _StackedEngine
-except ImportError:  # a tree from before the engine had its own module
-    from radmm.core import _StackedEngine
+from radmm.engine import _StackedEngine
 from radmm.lossy import LossModel, LossSchedule
-from radmm.problem import problem_from_json, solve_centralized
+from radmm.problem import problem_from_json
 
 cfg = load_config(sys.argv[1])
 path = Path(sys.argv[2])
@@ -96,16 +93,12 @@ t = [time.perf_counter()]
 p = problem_from_json(text)
 t.append(time.perf_counter())
 rho = cfg.params.rho[0]
-try:  # the engine solves the problem
-    engine, solution = _StackedEngine(p, (rho,), None), ()
-except TypeError:  # an engine from before that: solve first, hand x* to each batch
-    solution = (solve_centralized(p),)
-    engine = _StackedEngine(p, (rho,))
+engine = _StackedEngine(p, (rho,))  # solves the problem too
 t.append(time.perf_counter())
 loss_p = cfg.loss.p[0]
 schedule = LossSchedule(model=LossModel.uniform(p.graph, loss_p), seed=cfg.loss.seed)
 (trace,) = engine.run([(schedule, cfg.params.alpha[0], rho, cfg.run.resolved_tol(loss_p))],
-                      cfg.run.k_max, *solution)
+                      cfg.run.k_max)
 t.append(time.perf_counter())
 ms = [1e3 * (b - a) for a, b in zip(t, t[1:])]
 tracemalloc.start()  # untimed: tracing slows every allocation

@@ -49,7 +49,6 @@ _EXPORTS = {
         "LossModel",
         "LossSchedule",
         "delivery_array",
-        "delivery_block",
         "sample_mask",
     ),
     "problem": (

@@ -19,10 +19,12 @@ solve against a system factored once; any other cost is a TypeError.
 
 The node-local functions (`local_x_update`, `compute_messages`,
 `sync_round`) state a round; `node_states` reads the engine's stacked x and
-z as node-local states, and `relative_error` scores them with the engine's
-own error sum. `QuadraticLocalSolver` builds each node's system from the
-node's cost alone, not from the problem's shared `local_blocks`, so that it
-stays an independent check of the engine's set-up. `run`, `trace_to_csv`,
+z as node-local states, and `relative_error` scores them against reference
+blocks it builds from their own neighbor sets, sharing with the engine only
+the error sum and the block norms, which must agree bitwise.
+`QuadraticLocalSolver` builds each node's system from the node's cost
+alone, not from the problem's shared `local_blocks`, so that it stays an
+independent check of the engine's set-up. `run`, `trace_to_csv`,
 `AlgorithmParams` and `SingularLocalSystemError` live in `engine` and are
 importable from here too.
 """
@@ -37,12 +39,12 @@ from ._record import Frozen, Record
 from .engine import (
     AlgorithmParams,
     SingularLocalSystemError,
+    _block_norms,
     _error_sum,
-    _reference_blocks,
     run,
     trace_to_csv,
 )
-from .graph import Graph, neighbors
+from .graph import Graph, neighbors, stacked_slots
 from .lossy import DeliveryMask
 from .problem import PartitionProblem, QuadraticLocalCost, Solution
 
@@ -280,20 +282,18 @@ def relative_error(states: list[NodeState], sol: Solution) -> float:
     (ascending), matching the layout of the node's local iterate. Raises on a
     zero-norm reference block, for which the ratio is undefined.
     """
-    orders = tuple(tuple(sorted(st.x_neigh)) for st in states)
-    return float(_error_sum(stack_node_xs(states), *_reference_blocks(sol, orders)))
+    refs = [np.concatenate([sol.x_star[i]] + [sol.x_star[j] for j in sorted(st.x_neigh)])
+            for i, st in enumerate(states)]
+    ref, starts = np.concatenate(refs), np.cumsum([0] + [len(block) for block in refs[:-1]])
+    return float(_error_sum(stack_node_xs(states), ref, starts, _block_norms(ref, starts)))
 
 
 def consensus_residual(g: Graph, n: int, x: np.ndarray) -> float:
     """Largest disagreement between a node's variable and any copy a neighbor
     holds, for x flat in the `reference` layout (variables n wide)."""
-    edges = np.array(g.directed_edges(), dtype=np.intp).reshape(-1, 2)
-    if x.shape != (n * (len(edges) + g.node_count),):
+    slots = stacked_slots(g)
+    if x.shape != (n * len(slots.owner),):
         raise ValueError(f"x is not a flat stacked iterate of this graph at n = {n}")
-    senders, receivers = edges.T
     blocks = x.reshape(-1, n)
-    # directed edge e = (i, j) is e-th in sorted order, so i's copy of j is
-    # block e + i + 1, and j's own variable heads node j's blocks
-    copies = blocks[np.arange(len(edges)) + senders + 1]
-    owns = blocks[np.searchsorted(senders, receivers) + receivers]
+    owns, copies = blocks[slots.self_slot[slots.receiver]], blocks[slots.edge_slot]
     return float(np.linalg.norm(owns - copies, axis=1).max(initial=0.0))

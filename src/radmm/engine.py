@@ -19,10 +19,10 @@ Every run starts from all-zero x and z, is scored every round against the
 centralized optimum, and loses packets on exactly the graph's directed
 edges. Every run of a batch is bitwise equal to the same run alone.
 The engine is built per degree class: its index tables come from the
-directed-edge arrays, and the local systems of all nodes of one degree are
-factored at once from the problem's stacked `local_blocks`, bitwise equal
-to one `core.QuadraticLocalSolver` per node; the centralized solve
-assembles its normal equations from the same blocks.
+layout's slot tables (`graph.stacked_slots`), and the local systems of all
+nodes of one degree are factored at once from the problem's stacked
+`local_blocks`, bitwise equal to one `core.QuadraticLocalSolver` per node;
+the centralized solve assembles its normal equations from the same blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ._record import Frozen, Record
-from .graph import neighbors
+from .graph import stacked_slots
 from .lossy import LossSchedule, draw_block, stack_schedules
 from .problem import PartitionProblem, Solution, solve_centralized
 
@@ -83,14 +83,13 @@ def _error_sum(x: np.ndarray, ref: np.ndarray, starts: np.ndarray, norms: np.nda
     return (np.sqrt(np.add.reduceat(d, starts, axis=-1)) / norms).sum(axis=-1)
 
 
-def _reference_blocks(
-    sol: Solution, orders: tuple[tuple[int, ...], ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ref, starts, norms = sol.stacked_blocks(orders)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"optimum block of node {zero[0]} has zero norm")
-    return ref, starts, norms
+def _block_norms(ref: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each block's norm for `_error_sum`; ValueError on a zero one (ratio undefined)."""
+    norms = np.array([float(np.linalg.norm(block)) for block in np.split(ref, starts[1:])])
+    if not norms.all():
+        raise ValueError(f"optimum block of node {np.flatnonzero(norms == 0)[0]} has zero norm")
+    return norms
+
 
 class RunTrace(Record):
     """Per-round record of one run.
@@ -130,9 +129,9 @@ class _StackedEngine:
     of its z_in_self, which heads the linear term of its x-update. x is flat
     in the `reference` layout too. A batch of runs stacks these buffers as
     rows.
-    The gather tables are built from the directed-edge arrays (sender,
-    reverse edge, rank among the receiver's neighbors), and each degree
-    class is factored in one stacked cholesky and inv per rho.
+    The gather tables and the error reference (x* gathered by slot owner)
+    are built from `graph.stacked_slots`, and each degree class is factored
+    in one stacked cholesky and inv per rho.
 
     Every arithmetic step is the one `sync_round` takes, in the same order:
     the head sums add z_in_self in ascending neighbor order starting from
@@ -151,37 +150,20 @@ class _StackedEngine:
         g, n = p.graph, p.dim
         self.n, self.rhos = n, tuple(dict.fromkeys(map(float, rhos)))
         self.edges = g.directed_edges()
-        self.orders = tuple(tuple(neighbors(g, i)) for i in range(g.node_count))
+        slots = stacked_slots(g)
+        sender, rev, self_slot = slots.sender, slots.rev, slots.self_slot
         # The solve and the factoring below read one computation of the
         # blocks. The Hessian blocks are as large as the inverses, so each
         # class's are freed once factored, before the next class's inverses
         # are made.
         groups = p.local_blocks()
         self.solution = solve_centralized(p, groups) if solution is None else solution
-        self.reference = _reference_blocks(self.solution, self.orders)
+        # the optimum in the x layout: every slot holds its owner's x*
+        ref, starts = np.array(self.solution.x_star)[slots.owner].ravel(), n * self_slot
+        self.reference = ref, starts, _block_norms(ref, starts)
         groups.reverse()  # popped in degree order
         e_count, nodes = len(self.edges), np.arange(g.node_count)
-        degs = [len(order) for order in self.orders]
-        deg = np.array(degs, dtype=np.intp)
-        # Edges are sender-major, so node j's out-edges are contiguous from
-        # out_at[j], in its neighbor order: e = (j, i) is j's rank[e]-th.
-        out_at = np.cumsum(deg) - deg
-        sender = np.repeat(nodes, deg)
-        rank = np.arange(e_count) - out_at[sender]
-        # rev[e] is the reverse edge of e = (j, i), i's out-edge to j. The
-        # senders into i come in ascending order, so the in-edges of i seen
-        # so far give j's rank among i's neighbors. rev over node i's
-        # out-edges therefore lists i's in-edges in its neighbor order.
-        seen = out_at.tolist()
-        rev = []
-        for _, i in self.edges:
-            rev.append(seen[i])
-            seen[i] += 1
-        rev = np.array(rev, dtype=np.intp)
-        # x is a sequence of n-wide slots: node j's x_self in slot
-        # out_at[j] + j, and its x_neigh copy on out-edge e in slot e + j + 1.
-        self_slot = out_at + nodes
-        edge_slot = np.arange(e_count) + sender + 1
+        deg = np.bincount(sender, minlength=g.node_count)
         self.x_size = n * (e_count + g.node_count)
         self.z_shape = (e_count, 2, n)
         self.pad_at = pad = e_count * 2 * n
@@ -194,14 +176,15 @@ class _StackedEngine:
         # (a pad adds +0.0, which leaves such a sum unchanged). numpy reduces
         # a non-innermost axis slab by slab, in order; it sums pairwise only
         # along the innermost axis, which here spans the nodes.
-        terms = np.full((max(degs) + 1, g.node_count), pad, dtype=np.intp)
-        terms[rank + 1, sender] = 2 * n * rev + n
+        terms = np.full((deg.max() + 1, g.node_count), pad, dtype=np.intp)
+        # e = (j, i) is j's rank-th out-edge, and rev[e] its rank-th in-edge
+        terms[np.arange(e_count) - slots.out_at[sender] + 1, sender] = 2 * n * rev + n
         self.head_terms = terms[..., None] + col
         # where each slot's linear term starts: the node's head sum for
         # x_self, z_in_neigh of the in-edge for x_neigh
         slot_linear = np.empty(e_count + g.node_count, dtype=np.intp)
         slot_linear[self_slot] = head + n * nodes
-        slot_linear[edge_slot] = 2 * n * rev
+        slot_linear[slots.edge_slot] = 2 * n * rev
         # The x-update runs in degree-class-major order: the nodes of each
         # degree are contiguous, so one matmul solves a whole class. Each
         # class is also factored at once, from the problem's `local_blocks`
@@ -213,7 +196,7 @@ class _StackedEngine:
         at = 0
         while groups:
             members, hess, _, base = groups.pop()
-            k, d = len(members), degs[members[0]]
+            k, d = len(members), deg[members[0]]
             m = n * (d + 1)
             scale = np.ones(m)
             scale[:n] = d
@@ -240,7 +223,7 @@ class _StackedEngine:
         self.from_class = (n * from_slot[:, None] + col).ravel()
         # message on e = (j, i): [2 rho x_self - z_in_self[i],
         # 2 rho x_neigh[i] - z_in_neigh[i]] of node j, whose z row is edge (i, j)
-        self.message_x = n * np.stack([self_slot[sender], edge_slot], axis=1)[..., None] + col
+        self.message_x = n * np.stack([self_slot[sender], slots.edge_slot], axis=1)[..., None] + col
         self.message_z = 2 * n * rev[:, None, None] + np.array([[n], [0]]) + col
 
     def run(

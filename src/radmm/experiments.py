@@ -131,10 +131,8 @@ def detect_convergence(trace: RunTrace, tol: float) -> int | None:
         raise ValueError(f"tol must be positive, got {tol}")
     if trace.diverged:
         return None
-    for t, below in enumerate((trace.errors < tol).tolist()):
-        if below:
-            return t
-    return None
+    below = np.flatnonzero(trace.errors < tol)  # NaN is never below tol
+    return int(below[0]) if below.size else None
 
 
 class SweepResult(Record):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import chain
+from types import SimpleNamespace
+
 import numpy as np
 
 from ._record import Frozen
@@ -62,6 +65,30 @@ class Graph(Frozen):
         the stacked-vector reference, so its order must stay stable.
         """
         return self._directed
+
+
+def stacked_slots(g: Graph) -> SimpleNamespace:
+    """The index tables of g's stacked x/z layout (stated in `reference`), as
+    intp arrays from its sorted directed edges; the engine, the centralized
+    solve and `consensus_residual` read them. Per directed edge e (in
+    `directed_edges` order, as its z slot pair): sender, receiver, rev (the
+    reverse edge) and edge_slot (the x slot of the sender's copy of the
+    receiver's variable). Per node: out_at (its first out-edge; its out-edges
+    are contiguous, in its neighbor order) and self_slot (the x slot of its
+    own variable, which heads its copies). Per x slot s, which is x[n s :
+    n (s + 1)] for variables n wide: owner (the node whose variable it holds).
+    """
+    nodes, n_nodes = np.arange(g.node_count), g.node_count
+    ends = np.fromiter(chain.from_iterable(g.directed_edges()), dtype=np.intp)
+    sender, receiver = ends.reshape(-1, 2).T.copy()
+    # edges sort by (sender, receiver), so their keys sort too
+    rev = np.searchsorted(sender * n_nodes + receiver, receiver * n_nodes + sender)
+    out_at = np.searchsorted(sender, nodes)
+    self_slot, edge_slot = out_at + nodes, np.arange(len(sender)) + sender + 1
+    owner = np.empty(len(sender) + n_nodes, dtype=np.intp)
+    owner[self_slot], owner[edge_slot] = nodes, receiver
+    return SimpleNamespace(sender=sender, receiver=receiver, rev=rev, out_at=out_at,
+                           self_slot=self_slot, edge_slot=edge_slot, owner=owner)
 
 
 def neighbors(g: Graph, i: int) -> list[int]:

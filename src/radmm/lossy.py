@@ -168,15 +168,6 @@ def draw_block(bases: np.ndarray, thresholds: np.ndarray, k0: int, rounds: int) 
     return _delivered(bases[:, None], offsets[:, None], thresholds[:, None])
 
 
-def delivery_block(schedules: Sequence[LossSchedule], k0: int, rounds: int) -> np.ndarray:
-    """Rounds k0 .. k0 + rounds - 1 of every schedule, as bool (schedules, rounds, E).
-
-    Entry [s, j] is `delivery_array(schedules[s], k0 + j)`, drawn for the
-    whole block at once. All schedules must have the same number E of edges.
-    """
-    return draw_block(*stack_schedules(schedules), k0, rounds)
-
-
 def delivery_array(schedule: LossSchedule, k: int) -> np.ndarray:
     """Round k's delivery outcomes as a bool array in `schedule.edges` order.
 

@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from ._record import Frozen, Record
-from .graph import Graph, neighbors
+from .graph import Graph, neighbors, stacked_slots
 
 SYMMETRY_TOL = 1e-12
 # draws `generate_instance` makes before giving up on a positive-definite Hessian
@@ -178,13 +178,11 @@ def _merged(parts: list[tuple]) -> tuple:
 class Solution(Record):
     """Per-node optimizer blocks; `global_cost(p, x_star)` is the optimal value.
 
-    Two solutions are equal when their blocks are; the cache of
-    `stacked_blocks` does not count.
+    Two solutions are equal when their blocks are.
     """
 
     def __init__(self, x_star: list[np.ndarray]):
         self.x_star = x_star
-        self._blocks = {}
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -192,25 +190,6 @@ class Solution(Record):
         return len(self.x_star) == len(other.x_star) and all(
             map(np.array_equal, self.x_star, other.x_star)
         )
-
-    def stacked_blocks(
-        self, orders: tuple[tuple[int, ...], ...]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every node's block [x_i*; x_j* for j in orders[i]] concatenated, the
-        start offset of each block, and the block norms; cached per orders."""
-        cached = self._blocks.get(orders)
-        if cached is None:
-            refs = [
-                np.concatenate([self.x_star[i]] + [self.x_star[j] for j in order])
-                for i, order in enumerate(orders)
-            ]
-            cached = (
-                np.concatenate(refs),
-                np.cumsum([0] + [len(ref) for ref in refs[:-1]]),
-                np.array([float(np.linalg.norm(ref)) for ref in refs]),
-            )
-            self._blocks[orders] = cached
-        return cached
 
 
 def evaluate_local(
@@ -255,11 +234,13 @@ def assemble_normal_equations(
     size = N * n
     H, g = np.zeros((size, size)), np.zeros(size)
     col = np.arange(n)
+    layout = stacked_slots(p.graph)
     # per node, as views of its group's stacks: the flat indices in H of its
     # Hessian block, that block, its slots in x and its linear block
     at, hess, slots, lin = [None] * N, [None] * N, [None] * N, [None] * N
     for nodes, group_hess, group_lin, _ in p.local_blocks() if blocks is None else blocks:
-        table = np.array([[i, *neighbors(p.graph, i)] for i in nodes])
+        # each node's variables are the owners of its x slots
+        table = layout.owner[layout.self_slot[nodes][:, None] + np.arange(group_lin.shape[1] // n)]
         group_slots = (n * table[..., None] + col).reshape(len(nodes), -1)
         group_at = (size * group_slots)[:, :, None] + group_slots[:, None, :]
         for i, *views in zip(nodes, group_at, group_hess, group_slots, group_lin):

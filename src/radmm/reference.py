@@ -22,7 +22,8 @@ reads as node-local states: x is the node blocks [x_self; x_neigh[j] for j
 ascending] in node order. y, w and z hold one 2n-wide slot pair per directed
 edge (i, j), in `Graph.directed_edges()` order: the block for i's variable,
 then the block for j's. Receiver j holds them as z_in_neigh[i] and
-z_in_self[i].
+z_in_self[i]. Their index tables are `graph.stacked_slots`; this module
+reads the layout on its own, so that it stays an independent check.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 import radmm as rm
+from radmm.graph import stacked_slots
 from conftest import (
     central_fd_gradient,
     local_objective,
@@ -383,9 +384,46 @@ def test_consensus_residual_of_flat_x_is_the_node_local_definition(ten_node_prob
             for i, j in g.directed_edges()
         )
         assert rm.consensus_residual(g, n, x) == pytest.approx(expected, rel=1e-12, abs=0)
-    # the optimum's blocks, each node's copies equal to their owners' variables
-    orders = tuple(tuple(rm.neighbors(g, i)) for i in range(g.node_count))
-    consensus = rm.solve_centralized(p).stacked_blocks(orders)[0]
+    # the optimum in the x layout, node by node: x_i* and each neighbor's x_j*
+    x_star = rm.solve_centralized(p).x_star
+    blocks = [[x_star[i]] + [x_star[j] for j in rm.neighbors(g, i)] for i in range(g.node_count)]
+    consensus = np.concatenate([x for block in blocks for x in block])
     assert rm.consensus_residual(g, n, consensus) == 0.0
     with pytest.raises(ValueError):
         rm.consensus_residual(g, n, x[:-1])
+
+
+def test_stacked_slots_are_the_node_local_layout():
+    # random instances, an edgeless graph, and nodes 2 and 4 isolated
+    graphs = [p.graph for p in make_instances(7)] + [
+        rm.Graph(node_count=3, edges=frozenset()),
+        rm.Graph(node_count=6, edges=frozenset({(0, 1), (1, 3), (0, 3), (3, 5)})),
+    ]
+    rng = np.random.default_rng(29)
+    for g in graphs:
+        n, edges = 2, g.directed_edges()
+        slots = stacked_slots(g)
+        for name in ("sender", "receiver", "rev", "out_at", "self_slot", "edge_slot", "owner"):
+            assert getattr(slots, name).dtype == np.intp, name
+        x = rng.standard_normal(n * (len(edges) + g.node_count))
+        z = rng.standard_normal(2 * n * len(edges))
+        states = rm.node_states(g, n, x, z)
+        blocks, pairs = x.reshape(-1, n), z.reshape(-1, 2, n)
+        for j in range(g.node_count):
+            assert np.array_equal(states[j].x_self, blocks[slots.self_slot[j]])
+            assert slots.out_at[j] == sum(g.degree(k) for k in range(j))
+        for e, (j, i) in enumerate(edges):
+            assert (slots.sender[e], slots.receiver[e]) == (j, i)
+            assert e - slots.out_at[j] == rm.neighbors(g, j).index(i)
+            assert np.array_equal(states[j].x_neigh[i], blocks[slots.edge_slot[e]])
+            # j holds the pair of the reverse edge (i, j)
+            assert edges[slots.rev[e]] == (i, j)
+            assert np.array_equal(states[j].z_in_self[i], pairs[slots.rev[e], 1])
+        assert np.array_equal(slots.rev[slots.rev], np.arange(len(edges)))
+        assert np.array_equal(slots.sender[slots.rev], slots.receiver)
+        assert np.array_equal(slots.receiver[slots.rev], slots.sender)
+        # every slot holds its owner's variable
+        owned = rm.node_states(g, n, np.repeat(slots.owner, n).astype(float), z)
+        for j, st in enumerate(owned):
+            assert (st.x_self == j).all()
+            assert all((copy == i).all() for i, copy in st.x_neigh.items())

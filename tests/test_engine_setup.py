@@ -1,10 +1,11 @@
 """The stacked engine's set-up against a node-by-node, edge-by-edge build.
 
-`_StackedEngine` builds its index tables from edge arrays and factors each
-degree class in one stacked call per rho. `loop_tables` below builds the same
-tables one node and one edge at a time from `QuadraticLocalSolver`s, the
-plain reference; every table and every rho's inverses must match it byte for
-byte.
+`_StackedEngine` builds its index tables and its error reference from the
+layout's slot tables (`graph.stacked_slots`) and factors each degree class
+in one stacked call per rho. `loop_tables` below builds the same tables one
+node and one edge at a time from `QuadraticLocalSolver`s, the plain
+reference; every table and every rho's inverses must match it byte for
+byte, and the error reference the spec's per-node blocks.
 """
 
 import numpy as np
@@ -107,6 +108,15 @@ def assert_engine_matches_loop(p, rhos=RHOS):
         assert (span, shape) == (span_ref, shape_ref)
     for name in ("x_size", "z_shape", "pad_at", "head_at"):
         assert getattr(engine, name) == want[name], name
+    # the error reference: the spec's per-node blocks [x_i*; x_j* for j
+    # ascending], their starts and their norms
+    x_star, g = engine.solution.x_star, p.graph
+    blocks = [np.concatenate([x_star[i]] + [x_star[j] for j in rm.neighbors(g, i)])
+              for i in range(g.node_count)]
+    ref, starts, norms = engine.reference
+    assert_same_array(ref, np.concatenate(blocks), "reference")
+    assert_same_array(starts, np.cumsum([0] + [b.size for b in blocks[:-1]]), "reference starts")
+    assert_same_array(norms, np.array([np.linalg.norm(b) for b in blocks]), "reference norms")
 
 
 def quadratic_cost(rng, n, rows, nbrs, a_self=None):

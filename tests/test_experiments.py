@@ -74,6 +74,10 @@ def test_detect_convergence_first_crossing():
     errors = np.array([1.0, 1e-7, 1.0, 1e-7, 1e-7, 1e-7])
     tr = rm.RunTrace(errors=errors, diverged=False)
     assert rm.detect_convergence(tr, tol=1e-6) == 1
+    # NaN is never below tol; the round is a Python int
+    tr = rm.RunTrace(errors=np.array([np.nan, 1.0, 1e-7, np.nan]), diverged=False)
+    at = rm.detect_convergence(tr, tol=1e-6)
+    assert at == 2 and type(at) is int
 
 
 def test_detect_convergence_rejects_bad_args():

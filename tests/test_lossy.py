@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import radmm as rm
 from radmm.experiments import _sub_seed
-from radmm.lossy import splitmix64
+from radmm.lossy import draw_block, splitmix64, stack_schedules
 
 
 def small_graph():
@@ -208,7 +208,7 @@ def test_delivery_array_rejects_negative_round():
         rm.delivery_array(sched, -1)
 
 
-# --- delivery_block: chunks of rounds, the contract's bounds -------------------
+# --- draw_block: chunks of rounds, the contract's bounds ----------------------
 
 
 def test_single_rounds_in_random_order_equal_the_block():
@@ -222,7 +222,7 @@ def test_single_rounds_in_random_order_equal_the_block():
         rm.LossSchedule(model=rm.LossModel.uniform(g, 1.0), seed=9),
     ]
     for k0, rounds in ((0, 64), (3 * 64 + 5, 37), (10**12, 1)):
-        block = rm.delivery_block(schedules, k0, rounds)
+        block = draw_block(*stack_schedules(schedules), k0, rounds)
         assert block.shape == (len(schedules), rounds, len(g.directed_edges()))
         for s in rng.permutation(len(schedules)).tolist():
             for j in rng.permutation(rounds).tolist():
@@ -236,7 +236,7 @@ def test_masks_of_consecutive_derived_seeds_are_uncorrelated():
     g = small_graph()
     model = rm.LossModel.uniform(g, 0.3)
     schedules = [rm.LossSchedule(model=model, seed=_sub_seed(23, r)) for r in range(5)]
-    losses = ~rm.delivery_block(schedules, 0, 4000).reshape(len(schedules), -1)
+    losses = ~draw_block(*stack_schedules(schedules), 0, 4000).reshape(len(schedules), -1)
     for r in range(len(schedules) - 1):
         corr = np.corrcoef(losses[r].astype(float), losses[r + 1].astype(float))[0, 1]
         assert abs(corr) < 0.05
@@ -248,7 +248,7 @@ def test_no_overflow_warning_at_the_largest_seed_and_round():
     last = 2**64 // len(sched.edges) - 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block = rm.delivery_block([sched], last - 63, 64)
+        block = draw_block(*stack_schedules([sched]), last - 63, 64)
         single = rm.delivery_array(sched, last)
     assert single.tobytes() == block[0, -1].tobytes() == fresh_draw(sched, last).tobytes()
 
@@ -261,9 +261,9 @@ def test_rounds_and_seeds_outside_the_contract_are_rejected():
     with pytest.raises(ValueError):
         rm.delivery_array(sched, past)
     with pytest.raises(ValueError):
-        rm.delivery_block([sched], past - 10, 11)
+        draw_block(*stack_schedules([sched]), past - 10, 11)
     with pytest.raises(ValueError):
-        rm.delivery_block([sched], -1, 2)
+        draw_block(*stack_schedules([sched]), -1, 2)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             rm.LossSchedule(model=rm.LossModel.uniform(g, 0.5), seed=seed)

@@ -338,13 +338,14 @@ def test_generate_instance_rejects_conditioning_below_one_or_nan(conditioning):
         rm.generate_instance(g, n=2, r_rows=3, seed=5, conditioning=conditioning)
 
 
-def test_solution_with_filled_cache_equals_fresh_copy(ten_node_problem, ten_node_solution):
-    sol = ten_node_solution
-    fresh = rm.Solution(x_star=sol.x_star)
-    g = ten_node_problem.graph
-    orders = tuple(tuple(rm.neighbors(g, i)) for i in range(g.node_count))
-    sol.stacked_blocks(orders)
-    assert sol == fresh
+def test_solutions_are_equal_by_value(ten_node_solution):
+    x_star = ten_node_solution.x_star
+    assert ten_node_solution == rm.Solution(x_star=[x.copy() for x in x_star])
+    moved = [x.copy() for x in x_star]
+    moved[3][1] = np.nextafter(moved[3][1], np.inf)
+    assert ten_node_solution != rm.Solution(x_star=moved)
+    assert ten_node_solution != rm.Solution(x_star=x_star[:-1])
+    assert ten_node_solution != x_star
 
 
 def block_loop_normal_equations(p):
