@@ -2,8 +2,10 @@
 """Run the four bundled figure presets and drop their CSVs under out/figures/.
 
 fig1/fig3/fig4 are Monte Carlo error traces (vs loss probability, step size,
-and penalty respectively); fig2 is the stability-boundary sweep. The full
-presets take a few seconds on one core.
+and penalty respectively); fig2 is the stability-boundary sweep. Each preset
+runs as `python -m radmm.cli`, the process entry a user's `radmm` command
+takes, in a fresh interpreter that imports this radmm. The full presets take
+a few seconds on one core.
 
 Each regeneration also writes out/figures/MANIFEST.json: the radmm version,
 the loss-mask contract version (`radmm.MASK_CONTRACT`), and per preset its
@@ -15,23 +17,29 @@ exits 1 unless that output and the committed CSVs both match the manifest.
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 import radmm
-from radmm.cli import main as radmm_main
 
 FIGDIR = Path(__file__).resolve().parent.parent / "out" / "figures"
 MANIFEST = FIGDIR / "MANIFEST.json"
 PRESETS = [("fig1", "run"), ("fig2", "sweep"), ("fig3", "run"), ("fig4", "run")]
+# the preset commands import the radmm this script imported
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(radmm.__file__).resolve().parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+))
 
 
 def run_preset(name: str, command: str, out: Path) -> int:
     t0 = time.perf_counter()
-    rc = radmm_main([command, "--preset", name, "--out", str(out)])
-    print(f"{name}: exit {rc} in {time.perf_counter() - t0:.1f}s")
+    argv = [sys.executable, "-m", "radmm.cli", command, "--preset", name, "--out", str(out)]
+    rc = subprocess.run(argv, env=ENV).returncode
+    print(f"{name}: exit {rc} in {time.perf_counter() - t0:.1f}s", flush=True)
     return rc
 
 

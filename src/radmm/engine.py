@@ -34,7 +34,7 @@ import numpy as np
 from ._record import Frozen, Record
 from .graph import stacked_slots
 from .lossy import LossSchedule, draw_block, stack_schedules
-from .problem import PartitionProblem, Solution, solve_centralized
+from .problem import PartitionProblem, Solution, positive_definite, solve_centralized
 
 DIVERGENCE_NORM = 1e8
 _Z_CHECK_EVERY = 64
@@ -55,14 +55,16 @@ class SingularLocalSystemError(ValueError):
 class AlgorithmParams(Frozen):
     """Step size and penalty of the relaxed scheme.
 
-    rho must be positive. alpha in (0, 1) is the provably convergent region;
-    values outside it are accepted (stability sweeps probe them) and are
-    reported by `guaranteed_convergent`.
+    Both must be finite, and rho positive. alpha in (0, 1) is the provably
+    convergent region; values outside it are accepted (stability sweeps
+    probe them) and are reported by `guaranteed_convergent`.
     """
 
     def __init__(self, alpha: float, rho: float):
-        if not rho > 0:
-            raise ValueError(f"rho must be positive, got {rho}")
+        if not np.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha}")
+        if not 0 < rho < np.inf:
+            raise ValueError(f"rho must be positive and finite, got {rho}")
         self.__dict__.update(alpha=alpha, rho=rho)
 
     @property
@@ -131,7 +133,7 @@ class _StackedEngine:
     rows.
     The gather tables and the error reference (x* gathered by slot owner)
     are built from `graph.stacked_slots`, and each degree class is factored
-    in one stacked cholesky and inv per rho.
+    in one stacked `positive_definite` check and inv for all rhos.
 
     Every arithmetic step is the one `sync_round` takes, in the same order:
     the head sums add z_in_self in ascending neighbor order starting from
@@ -200,21 +202,17 @@ class _StackedEngine:
             m = n * (d + 1)
             scale = np.ones(m)
             scale[:n] = d
-            invs = []
-            for rho in self.rhos:
-                system = hess + rho * np.diag(scale)
-                try:
-                    np.linalg.cholesky(system)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularLocalSystemError(
-                        "local subproblem is singular (isolated node with rank-deficient cost?)"
-                    ) from exc
-                invs.append(np.linalg.inv(system))
-            self.classes.append((invs, slice(at, at + k * m), (k, m, 1)))
+            # (rhos, k, m, m): the class's systems at every rho
+            systems = hess + np.multiply.outer(self.rhos, np.diag(scale))[:, None]
+            if not positive_definite(systems):
+                raise SingularLocalSystemError(
+                    "local subproblem is singular (isolated node with rank-deficient cost?)"
+                )
+            self.classes.append((list(np.linalg.inv(systems)), slice(at, at + k * m), (k, m, 1)))
             bases.append(base)
             class_slots.append((self_slot[members][:, None] + np.arange(d + 1)).ravel())
             at += k * m
-            del hess
+            del hess, systems
         self.base = np.concatenate(bases, axis=None)
         class_slots = np.concatenate(class_slots)
         self.linear = (slot_linear[class_slots, None] + col).ravel()

@@ -33,17 +33,23 @@ class IndefiniteHessianError(ValueError):
     """The assembled global Hessian is not positive definite."""
 
 
+def positive_definite(a: np.ndarray) -> bool:
+    """Whether each matrix of a (..., m, m) has a finite Cholesky factor."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(a)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def check_weights(q: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the stack q (k, r, r) is
     symmetric within SYMMETRY_TOL and positive definite; the message names
     the first matrix that fails, symmetry checked first."""
-    if not q.size:
-        return
-    asym = np.abs(q - q.swapaxes(1, 2)).max(axis=(1, 2))
+    asym = np.abs(q - q.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(asym > SYMMETRY_TOL)
     if bad.size:
         raise ValueError(f"q must be symmetric within {SYMMETRY_TOL}, asymmetry {asym[bad[0]]}")
-    if np.linalg.eigvalsh(q).min() <= 0:
+    if not positive_definite(q):
         raise ValueError("q must be positive definite")
 
 
@@ -94,9 +100,11 @@ class PartitionProblem(Frozen):
 
     Read-only, and the one place a problem is checked, however it was built:
     one QuadraticLocalCost per node (TypeError otherwise), of dimension dim,
-    keyed by the node's neighbors, and the q of each cost height checked in
-    one stacked `check_weights` call. `costs` is a tuple and every cost
-    array is marked read-only, so the checked data cannot change later.
+    keyed by the node's neighbors, with finite entries only (else a
+    ValueError that names the first node with another), and the q of each
+    cost height checked in one stacked `check_weights` call. `costs` is a
+    tuple, and once every check has passed every cost array is marked
+    read-only, so the checked data cannot change later.
     """
 
     def __init__(self, graph: Graph, costs: Sequence[QuadraticLocalCost], dim: int):
@@ -104,6 +112,7 @@ class PartitionProblem(Frozen):
         if len(costs) != graph.node_count:
             raise ValueError("one cost per node required")
         heights: dict[int, list[np.ndarray]] = {}  # in order of first appearance
+        arrays = []  # every cost array, marked read-only once every check passed
         for i, cost in enumerate(costs):
             if not isinstance(cost, QuadraticLocalCost):
                 raise TypeError(f"costs must be QuadraticLocalCost, node {i} has "
@@ -115,11 +124,15 @@ class PartitionProblem(Frozen):
                     f"cost {i} neighbor keys {sorted(cost.a_neigh)} do not match "
                     f"graph neighbors {neighbors(graph, i)}"
                 )
+            own = (cost.a_self, *cost.a_neigh.values(), cost.b, cost.q)
+            if not np.isfinite(np.concatenate(own, axis=None)).all():  # one test a node
+                raise ValueError(f"cost {i} holds a non-finite entry")
             heights.setdefault(cost.rows, []).append(cost.q)
-            for a in (cost.a_self, *cost.a_neigh.values(), cost.b, cost.q):
-                a.setflags(write=False)
+            arrays += own
         for qs in heights.values():
             check_weights(np.array(qs))
+        for a in arrays:
+            a.setflags(write=False)
         self.__dict__.update(graph=graph, costs=costs, dim=dim)
 
     def local_blocks(self) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
@@ -259,26 +272,19 @@ def assemble_normal_equations(
 
 
 def solve_centralized(p: PartitionProblem, blocks: list[tuple] | None = None) -> Solution:
-    """Exact minimizer of the global cost: one dense solve of H u = g, with
+    """Exact minimizer of the global cost: one dense LU solve of H u = g, with
     H and g assembled from blocks, `p.local_blocks()` unless given.
 
-    A Cholesky factorization checks first that the Hessian is positive
-    definite and raises IndefiniteHessianError when it is not (the optimizer
-    would not be unique); there is no pseudo-inverse fallback. numpy has no
-    triangular solve, so the factor itself is not reused: one LU solve of H
-    costs half of two on the factors.
+    Raises IndefiniteHessianError unless H is `positive_definite` (the
+    optimizer would not be unique); there is no pseudo-inverse fallback.
+    numpy has no triangular solve to reuse the Cholesky factor with.
     """
     H, g = assemble_normal_equations(p, blocks)
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
+    if not positive_definite(H):
         raise IndefiniteHessianError(
             "global Hessian is singular or indefinite; the optimizer is not unique"
-        ) from exc
-    u = np.linalg.solve(H, g)
-    n = p.dim
-    blocks = [u[i * n : (i + 1) * n].copy() for i in range(p.graph.node_count)]
-    return Solution(x_star=blocks)
+        )
+    return Solution(x_star=list(np.linalg.solve(H, g).reshape(-1, p.dim)))
 
 
 def _matrix_with_singular_values(
@@ -299,13 +305,16 @@ def generate_instance(
     seed: int,
     conditioning: float = 10.0,
 ) -> PartitionProblem:
-    """Random quadratic instance on graph g, resampled until the Hessian is PD.
+    """Random quadratic instance on graph g, resampled until the Hessian H is PD.
 
     Per node: a_self has singular values in [1, conditioning], coupling blocks
     are scaled Gaussians, b is Gaussian, and q = M'M + I. Attempt t draws from
-    the sub-seed (seed, t), so results are reproducible. Raises
-    IndefiniteHessianError when no attempt within the resample budget is PD
-    (a graph and dimension that admit no unique optimizer).
+    the sub-seed (seed, t), so results are reproducible, and is accepted when
+    H - tau I is `positive_definite`, tau = 1e-9 max(1, H's largest absolute
+    row sum). That sum bounds lambda_max(H) (Gershgorin), so the test is as
+    strict as lambda_min(H) > 1e-9 max(1, lambda_max(H)) or stricter. Raises
+    IndefiniteHessianError when no attempt within the resample budget is
+    accepted (a graph and dimension that admit no unique optimizer).
     """
     if n < 1 or r_rows < 1:
         raise ValueError("n and r_rows must be positive")
@@ -328,8 +337,8 @@ def generate_instance(
             costs.append(QuadraticLocalCost(a_self=a_self, a_neigh=a_neigh, b=b, q=q))
         problem = PartitionProblem(graph=g, costs=costs, dim=n)
         H, _ = assemble_normal_equations(problem)
-        eigs = np.linalg.eigvalsh(H)
-        if eigs[0] > 1e-9 * max(1.0, eigs[-1]):
+        H.reshape(-1)[:: len(H) + 1] -= 1e-9 * max(1.0, np.abs(H).sum(axis=1).max())
+        if positive_definite(H):  # H is shifted in place: nothing reads it after
             return problem
     raise IndefiniteHessianError(
         f"no positive-definite instance within {_MAX_RESAMPLES} resamples "

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -30,6 +32,14 @@ def test_params_reject_nonpositive_rho():
         rm.AlgorithmParams(alpha=0.5, rho=0.0)
     with pytest.raises(ValueError):
         rm.AlgorithmParams(alpha=0.5, rho=-1.0)
+
+
+@pytest.mark.parametrize("alpha, rho", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                        (0.5, math.inf), (0.5, math.nan)])
+def test_params_reject_non_finite_alpha_or_rho(alpha, rho):
+    # a NaN alpha used to run and "diverge" at round 2; rho = inf reached the engine
+    with pytest.raises(ValueError, match="must be (positive and )?finite"):
+        rm.AlgorithmParams(alpha=alpha, rho=rho)
 
 
 def test_params_flag_guaranteed_region():

@@ -183,8 +183,9 @@ def test_setup_rejects_singular_isolated_node():
     with pytest.raises(rm.IndefiniteHessianError):
         rm.run(p, rm.AlgorithmParams(0.75, RHOS[0]), None, 5)
     solution = rm.Solution(x_star=[np.ones(2)] * 3)
-    with pytest.raises(rm.SingularLocalSystemError):
-        _StackedEngine(p, RHOS, solution)
+    for rhos in (RHOS, (3.0, 0.5)):  # one check covers a class's systems at every rho
+        with pytest.raises(rm.SingularLocalSystemError):
+            _StackedEngine(p, rhos, solution)
 
 
 def test_setup_rejects_non_quadratic_cost():

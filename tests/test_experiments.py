@@ -182,6 +182,11 @@ def test_sweep_rejects_empty_or_invalid_grids(ten_node_problem):
         rm.stability_sweep(ten_node_problem, [0.0], [0.5], [0.0], 1, 10, 0)
     with pytest.raises(ValueError, match="jobs"):
         rm.stability_sweep(ten_node_problem, [3.0], [0.5], [0.0], 1, 10, 0, jobs=0)
+    # every (alpha, rho) is checked as AlgorithmParams checks it: a NaN alpha
+    # used to run and report "diverged", and rho = inf reached the engine
+    for rho, alpha in ((math.inf, 0.5), (math.nan, 0.5), (3.0, math.nan), (3.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            rm.stability_sweep(ten_node_problem, [rho], [alpha], [0.0], 1, 10, 0)
     # cells are keyed by value, so a repeat would report another cell's result
     for grids in (
         [[3.0, 3.0], [0.5], [0.0]],

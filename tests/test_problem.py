@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radmm as rm
-from radmm.problem import assemble_normal_equations, check_weights
+from radmm.problem import assemble_normal_equations, check_weights, positive_definite
 from conftest import central_fd_gradient, make_instances
 
 
@@ -207,6 +207,14 @@ def test_solve_centralized_rejects_singular_hessian():
     g = rm.Graph(node_count=1, edges=frozenset())
     with pytest.raises(rm.IndefiniteHessianError):
         rm.solve_centralized(rm.PartitionProblem(graph=g, costs=[cost], dim=2))
+
+
+def test_solve_centralized_rejects_an_indefinite_hessian(monkeypatch):
+    # a problem's H is semidefinite by construction, so an indefinite one is handed in
+    monkeypatch.setattr(rm.problem, "assemble_normal_equations",
+                        lambda p, blocks=None: (np.diag([1.0, -1.0]), np.zeros(2)))
+    with pytest.raises(rm.IndefiniteHessianError):
+        rm.solve_centralized(single_node_problem([0.0, 0.0]))
 
 
 def test_global_cost_matches_per_node_sum(path3_problem):
@@ -546,3 +554,111 @@ def test_check_weights_names_the_first_failing_matrix():
     assert str(info.value) == per_node_error(asym)
     check_weights(np.stack([good, 2 * good]))
     check_weights(np.zeros((3, 0, 0)))
+
+
+def test_positive_definite_is_one_cholesky_attempt():
+    rng = np.random.default_rng(61)
+    m = rng.standard_normal((4, 4))
+    spd = m @ m.T + np.eye(4)
+    assert positive_definite(spd)
+    assert positive_definite(np.stack([spd, 2 * spd]))
+    assert positive_definite(np.zeros((3, 0, 0)))
+    assert not positive_definite(np.diag([1.0, 0.0]))  # singular
+    assert not positive_definite(np.diag([1.0, -1.0]))  # indefinite
+    assert not positive_definite(np.stack([spd, -spd]))  # one bad matrix of a stack
+    # numpy's cholesky returns a NaN factor for these without raising
+    for bad in (np.nan, np.inf):
+        assert not positive_definite(np.diag([bad, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("array", ["a_self", "a_neigh", "b", "q"])
+def test_problem_rejects_a_non_finite_entry_and_names_its_node(array, bad):
+    g = rm.Graph(node_count=3, edges=frozenset({(0, 1), (1, 2)}))
+    costs = list(rm.generate_instance(g, n=2, r_rows=3, seed=5).costs)
+    c = costs[1]
+    data = {"a_self": c.a_self.copy(), "a_neigh": {j: a.copy() for j, a in c.a_neigh.items()},
+            "b": c.b.copy(), "q": c.q.copy()}
+    target = data[array][2] if array == "a_neigh" else data[array]
+    target[(0,) * target.ndim] = bad
+    if array == "q":  # keep q symmetric: the finiteness check names the fault
+        target[-1, -1] = bad
+        data["q"] = np.diag(np.diag(target))
+    costs[1] = rm.QuadraticLocalCost(**data)
+    with pytest.raises(ValueError, match="^cost 1 holds a non-finite entry$"):
+        rm.PartitionProblem(graph=g, costs=costs, dim=2)
+
+
+def test_one_node_problem_with_a_nan_target_is_rejected_not_solved():
+    # it used to solve to x* = [nan, nan] and report a run that diverged at round 1
+    with pytest.raises(ValueError, match="cost 0 holds a non-finite entry"):
+        single_node_problem([math.nan, 1.0])
+
+
+def test_check_weights_rejects_a_non_finite_weight():
+    # NaN passes the symmetry test, and eigvalsh(...).min() <= 0 was False on it
+    with pytest.raises(ValueError, match="positive definite"):
+        check_weights(np.array([[[math.nan, 0.0], [0.0, 1.0]]]))
+
+
+@pytest.fixture
+def picks(monkeypatch):
+    """Patches `rm.generate_instance`: each call returns its instance, or None
+    where it raised IndefiniteHessianError, and appends to the returned list
+    (the attempt it accepted or None, the first attempt among the Hessians
+    it tried that the former test accepts, or None). The former test is
+    lambda_min(H) > 1e-9 max(1, lambda_max(H)) by `eigvalsh`."""
+    tried, out = [], []
+    assemble, generate = rm.problem.assemble_normal_equations, rm.generate_instance
+
+    def spy(p, blocks=None):
+        H, g = assemble(p, blocks)
+        tried.append(H.copy())  # generate_instance shifts its H in place
+        return H, g
+
+    def checked(*args, **kw):
+        tried.clear()
+        try:
+            problem, pick = generate(*args, **kw), len(tried) - 1
+        except rm.IndefiniteHessianError:
+            problem, pick = None, None
+        eigs = [np.linalg.eigvalsh(H) for H in tried]
+        old = next((t for t, e in enumerate(eigs) if e[0] > 1e-9 * max(1.0, e[-1])), None)
+        out.append((pick, old))
+        return problem
+
+    monkeypatch.setattr(rm.problem, "assemble_normal_equations", spy)
+    monkeypatch.setattr(rm, "generate_instance", checked)
+    return out
+
+
+def test_generate_instance_accepts_the_attempt_the_eigenvalue_test_accepts(picks):
+    # the fig1 preset's instance, and the large_graph benchmark's
+    for nodes, radius in ((10, 0.35), (100, 0.2)):
+        rm.generate_instance(rm.generate_connected_rgg(nodes, radius, seed=7), 2, 3, 11)
+    # every instance make_instances draws for the suite
+    for count, seed0, dim in ((10, 1000, 2), (7, 1000, 1), (7, 1000, 3), (10, 4000, 2),
+                              (7, 4300, 1), (7, 4300, 3)):
+        make_instances(count, seed0=seed0, dim=dim)
+    assert picks == [(0, 0)] * len(picks)
+
+
+def test_generate_instance_resamples_as_the_eigenvalue_test_did(picks, monkeypatch):
+    # Small graphs, isolated nodes and all. With fewer rows than dim, H's
+    # rank is below its size, so every attempt is resampled and the call
+    # raises; with rows >= dim the first attempt is accepted. A budget of 4
+    # attempts leaves time for more configurations.
+    monkeypatch.setattr(rm.problem, "_MAX_RESAMPLES", 4)
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        nodes, dim = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        rows = int(rng.integers(1, dim + 2))
+        rm.generate_instance(rm.generate_rgg(nodes, 0.4, seed), dim, rows, seed)
+    assert all(pick == old for pick, old in picks)
+    assert {pick for pick, _ in picks} == {None, 0}
+
+
+def test_generate_instance_raises_when_every_attempt_is_singular():
+    g = rm.Graph(node_count=2, edges=frozenset())
+    with pytest.raises(rm.IndefiniteHessianError, match="no positive-definite instance"):
+        rm.generate_instance(g, n=2, r_rows=1, seed=3)
