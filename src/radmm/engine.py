@@ -18,11 +18,11 @@ masks are drawn a budgeted number of rounds at a time.
 Every run starts from all-zero x and z, is scored every round against the
 centralized optimum, and loses packets on exactly the graph's directed
 edges. Every run of a batch is bitwise equal to the same run alone.
-The engine is built per degree class: its index tables come from the
-layout's slot tables (`graph.stacked_slots`), and the local systems of all
-nodes of one degree are factored at once from the problem's stacked
-`local_blocks`, bitwise equal to one `core.QuadraticLocalSolver` per node;
-the centralized solve assembles its normal equations from the same blocks.
+The engine is built per class, one per group of the problem's stacked
+`local_blocks` (one degree and cost height): its index tables come from
+`graph.stacked_slots`, and a class's local systems are factored at once,
+bitwise equal to one `core.QuadraticLocalSolver` per node; the centralized
+solve assembles its normal equations from the same blocks.
 """
 
 from __future__ import annotations
@@ -52,19 +52,28 @@ class SingularLocalSystemError(ValueError):
     """
 
 
+def _check_alpha(alpha: float) -> None:
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
+def _check_rho(rho: float) -> None:
+    if not 0 < rho < np.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+
+
 class AlgorithmParams(Frozen):
     """Step size and penalty of the relaxed scheme.
 
-    Both must be finite, and rho positive. alpha in (0, 1) is the provably
-    convergent region; values outside it are accepted (stability sweeps
-    probe them) and are reported by `guaranteed_convergent`.
+    Both must be finite, and rho positive; the engine applies the same
+    rules. alpha in (0, 1) is the provably convergent region; values
+    outside it are accepted (stability sweeps probe them) and are reported
+    by `guaranteed_convergent`.
     """
 
     def __init__(self, alpha: float, rho: float):
-        if not np.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha}")
-        if not 0 < rho < np.inf:
-            raise ValueError(f"rho must be positive and finite, got {rho}")
+        _check_alpha(alpha)
+        _check_rho(rho)
         self.__dict__.update(alpha=alpha, rho=rho)
 
     @property
@@ -122,23 +131,25 @@ class RunTrace(Record):
 class _StackedEngine:
     """`sync_round` on whole-graph arrays, for quadratic costs; what `run` uses.
 
-    Built once per problem and its rhos, and reusable across runs and batches.
-    Every run starts from all-zero x and z and is scored against
-    `self.solution`: the one it was given, else `solve_centralized(p)`. A
-    loss schedule must cover exactly `self.edges`. A run's flat buffer holds
-    z in the `reference` layout, viewed as (edges, 2, n) with row e the slot
-    pair of directed edge e, then an n-wide zero pad and, per node, the sum
-    of its z_in_self, which heads the linear term of its x-update. x is flat
-    in the `reference` layout too. A batch of runs stacks these buffers as
-    rows.
+    Built once per problem and its rhos, each positive and finite as
+    `AlgorithmParams` requires (ValueError otherwise, before any arithmetic),
+    and reusable across runs and batches. Every run starts from all-zero x
+    and z and is scored against `self.solution`: the one it was given, else
+    `solve_centralized(p)`. A loss schedule must cover exactly `self.edges`.
+    A run's flat buffer holds z in the `reference` layout, viewed as (edges,
+    2, n) with row e the slot pair of directed edge e, then an n-wide zero
+    pad and, per node, the sum of its z_in_self, which heads the linear term
+    of its x-update. x is flat in the `reference` layout too. A batch of
+    runs stacks these buffers as rows.
     The gather tables and the error reference (x* gathered by slot owner)
-    are built from `graph.stacked_slots`, and each degree class is factored
-    in one stacked `positive_definite` check and inv for all rhos.
+    are built from `graph.stacked_slots`, and each class (one `local_blocks`
+    group: the nodes of one degree and cost height) is factored in one
+    stacked `positive_definite` check and inv for all rhos.
 
     Every arithmetic step is the one `sync_round` takes, in the same order:
     the head sums add z_in_self in ascending neighbor order starting from
     zero, each node's x is `inv @ (base + linear)` (batched over the nodes of
-    one degree; numpy hands each item of a stacked matmul to the same BLAS
+    one class; numpy hands each item of a stacked matmul to the same BLAS
     gemv as a single `inv @ v`), messages are 2 rho x - z, and a delivered
     edge relaxes to (1 - alpha) z + alpha q, with the row's own alpha and rho
     (elementwise products). Runs are therefore bitwise equal to the node-local
@@ -151,6 +162,8 @@ class _StackedEngine:
     ):
         g, n = p.graph, p.dim
         self.n, self.rhos = n, tuple(dict.fromkeys(map(float, rhos)))
+        for rho in self.rhos:  # AlgorithmParams' rule, before any arithmetic
+            _check_rho(rho)
         self.edges = g.directed_edges()
         slots = stacked_slots(g)
         sender, rev, self_slot = slots.sender, slots.rev, slots.self_slot
@@ -163,7 +176,7 @@ class _StackedEngine:
         # the optimum in the x layout: every slot holds its owner's x*
         ref, starts = np.array(self.solution.x_star)[slots.owner].ravel(), n * self_slot
         self.reference = ref, starts, _block_norms(ref, starts)
-        groups.reverse()  # popped in degree order
+        groups.reverse()  # popped in (degree, height) order
         e_count, nodes = len(self.edges), np.arange(g.node_count)
         deg = np.bincount(sender, minlength=g.node_count)
         self.x_size = n * (e_count + g.node_count)
@@ -187,12 +200,11 @@ class _StackedEngine:
         slot_linear = np.empty(e_count + g.node_count, dtype=np.intp)
         slot_linear[self_slot] = head + n * nodes
         slot_linear[slots.edge_slot] = 2 * n * rev
-        # The x-update runs in degree-class-major order: the nodes of each
-        # degree are contiguous, so one matmul solves a whole class. Each
-        # class is also factored at once, from the problem's `local_blocks`
-        # (one group per degree): numpy hands each item of a stacked matmul,
-        # cholesky or inv to the same BLAS/LAPACK call as a single matrix,
-        # so the inverses are bitwise those of QuadraticLocalSolver.
+        # The x-update runs in class-major order, one class per group of
+        # `local_blocks` (one degree and cost height), so one matmul solves
+        # a class. Each class is also factored at once: numpy hands each
+        # item of a stacked matmul, cholesky or inv to the same BLAS/LAPACK
+        # call as a single matrix, so the inverses are bitwise QuadraticLocalSolver's.
         self.classes = []  # (inv stack per rho, span in class-major order, batch shape)
         class_slots, bases = [], []
         at = 0
@@ -237,13 +249,13 @@ class _StackedEngine:
         all rows what it does for one: the same gathers, each item of the
         broadcast matmul goes to the same gemv, and the row's alpha and rho
         scale only its own q and z. Rows are kept in (rho, run) order, so
-        each degree class takes one matmul per rho present against that
+        each class takes one matmul per rho present against that
         rho's inverses. Every trace is therefore bitwise equal to that
-        run's own `run`. rho must be one of the engine's and stop_tol None
-        (no stop) or positive; every run is checked before any round. A run
-        that diverges, or whose error falls below its stop_tol, is frozen on
-        that round and its row dropped; errors are taken against
-        `self.solution`.
+        run's own `run`. alpha must be finite, rho one of the engine's and
+        stop_tol None (no stop) or positive; every run is checked before any
+        round. A run that diverges, or whose error falls below its stop_tol,
+        is frozen on that round and its row dropped; errors are taken
+        against `self.solution`.
         With record_states, each trace also holds its own copies of its x
         after every round and of its last z.
 
@@ -264,6 +276,7 @@ class _StackedEngine:
         for schedule, alpha, rho, tol in runs:
             if schedule is not None and schedule.edges != self.edges:
                 raise ValueError("a loss schedule must cover exactly the graph's directed edges")
+            _check_alpha(alpha)
             if rho not in rho_at:
                 raise ValueError(f"rho {rho} is not one of the engine's {self.rhos}")
             if tol is not None and not tol > 0:

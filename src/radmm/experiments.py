@@ -191,8 +191,6 @@ def stability_sweep(
         raise ValueError(f"tol must be positive, got {tol}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for alpha, rho in product(alpha_grid, rho_grid):
-        AlgorithmParams(alpha, rho)  # both finite, rho positive: ValueError otherwise
     models = [LossModel.uniform(p.graph, loss_p) for loss_p in loss_grid]
     rows = [
         (LossSchedule(model=model, seed=_sub_seed(seed, ir, ia, ip, r)), alpha, rho, tol)

@@ -45,7 +45,8 @@ def check_weights(q: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the stack q (k, r, r) is
     symmetric within SYMMETRY_TOL and positive definite; the message names
     the first matrix that fails, symmetry checked first."""
-    asym = np.abs(q - q.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails both tests
+        asym = np.abs(q - q.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(asym > SYMMETRY_TOL)
     if bad.size:
         raise ValueError(f"q must be symmetric within {SYMMETRY_TOL}, asymmetry {asym[bad[0]]}")
@@ -136,56 +137,39 @@ class PartitionProblem(Frozen):
         self.__dict__.update(graph=graph, costs=costs, dim=dim)
 
     def local_blocks(self) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
-        """Per degree d, ascending: the nodes of degree d ascending and,
-        stacked over them, the Hessian blocks 2 (M'Q) M (k, m, m), the linear
-        blocks 2 (M'Q) b (k, m) of the normal equations and the x-update
-        bases 2 M'(Q b) (k, m), with M a node's `stacked_map` (m = dim (d + 1)
-        columns), Q its weight and b its target. Each cost height r of a
-        degree takes one stacked product per factor, and numpy hands each
-        item of a stacked matmul to the same BLAS call as a single matrix, so
-        every block is bitwise the per-node product; a degree with several
-        heights copies each height's blocks to its nodes' ranks.
+        """Per (degree d, cost height r), ascending: the nodes of that degree
+        and height ascending and, stacked over them, the Hessian blocks
+        2 (M'Q) M (k, m, m), the linear blocks 2 (M'Q) b (k, m) of the normal
+        equations and the x-update bases 2 M'(Q b) (k, m), with M a node's
+        `stacked_map` (m = dim (d + 1) columns), Q its weight and b its
+        target. Each group takes one stacked product per factor, and numpy
+        hands each item of a stacked matmul to the same BLAS call as a single
+        matrix, so every block is bitwise the per-node product.
 
         `assemble_normal_equations` and the stacked engine both read them;
         the engine computes them once and hands them to its solve.
         """
         n, orders = self.dim, [neighbors(self.graph, i) for i in range(self.graph.node_count)]
-        groups: dict[int, dict[int, list[int]]] = {}
+        groups: dict[tuple[int, int], list[int]] = {}
         for i, cost in enumerate(self.costs):
-            groups.setdefault(len(orders[i]), {}).setdefault(cost.rows, []).append(i)
+            groups.setdefault((len(orders[i]), cost.rows), []).append(i)
         blocks = []
-        for d, heights in sorted(groups.items()):
-            m, parts = n * (d + 1), []
-            for r, nodes in sorted(heights.items()):
-                k, costs = len(nodes), [self.costs[i] for i in nodes]
-                maps = np.array([[c.a_self] + [c.a_neigh[j] for j in orders[i]]
-                                 for i, c in zip(nodes, costs)])
-                # each node's stacked_map, C-contiguous as np.hstack makes it
-                maps = maps.reshape(k, d + 1, r, n).transpose(0, 2, 1, 3)
-                maps = np.ascontiguousarray(maps).reshape(k, r, m)
-                q = np.array([c.q for c in costs]).reshape(k, r, r)
-                b = np.array([c.b for c in costs]).reshape(k, r, 1)
-                maps_t = maps.transpose(0, 2, 1)
-                mtq = maps_t @ q
-                stacks = mtq @ maps, (mtq @ b)[..., 0], (maps_t @ (q @ b))[..., 0]
-                for stack in stacks:
-                    stack *= 2.0  # in place: no second full-size temporary
-                parts.append((nodes, *stacks))
-            blocks.append(parts[0] if len(parts) == 1 else _merged(parts))
+        for (d, r), nodes in sorted(groups.items()):
+            k, m, costs = len(nodes), n * (d + 1), [self.costs[i] for i in nodes]
+            maps = np.array([[c.a_self] + [c.a_neigh[j] for j in orders[i]]
+                             for i, c in zip(nodes, costs)])
+            # each node's stacked_map, C-contiguous as np.hstack makes it
+            maps = maps.reshape(k, d + 1, r, n).transpose(0, 2, 1, 3)
+            maps = np.ascontiguousarray(maps).reshape(k, r, m)
+            q = np.array([c.q for c in costs]).reshape(k, r, r)
+            b = np.array([c.b for c in costs]).reshape(k, r, 1)
+            maps_t = maps.transpose(0, 2, 1)
+            mtq = maps_t @ q
+            stacks = mtq @ maps, (mtq @ b)[..., 0], (maps_t @ (q @ b))[..., 0]
+            for stack in stacks:
+                stack *= 2.0  # in place: no second full-size temporary
+            blocks.append((nodes, *stacks))
         return blocks
-
-
-def _merged(parts: list[tuple]) -> tuple:
-    """One group from groups of disjoint nodes: each group's stacks copied to
-    its nodes' ranks among all of them."""
-    members = sorted(i for nodes, *_ in parts for i in nodes)
-    rank = {i: s for s, i in enumerate(members)}
-    merged = [np.empty((len(members),) + stack.shape[1:]) for stack in parts[0][1:]]
-    for nodes, *stacks in parts:
-        sub = [rank[i] for i in nodes]
-        for out, stack in zip(merged, stacks):
-            out[sub] = stack
-    return (members, *merged)
 
 
 class Solution(Record):

@@ -381,6 +381,35 @@ def test_batch_argument_checks(ten_node_problem, monkeypatch):
             engine.run(good + [bad], 10)
 
 
+@pytest.mark.parametrize("rho, alpha, message", [
+    (float("inf"), 0.75, "rho must be positive and finite"),
+    (float("nan"), 0.75, "rho must be positive and finite"),
+    (-1.0, 0.75, "rho must be positive and finite"),
+    (0.0, 0.75, "rho must be positive and finite"),
+    (3.0, float("nan"), "alpha must be finite"),
+    (3.0, float("inf"), "alpha must be finite"),
+    (3.0, -float("inf"), "alpha must be finite"),
+], ids=["rho-inf", "rho-nan", "rho-negative", "rho-zero", "alpha-nan", "alpha-inf",
+        "alpha-minus-inf"])
+def test_engine_checks_rho_and_alpha_as_algorithm_params_does(
+    ten_node_problem, ten_node_solution, monkeypatch, rho, alpha, message
+):
+    # rho = inf used to warn of inf * 0, NaN and -1 to blame the cost with a
+    # SingularLocalSystemError, and a NaN alpha ran and was reported diverged
+    with pytest.raises(ValueError, match=message):
+        rm.AlgorithmParams(alpha, rho)
+
+    def no_work(*args):
+        raise AssertionError("the engine computed before its arguments were checked")
+
+    monkeypatch.setattr(_StackedEngine, "_run_block", no_work)
+    if message.startswith("rho"):
+        monkeypatch.setattr(rm.PartitionProblem, "local_blocks", no_work)
+    with pytest.raises(ValueError, match=message):
+        engine = _StackedEngine(ten_node_problem, (3.0, rho), ten_node_solution)
+        engine.run([(None, 0.75, 3.0, None), (None, alpha, rho, None)], 5)
+
+
 def test_monte_carlo_settings_equal_separate_calls(ten_node_problem, ten_node_solution, monkeypatch):
     # mixed (alpha, rho), one of them in two non-adjacent settings
     p, sol = ten_node_problem, ten_node_solution

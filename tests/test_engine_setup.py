@@ -1,11 +1,12 @@
 """The stacked engine's set-up against a node-by-node, edge-by-edge build.
 
 `_StackedEngine` builds its index tables and its error reference from the
-layout's slot tables (`graph.stacked_slots`) and factors each degree class
-in one stacked call per rho. `loop_tables` below builds the same tables one
-node and one edge at a time from `QuadraticLocalSolver`s, the plain
-reference; every table and every rho's inverses must match it byte for
-byte, and the error reference the spec's per-node blocks.
+layout's slot tables (`graph.stacked_slots`) and factors each class, the
+nodes of one degree and cost height, in one stacked call per rho.
+`loop_tables` below builds the same tables one node and one edge at a time
+from `QuadraticLocalSolver`s, the plain reference; every table and every
+rho's inverses must match it byte for byte, and the error reference the
+spec's per-node blocks.
 """
 
 import numpy as np
@@ -48,7 +49,10 @@ def loop_tables(p, rhos):
         ],
         dtype=np.intp,
     ).transpose(1, 0, 2).copy()
-    by_class = sorted(range(g.node_count), key=lambda i: (len(orders[i]), i))
+    def class_of(i):
+        return len(orders[i]), p.costs[i].rows
+
+    by_class = sorted(range(g.node_count), key=lambda i: (*class_of(i), i))
     linear = np.concatenate(
         [np.concatenate([head + n * i + col] + [neigh_slot(e) for e in in_edges[i]]) for i in by_class]
     ).astype(np.intp)
@@ -61,9 +65,9 @@ def loop_tables(p, rhos):
         [class_at[i] + np.arange(sizes[i]) for i in range(g.node_count)]
     ).astype(np.intp)
     classes = []
-    for deg in sorted({len(order) for order in orders}):
-        nodes = [i for i in by_class if len(orders[i]) == deg]
-        m = n * (deg + 1)
+    for cls in sorted(set(map(class_of, range(g.node_count)))):
+        nodes = [i for i in by_class if class_of(i) == cls]
+        m = n * (cls[0] + 1)
         at = class_at[nodes[0]]
         invs = [np.stack([rho_solvers[i]._inv for i in nodes]) for rho_solvers in by_rho]
         classes.append((invs, slice(at, at + len(nodes) * m), (len(nodes), m, 1)))
@@ -166,7 +170,8 @@ def test_setup_matches_loop_with_an_isolated_node():
 
 
 def test_setup_matches_loop_with_mixed_cost_heights():
-    # nodes of one degree class whose costs have different row counts
+    # nodes of one degree whose costs have different row counts: one class
+    # per (degree, height)
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (4, 5)]
     assert_engine_matches_loop(hand_problem(6, edges, 2, lambda i: 2 + i % 3, seed=33), (3.0, 0.5))
 

@@ -438,14 +438,15 @@ def test_normal_equations_equal_per_node_ix_assembly_bitwise():
 def test_local_blocks_are_each_nodes_own_products():
     p = random_height_problem(12, 0.35, 2, seed=71)
     groups = p.local_blocks()
-    degrees = [p.graph.degree(nodes[0]) for nodes, *_ in groups]
-    assert degrees == sorted(set(degrees))  # one group per degree, ascending
-    # some degree holds costs of several heights, merged into its group
-    assert any(len({p.costs[i].rows for i in nodes}) > 1 for nodes, *_ in groups)
+    keys = [(p.graph.degree(nodes[0]), p.costs[nodes[0]].rows) for nodes, *_ in groups]
+    assert keys == sorted(set(keys))  # one group per (degree, height), ascending
+    # some degree holds costs of several heights, one group each
+    degrees = [d for d, _ in keys]
+    assert len(set(degrees)) < len(degrees)
     seen = []
-    for nodes, hess, lin, base in groups:
+    for key, (nodes, hess, lin, base) in zip(keys, groups):
         assert nodes == sorted(nodes)
-        assert {p.graph.degree(i) for i in nodes} == {p.graph.degree(nodes[0])}
+        assert {(p.graph.degree(i), p.costs[i].rows) for i in nodes} == {key}
         for s, i in enumerate(nodes):
             c = p.costs[i]
             m = c.stacked_map()
@@ -596,9 +597,11 @@ def test_one_node_problem_with_a_nan_target_is_rejected_not_solved():
 
 
 def test_check_weights_rejects_a_non_finite_weight():
-    # NaN passes the symmetry test, and eigvalsh(...).min() <= 0 was False on it
-    with pytest.raises(ValueError, match="positive definite"):
-        check_weights(np.array([[[math.nan, 0.0], [0.0, 1.0]]]))
+    # NaN passes the symmetry test, and eigvalsh(...).min() <= 0 was False on
+    # it; an infinity made the symmetry test warn of inf - inf
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive definite"):
+            check_weights(np.array([[[value, 0.0], [0.0, 1.0]]]))
 
 
 @pytest.fixture
