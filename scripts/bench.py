@@ -26,9 +26,12 @@ holds:
   process's own peak, so a launcher that holds numpy (as perfbench's runner
   does) reports its own heap instead of radmm's;
 - engine: per node count N, the graph, instance and engine set-up (with
-  the solve) times, the engine's µs per run-round for 1 and for 16 runs,
-  and the peak memory numpy and Python allocate inside those runs (KiB,
-  from `tracemalloc` in a separate untimed pass);
+  the solve) times, the in-process times of decoding the instance's JSON
+  text, of checking its costs into a `PartitionProblem` and of
+  `local_blocks` (ms, medians of 20 calls per repetition), the engine's µs
+  per run-round for 1 and for 16 runs, and the peak memory numpy and
+  Python allocate inside those runs (KiB, from `tracemalloc` in a
+  separate untimed pass);
 - presets_s: CLI wall time of each figure preset at full run counts;
 - tier1_s: wall time of the Tier-1 suite;
 - perfbench: the per-layer metrics of `perfbench/run.py --trace 1`;
@@ -290,7 +293,8 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
     from radmm.engine import AlgorithmParams, _StackedEngine
     from radmm.graph import generate_connected_rgg
     from radmm.lossy import LossModel, LossSchedule
-    from radmm.problem import generate_instance
+    from radmm.problem import (PartitionProblem, generate_instance, problem_from_json,
+                               problem_to_json)
 
     def timed(f, *args):
         t0 = time.perf_counter()
@@ -299,6 +303,11 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
 
     g, graph_ms = timed(generate_connected_rgg, nodes, radius, 7)
     p, instance_ms = timed(generate_instance, g, 2, 3, 11)
+    text = problem_to_json(p)
+    loads = {key: statistics.median(timed(f, *args)[1] for _ in range(20 * reps))
+             for key, f, args in (("decode_ms", problem_from_json, (text,)),
+                                  ("problem_ms", PartitionProblem, (g, p.costs, p.dim)),
+                                  ("local_blocks_ms", p.local_blocks, ()))}
     params = AlgorithmParams(alpha=0.75, rho=3.0)
     engine, setup_ms = timed(_StackedEngine, p, (params.rho,))
     model, k = LossModel.uniform(g, 0.2), ENGINE_ROUNDS[nodes]
@@ -307,6 +316,7 @@ def engine_point(nodes: int, radius: float, reps: int) -> dict:
         "directed_edges": len(engine.edges),
         "graph_ms": graph_ms,
         "instance_ms": instance_ms,
+        **loads,
         "engine_setup_ms": setup_ms,
         "rounds": k,
     }

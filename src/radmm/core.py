@@ -107,8 +107,7 @@ class QuadraticLocalSolver:
 
     def __init__(self, cost: QuadraticLocalCost, rho: float):
         n = cost.dim
-        order = cost.neighbor_order()
-        deg = len(order)
+        deg = len(cost.neighbors)
         m = cost.stacked_map()
         d = np.ones(n * (deg + 1))
         d[:n] = deg
@@ -121,7 +120,7 @@ class QuadraticLocalSolver:
             ) from exc
         self._inv = np.linalg.inv(system)
         self._base = 2.0 * (m.T @ (cost.q @ cost.b))
-        self.neighbor_order = order
+        self.neighbors = cost.neighbors
         self.dim = n
 
     def minimize(self, linear: np.ndarray) -> np.ndarray:
@@ -156,7 +155,7 @@ def local_x_update(
     """
     if solver is None:
         solver = make_local_solver(cost, params)
-    order = solver.neighbor_order
+    order = solver.neighbors
     n = solver.dim
     v = solver.minimize(_stacked_linear(state, order, n))
     x_self = v[:n]

@@ -55,45 +55,51 @@ def check_weights(q: np.ndarray) -> None:
 
 
 class QuadraticLocalCost(Record):
-    """One node's quadratic cost data.
+    """One node's quadratic cost data, in the instance document's layout.
 
-    a_self maps the node's own variable, a_neigh[j] the copy of neighbor j's
-    variable, b is the target vector and q the positive-definite weight.
-    Only the shapes are checked here; `PartitionProblem` checks the weights
-    and marks the arrays read-only.
+    maps (deg + 1, r, n) holds the node's own map maps[0] and the map
+    maps[t + 1] of its neighbor neighbors[t], neighbors ascending; b is the
+    target vector and q the positive-definite weight. Only the shapes are
+    checked here; `PartitionProblem` checks the rest and marks the arrays
+    read-only.
     """
 
-    def __init__(
-        self, a_self: np.ndarray, a_neigh: dict[int, np.ndarray], b: np.ndarray, q: np.ndarray
-    ):
-        self.a_self = a_self
-        self.a_neigh = a_neigh
+    def __init__(self, maps: np.ndarray, neighbors: Sequence[int], b: np.ndarray, q: np.ndarray):
+        self.maps = maps
+        self.neighbors = tuple(neighbors)
         self.b = b
         self.q = q
-        r, n = a_self.shape
+        if maps.ndim != 3 or len(maps) != len(self.neighbors) + 1:
+            raise ValueError(f"maps must have shape ({len(self.neighbors) + 1}, r, n) for "
+                             f"{len(self.neighbors)} neighbors, got {maps.shape}")
+        r = maps.shape[1]
         if b.shape != (r,):
             raise ValueError(f"b must have shape ({r},), got {b.shape}")
         if q.shape != (r, r):
             raise ValueError(f"q must have shape ({r}, {r}), got {q.shape}")
-        for j, a in a_neigh.items():
-            if a.shape != (r, n):
-                raise ValueError(f"a_neigh[{j}] must have shape ({r}, {n}), got {a.shape}")
 
     @property
     def rows(self) -> int:
-        return self.a_self.shape[0]
+        return self.maps.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.a_self.shape[1]
+        return self.maps.shape[2]
 
-    def neighbor_order(self) -> list[int]:
-        return sorted(self.a_neigh)
+    @property
+    def a_self(self) -> np.ndarray:
+        """The node's own map, a view of maps."""
+        return self.maps[0]
+
+    @property
+    def a_neigh(self) -> dict[int, np.ndarray]:
+        """Neighbor j's map per neighbor j, ascending, as views of maps."""
+        return dict(zip(self.neighbors, self.maps[1:]))
 
     def stacked_map(self) -> np.ndarray:
-        """Horizontal stack [a_self, a_neigh[j1], a_neigh[j2], ...], neighbors ascending."""
-        blocks = [self.a_self] + [self.a_neigh[j] for j in self.neighbor_order()]
-        return np.hstack(blocks)
+        """Horizontal stack [maps[0], maps[1], ...]: the node's own map, then
+        its neighbors' maps, neighbors ascending."""
+        return np.hstack(self.maps)
 
 
 class PartitionProblem(Frozen):
@@ -101,11 +107,12 @@ class PartitionProblem(Frozen):
 
     Read-only, and the one place a problem is checked, however it was built:
     one QuadraticLocalCost per node (TypeError otherwise), of dimension dim,
-    keyed by the node's neighbors, with finite entries only (else a
-    ValueError that names the first node with another), and the q of each
-    cost height checked in one stacked `check_weights` call. `costs` is a
-    tuple, and once every check has passed every cost array is marked
-    read-only, so the checked data cannot change later.
+    whose neighbors are the node's in the graph, ascending, with finite
+    entries only (else a ValueError that names the first node with
+    another), and the q of each cost height checked in one stacked
+    `check_weights` call. `costs` is a tuple, and once every check has
+    passed each cost's maps, b and q are marked read-only, so the checked
+    data cannot change later.
     """
 
     def __init__(self, graph: Graph, costs: Sequence[QuadraticLocalCost], dim: int):
@@ -120,12 +127,10 @@ class PartitionProblem(Frozen):
                                 f"{type(cost).__name__}")
             if cost.dim != dim:
                 raise ValueError(f"cost {i} has dim {cost.dim}, expected {dim}")
-            if set(cost.a_neigh) != set(neighbors(graph, i)):
-                raise ValueError(
-                    f"cost {i} neighbor keys {sorted(cost.a_neigh)} do not match "
-                    f"graph neighbors {neighbors(graph, i)}"
-                )
-            own = (cost.a_self, *cost.a_neigh.values(), cost.b, cost.q)
+            if cost.neighbors != tuple(neighbors(graph, i)):
+                raise ValueError(f"cost {i} neighbors {list(cost.neighbors)} are not the "
+                                 f"graph's neighbors {neighbors(graph, i)}, ascending")
+            own = (cost.maps, cost.b, cost.q)
             if not np.isfinite(np.concatenate(own, axis=None)).all():  # one test a node
                 raise ValueError(f"cost {i} holds a non-finite entry")
             heights.setdefault(cost.rows, []).append(cost.q)
@@ -149,17 +154,14 @@ class PartitionProblem(Frozen):
         `assemble_normal_equations` and the stacked engine both read them;
         the engine computes them once and hands them to its solve.
         """
-        n, orders = self.dim, [neighbors(self.graph, i) for i in range(self.graph.node_count)]
-        groups: dict[tuple[int, int], list[int]] = {}
+        n, groups = self.dim, {}
         for i, cost in enumerate(self.costs):
-            groups.setdefault((len(orders[i]), cost.rows), []).append(i)
+            groups.setdefault((len(cost.neighbors), cost.rows), []).append(i)
         blocks = []
         for (d, r), nodes in sorted(groups.items()):
             k, m, costs = len(nodes), n * (d + 1), [self.costs[i] for i in nodes]
-            maps = np.array([[c.a_self] + [c.a_neigh[j] for j in orders[i]]
-                             for i, c in zip(nodes, costs)])
             # each node's stacked_map, C-contiguous as np.hstack makes it
-            maps = maps.reshape(k, d + 1, r, n).transpose(0, 2, 1, 3)
+            maps = np.array([c.maps for c in costs]).transpose(0, 2, 1, 3)
             maps = np.ascontiguousarray(maps).reshape(k, r, m)
             q = np.array([c.q for c in costs]).reshape(k, r, r)
             b = np.array([c.b for c in costs]).reshape(k, r, 1)
@@ -211,7 +213,7 @@ def global_cost(p: PartitionProblem, x: list[np.ndarray]) -> float:
         raise ValueError("one vector per node required")
     total = 0.0
     for i, cost in enumerate(p.costs):
-        total += evaluate_local(cost, x[i], {j: x[j] for j in cost.a_neigh})
+        total += evaluate_local(cost, x[i], {j: x[j] for j in cost.neighbors})
     return total
 
 
@@ -310,15 +312,14 @@ def generate_instance(
         costs = []
         for i in range(g.node_count):
             a_self = _matrix_with_singular_values(rng, r_rows, n, 1.0, conditioning)
-            a_neigh = {
-                j: coupling_scale * rng.standard_normal((r_rows, n))
-                for j in neighbors(g, i)
-            }
+            order = neighbors(g, i)
+            coupling = coupling_scale * rng.standard_normal((len(order), r_rows, n))
             b = rng.standard_normal(r_rows)
             m = rng.standard_normal((r_rows, r_rows))
             q = m.T @ m + np.eye(r_rows)
             q = 0.5 * (q + q.T)
-            costs.append(QuadraticLocalCost(a_self=a_self, a_neigh=a_neigh, b=b, q=q))
+            maps = np.concatenate([a_self[None], coupling])
+            costs.append(QuadraticLocalCost(maps=maps, neighbors=order, b=b, q=q))
         problem = PartitionProblem(graph=g, costs=costs, dim=n)
         H, _ = assemble_normal_equations(problem)
         H.reshape(-1)[:: len(H) + 1] -= 1e-9 * max(1.0, np.abs(H).sum(axis=1).max())
@@ -334,11 +335,11 @@ def generate_instance(
 #
 # An instance document holds the schema, `dim`, the graph (node count, edges
 # and optional positions) and the costs as one flat list of numbers: node by
-# node a_self, a_neigh[j] for j ascending, b and q, each row-major, with
-# `costs.rows` giving each node's row count r_i. Every shape follows from
-# dim, r_i and the graph. Floats are emitted with Python's shortest-repr
-# encoding (at most 17 significant digits), which parses back to the
-# identical IEEE-754 double, so instances round-trip bit-exactly.
+# node its cost's maps, b and q, each row-major, with `costs.rows` giving
+# each node's row count r_i. Every shape follows from dim, r_i and the
+# graph. Floats are emitted with Python's shortest-repr encoding (at most 17
+# significant digits), which parses back to the identical IEEE-754 double,
+# so instances round-trip bit-exactly.
 
 SCHEMA_INSTANCE = "radmm-instance/2"
 
@@ -397,7 +398,7 @@ def _positions(v, node_count: int) -> np.ndarray:
 
 def _uncosts(rows: list[int], data, g: Graph, n: int) -> list[QuadraticLocalCost]:
     """The document's costs. All their data is type-checked and converted in
-    one pass, and each matrix is a view of that one array."""
+    one pass, and each cost's maps, b and q are views of that one array."""
     data = _list(data, "costs.data")
     orders = [neighbors(g, i) for i in range(g.node_count)]
     size = sum(r * n * (len(order) + 1) + r + r * r for r, order in zip(rows, orders))
@@ -409,18 +410,13 @@ def _uncosts(rows: list[int], data, g: Graph, n: int) -> list[QuadraticLocalCost
         end = at + r * n * (len(order) + 1)
         maps = values[at:end].reshape(len(order) + 1, r, n)
         b, q = values[end : end + r], values[end + r : end + r + r * r].reshape(r, r)
+        costs.append(QuadraticLocalCost(maps, order, b, q))
         at = end + r + r * r
-        costs.append(QuadraticLocalCost(a_self=maps[0], a_neigh=dict(zip(order, maps[1:])),
-                                        b=b, q=q))
     return costs
 
 
 def problem_to_json(p: PartitionProblem) -> str:
-    parts = [
-        a.ravel()
-        for c in p.costs
-        for a in [c.a_self, *(c.a_neigh[j] for j in c.neighbor_order()), c.b, c.q]
-    ]
+    parts = [a.ravel() for c in p.costs for a in (c.maps, c.b, c.q)]
     doc = {
         "schema": SCHEMA_INSTANCE,
         "dim": p.dim,

@@ -58,7 +58,7 @@ def local_objective(cost, z_in_self, z_in_neigh, params, v):
     the definition, independent of the closed-form solver's assembly.
     """
     n = cost.dim
-    order = cost.neighbor_order()
+    order = cost.neighbors
     x_self = v[:n]
     x_neigh = {j: v[n * (t + 1) : n * (t + 2)] for t, j in enumerate(order)}
     val = rm.evaluate_local(cost, x_self, x_neigh)

@@ -44,7 +44,7 @@ def test_quick_bench_writes_every_section(tmp_path):
     for point in doc["engine"]:
         assert all(isinstance(v, NUMBER) and v > 0 for v in point.values())
         assert {"run_round_us_1", "run_round_us_16", "run_peak_kib_1", "run_peak_kib_16",
-                "engine_setup_ms"} <= set(point)
+                "engine_setup_ms", "decode_ms", "problem_ms", "local_blocks_ms"} <= set(point)
     assert doc["presets_s"] is None and doc["tier1_s"] is None
     assert list(doc["perfbench"]) == ["mc_fig1"]
     traced = doc["perfbench"]["mc_fig1"]

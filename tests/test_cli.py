@@ -5,9 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from copy import deepcopy
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import radmm as rm
 import radmm.cli as cli
@@ -703,3 +708,91 @@ def test_invalid_input_exits_2_without_output(tmp_path, capsys, command, section
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+@cache
+def _codec_document() -> dict:
+    """A valid 4-node instance document with positions, 2 to 3 neighbors a node."""
+    g = rm.generate_connected_rgg(4, 0.8, seed=3)
+    return json.loads(problem_to_json(rm.generate_instance(g, n=2, r_rows=3, seed=5)))
+
+
+def _codec_paths(doc) -> list[tuple]:
+    """Where a mutation may land: the document, each of its containers and
+    each key, edge, position, coordinate and row count, and three entries of
+    costs.data (the rest are alike)."""
+    paths, todo = [], [((), doc)]
+    while todo:
+        path, v = todo.pop()
+        paths.append(path)
+        keys = v if isinstance(v, dict) else range(len(v)) if isinstance(v, list) else ()
+        if path == ("costs", "data"):
+            keys = (0, 1, len(v) - 1)
+        todo += [((*path, k), v[k]) for k in keys]
+    return sorted(paths, key=repr)
+
+
+_CODEC_VALUES = (True, False, None, "3", 10**400, math.nan, math.inf, -math.inf, 2.5, -1, 0,
+                 [], {})
+
+
+def _mutated(doc, edits):
+    """doc after each (path, kind, value) edit that still finds its path:
+    drop the entry, retype it to value, nest it in a list, or, if it is a
+    non-empty list (else retype it), shorten it, repeat its first item or
+    append value to it."""
+    doc = deepcopy(doc)
+    for path, kind, value in edits:
+        if not path:
+            doc = [doc] if kind == "nest" else value
+            continue
+        parent = doc
+        try:
+            for k in path[:-1]:
+                parent = parent[k]
+            old = parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit moved it
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "nest":
+            parent[path[-1]] = [old]
+        elif kind == "retype" or not (isinstance(old, list) and old):
+            parent[path[-1]] = value
+        elif kind == "shorten":
+            old.pop()
+        elif kind == "repeat":  # a repeated edge, a third coordinate, an extra row
+            old.append(deepcopy(old[0]))
+        else:
+            old.append(value)
+    return doc
+
+
+_codec_edit = st.tuples(st.deferred(lambda: st.sampled_from(_codec_paths(_codec_document()))),
+                        st.sampled_from(("drop", "retype", "nest", "shorten", "repeat", "append")),
+                        st.sampled_from(_CODEC_VALUES))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(edits=st.lists(_codec_edit, min_size=1, max_size=3))
+@example(edits=[(("costs", "data", 0), "retype", 2.5)])  # ones that load
+@example(edits=[(("graph", "positions", 0, 0), "retype", -1)])
+@example(edits=[(("graph", "edges"), "repeat", None)])  # a repeated edge
+@example(edits=[(("graph", "positions", 1), "shorten", None)])  # a point of width 1
+def test_a_mutated_instance_exits_0_2_or_3_and_a_loaded_one_round_trips(edits):
+    text = json.dumps(_mutated(_codec_document(), edits))
+    try:
+        encoded = problem_to_json(problem_from_json(text))
+    except ValueError:
+        encoded = None
+    if encoded is not None:  # encode, decode, encode: the same bytes
+        assert problem_to_json(problem_from_json(encoded)) == encoded
+    with tempfile.TemporaryDirectory() as tmp:
+        instance = Path(tmp) / "instance.json"
+        instance.write_text(text)
+        doc = base_config(loss={"p": 0.2, "seed": 5}, run={"k_max": 20, "runs": 1, "tol": 1e-6})
+        argv = ["run", "--config", write_config(Path(tmp), doc), "--instance", str(instance),
+                "--out", str(Path(tmp) / "o")]
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGED)
+    assert encoded is not None or code == cli.EXIT_CONFIG

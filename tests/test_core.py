@@ -18,7 +18,7 @@ from conftest import (
 def isolated_cost(b):
     n = len(b)
     return rm.QuadraticLocalCost(
-        a_self=np.eye(n), a_neigh={}, b=np.asarray(b, dtype=float), q=np.eye(n)
+        maps=np.eye(n)[None], neighbors=(), b=np.asarray(b, dtype=float), q=np.eye(n)
     )
 
 
@@ -76,7 +76,7 @@ def test_records_of_arrays_compare_without_raising(ten_node_problem):
     # equal arrays in two records made a field-by-field == ambiguous; such
     # records are equal only to themselves
     cost = ten_node_problem.costs[0]
-    twin = rm.QuadraticLocalCost(cost.a_self, cost.a_neigh, cost.b.copy(), cost.q)
+    twin = rm.QuadraticLocalCost(cost.maps, cost.neighbors, cost.b.copy(), cost.q)
     assert cost == cost and cost != twin
     assert rm.RunTrace(np.zeros(3), False) != rm.RunTrace(np.zeros(3), False)
 
@@ -143,7 +143,7 @@ def test_x_update_matches_generic_minimizer():
 
 def test_x_update_singular_isolated_system():
     cost = rm.QuadraticLocalCost(
-        a_self=np.zeros((2, 2)), a_neigh={}, b=np.zeros(2), q=np.eye(2)
+        maps=np.zeros((1, 2, 2)), neighbors=(), b=np.zeros(2), q=np.eye(2)
     )
     state = rm.NodeState(x_self=np.zeros(2), x_neigh={}, z_in_self={}, z_in_neigh={})
     with pytest.raises(rm.SingularLocalSystemError):

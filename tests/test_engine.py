@@ -142,7 +142,8 @@ def test_run_stop_tol_ends_on_the_spec_round(ten_node_problem, ten_node_solution
 def test_run_on_edgeless_graph_matches_spec():
     g = rm.Graph(node_count=3, edges=frozenset())
     costs = [
-        rm.QuadraticLocalCost(a_self=np.eye(2), a_neigh={}, b=np.array([1.0 + i, -2.0]), q=np.eye(2))
+        rm.QuadraticLocalCost(maps=np.eye(2)[None], neighbors=(), b=np.array([1.0 + i, -2.0]),
+                              q=np.eye(2))
         for i in range(3)
     ]
     p = rm.PartitionProblem(graph=g, costs=costs, dim=2)
@@ -180,11 +181,11 @@ def test_run_without_solution_scores_against_the_optimum(ten_node_problem):
 
 
 class _OpaqueCost:
-    """A cost with a dim and neighbor keys, but no quadratic data."""
+    """A cost with a dim and neighbors, but no quadratic data."""
 
     def __init__(self, nbrs):
         self.dim = 2
-        self.a_neigh = {j: None for j in nbrs}
+        self.neighbors = tuple(nbrs)
 
 
 def test_run_rejects_non_quadratic_cost():

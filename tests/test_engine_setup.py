@@ -125,9 +125,10 @@ def assert_engine_matches_loop(p, rhos=RHOS):
 
 def quadratic_cost(rng, n, rows, nbrs, a_self=None):
     a = rng.standard_normal((rows, rows))
+    a_self = rng.standard_normal((rows, n)) if a_self is None else a_self
     return rm.QuadraticLocalCost(
-        a_self=rng.standard_normal((rows, n)) if a_self is None else a_self,
-        a_neigh={j: rng.standard_normal((rows, n)) for j in nbrs},
+        maps=np.concatenate([a_self[None], rng.standard_normal((len(nbrs), rows, n))]),
+        neighbors=nbrs,
         b=rng.standard_normal(rows),
         q=a @ a.T + rows * np.eye(rows),
     )
@@ -196,7 +197,7 @@ def test_setup_rejects_singular_isolated_node():
 def test_setup_rejects_non_quadratic_cost():
     class Opaque:
         dim = 2
-        a_neigh = {1: None}
+        neighbors = (1,)
 
     # the problem refuses it, so the engine is never handed one
     p = hand_problem(2, [(0, 1)], 2, lambda i: 3, seed=36)

@@ -14,7 +14,7 @@ from conftest import central_fd_gradient, make_instances
 def single_node_cost(b):
     n = len(b)
     return rm.QuadraticLocalCost(
-        a_self=np.eye(n), a_neigh={}, b=np.asarray(b, dtype=float), q=np.eye(n)
+        maps=np.eye(n)[None], neighbors=(), b=np.asarray(b, dtype=float), q=np.eye(n)
     )
 
 
@@ -71,7 +71,7 @@ def test_evaluate_local_purely_quadratic_when_b_zero(t, seed):
     a = rng.standard_normal((3, 2))
     m = rng.standard_normal((3, 3))
     cost = rm.QuadraticLocalCost(
-        a_self=a, a_neigh={}, b=np.zeros(3), q=0.5 * (m.T @ m + (m.T @ m).T) + np.eye(3)
+        maps=a[None], neighbors=(), b=np.zeros(3), q=0.5 * (m.T @ m + (m.T @ m).T) + np.eye(3)
     )
     x = rng.standard_normal(2)
     f1 = rm.evaluate_local(cost, x, {})
@@ -87,14 +87,14 @@ def one_node_problem(cost):
 def test_cost_rejects_asymmetric_q():
     # a cost checks its shapes; the problem that holds it checks its weight
     q = np.array([[1.0, 0.5], [0.0, 1.0]])
-    cost = rm.QuadraticLocalCost(a_self=np.eye(2), a_neigh={}, b=np.zeros(2), q=q)
+    cost = rm.QuadraticLocalCost(maps=np.eye(2)[None], neighbors=(), b=np.zeros(2), q=q)
     with pytest.raises(ValueError, match="symmetric"):
         one_node_problem(cost)
 
 
 def test_cost_rejects_indefinite_q():
     q = np.diag([1.0, -1.0])
-    cost = rm.QuadraticLocalCost(a_self=np.eye(2), a_neigh={}, b=np.zeros(2), q=q)
+    cost = rm.QuadraticLocalCost(maps=np.eye(2)[None], neighbors=(), b=np.zeros(2), q=q)
     with pytest.raises(ValueError, match="positive definite"):
         one_node_problem(cost)
 
@@ -104,6 +104,43 @@ def test_problem_rejects_wrong_neighbor_keys():
     costs = [single_node_cost([0.0, 0.0]), single_node_cost([0.0, 0.0])]
     with pytest.raises(ValueError):
         rm.PartitionProblem(graph=g, costs=costs, dim=2)
+
+
+def path4_costs():
+    """The path 0-1-2-3 and a generated instance's costs; node 1's neighbors are (0, 2)."""
+    g = rm.Graph(node_count=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}))
+    return g, list(rm.generate_instance(g, n=2, r_rows=3, seed=5).costs)
+
+
+@pytest.mark.parametrize("order", [(2, 0), (0,), (0, 3), (0, 1, 2)],
+                         ids=["descending", "one-missing", "not-a-neighbor", "itself"])
+def test_problem_rejects_neighbors_out_of_order_or_not_the_graphs_and_names_the_node(order):
+    g, costs = path4_costs()
+    c = costs[1]
+    maps = c.maps[[0, 2, 1]] if order == (2, 0) else np.ones((len(order) + 1, 3, 2))
+    costs[1] = rm.QuadraticLocalCost(maps=maps, neighbors=order, b=c.b, q=c.q)
+    named = r"^cost 1 neighbors .* are not the graph's neighbors \[0, 2\], ascending$"
+    with pytest.raises(ValueError, match=named):
+        rm.PartitionProblem(graph=g, costs=costs, dim=2)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 2), (3, 3, 2), (3, 2), (2, 3, 2, 1)])
+def test_cost_rejects_maps_that_are_not_one_map_per_neighbor_and_itself(shape):
+    with pytest.raises(ValueError, match=r"^maps must have shape \(2, r, n\) for 1 neighbors"):
+        rm.QuadraticLocalCost(maps=np.zeros(shape), neighbors=(5,), b=np.zeros(3), q=np.eye(3))
+
+
+def test_a_self_and_a_neigh_are_read_only_views_of_maps():
+    _, costs = path4_costs()
+    c = costs[1]
+    assert c.neighbors == (0, 2)
+    assert list(c.a_neigh) == [0, 2]
+    for view, at in [(c.a_self, 0), *zip(c.a_neigh.values(), (1, 2))]:
+        assert np.shares_memory(view, c.maps) and np.array_equal(view, c.maps[at])
+    assert c.stacked_map().tobytes() == np.hstack([c.maps[0], c.maps[1], c.maps[2]]).tobytes()
+    for name in ("a_self", "a_neigh"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
 
 
 def test_generate_instance_deterministic():
@@ -157,8 +194,8 @@ def test_solve_centralized_symmetric_two_node():
     b = np.array([1.0, -0.5, 0.25])
     q = np.eye(3)
     costs = [
-        rm.QuadraticLocalCost(a_self=a, a_neigh={1: c}, b=b, q=q),
-        rm.QuadraticLocalCost(a_self=a, a_neigh={0: c}, b=b, q=q),
+        rm.QuadraticLocalCost(maps=np.stack([a, c]), neighbors=(1,), b=b, q=q),
+        rm.QuadraticLocalCost(maps=np.stack([a, c]), neighbors=(0,), b=b, q=q),
     ]
     sol = rm.solve_centralized(rm.PartitionProblem(graph=g, costs=costs, dim=2))
     assert np.allclose(sol.x_star[0], sol.x_star[1], atol=1e-9)
@@ -189,9 +226,10 @@ def test_solve_centralized_relabeling_invariance():
     g2 = rm.Graph(node_count=6, edges=edges)
     costs2: list = [None] * 6
     for i, c in enumerate(p.costs):
+        order = np.argsort([perm[j] for j in c.neighbors])  # new labels ascending
         costs2[perm[i]] = rm.QuadraticLocalCost(
-            a_self=c.a_self,
-            a_neigh={perm[j]: a for j, a in c.a_neigh.items()},
+            maps=np.concatenate([c.maps[:1], c.maps[1:][order]]),
+            neighbors=[perm[c.neighbors[t]] for t in order],
             b=c.b,
             q=c.q,
         )
@@ -202,7 +240,7 @@ def test_solve_centralized_relabeling_invariance():
 
 def test_solve_centralized_rejects_singular_hessian():
     cost = rm.QuadraticLocalCost(
-        a_self=np.zeros((2, 2)), a_neigh={}, b=np.zeros(2), q=np.eye(2)
+        maps=np.zeros((1, 2, 2)), neighbors=(), b=np.zeros(2), q=np.eye(2)
     )
     g = rm.Graph(node_count=1, edges=frozenset())
     with pytest.raises(rm.IndefiniteHessianError):
@@ -257,8 +295,8 @@ def mixed_height_problem():
     for i, r in enumerate([3, 0, 1, 2]):
         m = rng.standard_normal((r, r))
         costs.append(rm.QuadraticLocalCost(
-            a_self=rng.standard_normal((r, 2)),
-            a_neigh={j: rng.standard_normal((r, 2)) for j in rm.neighbors(g, i)},
+            maps=rng.standard_normal((g.degree(i) + 1, r, 2)),
+            neighbors=rm.neighbors(g, i),
             b=rng.standard_normal(r),
             q=m.T @ m + np.eye(r),
         ))
@@ -361,7 +399,7 @@ def block_loop_normal_equations(p):
     n, N = p.dim, p.graph.node_count
     H, g = np.zeros((N * n, N * n)), np.zeros(N * n)
     for i, cost in enumerate(p.costs):
-        idx = [i] + cost.neighbor_order()
+        idx = [i, *cost.neighbors]
         m = cost.stacked_map()
         mtq = m.T @ cost.q
         h_loc, g_loc = 2.0 * (mtq @ m), 2.0 * (mtq @ cost.b)
@@ -390,7 +428,7 @@ def ix_normal_equations(p):
     H, g = np.zeros((N * n, N * n)), np.zeros(N * n)
     col = np.arange(n)
     for i, cost in enumerate(p.costs):
-        idx = (n * np.array([i] + cost.neighbor_order())[:, None] + col).ravel()
+        idx = (n * np.array([i, *cost.neighbors])[:, None] + col).ravel()
         m = cost.stacked_map()
         mtq = m.T @ cost.q
         H[np.ix_(idx, idx)] += 2.0 * (mtq @ m)
@@ -408,8 +446,8 @@ def random_height_problem(node_count, radius, dim, seed):
         r = int(rng.integers(0, 5))
         a = rng.standard_normal((r, r))
         costs.append(rm.QuadraticLocalCost(
-            a_self=rng.standard_normal((r, dim)),
-            a_neigh={j: rng.standard_normal((r, dim)) for j in rm.neighbors(g, i)},
+            maps=rng.standard_normal((g.degree(i) + 1, r, dim)),
+            neighbors=rm.neighbors(g, i),
             b=rng.standard_normal(r),
             q=a @ a.T + np.eye(r),
         ))
@@ -496,7 +534,7 @@ def test_cost_arrays_are_read_only(ten_node_problem, source):
     if source == "decoded":
         p = rm.problem_from_json(rm.problem_to_json(p))
     c = p.costs[1]
-    arrays = (c.a_self, *c.a_neigh.values(), c.b, c.q)
+    arrays = (c.maps, c.a_self, *c.a_neigh.values(), c.b, c.q)
     before = [a.tobytes() for a in arrays]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -513,7 +551,7 @@ def test_problem_checks_the_weights_of_every_cost_height():
     for i in (0, 2, 3):
         costs = list(p.costs)
         c = costs[i]
-        costs[i] = rm.QuadraticLocalCost(a_self=c.a_self, a_neigh=c.a_neigh, b=c.b, q=-c.q)
+        costs[i] = rm.QuadraticLocalCost(maps=c.maps, neighbors=c.neighbors, b=c.b, q=-c.q)
         with pytest.raises(ValueError, match="positive definite"):
             rm.PartitionProblem(graph=p.graph, costs=costs, dim=p.dim)
 
@@ -521,7 +559,7 @@ def test_problem_checks_the_weights_of_every_cost_height():
 def per_node_error(q):
     """The ValueError a one-node problem raises for weight q."""
     r = len(q)
-    cost = rm.QuadraticLocalCost(a_self=np.zeros((r, 2)), a_neigh={}, b=np.zeros(r), q=q)
+    cost = rm.QuadraticLocalCost(maps=np.zeros((1, r, 2)), neighbors=(), b=np.zeros(r), q=q)
     with pytest.raises(ValueError) as info:
         one_node_problem(cost)
     return str(info.value)
@@ -578,9 +616,9 @@ def test_problem_rejects_a_non_finite_entry_and_names_its_node(array, bad):
     g = rm.Graph(node_count=3, edges=frozenset({(0, 1), (1, 2)}))
     costs = list(rm.generate_instance(g, n=2, r_rows=3, seed=5).costs)
     c = costs[1]
-    data = {"a_self": c.a_self.copy(), "a_neigh": {j: a.copy() for j, a in c.a_neigh.items()},
-            "b": c.b.copy(), "q": c.q.copy()}
-    target = data[array][2] if array == "a_neigh" else data[array]
+    data = {"maps": c.maps.copy(), "neighbors": c.neighbors, "b": c.b.copy(), "q": c.q.copy()}
+    # a_self is maps[0], and node 1's neighbor 2 has maps[2]
+    target = {"a_self": data["maps"][0], "a_neigh": data["maps"][2], **data}[array]
     target[(0,) * target.ndim] = bad
     if array == "q":  # keep q symmetric: the finiteness check names the fault
         target[-1, -1] = bad

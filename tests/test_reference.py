@@ -72,7 +72,7 @@ def test_reference_step_from_zero_z(ten_node_problem):
             xs.append(x[base : base + p.dim])
         val = 0.0
         for i, cost in enumerate(p.costs):
-            order = cost.neighbor_order()
+            order = cost.neighbors
             base = cm.x_base[i]
             x_self = x[base : base + p.dim]
             x_nb = {
@@ -176,7 +176,8 @@ def test_check_equivalence_builds_the_round_once(ten_node_problem, monkeypatch):
 def test_singular_stacked_system_raises_when_the_round_is_built():
     # an isolated node whose one cost row cannot pin both of its coordinates
     g = rm.Graph(node_count=1, edges=frozenset())
-    cost = rm.QuadraticLocalCost(a_self=np.array([[1.0, 0.0]]), a_neigh={}, b=np.ones(1), q=np.eye(1))
+    cost = rm.QuadraticLocalCost(maps=np.array([[[1.0, 0.0]]]), neighbors=(), b=np.ones(1),
+                                 q=np.eye(1))
     p = rm.PartitionProblem(graph=g, costs=[cost], dim=2)
     cm = rm.build_constraint_matrices(g, p.dim)
     with pytest.raises(ValueError, match="singular"):
