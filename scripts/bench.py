@@ -20,11 +20,12 @@ holds:
   the problem), rounds;
   the instance file's size (bytes) and the peak memory Python and numpy
   allocate inside `problem_from_json` (KiB, `tracemalloc`, an untimed pass);
-- peak_rss_mb: per benchmark workload, the peak RSS of its cold `radmm run`
-  (MB, median). Each command is launched from a Python process that has
-  not imported numpy: a child's `ru_maxrss` is never below its launching
-  process's own peak, so a launcher that holds numpy (as perfbench's runner
-  does) reports its own heap instead of radmm's;
+- peak_rss_mb and wall_ms: per benchmark workload, the peak RSS (MB) and
+  wall time (ms) of its cold `radmm run`, and of the cold `radmm sweep
+  --preset fig2` (medians). Each command is launched from a Python process
+  that has not imported numpy: a child's `ru_maxrss` is never below its
+  launching process's own peak, so a launcher that holds numpy (as
+  perfbench's runner does) reports its own heap instead of radmm's;
 - engine: per node count N, the graph, instance and engine set-up (with
   the solve) times, the in-process times of decoding the instance's JSON
   text, of checking its costs into a `PartitionProblem` and of
@@ -36,9 +37,9 @@ holds:
 - tier1_s: wall time of the Tier-1 suite;
 - perfbench: the per-layer metrics of `perfbench/run.py --trace 1`;
 - against (null without --against DIR): `run_stages`, `import_ms` of the
-  modules the large_graph `radmm run` loads, and `peak_rss_mb`, of the
-  checkout at DIR and of this one, measured in alternating pairs (DIR's
-  first in each) on this checkout's instances. Per number it holds each
+  modules the large_graph `radmm run` loads, `peak_rss_mb` and `wall_ms`,
+  of the checkout at DIR and of this one, measured in alternating pairs
+  (DIR's first in each) on this checkout's instances. Per number it holds each
   tree's median and quartiles, `wins`, the pairs in which this tree's value
   is lower, and `ratio`, the median and quartiles of this tree's value over
   DIR's, pair by pair (over the pairs in which DIR's value is not zero;
@@ -119,17 +120,19 @@ print(json.dumps(dict(zip(["load_ms", "engine_setup_ms", "rounds_ms"], ms),
                       instance_bytes=path.stat().st_size)))
 """
 
-# Runs `radmm argv` cold and prints its exit code and peak RSS (MB). It
-# imports no numpy, so that its own peak, which the child's ru_maxrss
-# cannot fall below, stays under radmm's.
-RSS = """
-import json, os, subprocess, sys
+# Runs `radmm argv` cold and prints its exit code, peak RSS (MB) and wall
+# time (ms). It imports no numpy, so that its own peak, which the child's
+# ru_maxrss cannot fall below, stays under radmm's.
+COLD = """
+import json, os, subprocess, sys, time
+t0 = time.perf_counter()
 proc = subprocess.Popen([sys.executable, "-m", "radmm.cli", *sys.argv[1:]],
                         stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
+wall_ms = 1e3 * (time.perf_counter() - t0)
 if "numpy" in sys.modules:
     sys.exit("the launcher imported numpy")
-print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024]))
+print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024, wall_ms]))
 """
 
 # The radmm modules one CLI command loads; prints its exit code and them.
@@ -235,15 +238,15 @@ def run_stages(cfg: Path, inst: Path, reps: int) -> dict:
     return median_dict([stages_sample(cfg, inst) for _ in range(reps)])
 
 
-def rss_sample(runs: dict[str, list[str]], src: Path = SRC) -> dict:
-    """Peak RSS (MB) of each `radmm argv` of runs from the tree at src, each
-    in a fresh interpreter launched by `RSS`."""
-    sample = {}
-    for name, argv in runs.items():
-        code, sample[name] = last_json(python(["-c", RSS, *argv], src).stdout)
+def cold_sample(commands: dict[str, list[str]], src: Path = SRC) -> tuple[dict, dict]:
+    """Peak RSS (MB) and wall time (ms) of each `radmm argv` of commands from
+    the tree at src, each in a fresh interpreter launched by `COLD`."""
+    peaks, walls = {}, {}
+    for name, argv in commands.items():
+        code, peaks[name], walls[name] = last_json(python(["-c", COLD, *argv], src).stdout)
         if code != 0:
             raise SystemExit(f"`radmm {' '.join(argv)}` exited {code}")
-    return sample
+    return peaks, walls
 
 
 def summary(values: list[float]) -> dict:
@@ -258,22 +261,25 @@ def ratio(values: list[float]) -> dict | None:
     return summary(values) if values else None
 
 
-def against(other: Path, cfg: Path, inst: Path, runs: dict[str, list[str]], pairs: int) -> dict:
+def against(other: Path, cfg: Path, inst: Path, commands: dict[str, list[str]],
+            pairs: int) -> dict:
     """The `against` section: `run_stages` samples on cfg and inst, the
     import times of the modules the large_graph `radmm run` loads and the
-    `rss_sample` of runs, of the tree at other and of this one, in
+    `cold_sample` of commands, of the tree at other and of this one, in
     alternating pairs."""
     trees = {"against": other / "src", "this": SRC}
-    run_path = {name: loaded(runs["large_graph"], src) for name, src in trees.items()}
-    samples = {name: ([], [], []) for name in trees}
+    run_path = {name: loaded(commands["large_graph"], src) for name, src in trees.items()}
+    samples = {name: ([], [], [], []) for name in trees}
     for _ in range(pairs):
         for name, src in trees.items():
-            stages, imports, rss = samples[name]
+            stages, imports, peaks, walls = samples[name]
             stages.append(stages_sample(cfg, inst, src))
             imports.append(import_sample(run_path[name], src))
-            rss.append(rss_sample(runs, src))
+            peak, wall = cold_sample(commands, src)
+            peaks.append(peak)
+            walls.append(wall)
     out = {"pairs": pairs}
-    for at, section in enumerate(("run_stages", "import_ms", "peak_rss_mb")):
+    for at, section in enumerate(("run_stages", "import_ms", "peak_rss_mb", "wall_ms")):
         theirs, ours = samples["against"][at], samples["this"][at]
         out[section] = {
             key: {
@@ -372,8 +378,8 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true",
                         help="one repetition; skip N = 1000, presets, Tier-1, traced large_graph")
     parser.add_argument("--against", metavar="DIR",
-                        help="also measure run_stages, import_ms and peak_rss_mb of the checkout "
-                             "at DIR and of this one in alternating pairs")
+                        help="also measure run_stages, import_ms, peak_rss_mb and wall_ms of the "
+                             "checkout at DIR and of this one in alternating pairs")
     args = parser.parse_args()
     other = None if args.against is None else Path(args.against).resolve()
     if other is not None and not (other / "src" / "radmm" / "__init__.py").is_file():
@@ -396,8 +402,11 @@ def main() -> int:
         for name in ("mc_fig1", "large_graph"):
             python(["-m", "radmm.cli", "generate", "--config", str(cfgs[name]), "--out", str(work)])
             inst[name] = work / f"{name}_instance.json"  # the workload name is its prefix
-        runs = {name: ["run", "--config", str(cfgs[name]), "--instance", str(inst[name]),
-                       "--out", str(work / "runs" / name)] for name in inst}
+        # each workload's `radmm run`, and fig2's sweep
+        commands = {name: ["run", "--config", str(cfgs[name]), "--instance", str(inst[name]),
+                           "--out", str(work / "runs" / name)] for name in inst}
+        commands["fig2_sweep"] = ["sweep", "--preset", "fig2", "--out", str(work / "runs" / "fig2")]
+        peaks, walls = zip(*(cold_sample(commands) for _ in range(reps)))
 
         result = {
             "schema": SCHEMA,
@@ -407,7 +416,8 @@ def main() -> int:
             "import_ms": import_ms(reps),
             "modules": modules(work, cfgs["mc_fig1"], cfgs["mc_fig1_runs1"], inst["mc_fig1"]),
             "run_stages": run_stages(cfgs["large_graph"], inst["large_graph"], reps),
-            "peak_rss_mb": median_dict([rss_sample(runs) for _ in range(reps)]),
+            "peak_rss_mb": median_dict(peaks),
+            "wall_ms": median_dict(walls),
             "engine": [engine_point(n, r, reps) for n, r in ENGINE_POINTS
                        if not (args.quick and n > 100)],
             "presets_s": None if args.quick else presets_s(work, 3),
@@ -415,7 +425,8 @@ def main() -> int:
             "perfbench": {w: perfbench(w) for w in ("mc_fig1", "large_graph")
                           if not (args.quick and w == "large_graph")},
             "against": None if other is None else against(
-                other, cfgs["large_graph"], inst["large_graph"], runs, 1 if args.quick else PAIRS),
+                other, cfgs["large_graph"], inst["large_graph"], commands,
+                1 if args.quick else PAIRS),
         }
     path = out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")

@@ -1,13 +1,13 @@
 """Command-line entry point: generate instances, run, check, and sweep.
 
 Exit codes: 0 success, 2 invalid input (a malformed config, an invalid
-value in the config or instance, or an unreadable config or instance file),
-3 numerical divergence, 4 equivalence check failure.
+value in the config or instance, an unreadable config or instance file, or
+a usage error in the flags), 3 numerical divergence, 4 equivalence check
+failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -48,14 +48,14 @@ def _load_preset(name: str) -> ExperimentConfig:
     return parse_config(json.loads(text))
 
 
-def _resolve_config(args) -> ExperimentConfig:
+def _resolve_config(args: dict) -> ExperimentConfig:
     from .config import ConfigError, load_config, override_seeds
 
-    if bool(args.config) == bool(args.preset):
+    if bool(args["config"]) == bool(args["preset"]):
         raise ConfigError("exactly one of --config or --preset is required")
-    cfg = load_config(args.config) if args.config else _load_preset(args.preset)
-    if args.seed_override is not None:
-        cfg = override_seeds(cfg, args.seed_override)
+    cfg = load_config(args["config"]) if args["config"] else _load_preset(args["preset"])
+    if args["seed_override"] is not None:
+        cfg = override_seeds(cfg, args["seed_override"])
     return cfg
 
 
@@ -200,47 +200,91 @@ def cmd_sweep(cfg: ExperimentConfig, instance_path: str | None, out_dir: Path) -
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radmm",
-        description="Partition-based relaxed ADMM simulator over lossy networks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("generate", "generate a graph + problem instance file"),
-        ("run", "run the solver and write error-trace CSVs"),
-        ("check", "compare node-local rounds against the stacked reference"),
-        ("sweep", "classify a (rho, alpha, p) grid and write a sweep CSV"),
-    ]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="path to a config JSON")
-        sp.add_argument("--preset", help="name of a bundled preset (fig1..fig4)")
-        sp.add_argument("--out", default="out", help="output directory (default: out)")
-        sp.add_argument("--seed-override", type=int, default=None, help="replace every config seed (testing only)")
-        if name == "generate":
-            continue
-        sp.add_argument("--instance", help="path to an instance JSON (default: generate from config)")
-        if name == "run":
-            # perfbench/harness.py passes --jobs 1 to every command it times;
-            # the next change to the benchmark deletes the flag
-            sp.add_argument("--jobs", type=int, default=1, help="ignored: a run uses one process")
-    return parser
+_COMMANDS = {
+    "generate": "generate a graph + problem instance file",
+    "run": "run the solver and write error-trace CSVs",
+    "check": "compare node-local rounds against the stacked reference",
+    "sweep": "classify a (rho, alpha, p) grid and write a sweep CSV",
+}
+# Every flag: its value's name in the usage, its type and default, and the
+# commands that read it. `run` accepts --jobs and ignores it (a run uses one
+# process): perfbench/harness.py passes it to every command it times, and
+# the next change to the benchmark deletes the flag.
+_FLAGS = {
+    "--config": ("PATH", str, None, tuple(_COMMANDS)),
+    "--preset": ("NAME", str, None, tuple(_COMMANDS)),
+    "--out": ("DIR", str, "out", tuple(_COMMANDS)),
+    "--seed-override": ("INT", int, None, tuple(_COMMANDS)),
+    "--instance": ("PATH", str, None, ("run", "check", "sweep")),
+    "--jobs": ("INT", int, 1, ("run",)),
+}
+
+
+def _usage(command: str | None) -> str:
+    """One line: the command and the flags it reads, or every command."""
+    if command is None:
+        return f"usage: radmm {{{','.join(_COMMANDS)}}} [--flag value ...]"
+    flags = (f"[{flag} {meta}]" for flag, (meta, *_, commands) in _FLAGS.items()
+             if command in commands)
+    return f"usage: radmm {command} {' '.join(flags)}"
+
+
+def parse_args(argv: list[str]) -> tuple[str, dict]:
+    """The command and the value of each flag it reads (keyed by the flag's
+    name without dashes, `-` read as `_`), from `command --flag value ...`;
+    `--flag=value` works too, and a repeated flag keeps its last value.
+
+    -h or --help prints each command's usage and exits 0. An unknown
+    command, a flag the command does not read, a flag without a value or a
+    non-integer value of an integer flag prints one usage line to stderr
+    and exits 2.
+    """
+    if "-h" in argv or "--help" in argv:
+        print("\n".join(f"{_usage(name)}\n    {text}" for name, text in _COMMANDS.items()))
+        print("exactly one of --config and --preset; --out defaults to out")
+        raise SystemExit(EXIT_OK)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+
+    def fail(message: str):
+        print(f"{_usage(command)}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_CONFIG)
+
+    if command is None:
+        fail(f"unknown command {argv[0]!r}" if argv else "a command is required")
+    flags = {flag: spec for flag, spec in _FLAGS.items() if command in spec[3]}
+    values = {flag: default for flag, (_, _, default, _) in flags.items()}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if flag not in flags:
+            fail(f"{command} takes no argument {arg!r}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                fail(f"{flag} expects a value")
+        if flags[flag][1] is int:
+            try:
+                value = int(value)
+            except ValueError:
+                fail(f"{flag} expects an integer, got {value!r}")
+        values[flag] = value
+    return command, {flag[2:].replace("-", "_"): value for flag, value in values.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    command, args = parse_args(sys.argv[1:] if argv is None else argv)
     if "numpy" not in sys.modules:
         os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    out_dir = Path(args.out)
+    out_dir = Path(args["out"])
     try:
         cfg = _resolve_config(args)
-        if args.command == "generate":
+        if command == "generate":
             return cmd_generate(cfg, out_dir)
-        if args.command == "run":
-            return cmd_run(cfg, args.instance, out_dir)
-        if args.command == "check":
-            return cmd_check(cfg, args.instance, out_dir)
-        return cmd_sweep(cfg, args.instance, out_dir)
+        if command == "run":
+            return cmd_run(cfg, args["instance"], out_dir)
+        if command == "check":
+            return cmd_check(cfg, args["instance"], out_dir)
+        return cmd_sweep(cfg, args["instance"], out_dir)
     except ValueError as exc:  # ConfigError, or an invalid config or instance value
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG

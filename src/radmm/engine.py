@@ -12,12 +12,14 @@ The engine is built once per problem and its rhos, solves the problem
 unless it is handed the solution, and advances batches of runs, one row
 per (schedule, alpha, rho, stop tolerance); each command builds one. `run`
 is a batch of one, a Monte Carlo hands it one batch per (alpha, rho), and
-a sweep its whole grid. Its working set per round is bounded by two byte
-budgets, whatever the batch size: large batches run in blocks of rows, and
-masks are drawn a budgeted number of rounds at a time.
-Every run starts from all-zero x and z, is scored every round against the
-centralized optimum, and loses packets on exactly the graph's directed
-edges. Every run of a batch is bitwise equal to the same run alone.
+a sweep its whole grid. Its working set is bounded by two byte budgets,
+whatever the batch size: large batches run in blocks of rows, each
+advanced a block of rounds at a time, and masks are drawn a budgeted
+number of rounds at a time.
+Every run starts from all-zero x and z, is scored on every round against
+the centralized optimum (a block of rounds at once), and loses packets on
+exactly the graph's directed edges. Every run of a batch is bitwise equal
+to the same run alone.
 The engine is built per class, one per group of the problem's stacked
 `local_blocks` (one degree and cost height): its index tables come from
 `graph.stacked_slots`, and a class's local systems are factored at once,
@@ -38,8 +40,12 @@ from .problem import PartitionProblem, Solution, positive_definite, solve_centra
 
 DIVERGENCE_NORM = 1e8
 _Z_CHECK_EVERY = 64
+# Rounds are scored and stop-tested a block at a time, at most this many
+# rounds a block; it divides _Z_CHECK_EVERY.
+_SCORE_EVERY = 16
 # The engine's working set: the uint64 hashes of one mask draw, and the
-# state buffers of one block of rows, stay within these many bytes.
+# state buffers of one block of rows with the x iterates of one block of
+# rounds, stay within these many bytes.
 _MASK_BYTES = 1 << 17
 _BLOCK_BYTES = 1 << 20
 
@@ -81,17 +87,22 @@ class AlgorithmParams(Frozen):
         return 0.0 < self.alpha < 1.0
 
 
-def _error_sum(x: np.ndarray, ref: np.ndarray, starts: np.ndarray, norms: np.ndarray):
+def _error_sum(x: np.ndarray, ref: np.ndarray, starts: np.ndarray, norms: np.ndarray,
+               order: np.ndarray | None = None):
     """Sum over node blocks of ||x block - ref block|| / ||ref block||.
 
     x and ref are flat in the `reference` x layout and block i starts at
-    starts[i]; x may also hold one such flat iterate per row, which gives
-    one sum per row. Both `relative_error` and the stacked engine compute
-    the error here, so the two agree bitwise on equal iterates.
+    starts[i]; x may also stack such flat iterates on leading axes (rounds,
+    rows), which gives one sum per iterate. x is overwritten: each caller
+    scores an array it owns. The blocks may also lie in another order, with
+    block order[i] node i's: the terms are summed in node order. Both
+    `relative_error` and the stacked engine compute the error here, so the
+    two agree bitwise on equal iterates.
     """
-    d = x - ref
+    d = np.subtract(x, ref, out=x)
     d *= d
-    return (np.sqrt(np.add.reduceat(d, starts, axis=-1)) / norms).sum(axis=-1)
+    terms = np.sqrt(np.add.reduceat(d, starts, axis=-1)) / norms
+    return (terms if order is None else terms.take(order, axis=-1)).sum(axis=-1)
 
 
 def _block_norms(ref: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -144,7 +155,10 @@ class _StackedEngine:
     The gather tables and the error reference (x* gathered by slot owner)
     are built from `graph.stacked_slots`, and each class (one `local_blocks`
     group: the nodes of one degree and cost height) is factored in one
-    stacked `positive_definite` check and inv for all rhos.
+    stacked `positive_definite` check and inv for all rhos. The x-update
+    writes x in class-major order, where each node's slots are contiguous
+    in their `reference` order: messages read it there through one composed
+    table, and the error reference is held in that order too.
 
     Every arithmetic step is the one `sync_round` takes, in the same order:
     the head sums add z_in_self in ascending neighbor order starting from
@@ -175,7 +189,7 @@ class _StackedEngine:
         self.solution = solve_centralized(p, groups) if solution is None else solution
         # the optimum in the x layout: every slot holds its owner's x*
         ref, starts = np.array(self.solution.x_star)[slots.owner].ravel(), n * self_slot
-        self.reference = ref, starts, _block_norms(ref, starts)
+        norms = _block_norms(ref, starts)
         groups.reverse()  # popped in (degree, height) order
         e_count, nodes = len(self.edges), np.arange(g.node_count)
         deg = np.bincount(sender, minlength=g.node_count)
@@ -206,7 +220,7 @@ class _StackedEngine:
         # item of a stacked matmul, cholesky or inv to the same BLAS/LAPACK
         # call as a single matrix, so the inverses are bitwise QuadraticLocalSolver's.
         self.classes = []  # (inv stack per rho, span in class-major order, batch shape)
-        class_slots, bases = [], []
+        class_slots, class_nodes, bases = [], [], []
         at = 0
         while groups:
             members, hess, _, base = groups.pop()
@@ -222,6 +236,7 @@ class _StackedEngine:
                 )
             self.classes.append((list(np.linalg.inv(systems)), slice(at, at + k * m), (k, m, 1)))
             bases.append(base)
+            class_nodes.append(members)
             class_slots.append((self_slot[members][:, None] + np.arange(d + 1)).ravel())
             at += k * m
             del hess, systems
@@ -231,9 +246,20 @@ class _StackedEngine:
         from_slot = np.empty_like(class_slots)
         from_slot[class_slots] = np.arange(len(class_slots))
         self.from_class = (n * from_slot[:, None] + col).ravel()
+        # The error reference in class-major order, in which the matmuls
+        # write x: a node's slots are contiguous there too, in the same
+        # order, so the error sum reads x as written and takes the nodes'
+        # terms in node order (argsort inverts the class-major node order).
+        class_nodes = np.concatenate(class_nodes)
+        ref_class = np.empty_like(ref)
+        ref_class[self.from_class] = ref
+        self.reference = (ref_class, n * from_slot[self_slot[class_nodes]], norms[class_nodes],
+                          np.argsort(class_nodes))
         # message on e = (j, i): [2 rho x_self - z_in_self[i],
-        # 2 rho x_neigh[i] - z_in_neigh[i]] of node j, whose z row is edge (i, j)
-        self.message_x = n * np.stack([self_slot[sender], slots.edge_slot], axis=1)[..., None] + col
+        # 2 rho x_neigh[i] - z_in_neigh[i]] of node j, whose z row is edge (i, j);
+        # its x entries are read in class-major order, through from_class
+        message_x = n * np.stack([self_slot[sender], slots.edge_slot], axis=1)[..., None] + col
+        self.message_class = self.from_class[message_x]
         self.message_z = 2 * n * rev[:, None, None] + np.array([[n], [0]]) + col
 
     def run(
@@ -254,18 +280,28 @@ class _StackedEngine:
         run's own `run`. alpha must be finite, rho one of the engine's and
         stop_tol None (no stop) or positive; every run is checked before any
         round. A run that diverges, or whose error falls below its stop_tol,
-        is frozen on that round and its row dropped; errors are taken
-        against `self.solution`.
+        ends on that round; errors are taken against `self.solution`.
         With record_states, each trace also holds its own copies of its x
         after every round and of its last z.
 
-        The working set of a round is bounded whatever the batch size: rows
-        whose buffers together exceed _BLOCK_BYTES run as consecutive blocks
-        of rows that fit, and each `draw_block` call draws as many rounds
-        of the lossy rows' masks (1 to 64) as keep its uint64 hashes within
-        _MASK_BYTES; a dropped row's part of a draw is dropped with it.
-        Runs are independent and masks a pure function of (seed, round,
-        edge), so neither bound changes a bit of any trace.
+        Rows advance a block of rounds at a time (up to _SCORE_EVERY, ending
+        on every _Z_CHECK_EVERY-th round and on k_max). Within a block a
+        round only updates the rows' state and keeps its x; at the block's
+        end its rounds are scored and stop-tested at once, each row's first
+        round to end on is found, and the rows that end are cut there and
+        dropped. A row that ends mid-block runs on to the block's end, and
+        those rounds are discarded, so its trace is the one a round-by-round
+        test gives. The per-row loops run at block ends only.
+
+        The working set is bounded whatever the batch size: rows run as
+        consecutive blocks of rows whose buffers, with one round of what a
+        block keeps per row (x, and with record_states z), fit _BLOCK_BYTES;
+        a block of rounds is as long as keeps them within it (at least one
+        round); and each `draw_block` call draws as many rounds of the lossy
+        rows' masks (1 to 64) as keep its uint64 hashes within _MASK_BYTES,
+        a dropped row's part of a draw being dropped with it. Runs are
+        independent and masks a pure function of (seed, round, edge), so no
+        bound changes a bit of any trace.
         """
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -289,32 +325,35 @@ class _StackedEngine:
         first: dict = {}
         source = [first.setdefault((r,) if s[0] else s, r) for r, s in enumerate(settings)]
         # the runs that get a row, in (rho, run) order, in blocks of rows
-        # whose buffers fit _BLOCK_BYTES
+        # whose buffers and one round of what a block of rounds keeps per row
+        # (x, and with record_states z) fit _BLOCK_BYTES
         ids = sorted(set(source), key=lambda r: (settings[r][2], r))
-        size = max(1, _BLOCK_BYTES // (8 * self.row_size))
+        kept = self.x_size + (self.pad_at if record_states else 0)
+        size = max(1, _BLOCK_BYTES // (8 * (self.row_size + kept)))
         ends = {}
         for at in range(0, len(ids), size):
             block = np.array(ids[at : at + size])
-            ends.update(self._run_block(block, settings, k_max, record_states))
+            ends.update(self._run_block(block, settings, k_max, record_states, kept))
         traces = []
         for at, r in enumerate(source):
             errors, diverged, xs, z = ends[r]
-            if xs is not None and r in source[:at]:  # a shared row's copy
-                xs = xs.copy()
-            traces.append(RunTrace(errors=np.concatenate(errors), diverged=diverged,
-                                   xs=xs, z=None if z is None else z.copy()))
+            if xs is not None and r in source[:at]:  # a shared row's copies
+                xs, z = xs.copy(), z.copy()
+            traces.append(RunTrace(errors=np.concatenate(errors), diverged=diverged, xs=xs, z=z))
         return traces
 
-    def _run_block(self, ids, settings, k_max, record_states) -> dict:
+    def _run_block(self, ids, settings, k_max, record_states, kept) -> dict:
         """Run the runs ids, in (rho, run) order and with the settings `run`
-        checked, from zero until each ends. Returns, per run, its error
-        pieces, diverged flag, and with record_states its x after every
-        round (copied once, into one array per run that grows in place by
-        rounds within _BLOCK_BYTES) and its last z (else None and None)."""
+        checked, from zero until each ends; a block of rounds keeps `kept`
+        floats per row and round. Returns, per run, its error pieces,
+        diverged flag, and with record_states its x after every round
+        (copied once, into one array per run that grows in place by rounds
+        within _BLOCK_BYTES) and its own copy of its last z (else None and
+        None)."""
         errors: dict = {r: [] for r in ids}  # pieces per run
         xs = {r: np.empty((0, self.x_size)) for r in ids} if record_states else {}
         grow = max(1, _BLOCK_BYTES // (8 * self.x_size * len(ids)))
-        log = []  # the rows' errors, one entry a round
+        log = []  # the rows' errors, one (rounds, rows) entry a block of rounds
         ends: dict = {}
         buf = np.zeros((len(ids), self.row_size))
         # Each row's settings, read once into arrays aligned with buf's rows
@@ -329,110 +368,138 @@ class _StackedEngine:
         # every row's delivery flag per z entry for rounds drawn_at ..
         # drawn_to - 1, (rows, rounds, edges * 2 n); loss-free rows deliver all
         gates, drawn_at, drawn_to = np.empty((len(ids), 0)), 0, 0
-        for k in range(k_max):
-            if rows != len(ids):
-                # Views of the rows' state. A single row gets 1-D views, on
-                # which numpy calls cost least; the axis -1 and -3 arguments
-                # below address the same axes with or without the row axis.
-                rows = len(ids)
-                lead = (rows,) if rows > 1 else ()
-                state = buf if rows > 1 else buf[0]
-                z = state[..., : self.pad_at].reshape(lead + self.z_shape)
-                heads = state[..., self.head_at :].reshape(lead + self.head_terms.shape[1:])
-                v = np.empty(lead + (self.x_size,))
-                xc = np.empty(lead + (self.x_size,))
-                # (rho index, its rows) per rho present; the rows are in
-                # (rho, run) order, and one rho takes the class views whole
-                present, starts = np.unique(rhos, return_index=True)
-                bounds = [*starts.tolist(), rows]
-                spans = list(zip(present.tolist(), map(slice, bounds, bounds[1:])))
-                spans = spans if len(spans) > 1 else [(spans[0][0], ...)]
-                solves = []
-                for invs, at, shape in self.classes:
-                    v_c, x_c = v[..., at].reshape(lead + shape), xc[..., at].reshape(lead + shape)
-                    solves += [(invs[i], v_c[rs], x_c[rs]) for i, rs in spans]
-                relaxed = np.empty_like(z)
-                # each row's alpha and rho scale its own q and z (shared ones
-                # stay scalars, on which numpy calls cost least); np.unique
-                # of floats would import numpy.ma, ~10 ms a command
-                alpha = alphas.reshape(-1, 1, 1, 1)
-                alpha = alpha if rows > 1 and (alphas != alphas[0]).any() else alphas.item(0)
-                keep = 1.0 - alpha
-                two_rho = 2.0 * np.take(self.rhos, rhos).reshape(-1, 1, 1, 1)
-                two_rho = two_rho if len(spans) > 1 else two_rho.item(0)
-            np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
-            state.take(self.linear, axis=-1, out=v)
-            v += self.base
-            for inv, v_c, x_c in solves:
-                np.matmul(inv, v_c, out=x_c)
-            x = xc.take(self.from_class, axis=-1)
-            q = x.take(self.message_x, axis=-1)
-            q *= two_rho
-            q -= state.take(self.message_z, axis=-1)
-            q *= alpha
-            if len(bases):
-                if k == drawn_to:
-                    # as many rounds as keep the draw's uint64 hashes within
-                    # _MASK_BYTES, and at most 64, which bounds the draws a
-                    # row that stops early wastes
-                    drawn_at = k
-                    drawn_to = k + min(64, k_max - k, max(1, _MASK_BYTES // bases.nbytes))
-                    drawn = draw_block(bases, thresholds, k, drawn_to - k)
-                    # one flag per z entry: copyto broadcasting an (edges, 1,
-                    # 1) mask is about twice as slow as with a full-size one
-                    gates = np.ones((rows, drawn_to - k, self.pad_at), dtype=bool)
-                    gates[lossy] = np.repeat(drawn, 2 * self.n, axis=-1)
-                np.multiply(z, keep, out=relaxed)
-                relaxed += q
-                np.copyto(z, relaxed, where=gates[:, k - drawn_at].reshape(z.shape))
-            else:
-                z *= keep
-                z += q
-            x_rows = x.reshape(rows, -1)
-            if record_states:
+        k = 0
+        # A row that ends mid-block runs on to the block's end (those rounds
+        # are discarded), and a runaway one may overflow there.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while ids.size:
+                if rows != len(ids):
+                    # Views of the rows' state. A single row gets 1-D views,
+                    # on which numpy calls cost least; the axis -1 and -3
+                    # arguments below address the same axes with or without
+                    # the row axis.
+                    rows = len(ids)
+                    lead = (rows,) if rows > 1 else ()
+                    state = buf if rows > 1 else buf[0]
+                    z = state[..., : self.pad_at].reshape(lead + self.z_shape)
+                    heads = state[..., self.head_at :].reshape(lead + self.head_terms.shape[1:])
+                    v = np.empty(lead + (self.x_size,))
+                    # (rho index, its rows) per rho present; the rows are in
+                    # (rho, run) order, and one rho takes the class views whole
+                    present, starts = np.unique(rhos, return_index=True)
+                    bounds = [*starts.tolist(), rows]
+                    spans = list(zip(present.tolist(), map(slice, bounds, bounds[1:])))
+                    spans = spans if len(spans) > 1 else [(spans[0][0], ...)]
+                    # A block of rounds: as many as keep the rows' state and
+                    # what the block keeps of each round within _BLOCK_BYTES,
+                    # 1 to _SCORE_EVERY. Round t's x is written, class by
+                    # class, into its slot xb[t] of the block, in class-major
+                    # order, and its messages are gathered from there.
+                    size = (_BLOCK_BYTES // (8 * rows) - self.row_size) // kept
+                    size = min(_SCORE_EVERY, max(1, size))
+                    xb = np.empty((size, rows, self.x_size))
+                    zb = np.empty((size, rows, self.pad_at)) if record_states else None
+                    x_all = xb if rows > 1 else xb[:, 0]
+                    # per class and rho: its inverses, its rows of v and of
+                    # every round's x
+                    solves = []
+                    for invs, at, shape in self.classes:
+                        v_c = v[..., at].reshape(lead + shape)
+                        x_c = x_all[..., at].reshape((size,) + lead + shape)
+                        solves += [(invs[i], v_c[rs], x_c, rs) for i, rs in spans]
+                    # per round of a block: its x, its solves and its z
+                    slots = [(x_all[t], [(inv, v_c, x_c[t, rs]) for inv, v_c, x_c, rs in solves],
+                              zb[t] if record_states else None) for t in range(size)]
+                    relaxed = np.empty_like(z)
+                    # each row's alpha and rho scale its own q and z (shared
+                    # ones stay scalars, on which numpy calls cost least);
+                    # np.unique of floats would import numpy.ma, ~10 ms a command
+                    alpha = alphas.reshape(-1, 1, 1, 1)
+                    alpha = alpha if rows > 1 and (alphas != alphas[0]).any() else alphas.item(0)
+                    keep = 1.0 - alpha
+                    two_rho = 2.0 * np.take(self.rhos, rhos).reshape(-1, 1, 1, 1)
+                    two_rho = two_rho if len(spans) > 1 else two_rho.item(0)
+                # the block ends on k_max and on every _Z_CHECK_EVERY-th round
+                length = min(size, k_max - k, _Z_CHECK_EVERY - k % _Z_CHECK_EVERY)
+                for x_t, solves, z_t in slots[:length]:
+                    np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
+                    state.take(self.linear, axis=-1, out=v)
+                    v += self.base
+                    for inv, v_c, x_c in solves:
+                        np.matmul(inv, v_c, out=x_c)
+                    q = x_t.take(self.message_class, axis=-1)
+                    q *= two_rho
+                    q -= state.take(self.message_z, axis=-1)
+                    q *= alpha
+                    if len(bases):
+                        if k == drawn_to:
+                            # as many rounds as keep the draw's uint64 hashes
+                            # within _MASK_BYTES, and at most 64, which bounds
+                            # the draws a row that stops early wastes
+                            drawn_at = k
+                            drawn_to = k + min(64, k_max - k, max(1, _MASK_BYTES // bases.nbytes))
+                            drawn = draw_block(bases, thresholds, k, drawn_to - k)
+                            # one flag per z entry: copyto broadcasting an
+                            # (edges, 1, 1) mask is about twice as slow as
+                            # with a full-size one
+                            gates = np.ones((rows, drawn_to - k, self.pad_at), dtype=bool)
+                            gates[lossy] = np.repeat(drawn, 2 * self.n, axis=-1)
+                        np.multiply(z, keep, out=relaxed)
+                        relaxed += q
+                        np.copyto(z, relaxed, where=gates[:, k - drawn_at].reshape(z.shape))
+                    else:
+                        z *= keep
+                        z += q
+                    if record_states:
+                        z_t[...] = state[..., : self.pad_at]
+                    k += 1
+                # The block's scores and stop tests, on its x as written,
+                # (rounds, rows, x_size) in class-major order: one |x| test
+                # and one error sum, which overwrites xb (the next block
+                # writes it anew). NaN fails every comparison.
+                x = xb[:length]
+                if record_states:
+                    x_ref = x.take(self.from_class, axis=-1)
+                    for row, r in enumerate(ids):
+                        if k > len(xs[r]):
+                            xs[r].resize((min(k_max, max(k, len(xs[r]) + grow)), self.x_size),
+                                         refcheck=False)
+                        xs[r][k - length : k] = x_ref[:, row]
+                ok = x.max(axis=-1) < DIVERGENCE_NORM
+                ok &= x.min(axis=-1) > -DIVERGENCE_NORM
+                err = _error_sum(x, *self.reference)
+                log.append(err)
+                ok &= err < np.inf
+                if k % _Z_CHECK_EVERY == 0 and z.size:
+                    ok[-1] &= np.abs(z).reshape(rows, -1).max(axis=1) < DIVERGENCE_NORM
+                stop = ~ok | (err < tols)
+                if k == k_max:
+                    stop[-1] = True
+                # each row's first round to end on, if any
+                first, done = stop.argmax(axis=0), stop.any(axis=0)
+                if not done.any():
+                    continue
+                block = np.concatenate(log)
+                log.clear()
+                # a row's pieces run to its last round: the block's end, or
+                # the round it ends on
+                cut = len(block) - length + first + 1
+                cut[~done] = len(block)
                 for row, r in enumerate(ids):
-                    if k == len(xs[r]):
-                        xs[r].resize((min(k_max, k + grow), self.x_size), refcheck=False)
-                    xs[r][k] = x_rows[row]
-            err = _error_sum(x, *self.reference).reshape(rows)
-            log.append(err)
-            # A cheap test first; the row-by-row checks run only on rounds on
-            # which some run may end. NaN fails every comparison.
-            check_z = (k + 1) % _Z_CHECK_EVERY == 0 and z.size
-            if (
-                k + 1 < k_max
-                and not check_z
-                and np.abs(x).max() < DIVERGENCE_NORM
-                and ((tols <= err) & (err < np.inf)).all()
-            ):
-                continue
-            ok = (np.abs(x_rows).max(axis=1) < DIVERGENCE_NORM) & (err < np.inf)
-            if check_z:
-                ok &= np.abs(z).reshape(rows, -1).max(axis=1) < DIVERGENCE_NORM
-            done = ~ok | (err < tols)
-            if k + 1 == k_max:
-                done[:] = True
-            if not done.any():
-                continue
-            block = np.array(log)
-            log.clear()
-            for row, r in enumerate(ids):
-                errors[r].append(block[:, row])
-            z_rows = z.reshape(rows, -1)
-            for row in np.flatnonzero(done):
-                r = ids[row]
-                x_all = xs.pop(r, None)
-                if x_all is not None:
-                    x_all.resize((k + 1, self.x_size), refcheck=False)
-                ends[r] = (errors[r], not ok[row], x_all, z_rows[row] if record_states else None)
-            # the one place rows are dropped: every per-row array follows buf
-            live = ~done
-            bases, thresholds = bases[live[lossy]], thresholds[live[lossy]]
-            buf, ids, lossy, alphas, rhos, tols, gates = (
-                a[live] for a in (buf, ids, lossy, alphas, rhos, tols, gates)
-            )
-            if not ids.size:
-                break
+                    errors[r].append(block[: cut[row], row])
+                for row in np.flatnonzero(done):
+                    r, at = ids[row], first[row]
+                    x_all = xs.pop(r, None)
+                    if x_all is not None:
+                        x_all.resize((k - length + at + 1, self.x_size), refcheck=False)
+                    ends[r] = (errors[r], not ok[at, row], x_all,
+                               zb[at, row].copy() if record_states else None)
+                # the one place rows are dropped: every per-row array follows buf
+                live = ~done
+                bases, thresholds = bases[live[lossy]], thresholds[live[lossy]]
+                buf, ids, lossy, alphas, rhos, tols, gates = (
+                    a[live] for a in (buf, ids, lossy, alphas, rhos, tols, gates)
+                )
         return ends
 
 
@@ -458,7 +525,11 @@ def run(
     trace also holds x after every round and the last z (see `RunTrace`).
 
     The rounds run on the stacked engine as a batch of one, which is bitwise
-    equal to iterating `sync_round` from `initial_states`.
+    equal to iterating `sync_round` from `initial_states`. The engine scores
+    and tests a block of up to _SCORE_EVERY rounds at once and discards the
+    rounds of the block after the one the run ends on, so the trace ends
+    where a round-by-round test ends it; a runaway run may overflow in those
+    discarded rounds, which emits no warning.
     """
     engine = _StackedEngine(p, (params.rho,), solution)
     row = (schedule, params.alpha, params.rho, stop_tol)

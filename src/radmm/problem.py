@@ -459,6 +459,11 @@ def problem_from_json(text: str) -> PartitionProblem:
         n = _integer(doc["dim"], "dim")
         if n < 1:
             raise ValueError(f"instance dim must be positive, got {n}")
+        # H has rank at most the rows' sum, so fewer rows than unknowns make
+        # it singular; rejected before any block of n columns is built
+        if sum(rows) < nodes * n:
+            raise ValueError(f"instance costs.rows sum to {sum(rows)}, fewer than the "
+                             f"{nodes * n} unknowns (nodes x dim): the problem is singular")
         return PartitionProblem(graph=g, costs=_uncosts(rows, cdoc["data"], g, n), dim=n)
     except KeyError as exc:
         raise ValueError(f"instance document lacks key {exc}") from exc

@@ -3,6 +3,7 @@ and the batched Monte Carlo, CLI and sweep against per-run loops."""
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,11 +110,12 @@ def record_engines(monkeypatch, *modules):
 
 def record_error_rows(monkeypatch):
     """Replace the engine's _error_sum by a wrapper that records the rows of
-    each round it scores."""
+    each block of rounds it scores, a (rounds, rows, x_size) array."""
     counts, error_sum = [], engine_module._error_sum
 
     def counting(x, *args):
-        counts.append(len(x) if x.ndim > 1 else 1)
+        assert x.ndim == 3
+        counts.append(x.shape[1])
         return error_sum(x, *args)
 
     monkeypatch.setattr(engine_module, "_error_sum", counting)
@@ -230,6 +232,79 @@ def test_budgets_do_not_change_results(ten_node_problem, monkeypatch, which):
     assert {(rounds, lossy) for _, rounds, lossy in draws} == {(1, 1)}
     assert set(row_counts) == {1}
     assert len({tr.rounds_executed for tr in traces}) >= 4
+
+
+def first_below_rounds(errors):
+    """{round: tol} for each round whose error is below every earlier one: a
+    run with that stop tolerance (just above the error) ends on that round."""
+    low = np.minimum.accumulate(errors)
+    return {k: float(np.nextafter(errors[k], np.inf))
+            for k in range(len(errors)) if k == 0 or errors[k] < low[k - 1]}
+
+
+@pytest.fixture(scope="module")
+def rows_ending_on_every_offset(ten_node_problem, ten_node_solution):
+    """16 runs at (0.75, 3), lossy and loss-free, whose stop tolerances end
+    run o on a round k = o mod 16 in block 1, 2 or 3 or later."""
+    p, sol = ten_node_problem, ten_node_solution
+    rows = []
+    for offset in range(16):
+        schedule = None if offset % 3 == 0 else uniform(p, 0.2, 60 + offset)
+        errors = spec_run(p, rm.AlgorithmParams(0.75, 3.0), schedule, 130, sol)[0]
+        tol = next(tol for k, tol in first_below_rounds(errors).items()
+                   if k % 16 == offset and k >= 16 * (1 + offset % 3))
+        rows.append((schedule, 0.75, 3.0, tol))
+    return rows
+
+
+@pytest.mark.parametrize("budget", ["default", "small"])
+def test_runs_ending_on_every_round_of_a_block_equal_spec(
+    ten_node_problem, rows_ending_on_every_offset, monkeypatch, budget
+):
+    # rounds are scored a block at a time: a run ends on each offset 0 to 15
+    # of a block of _SCORE_EVERY rounds (rows that end mid-block run on to
+    # its end, and those rounds are discarded); four rows a batch keep the
+    # default blocks whole. A small budget makes them shorter and of mixed
+    # lengths, cut at every _Z_CHECK_EVERY-th round.
+    assert engine_module._Z_CHECK_EVERY % engine_module._SCORE_EVERY == 0
+    rows, lengths, error_sum = rows_ending_on_every_offset, set(), engine_module._error_sum
+
+    def recording(x, *args):
+        lengths.add(len(x))
+        return error_sum(x, *args)
+
+    monkeypatch.setattr(engine_module, "_error_sum", recording)
+    if budget == "small":
+        # and a run that ends by the |z| bound on round 64, alone in its
+        # block of rows, whose blocks of 3 rounds are cut there
+        monkeypatch.setattr(engine_module, "_BLOCK_BYTES", 5000)
+        z_bound = (uniform(ten_node_problem, 0.2, 0), 1.4, 1.0, None)
+        traces = assert_rows_match_spec(ten_node_problem, rows + [z_bound], 130)
+        assert engine_module._SCORE_EVERY not in lengths and len(lengths) > 1
+        last = traces.pop()
+        assert last.diverged and last.rounds_executed == 64
+        assert np.abs(last.xs[-1]).max() < rm.DIVERGENCE_NORM
+    else:
+        traces = [tr for at in range(0, 16, 4)
+                  for tr in assert_rows_match_spec(ten_node_problem, rows[at : at + 4], 130)]
+        assert max(lengths) == engine_module._SCORE_EVERY
+    assert [(tr.rounds_executed - 1) % 16 for tr in traces] == list(range(16))
+
+
+def test_a_run_overflowing_mid_block_ends_on_the_spec_round_without_warning(
+    ten_node_problem, ten_node_solution
+):
+    # at alpha = 1e150 x passes DIVERGENCE_NORM on round 2; the engine runs
+    # the block on, through overflow to inf and NaN, and discards it
+    p, sol = ten_node_problem, ten_node_solution
+    params = rm.AlgorithmParams(1e150, 3.0)
+    for schedule in (None, uniform(p, 0.2, 70)):
+        spec = spec_run(p, params, schedule, 200, sol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = rm.run(p, params, schedule, 200, solution=sol, record_states=True)
+        assert_trace_matches_spec(p, tr, spec)
+        assert tr.diverged and tr.rounds_executed % engine_module._SCORE_EVERY != 0
 
 
 def test_engine_working_set_is_bounded():

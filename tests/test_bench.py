@@ -19,7 +19,7 @@ def test_quick_bench_writes_every_section(tmp_path):
     doc = json.loads((out / "BENCH_smoke.json").read_text())
     assert set(doc) == {
         "schema", "label", "quick", "machine", "import_ms", "modules", "run_stages",
-        "peak_rss_mb", "engine", "presets_s", "tier1_s", "perfbench", "against",
+        "peak_rss_mb", "wall_ms", "engine", "presets_s", "tier1_s", "perfbench", "against",
     }
     assert (doc["schema"], doc["label"], doc["quick"]) == ("radmm-bench/1", "smoke", True)
     machine = {"nproc", "python", "numpy", "blas", "blas_core", "blas_threads", "writes_bytecode"}
@@ -35,10 +35,12 @@ def test_quick_bench_writes_every_section(tmp_path):
     assert set(stages) == {"load_ms", "engine_setup_ms", "rounds_ms", "rounds",
                            "load_peak_kib", "instance_bytes"}
     assert all(isinstance(v, NUMBER) and v > 0 for v in stages.values())
-    # each workload's cold `radmm run`: more than a bare interpreter, which
-    # holds no numpy
-    assert set(doc["peak_rss_mb"]) == {"mc_fig1", "large_graph"}
+    # each workload's cold `radmm run` and fig2's sweep: more than a bare
+    # interpreter, which holds no numpy, and longer than one
+    commands = {"mc_fig1", "large_graph", "fig2_sweep"}
+    assert set(doc["peak_rss_mb"]) == set(doc["wall_ms"]) == commands
     assert all(isinstance(v, NUMBER) and v > 15 for v in doc["peak_rss_mb"].values())
+    assert all(isinstance(v, NUMBER) and v > 30 for v in doc["wall_ms"].values())
     # the quick run skips N = 1000, the presets and Tier-1
     assert [point["nodes"] for point in doc["engine"]] == [10, 100]
     for point in doc["engine"]:
@@ -52,12 +54,13 @@ def test_quick_bench_writes_every_section(tmp_path):
     assert isinstance(traced["metrics"]["core.run_round_us"], NUMBER)
     # one pair in quick mode; both trees here are this checkout
     paired = doc["against"]
-    assert set(paired) == {"pairs", "run_stages", "import_ms", "peak_rss_mb"}
+    assert set(paired) == {"pairs", "run_stages", "import_ms", "peak_rss_mb", "wall_ms"}
     assert paired["pairs"] == 1
     assert set(paired["run_stages"]) == set(stages)
     assert {"radmm.problem", "total"} <= set(paired["import_ms"])
     assert set(paired["peak_rss_mb"]) == set(doc["peak_rss_mb"])
-    for section in ("run_stages", "import_ms", "peak_rss_mb"):
+    assert set(paired["wall_ms"]) == set(doc["wall_ms"])
+    for section in ("run_stages", "import_ms", "peak_rss_mb", "wall_ms"):
         for number in paired[section].values():
             assert set(number) == {"against", "this", "wins", "ratio"}
             assert number["wins"] in (0, 1)

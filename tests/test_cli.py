@@ -210,6 +210,22 @@ def test_run_and_sweep_from_an_instance_never_import_numpy_random(tmp_path):
     assert _python("import sys, radmm\nprint('numpy' in sys.modules)") == "False"
 
 
+def test_run_and_generate_never_import_argparse(tmp_path):
+    # flags are read from one table: argparse's import and parser cost
+    # every command ~4 ms
+    cfg = write_config(tmp_path, base_config())
+    out = ["--out", str(tmp_path / "o")]
+    for argv in (["generate", "--config", cfg, *out], ["run", "--config", cfg, *out],
+                 ["run", "--preset", "fig3", *out]):
+        script = (
+            "import sys\n"
+            "from radmm.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'argparse' in sys.modules)\n"
+        )
+        assert _python(script) == "0 False", argv
+
+
 def test_no_radmm_module_imports_dataclasses():
     # records are plain classes: the dataclass decorator execs generated
     # source for every class it decorates, which each command would pay at
@@ -400,6 +416,60 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["run", "--out"],
+        ["run", "--config"],
+        ["run", "--config", "--out", "o"],
+        ["run", "--seed-override", "x"],
+        ["run", "--seed-override=1.5"],
+        ["run", "--jobs", "two"],
+        ["run", "extra"],
+        ["check", "--jobs=1"],
+    ],
+    ids=["no-command", "unknown-command", "missing-value", "missing-config-value",
+         "flag-as-value", "non-integer", "non-integer-equals", "non-integer-jobs",
+         "positional", "check-jobs-equals"],
+)
+def test_usage_errors_exit_2_with_one_usage_line_and_no_output(
+    tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)  # where the default --out would be written
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage: radmm")
+    assert not list(tmp_path.iterdir())
+
+
+def test_flags_take_space_or_equals_values(tmp_path):
+    cfg = write_config(tmp_path, base_config())
+    spaced = ["run", "--config", cfg, "--out", str(tmp_path / "a"), "--seed-override", "9"]
+    joined = ["run", f"--config={cfg}", f"--out={tmp_path / 'b'}", "--seed-override=9", "--jobs=1"]
+    for argv in (spaced, joined):
+        assert cli.main(argv) == cli.EXIT_OK
+    a, b = ((tmp_path / out / "t_trace.csv").read_bytes() for out in "ab")
+    assert a == b
+    assert cli.parse_args(joined) == ("run", {
+        "config": cfg, "preset": None, "out": str(tmp_path / "b"), "seed_override": 9,
+        "instance": None, "jobs": 1,
+    })
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_and_exits_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: radmm")
+    assert all(name in out for name in ("generate", "run", "check", "sweep", "--seed-override"))
+
+
 def test_run_accepts_and_ignores_jobs(tmp_path):
     cfg = write_config(tmp_path, base_config())
     for out, jobs in (("a", []), ("b", ["--jobs", "1"])):
@@ -541,6 +611,16 @@ def _nograph_instance(tmp_path):
     return path
 
 
+def _few_rows_instance(tmp_path):
+    # each cost has no rows, so H = 0 on 2 * 10**6 unknowns; its local
+    # Hessian blocks alone would take 58 TiB
+    path = tmp_path / "few_rows.json"
+    doc = {"schema": "radmm-instance/2", "graph": {"nodes": 2, "edges": [[0, 1]]},
+           "dim": 10**6, "costs": {"rows": [0, 0], "data": []}}
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def _edited_instance(edit):
     """A valid 3-node instance document, changed by edit, written to a file."""
     def write(tmp_path):
@@ -646,6 +726,7 @@ def _first_schema(doc):
         ("run", "run", {}, _edited_costs(edit_data=lambda d: d[:-1])),
         ("run", "run", {}, _edited_costs(edit_data=lambda d: d + [0.5])),
         ("run", "run", {}, _edited_instance(lambda doc: dict(doc, dim=0))),
+        ("run", "run", {}, _few_rows_instance),
         ("run", "run", {}, _edited_instance(_first_schema)),
         ("run", "run", {}, _edited_graph(positions=5)),
         ("run", "run", {}, _edited_costs(edit_data=lambda d: [math.nan] + d[1:])),
@@ -688,7 +769,7 @@ def _first_schema(doc):
          "instance-rows-short", "instance-rows-long", "instance-rows-bool",
          "instance-rows-float", "instance-rows-negative", "instance-rows-string",
          "instance-data-bool", "instance-data-huge-int", "instance-data-short",
-         "instance-data-long", "instance-dim0", "instance-schema-1",
+         "instance-data-long", "instance-dim0", "instance-rows-below-unknowns", "instance-schema-1",
          "instance-positions-number", "instance-data-nan", "instance-data-infinity",
          "instance-data-minus-infinity", "instance-positions-width-1",
          "instance-positions-bool", "instance-positions-nan", "instance-positions-short",

@@ -83,13 +83,16 @@ def loop_tables(p, rhos):
         "linear": linear,
         "base": base,
         "from_class": from_class,
-        "message_x": np.array(x_at, dtype=np.intp).reshape(z_shape),
+        # messages read x in class-major order
+        "message_class": from_class[np.array(x_at, dtype=np.intp).reshape(z_shape)],
         "message_z": np.array(z_at, dtype=np.intp).reshape(z_shape),
         "classes": classes,
         "x_size": sum(sizes),
         "z_shape": z_shape,
         "pad_at": pad,
         "head_at": head,
+        "by_class": np.array(by_class),
+        "class_at": class_at,
     }
 
 
@@ -102,7 +105,7 @@ def assert_same_array(got, want, name):
 def assert_engine_matches_loop(p, rhos=RHOS):
     engine = _StackedEngine(p, rhos)
     want = loop_tables(p, rhos)
-    for name in ("head_terms", "linear", "base", "from_class", "message_x", "message_z"):
+    for name in ("head_terms", "linear", "base", "from_class", "message_class", "message_z"):
         assert_same_array(getattr(engine, name), want[name], name)
     assert len(engine.classes) == len(want["classes"])
     for (invs, span, shape), (invs_ref, span_ref, shape_ref) in zip(engine.classes, want["classes"]):
@@ -113,14 +116,18 @@ def assert_engine_matches_loop(p, rhos=RHOS):
     for name in ("x_size", "z_shape", "pad_at", "head_at"):
         assert getattr(engine, name) == want[name], name
     # the error reference: the spec's per-node blocks [x_i*; x_j* for j
-    # ascending], their starts and their norms
+    # ascending], their starts and their norms, in class-major order, and
+    # each node's block there
     x_star, g = engine.solution.x_star, p.graph
     blocks = [np.concatenate([x_star[i]] + [x_star[j] for j in rm.neighbors(g, i)])
               for i in range(g.node_count)]
-    ref, starts, norms = engine.reference
-    assert_same_array(ref, np.concatenate(blocks), "reference")
-    assert_same_array(starts, np.cumsum([0] + [b.size for b in blocks[:-1]]), "reference starts")
-    assert_same_array(norms, np.array([np.linalg.norm(b) for b in blocks]), "reference norms")
+    ref, starts, norms, order = engine.reference
+    by_class, class_at = want["by_class"], want["class_at"]
+    assert_same_array(ref[want["from_class"]], np.concatenate(blocks), "reference")
+    assert_same_array(order, np.argsort(by_class), "reference order")
+    assert_same_array(starts, np.array([class_at[i] for i in by_class]), "reference starts")
+    assert_same_array(norms, np.array([np.linalg.norm(blocks[i]) for i in by_class]),
+                      "reference norms")
 
 
 def quadratic_cost(rng, n, rows, nbrs, a_self=None):

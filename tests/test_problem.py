@@ -287,12 +287,13 @@ def test_optimum_beats_random_points(ten_node_problem, ten_node_solution):
 
 
 def mixed_height_problem():
-    """A path 0-1-2-3 whose costs have 3, 0, 1 and 2 rows; node 1's cost is
-    empty, which QuadraticLocalCost accepts."""
+    """A path 0-1-2-3 whose costs have 3, 0, 1 and 4 rows; node 1's cost is
+    empty, which QuadraticLocalCost accepts. The 8 rows match the 8
+    unknowns, as a decodable instance's must."""
     rng = np.random.default_rng(17)
     g = rm.Graph(node_count=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}))
     costs = []
-    for i, r in enumerate([3, 0, 1, 2]):
+    for i, r in enumerate([3, 0, 1, 4]):
         m = rng.standard_normal((r, r))
         costs.append(rm.QuadraticLocalCost(
             maps=rng.standard_normal((g.degree(i) + 1, r, 2)),
@@ -329,7 +330,7 @@ def test_json_round_trip_bit_exact_on_100_nodes():
 
 def test_json_round_trip_bit_exact_with_mixed_cost_heights():
     p = mixed_height_problem()
-    assert [c.rows for c in p.costs] == [3, 0, 1, 2]
+    assert [c.rows for c in p.costs] == [3, 0, 1, 4]
     assert_round_trip_bit_exact(p)
 
 
@@ -351,6 +352,21 @@ def test_json_layout_is_rows_then_flat_data(path3_problem):
 def test_json_rejects_unknown_schema():
     with pytest.raises(ValueError):
         rm.problem_from_json('{"schema": "other/9"}')
+
+
+def test_json_rejects_fewer_rows_than_unknowns():
+    # H has rank at most the rows' sum: 2 nodes of 0 rows at dim 10**6 are
+    # refused before a block of 10**6 columns is built, and so is a document
+    # one row short; the rows that match the unknowns decode
+    empty = {"schema": "radmm-instance/2", "graph": {"nodes": 2, "edges": [[0, 1]]},
+             "dim": 10**6, "costs": {"rows": [0, 0], "data": []}}
+    with pytest.raises(ValueError, match="rows sum to 0, fewer than the 2000000 unknowns"):
+        rm.problem_from_json(json.dumps(empty))
+    doc = json.loads(rm.problem_to_json(mixed_height_problem()))  # 8 rows, 8 unknowns
+    rm.problem_from_json(json.dumps(doc))
+    doc["dim"] = 3
+    with pytest.raises(ValueError, match="rows sum to 8, fewer than the 12 unknowns"):
+        rm.problem_from_json(json.dumps(doc))
 
 
 def test_json_first_schema_asks_for_regeneration():
@@ -547,7 +563,7 @@ def test_cost_arrays_are_read_only(ten_node_problem, source):
 
 
 def test_problem_checks_the_weights_of_every_cost_height():
-    p = mixed_height_problem()  # heights 3, 0, 1 and 2
+    p = mixed_height_problem()  # heights 3, 0, 1 and 4
     for i in (0, 2, 3):
         costs = list(p.costs)
         c = costs[i]
@@ -576,9 +592,9 @@ def per_node_error(q):
 def test_decoder_raises_what_the_per_node_check_raises(bad_q):
     p = mixed_height_problem()
     doc = json.loads(rm.problem_to_json(p))
-    # node 3 has 2 rows; its q is the last 4 numbers of the data
-    q = bad_q(np.array(doc["costs"]["data"][-4:]).reshape(2, 2))
-    doc["costs"]["data"][-4:] = q.ravel().tolist()
+    # node 3 has 4 rows; its q is the last 16 numbers of the data
+    q = bad_q(np.array(doc["costs"]["data"][-16:]).reshape(4, 4))
+    doc["costs"]["data"][-16:] = q.ravel().tolist()
     with pytest.raises(ValueError) as info:
         rm.problem_from_json(json.dumps(doc))
     assert str(info.value) == per_node_error(q)
