@@ -21,11 +21,12 @@ holds:
   the instance file's size (bytes) and the peak memory Python and numpy
   allocate inside `problem_from_json` (KiB, `tracemalloc`, an untimed pass);
 - peak_rss_mb and wall_ms: per benchmark workload, the peak RSS (MB) and
-  wall time (ms) of its cold `radmm run`, and of the cold `radmm sweep
-  --preset fig2` (medians). Each command is launched from a Python process
-  that has not imported numpy: a child's `ru_maxrss` is never below its
-  launching process's own peak, so a launcher that holds numpy (as
-  perfbench's runner does) reports its own heap instead of radmm's;
+  wall time (ms) of its cold `radmm run`, and of the cold `radmm run
+  --preset fig1` and `radmm sweep --preset fig2` (medians). Each command
+  is launched from a Python process that has not imported numpy: a
+  child's `ru_maxrss` is never below its launching process's own peak, so
+  a launcher that holds numpy (as perfbench's runner does) reports its own
+  heap instead of radmm's;
 - engine: per node count N, the graph, instance and engine set-up (with
   the solve) times, the in-process times of decoding the instance's JSON
   text, of checking its costs into a `PartitionProblem` and of
@@ -402,9 +403,10 @@ def main() -> int:
         for name in ("mc_fig1", "large_graph"):
             python(["-m", "radmm.cli", "generate", "--config", str(cfgs[name]), "--out", str(work)])
             inst[name] = work / f"{name}_instance.json"  # the workload name is its prefix
-        # each workload's `radmm run`, and fig2's sweep
+        # each workload's `radmm run`, fig1's run (301 engine rows) and fig2's sweep
         commands = {name: ["run", "--config", str(cfgs[name]), "--instance", str(inst[name]),
                            "--out", str(work / "runs" / name)] for name in inst}
+        commands["fig1_run"] = ["run", "--preset", "fig1", "--out", str(work / "runs" / "fig1")]
         commands["fig2_sweep"] = ["sweep", "--preset", "fig2", "--out", str(work / "runs" / "fig2")]
         peaks, walls = zip(*(cold_sample(commands) for _ in range(reps)))
 

@@ -12,10 +12,10 @@ The engine is built once per problem and its rhos, solves the problem
 unless it is handed the solution, and advances batches of runs, one row
 per (schedule, alpha, rho, stop tolerance); each command builds one. `run`
 is a batch of one, a Monte Carlo hands it one batch per (alpha, rho), and
-a sweep its whole grid. Its working set is bounded by two byte budgets,
+a sweep its whole grid. Its working set is bounded by one byte budget,
 whatever the batch size: large batches run in blocks of rows, each
-advanced a block of rounds at a time, and masks are drawn a budgeted
-number of rounds at a time.
+advanced a block of rounds at a time, and each block of rounds draws the
+masks of exactly its rows and rounds at its start.
 Every run starts from all-zero x and z, is scored on every round against
 the centralized optimum (a block of rounds at once), and loses packets on
 exactly the graph's directed edges. Every run of a batch is bitwise equal
@@ -43,10 +43,9 @@ _Z_CHECK_EVERY = 64
 # Rounds are scored and stop-tested a block at a time, at most this many
 # rounds a block; it divides _Z_CHECK_EVERY.
 _SCORE_EVERY = 16
-# The engine's working set: the uint64 hashes of one mask draw, and the
-# state buffers of one block of rows with the x iterates of one block of
-# rounds, stay within these many bytes.
-_MASK_BYTES = 1 << 17
+# The engine's working set: the state buffers of one block of rows with the
+# x iterates of one block of rounds stay within these many bytes, and the
+# block's mask draw is sized by those x iterates (see `_StackedEngine.run`).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -285,23 +284,23 @@ class _StackedEngine:
         after every round and of its last z.
 
         Rows advance a block of rounds at a time (up to _SCORE_EVERY, ending
-        on every _Z_CHECK_EVERY-th round and on k_max). Within a block a
-        round only updates the rows' state and keeps its x; at the block's
-        end its rounds are scored and stop-tested at once, each row's first
-        round to end on is found, and the rows that end are cut there and
-        dropped. A row that ends mid-block runs on to the block's end, and
-        those rounds are discarded, so its trace is the one a round-by-round
-        test gives. The per-row loops run at block ends only.
+        on every _Z_CHECK_EVERY-th round and on k_max), whose masks it draws
+        at its start. Within a block a round only updates the rows' state
+        and keeps its x; at the block's end its rounds are scored and
+        stop-tested at once, each row's first round to end on is found, and
+        the rows that end are cut there and dropped. A row that ends
+        mid-block runs on to the block's end, and those rounds are
+        discarded, so its trace is the one a round-by-round test gives. The
+        per-row loops run at block ends only.
 
         The working set is bounded whatever the batch size: rows run as
         consecutive blocks of rows whose buffers, with one round of what a
         block keeps per row (x, and with record_states z), fit _BLOCK_BYTES;
-        a block of rounds is as long as keeps them within it (at least one
-        round); and each `draw_block` call draws as many rounds of the lossy
-        rows' masks (1 to 64) as keep its uint64 hashes within _MASK_BYTES,
-        a dropped row's part of a draw being dropped with it. Runs are
-        independent and masks a pure function of (seed, round, edge), so no
-        bound changes a bit of any trace.
+        and a block of rounds is as long as keeps them within it (at least
+        one round). Its mask draw is no larger: per row and round, E uint64
+        hashes and 2nE bool flags, against the x_size = n(E + N) >= E floats
+        it keeps. Runs are independent and masks a pure function of (seed,
+        round, edge), so no budget or tiling changes a bit of any trace.
         """
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -359,15 +358,12 @@ class _StackedEngine:
         # Each row's settings, read once into arrays aligned with buf's rows
         # and sliced with them where rows end: whether it loses packets, its
         # alpha, rho index and stop tolerance; and the lossy rows' hash bases
-        # and thresholds, from which each mask draw is made.
+        # and thresholds, from which each block of rounds draws its masks.
         schedules, alphas, rhos, tols = zip(*(settings[r] for r in ids))
         lossy = np.array([s is not None for s in schedules])
         alphas, rhos, tols = np.array(alphas), np.array(rhos), np.array(tols)
         bases, thresholds = stack_schedules([s for s in schedules if s is not None])
         rows = 0  # rows the views below were made for
-        # every row's delivery flag per z entry for rounds drawn_at ..
-        # drawn_to - 1, (rows, rounds, edges * 2 n); loss-free rows deliver all
-        gates, drawn_at, drawn_to = np.empty((len(ids), 0)), 0, 0
         k = 0
         # A row that ends mid-block runs on to the block's end (those rounds
         # are discarded), and a runaway one may overflow there.
@@ -421,7 +417,13 @@ class _StackedEngine:
                     two_rho = two_rho if len(spans) > 1 else two_rho.item(0)
                 # the block ends on k_max and on every _Z_CHECK_EVERY-th round
                 length = min(size, k_max - k, _Z_CHECK_EVERY - k % _Z_CHECK_EVERY)
-                for x_t, solves, z_t in slots[:length]:
+                if len(bases):
+                    # the block's masks (loss-free rows deliver all), one flag per
+                    # z entry: copyto broadcasting an (edges, 1, 1) mask is about twice as slow
+                    gates = np.ones((rows, length, self.pad_at), dtype=bool)
+                    drawn = draw_block(bases, thresholds, k, length)
+                    gates[lossy] = np.repeat(drawn, 2 * self.n, axis=-1)
+                for t, (x_t, solves, z_t) in enumerate(slots[:length]):
                     np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
                     state.take(self.linear, axis=-1, out=v)
                     v += self.base
@@ -432,21 +434,9 @@ class _StackedEngine:
                     q -= state.take(self.message_z, axis=-1)
                     q *= alpha
                     if len(bases):
-                        if k == drawn_to:
-                            # as many rounds as keep the draw's uint64 hashes
-                            # within _MASK_BYTES, and at most 64, which bounds
-                            # the draws a row that stops early wastes
-                            drawn_at = k
-                            drawn_to = k + min(64, k_max - k, max(1, _MASK_BYTES // bases.nbytes))
-                            drawn = draw_block(bases, thresholds, k, drawn_to - k)
-                            # one flag per z entry: copyto broadcasting an
-                            # (edges, 1, 1) mask is about twice as slow as
-                            # with a full-size one
-                            gates = np.ones((rows, drawn_to - k, self.pad_at), dtype=bool)
-                            gates[lossy] = np.repeat(drawn, 2 * self.n, axis=-1)
                         np.multiply(z, keep, out=relaxed)
                         relaxed += q
-                        np.copyto(z, relaxed, where=gates[:, k - drawn_at].reshape(z.shape))
+                        np.copyto(z, relaxed, where=gates[:, t].reshape(z.shape))
                     else:
                         z *= keep
                         z += q
@@ -494,11 +484,11 @@ class _StackedEngine:
                         x_all.resize((k - length + at + 1, self.x_size), refcheck=False)
                     ends[r] = (errors[r], not ok[at, row], x_all,
                                zb[at, row].copy() if record_states else None)
-                # the one place rows are dropped: every per-row array follows buf
+                # rows are dropped here only, at a block's end: every per-row array follows buf
                 live = ~done
                 bases, thresholds = bases[live[lossy]], thresholds[live[lossy]]
-                buf, ids, lossy, alphas, rhos, tols, gates = (
-                    a[live] for a in (buf, ids, lossy, alphas, rhos, tols, gates)
+                buf, ids, lossy, alphas, rhos, tols = (
+                    a[live] for a in (buf, ids, lossy, alphas, rhos, tols)
                 )
         return ends
 
@@ -525,11 +515,11 @@ def run(
     trace also holds x after every round and the last z (see `RunTrace`).
 
     The rounds run on the stacked engine as a batch of one, which is bitwise
-    equal to iterating `sync_round` from `initial_states`. The engine scores
-    and tests a block of up to _SCORE_EVERY rounds at once and discards the
-    rounds of the block after the one the run ends on, so the trace ends
-    where a round-by-round test ends it; a runaway run may overflow in those
-    discarded rounds, which emits no warning.
+    equal to iterating `sync_round` from `initial_states`. The engine draws,
+    scores and tests a block of up to _SCORE_EVERY rounds at once and
+    discards the rounds of the block after the one the run ends on, so the
+    trace ends where a round-by-round test ends it; a runaway run may
+    overflow in those discarded rounds, which emits no warning.
     """
     engine = _StackedEngine(p, (params.rho,), solution)
     row = (schedule, params.alpha, params.rho, stop_tol)

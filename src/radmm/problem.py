@@ -41,6 +41,18 @@ def positive_definite(a: np.ndarray) -> bool:
         return False
 
 
+def _hessian_definite(H: np.ndarray) -> bool:
+    """Whether H - tau I is `positive_definite`, tau = 1e-9 max(1, H's largest
+    absolute row sum) >= 1e-9 lambda_max(H) (Gershgorin). H is shifted in
+    place and its diagonal restored: no second copy of H is made."""
+    diagonal = H.diagonal().copy()
+    H.reshape(-1)[:: len(H) + 1] -= 1e-9 * max(1.0, np.abs(H).sum(axis=1).max(initial=0))
+    try:
+        return positive_definite(H)
+    finally:
+        np.fill_diagonal(H, diagonal)
+
+
 def check_weights(q: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the stack q (k, r, r) is
     symmetric within SYMMETRY_TOL and positive definite; the message names
@@ -261,12 +273,12 @@ def solve_centralized(p: PartitionProblem, blocks: list[tuple] | None = None) ->
     """Exact minimizer of the global cost: one dense LU solve of H u = g, with
     H and g assembled from blocks, `p.local_blocks()` unless given.
 
-    Raises IndefiniteHessianError unless H is `positive_definite` (the
-    optimizer would not be unique); there is no pseudo-inverse fallback.
-    numpy has no triangular solve to reuse the Cholesky factor with.
+    Raises IndefiniteHessianError unless H passes `_hessian_definite`, as every
+    generated instance does; there is no pseudo-inverse fallback. numpy has
+    no triangular solve to reuse the Cholesky factor with.
     """
     H, g = assemble_normal_equations(p, blocks)
-    if not positive_definite(H):
+    if not _hessian_definite(H):
         raise IndefiniteHessianError(
             "global Hessian is singular or indefinite; the optimizer is not unique"
         )
@@ -296,11 +308,10 @@ def generate_instance(
     Per node: a_self has singular values in [1, conditioning], coupling blocks
     are scaled Gaussians, b is Gaussian, and q = M'M + I. Attempt t draws from
     the sub-seed (seed, t), so results are reproducible, and is accepted when
-    H - tau I is `positive_definite`, tau = 1e-9 max(1, H's largest absolute
-    row sum). That sum bounds lambda_max(H) (Gershgorin), so the test is as
-    strict as lambda_min(H) > 1e-9 max(1, lambda_max(H)) or stricter. Raises
-    IndefiniteHessianError when no attempt within the resample budget is
-    accepted (a graph and dimension that admit no unique optimizer).
+    its Hessian H passes `_hessian_definite`, the test `solve_centralized`
+    applies too. Raises IndefiniteHessianError when no attempt within the
+    resample budget is accepted (a graph and dimension that admit no unique
+    optimizer).
     """
     if n < 1 or r_rows < 1:
         raise ValueError("n and r_rows must be positive")
@@ -321,9 +332,7 @@ def generate_instance(
             maps = np.concatenate([a_self[None], coupling])
             costs.append(QuadraticLocalCost(maps=maps, neighbors=order, b=b, q=q))
         problem = PartitionProblem(graph=g, costs=costs, dim=n)
-        H, _ = assemble_normal_equations(problem)
-        H.reshape(-1)[:: len(H) + 1] -= 1e-9 * max(1.0, np.abs(H).sum(axis=1).max())
-        if positive_definite(H):  # H is shifted in place: nothing reads it after
+        if _hessian_definite(assemble_normal_equations(problem)[0]):
             return problem
     raise IndefiniteHessianError(
         f"no positive-definite instance within {_MAX_RESAMPLES} resamples "

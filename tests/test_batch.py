@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radmm as rm
 import radmm.cli as cli
@@ -62,6 +64,67 @@ def test_mixed_batch_equals_spec(ten_node_problem, which):
     rounds = [tr.rounds_executed for tr in traces]
     assert len(set(rounds)) >= 5
     assert max(rounds) == 250  # the run without a tolerance reaches k_max
+
+
+@st.composite
+def small_batches(draw):
+    """A small problem and a batch on it: 1-6 nodes on a graph of any edges
+    (edgeless, isolated nodes and disconnected graphs too), dim 1-3 and 0-4
+    rows per node; 1-6 rows mixing None, uniform and per-edge-table
+    schedules, alphas, two rhos and stop tolerances; and k_max 1-150."""
+    # each sampled_from lists first the value hypothesis should try most
+    nodes, dim = draw(st.sampled_from([5, 3, 6, 1, 4, 2])), draw(st.sampled_from([2, 1, 3]))
+    density = draw(st.sampled_from([0.6, 0.3, 1.0, 0.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
+    g = rm.Graph(node_count=nodes, edges=frozenset(e for e in pairs if rng.random() < density))
+    # 0-4 rows, and mostly at least dim on an isolated node, whose H block
+    # is its own cost's: else most H would be singular
+    rows = [rng.integers(0 if rm.neighbors(g, i) or rng.random() < 0.2 else dim, 5)
+            for i in range(nodes)]
+    costs = []
+    for i, r in enumerate(rows):
+        order = rm.neighbors(g, i)
+        m = rng.standard_normal((r, r))
+        costs.append(rm.QuadraticLocalCost(
+            maps=rng.standard_normal((len(order) + 1, r, dim)), neighbors=order,
+            b=rng.standard_normal(r), q=m.T @ m + np.eye(r),
+        ))
+    p = rm.PartitionProblem(graph=g, costs=costs, dim=dim)
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["uniform", "table", "none"]))
+        seed = draw(st.integers(0, 2**64 - 1))
+        if kind == "uniform":
+            schedule = uniform(p, draw(st.sampled_from([0.2, 0.6, 0.0])), seed)
+        else:
+            schedule = None if kind == "none" else rm.LossSchedule(
+                model=table_model(g, draw(st.integers(0, 1000))), seed=seed)
+        batch.append((schedule, draw(st.sampled_from([0.75, 1.5, 0.3, 1.0])),
+                      draw(st.sampled_from([1.0, 3.0])),
+                      draw(st.sampled_from([1e-4, None, 1e-8]))))
+    # k_max around the block and |z|-test boundaries, or any
+    k_max = st.one_of(st.sampled_from([150, 65, 64, 17, 16, 1]), st.integers(1, 150))
+    return p, batch, draw(k_max)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_batches(), st.sampled_from([1 << 12, None, 1]))
+def test_drawn_batches_equal_spec(case, budget):
+    # every row of a drawn batch is bitwise its spec loop, at the default
+    # byte budget and forced small; a problem with a singular H is rejected
+    # by the solve and the engine alike
+    p, rows, k_max = case
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(engine_module, "_BLOCK_BYTES", budget)
+        try:
+            rm.solve_centralized(p)
+        except rm.IndefiniteHessianError:
+            with pytest.raises(rm.IndefiniteHessianError):
+                _StackedEngine(p, [rho for _, _, rho, _ in rows])
+            return
+        assert_rows_match_spec(p, rows, k_max)
 
 
 def test_batch_diverging_on_different_rounds(ten_node_problem):
@@ -153,9 +216,9 @@ def runs_alone(p, rows, k_max, sol):
 def mixed_settings_rows(p):
     # lossy and loss-free rows at two alphas, two rhos and tolerances None,
     # 1e-6 and 1e-4, listed across the rhos so that the engine's (rho, run)
-    # order differs from this one; rows 0, 1, 2, 4 and 5 end inside the
-    # second draw in an order that is not their row order, and rows 3 and 8
-    # diverge by the |z| bound on the first _Z_CHECK_EVERY round
+    # order differs from this one; rows 1, 2 and 5 end inside the block of
+    # rounds 64 to 79 in an order that is not their row order, and rows 3
+    # and 8 diverge by the |z| bound on the first _Z_CHECK_EVERY round
     return [
         (uniform(p, 0.2, 40), 0.75, 1.0, 1e-4),
         (None, 0.75, 3.0, 1e-6),
@@ -170,39 +233,49 @@ def mixed_settings_rows(p):
 
 
 def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem, monkeypatch):
-    # these runs stop inside the first and the second mask draw (their mask
-    # rows are dropped from it), and k_max = 150 leaves a short last draw
+    # each block of rounds draws the masks of exactly its rounds and of the
+    # lossy rows live in it, and the draws tile the rounds; runs stop inside
+    # blocks (they run on to the block's end, whose rounds are discarded),
+    # and k_max = 150 leaves a short last block
     p = ten_node_problem
     sol = rm.solve_centralized(p)
     draws = record_draws(monkeypatch)
+    lengths, error_sum = [], engine_module._error_sum
+
+    def recording(x, *args):
+        lengths.append(len(x))
+        return error_sum(x, *args)
+
+    monkeypatch.setattr(engine_module, "_error_sum", recording)
     for make_rows in (mid_chunk_rows, mixed_settings_rows):
         rows = make_rows(p)
         alone = runs_alone(p, rows, 150, sol)
         draws.clear()
+        lengths.clear()
         traces = _StackedEngine(p, [rho for _, _, rho, _ in rows], sol).run(
             rows, 150, record_states=True
         )
         assert_each_run_alone(traces, alone)
-        # each draw covers the rounds that keep its hashes within the budget,
-        # 1 to 64 and no further than k_max, and the draws tile the rounds
-        edges = len(p.graph.directed_edges())
-        for k0, rounds, lossy in draws:
-            budget = engine_module._MASK_BYTES // (8 * lossy * edges)
-            assert rounds == min(64, 150 - k0, max(1, budget))
-        chunks = [(k0, k0 + rounds) for k0, rounds, _ in draws]
-        assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
-        assert chunks[-1][1] == 150
         rounds = [tr.rounds_executed for tr in traces]
-        (a0, b0), (a1, b1) = chunks[:2]
-        assert any(a0 < r < b0 for r in rounds)  # a stop inside the first draw
-        assert any(a1 < r < b1 for r in rounds)  # and inside the second
-        assert max(rounds) == 150
-    # in the engine's (rho, run) order, the mixed rows that end inside the
-    # second draw do not end in row order
+        # one draw per block of rounds: (first round, rounds, lossy rows)
+        lossy = [r for r, (s, *_) in enumerate(rows) if s is not None and not s.loss_free]
+        ends = np.cumsum(lengths).tolist()
+        starts = [0] + ends[:-1]
+        assert draws == [(k0, length, sum(rounds[r] > k0 for r in lossy))
+                         for k0, length in zip(starts, lengths)]
+        assert ends[-1] == 150 and max(rounds) == 150
+        # runs end inside at least two blocks, not on their last round
+        blocks = [int(np.searchsorted(ends, r)) for r in rounds]
+        assert len({b for b, r in zip(blocks, rounds) if r not in ends}) >= 2
+    # in the engine's (rho, run) order, the mixed rows that end inside one
+    # block do not end in row order
     rho_first = {rho: at for at, (_, _, rho, _) in reversed(list(enumerate(rows)))}
     order = sorted(range(len(rows)), key=lambda r: (rho_first[rows[r][2]], r))
-    inside = [rounds[r] for r in order if a1 < rounds[r] < b1]
-    assert len(inside) >= 3 and inside != sorted(inside)
+    inside: dict = {}
+    for r in order:
+        if rounds[r] not in ends:
+            inside.setdefault(blocks[r], []).append(rounds[r])
+    assert any(len(ended) >= 3 and ended != sorted(ended) for ended in inside.values())
     # and some run ends by the |z| bound alone: its x is still within it
     assert any(
         tr.diverged and tr.rounds_executed % engine_module._Z_CHECK_EVERY == 0
@@ -213,9 +286,10 @@ def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem, monkey
 
 @pytest.mark.parametrize("which", ["fig1", "random"])
 def test_budgets_do_not_change_results(ten_node_problem, monkeypatch, which):
-    # both byte budgets at 1: every draw covers one round of one row, and
-    # every block holds one row; a mixed batch (lossy, loss-free, table and
-    # None rows, stops on many rounds) is still bitwise each run alone
+    # the byte budget at 1: every block holds one row and one round, so every
+    # draw covers one round of one row; a mixed batch (lossy, loss-free,
+    # table and None rows, stops on many rounds) is still bitwise each run
+    # alone
     p = ten_node_problem if which == "fig1" else make_instances(3, seed0=4300)[2]
     sol = rm.solve_centralized(p)
     rows = mid_chunk_rows(p) + [
@@ -223,7 +297,6 @@ def test_budgets_do_not_change_results(ten_node_problem, monkeypatch, which):
         (uniform(p, 0.0, 6), 0.75, 3.0, None),
     ]
     alone = runs_alone(p, rows, 150, sol)
-    monkeypatch.setattr(engine_module, "_MASK_BYTES", 1)
     monkeypatch.setattr(engine_module, "_BLOCK_BYTES", 1)
     draws = record_draws(monkeypatch)
     row_counts = record_error_rows(monkeypatch)
@@ -309,7 +382,8 @@ def test_a_run_overflowing_mid_block_ends_on_the_spec_round_without_warning(
 
 def test_engine_working_set_is_bounded():
     # the peak allocation inside a run on a 100-node instance (966 directed
-    # edges) does not grow with the rows or the mask draws of 64 rounds
+    # edges) does not grow with the rows: each block of rounds draws the
+    # masks of its own rows and rounds only
     g = rm.generate_connected_rgg(100, 0.2, seed=7)
     p = rm.generate_instance(g, n=2, r_rows=3, seed=11)
     sol = rm.solve_centralized(p)

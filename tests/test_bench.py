@@ -35,9 +35,9 @@ def test_quick_bench_writes_every_section(tmp_path):
     assert set(stages) == {"load_ms", "engine_setup_ms", "rounds_ms", "rounds",
                            "load_peak_kib", "instance_bytes"}
     assert all(isinstance(v, NUMBER) and v > 0 for v in stages.values())
-    # each workload's cold `radmm run` and fig2's sweep: more than a bare
-    # interpreter, which holds no numpy, and longer than one
-    commands = {"mc_fig1", "large_graph", "fig2_sweep"}
+    # each workload's cold `radmm run`, fig1's run and fig2's sweep: more
+    # than a bare interpreter, which holds no numpy, and longer than one
+    commands = {"mc_fig1", "large_graph", "fig1_run", "fig2_sweep"}
     assert set(doc["peak_rss_mb"]) == set(doc["wall_ms"]) == commands
     assert all(isinstance(v, NUMBER) and v > 15 for v in doc["peak_rss_mb"].values())
     assert all(isinstance(v, NUMBER) and v > 30 for v in doc["wall_ms"].values())

@@ -37,6 +37,7 @@ from radmm.config import (
 )
 from radmm.experiments import stability_sweep
 from radmm.problem import problem_from_json, problem_to_json
+from test_problem import rank_one_problem
 
 
 def base_config(**overrides):
@@ -619,6 +620,20 @@ def _few_rows_instance(tmp_path):
            "dim": 10**6, "costs": {"rows": [0, 0], "data": []}}
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_run_on_an_instance_with_a_singular_hessian_exits_2_without_output(tmp_path, capsys):
+    # H has rank 1 but a Cholesky factor on rounding: the message names the
+    # Hessian, not numpy's "Singular matrix"
+    path = tmp_path / "rank_one.json"
+    path.write_text(problem_to_json(rank_one_problem()))
+    argv = ["run", "--config", write_config(tmp_path, base_config()), "--instance", str(path),
+            "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "invalid input: global Hessian is singular or indefinite; the optimizer " \
+                  "is not unique\n"
+    assert not (tmp_path / "o").exists()
 
 
 def _edited_instance(edit):

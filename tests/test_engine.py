@@ -35,10 +35,11 @@ def spec_run(p, params, schedule, k_max, sol, stop_tol=None):
             return np.array(errors), xs, states, True
         if (k + 1) % _Z_CHECK_EVERY == 0:
             z_mag = max(
-                np.max(np.abs(v))
-                for st in states
-                for d in (st.z_in_self, st.z_in_neigh)
-                for v in d.values()
+                (np.max(np.abs(v))
+                 for st in states
+                 for d in (st.z_in_self, st.z_in_neigh)
+                 for v in d.values()),
+                default=0.0,  # a graph without edges has no z
             )
             if not z_mag < rm.DIVERGENCE_NORM:
                 return np.array(errors), xs, states, True

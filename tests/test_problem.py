@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radmm as rm
+from radmm.engine import _StackedEngine
 from radmm.problem import assemble_normal_equations, check_weights, positive_definite
 from conftest import central_fd_gradient, make_instances
 
@@ -245,6 +246,28 @@ def test_solve_centralized_rejects_singular_hessian():
     g = rm.Graph(node_count=1, edges=frozenset())
     with pytest.raises(rm.IndefiniteHessianError):
         rm.solve_centralized(rm.PartitionProblem(graph=g, costs=[cost], dim=2))
+
+
+def rank_one_problem():
+    """One node, dim 3, whose cost has one nonzero map row, padded with zero
+    rows to 3 rows: H has rank 1, yet its Cholesky factor exists on rounding."""
+    maps = np.zeros((1, 3, 3))
+    maps[0, 0] = [-0.4, 1.0, 0.4]
+    cost = rm.QuadraticLocalCost(maps=maps, neighbors=(), b=np.ones(3), q=np.eye(3))
+    return rm.PartitionProblem(graph=rm.Graph(node_count=1, edges=frozenset()), costs=[cost],
+                               dim=3)
+
+
+def test_a_singular_hessian_whose_cholesky_succeeds_on_rounding_is_rejected():
+    # the solve tests H as `generate_instance` does, shifted by its tau, so
+    # this H is rejected before the LU solve would raise LinAlgError
+    p = rank_one_problem()
+    H, _ = assemble_normal_equations(p)
+    assert np.linalg.matrix_rank(H) == 1 and positive_definite(H)
+    with pytest.raises(rm.IndefiniteHessianError):
+        rm.solve_centralized(p)
+    with pytest.raises(rm.IndefiniteHessianError):
+        _StackedEngine(p, (3.0,))
 
 
 def test_solve_centralized_rejects_an_indefinite_hessian(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 import radmm as rm
 import radmm.reference as reference
 from radmm.core import stack_node_xs
+from radmm.engine import _StackedEngine
 from conftest import central_fd_gradient, make_instances
 
 
@@ -295,3 +296,36 @@ def test_engine_runs_the_oracle_round(ten_node_problem, loss_p):
             ref = rm.reference_step(ref, rnd, rm.sample_mask(sched, k))
             assert np.max(np.abs(tr.xs[k] - ref.x)) < 1e-9
         assert np.max(np.abs(tr.z - ref.z)) < 1e-9
+
+
+def first_moment(p, params, probs, rounds):
+    """zeta after rounds steps of zeta <- zeta + Q (T zeta - zeta) from zero,
+    with T one loss-free `reference_step` and Q each slot's delivery
+    probability 1 - p_e, 2n slots per directed edge e."""
+    cm = rm.build_constraint_matrices(p.graph, p.dim)
+    rnd = rm.build_reference_round(p, cm, params)
+    q = np.repeat([1.0 - probs[e] for e in p.graph.directed_edges()], 2 * p.dim)
+    zeta = np.zeros(cm.y_dim)
+    for _ in range(rounds):
+        zeta = zeta + q * (rm.reference_step(rm.reference_initial_state(cm, zeta), rnd).z - zeta)
+    return zeta
+
+
+def test_mean_lossy_iterate_follows_the_first_moment_identity(ten_node_problem):
+    # The round is affine in z, z' = z + D (T z - z), and the delivery
+    # diagonal D of a round is drawn independently of z, so the mean iterate
+    # follows zeta' = zeta + E[D] (T zeta - zeta) exactly. 1000 lossy runs of
+    # the engine against it, within 5 standard errors per coordinate, on fig1's
+    # instance under a per-edge table; no `sync_round` takes part.
+    p, params = ten_node_problem, rm.AlgorithmParams(0.75, 3.0)
+    edges = p.graph.directed_edges()
+    probs = dict(zip(edges, np.random.default_rng(80).uniform(0.0, 0.6, len(edges))))
+    model = rm.LossModel.from_table(p.graph, probs)
+    rows = [(rm.LossSchedule(model=model, seed=r), 0.75, 3.0, None) for r in range(1000)]
+    z = np.array([tr.z for tr in _StackedEngine(p, (3.0,)).run(rows, 20, record_states=True)])
+    mean, sem = z.mean(axis=0), z.std(axis=0, ddof=1) / np.sqrt(len(z))
+    assert sem.all()
+    assert (np.abs(mean - first_moment(p, params, probs, 20)) < 5 * sem).all()
+    # a mask applied to the reverse edge would fail it: the swapped table does
+    swapped = {(i, j): probs[j, i] for i, j in edges}
+    assert (np.abs(mean - first_moment(p, params, swapped, 20)) > 5 * sem).any()
