@@ -46,7 +46,7 @@ from .engine import (
 )
 from .graph import Graph, neighbors, stacked_slots
 from .lossy import DeliveryMask
-from .problem import PartitionProblem, QuadraticLocalCost, Solution
+from .problem import PartitionProblem, QuadraticLocalCost, Solution, definite_with_margin
 
 
 class NodeState(Record):
@@ -102,7 +102,8 @@ class QuadraticLocalSolver:
     v = [x_self; x_neigh...], where D weights the own-variable block by the
     node degree and each neighbor block by one. The system matrix is constant
     across rounds, so it is factored once here and each round costs a single
-    matrix-vector product.
+    matrix-vector product. A system that fails `definite_with_margin`, the
+    engine's test too, raises SingularLocalSystemError.
     """
 
     def __init__(self, cost: QuadraticLocalCost, rho: float):
@@ -112,12 +113,10 @@ class QuadraticLocalSolver:
         d = np.ones(n * (deg + 1))
         d[:n] = deg
         system = 2.0 * (m.T @ cost.q @ m) + rho * np.diag(d)
-        try:
-            np.linalg.cholesky(system)
-        except np.linalg.LinAlgError as exc:
+        if not definite_with_margin(system):
             raise SingularLocalSystemError(
                 "local subproblem is singular (isolated node with rank-deficient cost?)"
-            ) from exc
+            )
         self._inv = np.linalg.inv(system)
         self._base = 2.0 * (m.T @ (cost.q @ cost.b))
         self.neighbors = cost.neighbors

@@ -12,14 +12,12 @@ The engine is built once per problem and its rhos, solves the problem
 unless it is handed the solution, and advances batches of runs, one row
 per (schedule, alpha, rho, stop tolerance); each command builds one. `run`
 is a batch of one, a Monte Carlo hands it one batch per (alpha, rho), and
-a sweep its whole grid. Its working set is bounded by one byte budget,
-whatever the batch size: large batches run in blocks of rows, each
-advanced a block of rounds at a time, and each block of rounds draws the
-masks of exactly its rows and rounds at its start.
-Every run starts from all-zero x and z, is scored on every round against
-the centralized optimum (a block of rounds at once), and loses packets on
-exactly the graph's directed edges. Every run of a batch is bitwise equal
-to the same run alone.
+a sweep its whole grid. How a batch runs within one byte budget, as
+blocks of rows, row sets and blocks of rounds, is stated in
+`_StackedEngine.run`. Every run starts from all-zero x and z, is scored on
+every round against the centralized optimum, and loses packets on exactly
+the graph's directed edges. Every run of a batch is bitwise equal to the
+same run alone.
 The engine is built per class, one per group of the problem's stacked
 `local_blocks` (one degree and cost height): its index tables come from
 `graph.stacked_slots`, and a class's local systems are factored at once,
@@ -36,7 +34,7 @@ import numpy as np
 from ._record import Frozen, Record
 from .graph import stacked_slots
 from .lossy import LossSchedule, draw_block, stack_schedules
-from .problem import PartitionProblem, Solution, positive_definite, solve_centralized
+from .problem import PartitionProblem, Solution, definite_with_margin, solve_centralized
 
 DIVERGENCE_NORM = 1e8
 _Z_CHECK_EVERY = 64
@@ -154,7 +152,7 @@ class _StackedEngine:
     The gather tables and the error reference (x* gathered by slot owner)
     are built from `graph.stacked_slots`, and each class (one `local_blocks`
     group: the nodes of one degree and cost height) is factored in one
-    stacked `positive_definite` check and inv for all rhos. The x-update
+    stacked `definite_with_margin` check and inv for all rhos. The x-update
     writes x in class-major order, where each node's slots are contiguous
     in their `reference` order: messages read it there through one composed
     table, and the error reference is held in that order too.
@@ -229,7 +227,7 @@ class _StackedEngine:
             scale[:n] = d
             # (rhos, k, m, m): the class's systems at every rho
             systems = hess + np.multiply.outer(self.rhos, np.diag(scale))[:, None]
-            if not positive_definite(systems):
+            if not definite_with_margin(systems):
                 raise SingularLocalSystemError(
                     "local subproblem is singular (isolated node with rank-deficient cost?)"
                 )
@@ -284,14 +282,16 @@ class _StackedEngine:
         after every round and of its last z.
 
         Rows advance a block of rounds at a time (up to _SCORE_EVERY, ending
-        on every _Z_CHECK_EVERY-th round and on k_max), whose masks it draws
-        at its start. Within a block a round only updates the rows' state
-        and keeps its x; at the block's end its rounds are scored and
-        stop-tested at once, each row's first round to end on is found, and
-        the rows that end are cut there and dropped. A row that ends
-        mid-block runs on to the block's end, and those rounds are
-        discarded, so its trace is the one a round-by-round test gives. The
-        per-row loops run at block ends only.
+        on every _Z_CHECK_EVERY-th round and on k_max), which draws the masks
+        of its lossy rows at its start. Within a block a round only updates
+        the rows' state and keeps its x; at the block's end its rounds are
+        scored and stop-tested at once, and each row's first round to end on
+        is found. A row that ends mid-block runs on to the block's end, and
+        those rounds are discarded, so its trace is the one a round-by-round
+        test gives. The per-row loops run at block ends only. A row set (the
+        rows live between two blocks on which runs end) builds its views
+        once, and one statement then cuts all its per-row arrays, which share
+        one row index.
 
         The working set is bounded whatever the batch size: rows run as
         consecutive blocks of rows whose buffers, with one round of what a
@@ -343,134 +343,133 @@ class _StackedEngine:
 
     def _run_block(self, ids, settings, k_max, record_states, kept) -> dict:
         """Run the runs ids, in (rho, run) order and with the settings `run`
-        checked, from zero until each ends; a block of rounds keeps `kept`
-        floats per row and round. Returns, per run, its error pieces,
-        diverged flag, and with record_states its x after every round
-        (copied once, into one array per run that grows in place by rounds
-        within _BLOCK_BYTES) and its own copy of its last z (else None and
-        None)."""
+        checked, from zero until each ends, a row set at a time; a block of
+        rounds keeps `kept` floats per row and round. Returns, per run, its
+        error pieces, diverged flag, and with record_states its x after every
+        round (copied once, into one array per run that grows in place by
+        rounds within _BLOCK_BYTES) and its own copy of its last z (else None
+        and None)."""
         errors: dict = {r: [] for r in ids}  # pieces per run
         xs = {r: np.empty((0, self.x_size)) for r in ids} if record_states else {}
         grow = max(1, _BLOCK_BYTES // (8 * self.x_size * len(ids)))
-        log = []  # the rows' errors, one (rounds, rows) entry a block of rounds
         ends: dict = {}
-        buf = np.zeros((len(ids), self.row_size))
-        # Each row's settings, read once into arrays aligned with buf's rows
-        # and sliced with them where rows end: whether it loses packets, its
-        # alpha, rho index and stop tolerance; and the lossy rows' hash bases
-        # and thresholds, from which each block of rounds draws its masks.
+        # The rows' arrays, all indexed by row and cut together where runs
+        # end: the state buffers, the run ids, each row's alpha, rho index and
+        # stop tolerance, and its hash bases and loss thresholds (zero for a
+        # loss-free row), from which each block of rounds draws its masks.
         schedules, alphas, rhos, tols = zip(*(settings[r] for r in ids))
-        lossy = np.array([s is not None for s in schedules])
-        alphas, rhos, tols = np.array(alphas), np.array(rhos), np.array(tols)
-        bases, thresholds = stack_schedules([s for s in schedules if s is not None])
-        rows = 0  # rows the views below were made for
+        row_set = (np.zeros((len(ids), self.row_size)), ids, np.array(alphas), np.array(rhos),
+                   np.array(tols), *stack_schedules(schedules))
         k = 0
         # A row that ends mid-block runs on to the block's end (those rounds
         # are discarded), and a runaway one may overflow there.
         with np.errstate(over="ignore", invalid="ignore"):
-            while ids.size:
-                if rows != len(ids):
-                    # Views of the rows' state. A single row gets 1-D views,
-                    # on which numpy calls cost least; the axis -1 and -3
-                    # arguments below address the same axes with or without
-                    # the row axis.
-                    rows = len(ids)
-                    lead = (rows,) if rows > 1 else ()
-                    state = buf if rows > 1 else buf[0]
-                    z = state[..., : self.pad_at].reshape(lead + self.z_shape)
-                    heads = state[..., self.head_at :].reshape(lead + self.head_terms.shape[1:])
-                    v = np.empty(lead + (self.x_size,))
-                    # (rho index, its rows) per rho present; the rows are in
-                    # (rho, run) order, and one rho takes the class views whole
-                    present, starts = np.unique(rhos, return_index=True)
-                    bounds = [*starts.tolist(), rows]
-                    spans = list(zip(present.tolist(), map(slice, bounds, bounds[1:])))
-                    spans = spans if len(spans) > 1 else [(spans[0][0], ...)]
-                    # A block of rounds: as many as keep the rows' state and
-                    # what the block keeps of each round within _BLOCK_BYTES,
-                    # 1 to _SCORE_EVERY. Round t's x is written, class by
-                    # class, into its slot xb[t] of the block, in class-major
-                    # order, and its messages are gathered from there.
-                    size = (_BLOCK_BYTES // (8 * rows) - self.row_size) // kept
-                    size = min(_SCORE_EVERY, max(1, size))
-                    xb = np.empty((size, rows, self.x_size))
-                    zb = np.empty((size, rows, self.pad_at)) if record_states else None
-                    x_all = xb if rows > 1 else xb[:, 0]
-                    # per class and rho: its inverses, its rows of v and of
-                    # every round's x
-                    solves = []
-                    for invs, at, shape in self.classes:
-                        v_c = v[..., at].reshape(lead + shape)
-                        x_c = x_all[..., at].reshape((size,) + lead + shape)
-                        solves += [(invs[i], v_c[rs], x_c, rs) for i, rs in spans]
-                    # per round of a block: its x, its solves and its z
-                    slots = [(x_all[t], [(inv, v_c, x_c[t, rs]) for inv, v_c, x_c, rs in solves],
-                              zb[t] if record_states else None) for t in range(size)]
-                    relaxed = np.empty_like(z)
-                    # each row's alpha and rho scale its own q and z (shared
-                    # ones stay scalars, on which numpy calls cost least);
-                    # np.unique of floats would import numpy.ma, ~10 ms a command
-                    alpha = alphas.reshape(-1, 1, 1, 1)
-                    alpha = alpha if rows > 1 and (alphas != alphas[0]).any() else alphas.item(0)
-                    keep = 1.0 - alpha
-                    two_rho = 2.0 * np.take(self.rhos, rhos).reshape(-1, 1, 1, 1)
-                    two_rho = two_rho if len(spans) > 1 else two_rho.item(0)
-                # the block ends on k_max and on every _Z_CHECK_EVERY-th round
-                length = min(size, k_max - k, _Z_CHECK_EVERY - k % _Z_CHECK_EVERY)
-                if len(bases):
-                    # the block's masks (loss-free rows deliver all), one flag per
-                    # z entry: copyto broadcasting an (edges, 1, 1) mask is about twice as slow
-                    gates = np.ones((rows, length, self.pad_at), dtype=bool)
-                    drawn = draw_block(bases, thresholds, k, length)
-                    gates[lossy] = np.repeat(drawn, 2 * self.n, axis=-1)
-                for t, (x_t, solves, z_t) in enumerate(slots[:length]):
-                    np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
-                    state.take(self.linear, axis=-1, out=v)
-                    v += self.base
-                    for inv, v_c, x_c in solves:
-                        np.matmul(inv, v_c, out=x_c)
-                    q = x_t.take(self.message_class, axis=-1)
-                    q *= two_rho
-                    q -= state.take(self.message_z, axis=-1)
-                    q *= alpha
-                    if len(bases):
-                        np.multiply(z, keep, out=relaxed)
-                        relaxed += q
-                        np.copyto(z, relaxed, where=gates[:, t].reshape(z.shape))
-                    else:
-                        z *= keep
-                        z += q
+            while len(row_set[1]):
+                # A row set: the rows live until some run ends. Its views are
+                # built once. A single row gets 1-D views, on which numpy
+                # calls cost least; the axis -1 and -3 arguments below address
+                # the same axes with or without the row axis.
+                buf, ids, alphas, rhos, tols, bases, thresholds = row_set
+                count = len(ids)
+                lead = (count,) if count > 1 else ()
+                state = buf if count > 1 else buf[0]
+                z = state[..., : self.pad_at].reshape(lead + self.z_shape)
+                heads = state[..., self.head_at :].reshape(lead + self.head_terms.shape[1:])
+                v = np.empty(lead + (self.x_size,))
+                # (rho index, its rows) per rho present; the rows are in
+                # (rho, run) order, and one rho takes the class views whole
+                present, starts = np.unique(rhos, return_index=True)
+                bounds = [*starts.tolist(), count]
+                spans = list(zip(present.tolist(), map(slice, bounds, bounds[1:])))
+                spans = spans if len(spans) > 1 else [(spans[0][0], ...)]
+                # A block of rounds: as many as keep the rows' state and what
+                # the block keeps of each round within _BLOCK_BYTES, 1 to
+                # _SCORE_EVERY. Round t's x is written, class by class, into
+                # its slot xb[t] of the block, in class-major order, and its
+                # messages are gathered from there.
+                size = (_BLOCK_BYTES // (8 * count) - self.row_size) // kept
+                size = min(_SCORE_EVERY, max(1, size))
+                xb = np.empty((size, count, self.x_size))
+                zb = np.empty((size, count, self.pad_at)) if record_states else None
+                x_all = xb if count > 1 else xb[:, 0]
+                # per class and rho: its inverses, its rows of v and of every
+                # round's x
+                solves = []
+                for invs, at, shape in self.classes:
+                    v_c = v[..., at].reshape(lead + shape)
+                    x_c = x_all[..., at].reshape((size,) + lead + shape)
+                    solves += [(invs[i], v_c[rs], x_c, rs) for i, rs in spans]
+                # per round of a block: its x, its solves and its z
+                slots = [(x_all[t], [(inv, v_c, x_c[t, rs]) for inv, v_c, x_c, rs in solves],
+                          zb[t] if record_states else None) for t in range(size)]
+                relaxed = np.empty_like(z)
+                # each row's alpha and rho scale its own q and z (shared ones
+                # stay scalars, on which numpy calls cost least); np.unique of
+                # floats would import numpy.ma, ~10 ms a command
+                alpha = alphas.reshape(-1, 1, 1, 1)
+                alpha = alpha if count > 1 and (alphas != alphas[0]).any() else alphas.item(0)
+                keep = 1.0 - alpha
+                two_rho = 2.0 * np.take(self.rhos, rhos).reshape(-1, 1, 1, 1)
+                two_rho = two_rho if len(spans) > 1 else two_rho.item(0)
+                # the lossy rows draw their masks; loss-free rows deliver all
+                lossy = thresholds.any(axis=1)
+                stacks = (bases[lossy], thresholds[lossy]) if lossy.any() else None
+                log = []  # the rows' errors, one (rounds, rows) entry a block of rounds
+                done = np.zeros(count, dtype=bool)
+                while not done.any():
+                    # the block ends on k_max and on every _Z_CHECK_EVERY-th round
+                    length = min(size, k_max - k, _Z_CHECK_EVERY - k % _Z_CHECK_EVERY)
+                    if stacks is not None:
+                        # the block's masks, one flag per z entry: copyto
+                        # broadcasting an (edges, 1, 1) mask is about twice as slow
+                        gates = np.ones((count, length, self.pad_at), dtype=bool)
+                        drawn = draw_block(*stacks, k, length)
+                        gates[lossy] = np.repeat(drawn, 2 * self.n, axis=-1)
+                    for t, (x_t, solves, z_t) in enumerate(slots[:length]):
+                        np.add.reduce(state.take(self.head_terms, axis=-1), axis=-3, out=heads)
+                        state.take(self.linear, axis=-1, out=v)
+                        v += self.base
+                        for inv, v_c, x_c in solves:
+                            np.matmul(inv, v_c, out=x_c)
+                        q = x_t.take(self.message_class, axis=-1)
+                        q *= two_rho
+                        q -= state.take(self.message_z, axis=-1)
+                        q *= alpha
+                        if stacks is not None:
+                            np.multiply(z, keep, out=relaxed)
+                            relaxed += q
+                            np.copyto(z, relaxed, where=gates[:, t].reshape(z.shape))
+                        else:
+                            z *= keep
+                            z += q
+                        if record_states:
+                            z_t[...] = state[..., : self.pad_at]
+                        k += 1
+                    # The block's scores and stop tests, on its x as written,
+                    # (rounds, rows, x_size) in class-major order: one |x|
+                    # test and one error sum, which overwrites xb (the next
+                    # block writes it anew). NaN fails every comparison.
+                    x = xb[:length]
                     if record_states:
-                        z_t[...] = state[..., : self.pad_at]
-                    k += 1
-                # The block's scores and stop tests, on its x as written,
-                # (rounds, rows, x_size) in class-major order: one |x| test
-                # and one error sum, which overwrites xb (the next block
-                # writes it anew). NaN fails every comparison.
-                x = xb[:length]
-                if record_states:
-                    x_ref = x.take(self.from_class, axis=-1)
-                    for row, r in enumerate(ids):
-                        if k > len(xs[r]):
-                            xs[r].resize((min(k_max, max(k, len(xs[r]) + grow)), self.x_size),
-                                         refcheck=False)
-                        xs[r][k - length : k] = x_ref[:, row]
-                ok = x.max(axis=-1) < DIVERGENCE_NORM
-                ok &= x.min(axis=-1) > -DIVERGENCE_NORM
-                err = _error_sum(x, *self.reference)
-                log.append(err)
-                ok &= err < np.inf
-                if k % _Z_CHECK_EVERY == 0 and z.size:
-                    ok[-1] &= np.abs(z).reshape(rows, -1).max(axis=1) < DIVERGENCE_NORM
-                stop = ~ok | (err < tols)
-                if k == k_max:
-                    stop[-1] = True
-                # each row's first round to end on, if any
-                first, done = stop.argmax(axis=0), stop.any(axis=0)
-                if not done.any():
-                    continue
+                        x_ref = x.take(self.from_class, axis=-1)
+                        for row, r in enumerate(ids):
+                            if k > len(xs[r]):
+                                xs[r].resize((min(k_max, max(k, len(xs[r]) + grow)), self.x_size),
+                                             refcheck=False)
+                            xs[r][k - length : k] = x_ref[:, row]
+                    ok = x.max(axis=-1) < DIVERGENCE_NORM
+                    ok &= x.min(axis=-1) > -DIVERGENCE_NORM
+                    err = _error_sum(x, *self.reference)
+                    log.append(err)
+                    ok &= err < np.inf
+                    if k % _Z_CHECK_EVERY == 0 and z.size:
+                        ok[-1] &= np.abs(z).reshape(count, -1).max(axis=1) < DIVERGENCE_NORM
+                    stop = ~ok | (err < tols)
+                    if k == k_max:
+                        stop[-1] = True
+                    # each row's first round to end on, if any
+                    first, done = stop.argmax(axis=0), stop.any(axis=0)
                 block = np.concatenate(log)
-                log.clear()
                 # a row's pieces run to its last round: the block's end, or
                 # the round it ends on
                 cut = len(block) - length + first + 1
@@ -484,12 +483,8 @@ class _StackedEngine:
                         x_all.resize((k - length + at + 1, self.x_size), refcheck=False)
                     ends[r] = (errors[r], not ok[at, row], x_all,
                                zb[at, row].copy() if record_states else None)
-                # rows are dropped here only, at a block's end: every per-row array follows buf
-                live = ~done
-                bases, thresholds = bases[live[lossy]], thresholds[live[lossy]]
-                buf, ids, lossy, alphas, rhos, tols = (
-                    a[live] for a in (buf, ids, lossy, alphas, rhos, tols)
-                )
+                # the one place rows are dropped, at a block's end
+                row_set = tuple(a[~done] for a in row_set)
         return ends
 
 

@@ -144,16 +144,18 @@ class LossSchedule(Frozen):
         return not self._thresholds.any()
 
 
-def stack_schedules(schedules: Sequence[LossSchedule]) -> tuple[np.ndarray, np.ndarray]:
+def stack_schedules(schedules: Sequence[LossSchedule | None]) -> tuple[np.ndarray, np.ndarray]:
     """The counter-hash bases and loss thresholds of schedules, as two uint64
-    (schedules, E) arrays for `draw_block`. All schedules must have the same
-    number E of edges."""
-    e_count = len(schedules[0].edges) if schedules else 0
-    if any(len(s.edges) != e_count for s in schedules):
+    (schedules, E) arrays for `draw_block`; all schedules must have the same
+    number E of edges. None, a schedule that loses nothing, gives zero rows:
+    a zero threshold delivers every packet."""
+    e_counts = {len(s.edges) for s in schedules if s is not None}
+    if len(e_counts) > 1:
         raise ValueError("the schedules of one block must have the same number of edges")
-    shape = (len(schedules), e_count)
-    bases = np.array([s._base for s in schedules], dtype=np.uint64).reshape(shape)
-    return bases, np.array([s._thresholds for s in schedules], dtype=np.uint64).reshape(shape)
+    zero = np.zeros(max(e_counts, default=0), dtype=np.uint64)
+    pairs = [(zero, zero) if s is None else (s._base, s._thresholds) for s in schedules]
+    stacks = np.array(pairs, dtype=np.uint64).reshape(len(pairs), 2, len(zero))
+    return stacks[:, 0], stacks[:, 1]
 
 
 def draw_block(bases: np.ndarray, thresholds: np.ndarray, k0: int, rounds: int) -> np.ndarray:

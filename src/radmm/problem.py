@@ -41,16 +41,18 @@ def positive_definite(a: np.ndarray) -> bool:
         return False
 
 
-def _hessian_definite(H: np.ndarray) -> bool:
-    """Whether H - tau I is `positive_definite`, tau = 1e-9 max(1, H's largest
-    absolute row sum) >= 1e-9 lambda_max(H) (Gershgorin). H is shifted in
-    place and its diagonal restored: no second copy of H is made."""
-    diagonal = H.diagonal().copy()
-    H.reshape(-1)[:: len(H) + 1] -= 1e-9 * max(1.0, np.abs(H).sum(axis=1).max(initial=0))
+def definite_with_margin(a: np.ndarray) -> bool:
+    """Whether each matrix of a (..., m, m) less its own tau I is
+    `positive_definite`, tau = 1e-9 max(1, its largest absolute row sum) >=
+    1e-9 lambda_max (Gershgorin), so a singular matrix whose Cholesky succeeds
+    on rounding fails. a's diagonals are shifted in place, then restored."""
+    diagonals = np.einsum("...ii->...i", a)
+    saved = diagonals.copy()
+    diagonals -= 1e-9 * np.maximum(1.0, np.abs(a).sum(-1).max(-1, keepdims=True, initial=0))
     try:
-        return positive_definite(H)
+        return positive_definite(a)
     finally:
-        np.fill_diagonal(H, diagonal)
+        diagonals[...] = saved
 
 
 def check_weights(q: np.ndarray) -> None:
@@ -273,12 +275,12 @@ def solve_centralized(p: PartitionProblem, blocks: list[tuple] | None = None) ->
     """Exact minimizer of the global cost: one dense LU solve of H u = g, with
     H and g assembled from blocks, `p.local_blocks()` unless given.
 
-    Raises IndefiniteHessianError unless H passes `_hessian_definite`, as every
-    generated instance does; there is no pseudo-inverse fallback. numpy has
-    no triangular solve to reuse the Cholesky factor with.
+    Raises IndefiniteHessianError unless H passes `definite_with_margin`, as
+    every generated instance does; there is no pseudo-inverse fallback. numpy
+    has no triangular solve to reuse the Cholesky factor with.
     """
     H, g = assemble_normal_equations(p, blocks)
-    if not _hessian_definite(H):
+    if not definite_with_margin(H):
         raise IndefiniteHessianError(
             "global Hessian is singular or indefinite; the optimizer is not unique"
         )
@@ -308,7 +310,7 @@ def generate_instance(
     Per node: a_self has singular values in [1, conditioning], coupling blocks
     are scaled Gaussians, b is Gaussian, and q = M'M + I. Attempt t draws from
     the sub-seed (seed, t), so results are reproducible, and is accepted when
-    its Hessian H passes `_hessian_definite`, the test `solve_centralized`
+    its Hessian H passes `definite_with_margin`, the test `solve_centralized`
     applies too. Raises IndefiniteHessianError when no attempt within the
     resample budget is accepted (a graph and dimension that admit no unique
     optimizer).
@@ -332,7 +334,7 @@ def generate_instance(
             maps = np.concatenate([a_self[None], coupling])
             costs.append(QuadraticLocalCost(maps=maps, neighbors=order, b=b, q=q))
         problem = PartitionProblem(graph=g, costs=costs, dim=n)
-        if _hessian_definite(assemble_normal_equations(problem)[0]):
+        if definite_with_margin(assemble_normal_equations(problem)[0]):
             return problem
     raise IndefiniteHessianError(
         f"no positive-definite instance within {_MAX_RESAMPLES} resamples "

@@ -68,14 +68,15 @@ def test_mixed_batch_equals_spec(ten_node_problem, which):
 
 @st.composite
 def small_batches(draw):
-    """A small problem and a batch on it: 1-6 nodes on a graph of any edges
-    (edgeless, isolated nodes and disconnected graphs too), dim 1-3 and 0-4
-    rows per node; 1-6 rows mixing None, uniform and per-edge-table
-    schedules, alphas, two rhos and stop tolerances; and k_max 1-150."""
-    # each sampled_from lists first the value hypothesis should try most
-    nodes, dim = draw(st.sampled_from([5, 3, 6, 1, 4, 2])), draw(st.sampled_from([2, 1, 3]))
-    density = draw(st.sampled_from([0.6, 0.3, 1.0, 0.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    """A small problem and a batch on it, every choice derived from one drawn
+    seed: 1-6 nodes on a graph of any edges (edgeless, isolated nodes and
+    disconnected graphs too), dim 1-3 and 0-4 rows per node; 1-6 rows mixing
+    None, uniform and per-edge-table schedules, alphas, two rhos and stop
+    tolerances; and k_max 1-150, half the time on a block or |z|-test
+    boundary."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    nodes, dim = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    density = [0.6, 0.3, 1.0, 0.0][rng.integers(4)]
     pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
     g = rm.Graph(node_count=nodes, edges=frozenset(e for e in pairs if rng.random() < density))
     # 0-4 rows, and mostly at least dim on an isolated node, whose H block
@@ -92,20 +93,29 @@ def small_batches(draw):
         ))
     p = rm.PartitionProblem(graph=g, costs=costs, dim=dim)
     batch = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["uniform", "table", "none"]))
-        seed = draw(st.integers(0, 2**64 - 1))
+    for _ in range(rng.integers(1, 7)):
+        kind = ["uniform", "table", "none"][rng.integers(3)]
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
         if kind == "uniform":
-            schedule = uniform(p, draw(st.sampled_from([0.2, 0.6, 0.0])), seed)
+            schedule = uniform(p, [0.2, 0.6, 0.0][rng.integers(3)], seed)
         else:
             schedule = None if kind == "none" else rm.LossSchedule(
-                model=table_model(g, draw(st.integers(0, 1000))), seed=seed)
-        batch.append((schedule, draw(st.sampled_from([0.75, 1.5, 0.3, 1.0])),
-                      draw(st.sampled_from([1.0, 3.0])),
-                      draw(st.sampled_from([1e-4, None, 1e-8]))))
-    # k_max around the block and |z|-test boundaries, or any
-    k_max = st.one_of(st.sampled_from([150, 65, 64, 17, 16, 1]), st.integers(1, 150))
-    return p, batch, draw(k_max)
+                model=table_model(g, int(rng.integers(0, 1001))), seed=seed)
+        batch.append((schedule, [0.75, 1.5, 0.3, 1.0][rng.integers(4)],
+                      [1.0, 3.0][rng.integers(2)], [1e-4, None, 1e-8][rng.integers(3)]))
+    # k_max on the block and |z|-test boundaries, or any
+    boundary = rng.random() < 0.5
+    k_max = [150, 65, 64, 17, 16, 1][rng.integers(6)] if boundary else int(rng.integers(1, 151))
+    return p, batch, k_max
+
+
+def spec_rejects(cost, rho):
+    """Whether the spec's solver finds the node's local system singular."""
+    try:
+        rm.QuadraticLocalSolver(cost, rho)
+    except rm.SingularLocalSystemError:
+        return True
+    return False
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -113,8 +123,10 @@ def small_batches(draw):
 def test_drawn_batches_equal_spec(case, budget):
     # every row of a drawn batch is bitwise its spec loop, at the default
     # byte budget and forced small; a problem with a singular H is rejected
-    # by the solve and the engine alike
+    # by the solve and the engine alike, and the engine handed a solution
+    # rejects its local systems exactly when the spec rejects some node's
     p, rows, k_max = case
+    rhos = [rho for _, _, rho, _ in rows]
     with pytest.MonkeyPatch.context() as patch:
         if budget is not None:
             patch.setattr(engine_module, "_BLOCK_BYTES", budget)
@@ -122,7 +134,13 @@ def test_drawn_batches_equal_spec(case, budget):
             rm.solve_centralized(p)
         except rm.IndefiniteHessianError:
             with pytest.raises(rm.IndefiniteHessianError):
-                _StackedEngine(p, [rho for _, _, rho, _ in rows])
+                _StackedEngine(p, rhos)
+            solution = rm.Solution([np.ones(p.dim)] * p.graph.node_count)
+            if any(spec_rejects(cost, rho) for cost in p.costs for rho in rhos):
+                with pytest.raises(rm.SingularLocalSystemError):
+                    _StackedEngine(p, rhos, solution)
+            else:
+                _StackedEngine(p, rhos, solution)
             return
         assert_rows_match_spec(p, rows, k_max)
 
@@ -282,6 +300,32 @@ def test_batch_stopping_mid_chunk_equals_each_run_alone(ten_node_problem, monkey
         and np.abs(tr.xs[-1]).max() < rm.DIVERGENCE_NORM <= np.abs(tr.z).max()
         for tr in traces
     )
+
+
+def test_rows_are_cut_only_after_a_block_on_which_runs_end(ten_node_problem, monkeypatch):
+    # every block of rounds scores the rows live in it: their count never
+    # rises, and falls only on the block right after one on which runs
+    # ended, by the number of runs that ended there
+    p = ten_node_problem
+    rows = mixed_settings_rows(p)
+    shapes, error_sum = [], engine_module._error_sum
+
+    def recording(x, *args):
+        shapes.append(x.shape[:2])
+        return error_sum(x, *args)
+
+    monkeypatch.setattr(engine_module, "_error_sum", recording)
+    traces = _StackedEngine(p, [rho for _, _, rho, _ in rows]).run(rows, 150)
+    lengths, counts = zip(*shapes)
+    # a run of r rounds ended on the block whose rounds reach r
+    ends = np.cumsum(lengths)
+    ended = np.bincount(np.searchsorted(ends, [tr.rounds_executed for tr in traces]),
+                        minlength=len(ends))
+    assert counts[0] == len(rows) and ends[-1] == 150
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
+    assert [a - b for a, b in zip(counts, counts[1:])] == ended[:-1].tolist()
+    assert counts[-1] == ended[-1]
+    assert len(set(counts)) >= 4
 
 
 @pytest.mark.parametrize("which", ["fig1", "random"])

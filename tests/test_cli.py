@@ -636,6 +636,19 @@ def test_run_on_an_instance_with_a_singular_hessian_exits_2_without_output(tmp_p
     assert not (tmp_path / "o").exists()
 
 
+def test_check_on_an_instance_with_a_singular_local_system_exits_2_without_output(
+        tmp_path, capsys):
+    # the spec's local system is the rank-one H: the message names the local
+    # subproblem, not numpy's "Singular matrix", and no report is written
+    path = tmp_path / "rank_one.json"
+    path.write_text(problem_to_json(rank_one_problem()))
+    out = tmp_path / "o"
+    argv = ["check", "--preset", "fig1", "--instance", str(path), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("invalid input: local subproblem is singular")
+    assert not (out / "fig1_check.txt").exists()
+
+
 def _edited_instance(edit):
     """A valid 3-node instance document, changed by edit, written to a file."""
     def write(tmp_path):

@@ -231,6 +231,26 @@ def test_single_rounds_in_random_order_equal_the_block():
                 assert got.tobytes() == fresh_draw(schedules[s], k0 + j).tobytes()
 
 
+def test_none_rows_of_a_stack_are_zero_and_deliver_every_packet():
+    g = mixed_graph()
+    schedules = [rm.LossSchedule(model=rm.LossModel.uniform(g, 0.3), seed=2),
+                 rm.LossSchedule(model=rm.LossModel.uniform(g, 0.6), seed=2**64 - 1)]
+    bases, thresholds = stack_schedules([None, schedules[0], None, schedules[1]])
+    assert bases.shape == thresholds.shape == (4, len(g.directed_edges()))
+    assert not bases[[0, 2]].any() and not thresholds[[0, 2]].any()
+    block = draw_block(bases, thresholds, 5, 40)
+    assert block[[0, 2]].all()
+    # the other rows draw what the same schedules stacked alone draw
+    assert block[[1, 3]].tobytes() == draw_block(*stack_schedules(schedules), 5, 40).tobytes()
+    for rows in (1, 3):
+        bases, thresholds = stack_schedules([None] * rows)
+        assert bases.shape == thresholds.shape == (rows, 0)
+        assert bases.dtype == thresholds.dtype == np.uint64
+    other = rm.LossSchedule(model=rm.LossModel.uniform(small_graph(), 0.3), seed=1)
+    with pytest.raises(ValueError, match="same number of edges"):
+        stack_schedules([schedules[0], None, other])
+
+
 def test_masks_of_consecutive_derived_seeds_are_uncorrelated():
     # runs r and r + 1 of a Monte Carlo, seeded (seed, r) and (seed, r + 1)
     g = small_graph()

@@ -270,6 +270,17 @@ def test_a_singular_hessian_whose_cholesky_succeeds_on_rounding_is_rejected():
         _StackedEngine(p, (3.0,))
 
 
+def test_a_singular_local_system_whose_cholesky_succeeds_on_rounding_is_rejected():
+    # the isolated node's degree 0 adds no rho to its own block, so its local
+    # system is the rank-one H: the spec's solver and the engine handed a
+    # solution test it as the solve does, before inv would raise LinAlgError
+    p = rank_one_problem()
+    with pytest.raises(rm.SingularLocalSystemError):
+        rm.QuadraticLocalSolver(p.costs[0], 3.0)
+    with pytest.raises(rm.SingularLocalSystemError):
+        _StackedEngine(p, (3.0,), solution=rm.Solution([np.ones(3)]))
+
+
 def test_solve_centralized_rejects_an_indefinite_hessian(monkeypatch):
     # a problem's H is semidefinite by construction, so an indefinite one is handed in
     monkeypatch.setattr(rm.problem, "assemble_normal_equations",
